@@ -92,10 +92,6 @@ class SiteChannel:
         return tuple(ops)
 
 
-def identity_channel(site: int, q: int = 2) -> SiteChannel:
-    return SiteChannel(site, kraus=(np.eye(q, dtype=complex),))
-
-
 def dephasing(site: int, p: float) -> SiteChannel:
     z = PauliString.from_label("Z")
     i = PauliString.identity(1)
@@ -170,12 +166,6 @@ class ChannelLayer:
         region = frozenset(self.region) | frozenset(sites)
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "channels", tuple(self.channels))
-
-    def get(self, site: int) -> SiteChannel | None:
-        for c in self.channels:
-            if c.site == site:
-                return c
-        return None
 
     @property
     def sites(self) -> frozenset[int]:
@@ -300,8 +290,9 @@ def is_commutation_preserving(
     channels on every site subset S with |S| <= subset_cap, and checks all
     image pairs for commutation.  A finite enumeration can only falsify, so
     the outcomes are a tri-state: VIOLATED on a found counterexample,
-    PRESERVED when every enumerated pair commutes within budget,
-    INCONCLUSIVE when the budget runs out first.
+    PRESERVED when every product and every image pair was checked and
+    commutes, INCONCLUSIVE when the budget runs out first or the products
+    were cut at 65.
     """
     from .dense import apply_layer_to_matrix, term_matrix
 
@@ -316,8 +307,10 @@ def is_commutation_preserving(
     combos = itertools.product(*(range(c + 1) for c in caps))
     # products of bare h_a (coefficient-free), which is what must stay commuting
     bare = [term_matrix(g, t, bare=True) for t in h.terms]
+    truncated = False
     for mu in combos:
         if len(products) > 64:
+            truncated = True
             break
         op = np.eye(g.dim, dtype=complex)
         for a, k in enumerate(mu):
@@ -347,7 +340,7 @@ def is_commutation_preserving(
                 comm = images[i] @ images[j] - images[j] @ images[i]
                 if np.max(np.abs(comm)) > 1e-10:
                     return CommutationCheck.VIOLATED
-    return CommutationCheck.PRESERVED
+    return CommutationCheck.INCONCLUSIVE if truncated else CommutationCheck.PRESERVED
 
 
 _CHANNEL_KEYS = {"site", "kind", "p", "matrix", "kraus"}

@@ -143,17 +143,6 @@ class PinnedHamiltonian:
     pinning: dict  # site -> length-q array of pinning energies
     outcome: dict  # site -> observed value y_i
 
-    @property
-    def site_normalizers(self) -> dict:
-        return {s: float(np.exp(-d).sum()) for s, d in self.pinning.items()}
-
-    @property
-    def z0(self) -> float:
-        out = 1.0
-        for z in self.site_normalizers.values():
-            out *= z
-        return out
-
     def gibbs(self) -> Distribution:
         """exp(-(beta H + sum_i d^{(i)})), normalized over all configurations."""
         e = self.beta * energy_table(self.h)

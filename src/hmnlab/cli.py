@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    hmnlab run config.json [--override key=value ...] [--output-dir DIR] [--threads N]
+    hmnlab run config.json [--override key=value ...] [--output-dir DIR]
     hmnlab validate config.json
 
 Exit codes: 0 success, 2 a certificate/bound check failed, 1 tooling error.
@@ -10,8 +10,8 @@ Config schema (JSON object):
     model:      builtin id ("ising_chain_n8", ...) or path to a model file
     beta:       list of numbers ("inf" allowed)
     channel:    {"kind": ..., "p": ...} or list of per-site channel objects
-    distances:  list of integers (decay experiments)
-    partition:  {"a": [...], "b": [...], "c": [...]} (file models)
+    distances:  strictly increasing list of integers (decay experiments)
+    partition:  {"a": [...], "b": [...], "c": [...]} (required for file models)
     engine:     "classical" | "dense" | "pauli"
     output:     basename for the CSV/JSON artifacts
 
@@ -45,6 +45,8 @@ _CONFIG_KEYS = {
     "max_weight",
     "n",
 }
+
+DEFAULT_DISTANCES = (1, 2, 3, 4, 5, 6)
 
 
 def fmt(x) -> str:
@@ -82,35 +84,56 @@ def validate_config(cfg: dict) -> list:
     engine = cfg.get("engine", "classical")
     if engine not in ("classical", "dense", "pauli"):
         findings.append(f"unknown engine {engine!r}")
+    distances = cfg.get("distances", DEFAULT_DISTANCES)
+    if exp == "decay" and any(b <= a for a, b in zip(distances, distances[1:])):
+        findings.append(f"distances {list(distances)} are not strictly increasing")
     model = cfg.get("model", "")
-    if isinstance(model, str) and not os.path.exists(model):
-        try:
-            zoo.parse_model_id(model)
-        except ValueError as e:
-            if exp != "cluster_equivalence":
-                findings.append(str(e))
-    elif isinstance(model, str):
-        try:
+    # run ignores the model of a cluster_equivalence experiment
+    if exp == "cluster_equivalence" or not isinstance(model, str):
+        return findings
+    is_file = os.path.exists(model)
+    if is_file and exp == "decay":
+        findings.append("decay experiments need a builtin model id")
+    try:
+        if is_file:
             h = load_model(model)
-            if engine == "pauli" and not h.commuting:
-                findings.append("engine=pauli but the model terms do not commute")
-            if engine == "classical" and not h.all_diagonal:
-                findings.append("engine=classical but the model has non-diagonal terms")
-            if engine == "dense" and h.site_graph.dim > dense.DENSE_DIM_CAP:
-                findings.append(
-                    f"model dimension {h.site_graph.dim} exceeds dense cap {dense.DENSE_DIM_CAP}"
-                )
-        except (ValueError, KeyError) as e:
-            findings.append(f"model file invalid: {e}")
+        else:
+            family, n = zoo.parse_model_id(model)
+            if exp == "decay" and distances:
+                n = int(max(distances)) + 1  # the largest chain the curve builds
+            h = zoo.build_model(family, n, engine)
+    except (ValueError, KeyError) as e:
+        findings.append(f"model file invalid: {e}" if is_file else str(e))
+        return findings
+    if is_file and exp != "decay":
+        try:
+            p = _partition(cfg)
+        except (ValueError, KeyError, TypeError) as e:
+            findings.append(f"model file needs a partition with nonempty disjoint a and c: {e!r}")
+        else:
+            if not p.abc <= set(range(h.site_graph.n_sites)):
+                findings.append("partition names sites outside the model")
+    if engine == "pauli" and not (h.all_pauli and h.commuting):
+        findings.append("engine=pauli but the model terms are not commuting Pauli strings")
+    if engine == "classical" and not h.all_diagonal:
+        findings.append("engine=classical but the model has non-diagonal terms")
+    if engine == "dense" and h.site_graph.dim > dense.DENSE_DIM_CAP:
+        findings.append(
+            f"model dimension {h.site_graph.dim} exceeds dense cap {dense.DENSE_DIM_CAP}"
+        )
     return findings
+
+
+def _partition(cfg: dict) -> Partition:
+    praw = cfg["partition"]
+    return Partition(frozenset(praw["a"]), frozenset(praw.get("b", ())), frozenset(praw["c"]))
 
 
 def _resolve_model(cfg: dict, engine: str):
     model = cfg["model"]
     if os.path.exists(model):
         h = load_model(model)
-        praw = cfg["partition"]
-        p = Partition(frozenset(praw["a"]), frozenset(praw.get("b", ())), frozenset(praw["c"]))
+        p = _partition(cfg)
         layer = parse_layer(cfg.get("channel", []), h.site_graph.q)
         return h, layer, p
     family, n = zoo.parse_model_id(model)
@@ -137,7 +160,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
 
     if cfg["experiment"] == "decay":
         family, _ = zoo.parse_model_id(cfg["model"])
-        distances = cfg.get("distances", list(range(1, 7)))
+        distances = cfg.get("distances", DEFAULT_DISTANCES)
         ch = cfg.get("channel") or {}
         p_noise = float(ch.get("p", 1.0))
         rows = []
@@ -254,7 +277,6 @@ def main(argv=None) -> int:
     runp.add_argument("config")
     runp.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
     runp.add_argument("--output-dir", default=".")
-    runp.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
     valp = sub.add_parser("validate", help="check a config without running it")
     valp.add_argument("config")
     args = ap.parse_args(argv)

@@ -129,10 +129,8 @@ def cluster_gibbs_equivalence(n: int, beta: float, engine: str = "dense") -> dic
     elif engine == "pauli":
         thermal = pauli.expand_gibbs(h, beta)
         dephased = pauli.apply_pauli_layer(pauli.expand_gibbs(h, math.inf), layer)
-        keys = set(thermal.coeffs) | set(dephased.coeffs)
-        dist = max(
-            abs(thermal.coeffs.get(k, 0.0) - dephased.coeffs.get(k, 0.0)) for k in keys
-        )
+        # both expansions come from h, so they share generators and index
+        dist = float(np.max(np.abs(thermal.coeffs - dephased.coeffs)))
     else:
         raise ValueError(f"unknown engine {engine!r}")
     return {

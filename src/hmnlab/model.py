@@ -157,8 +157,6 @@ class PauliString:
         for j in range(self.n):
             xb, zb = (self.x >> j) & 1, (self.z >> j) & 1
             letter = "IXZY"[xb + 2 * zb] if (xb, zb) != (1, 1) else "Y"
-            if letter == "Z" and (xb, zb) == (0, 1):
-                letter = "Z"
             out = np.kron(out, _PAULI_MATS[letter])
         return out
 

@@ -1,15 +1,19 @@
 """Symplectic engine for Gibbs states of commuting Pauli Hamiltonians under
 Pauli-diagonal channels.
 
-The state is stored as the normalized Pauli expansion
+F2 elimination of the terms' symplectic vectors (Aaronson-Gottesman form)
+picks r independent generators G_i among them.  With g_v = prod_{i in v} G_i
+in index order, commutation and G_i^2 = I give g_v g_w = g_{v xor w}
+exactly, and each term is h_a = sigma_a g_{b_a}.  The state is one vector
 
-    rho = 2^{-n} sum_g c_g P(x_g, z_g),      c_I = 1,
+    rho = 2^{-n} sum_v c_v g_v,      c_0 = 1,
 
-keyed by (x, z) with the sign folded into the coefficient.  Built from the
-exact factor identity exp(-b l P) = cosh(b l) I - sinh(b l) P by expanding
-the product over terms; group-element collisions (h_a h_b = +-h_c) are
-aggregated sign-aware.  Marginals diagonalize over group characters, so
-entropies cost 2^r for the rank r of the restricted group.
+built from exp(-b l h) = cosh(b l) (I - tanh(b l) h) as m vectorized updates
+c <- c - t_a sigma_a c[v xor b_a].  A channel multiplies c by per-site
+damping tables read at the local bits of g_v, which are linear in v.  A
+region's marginal lives on the subgroup supported there (the kernel of the
+generators' outside bits) and diagonalizes over its characters, so an
+entropy costs one Walsh-Hadamard transform of 2^rank values.
 """
 
 from __future__ import annotations
@@ -27,21 +31,53 @@ RANK_CAP = 24
 PRUNE = 1e-18
 
 
+def _xor_span(rows, dtype=np.int64) -> np.ndarray:
+    """out[v] = XOR of rows[i] over the set bits i of v, by doubling."""
+    out = np.zeros(1, dtype)
+    for row in rows:
+        out = np.concatenate((out, out ^ row))
+    return out
+
+
+def _reduce(pivots: dict, word: int, mask: int) -> tuple[int, int]:
+    """F2-eliminate word against pivots {leading bit: (word, mask)}, XORing
+    the masks along; a nonzero remainder becomes a new pivot."""
+    while word and word.bit_length() - 1 in pivots:
+        pw, pm = pivots[word.bit_length() - 1]
+        word, mask = word ^ pw, mask ^ pm
+    if word:
+        pivots[word.bit_length() - 1] = (word, mask)
+    return word, mask
+
+
+def _product(gens, v: int, n: int) -> PauliString:
+    """g_v: the generators in v multiplied in index order."""
+    out = PauliString.identity(n)
+    for i, g in enumerate(gens):
+        if v >> i & 1:
+            out = out * g
+    return out
+
+
 @dataclass
 class PauliExpansion:
     graph: SiteGraph
-    coeffs: dict  # (x, z) -> real coefficient of the canonical Hermitian Pauli
+    generators: tuple  # independent commuting PauliStrings G_i, each of sign +1
+    coeffs: np.ndarray  # c_v, the coefficient of g_v, for v in [0, 2^r)
 
     @property
     def n(self) -> int:
         return self.graph.n_qubits
 
+    def element(self, v: int) -> PauliString:
+        return _product(self.generators, v, self.n)
+
     def to_matrix(self) -> np.ndarray:
         """Dense state, for cross-validation on small systems."""
         d = 2**self.n
         out = np.zeros((d, d), dtype=complex)
-        for (x, z), c in self.coeffs.items():
-            out += c * PauliString(self.n, x, z).to_matrix()
+        for v, c in enumerate(self.coeffs):
+            out += c * self.element(v).to_matrix()
         return out / d
 
 
@@ -54,118 +90,88 @@ def expand_gibbs(h: LocalHamiltonian, beta: float) -> PauliExpansion:
     if len(h.terms) > TERM_CAP:
         raise ValueError(f"{len(h.terms)} terms exceed cap {TERM_CAP}")
     n = h.site_graph.n_qubits
-    ident = PauliString.identity(n)
+    gens: list[PauliString] = []
+    pivots: dict = {}
+    coords = []  # per term: b_a, the generator mask with h_a = +-g_{b_a}
+    for t in h.terms:
+        p, new = t.operator, 1 << len(gens)
+        word, mask = _reduce(pivots, (p.x << n) | p.z, new)
+        if word:
+            gens.append(PauliString(n, p.x, p.z))
+        coords.append(new if word else mask ^ new)
     # work with factors I - t_a h_a, t_a = tanh(beta lambda_a); the dropped
     # cosh prefactors cancel in the final normalization
-    # accumulator maps the canonical (sign-stripped) key to its coefficient;
-    # product signs are folded into the coefficient at each collision
-    acc: dict[tuple[int, int], float] = {ident.key: 1.0}
-    for t in h.terms:
-        ta = math.tanh(beta * t.coefficient) if not math.isinf(beta) else (
-            1.0 if t.coefficient > 0 else -1.0 if t.coefficient < 0 else 0.0
-        )
-        nxt: dict[tuple[int, int], float] = {}
-        for (x, z), c in acc.items():
-            prod = PauliString(n, x, z) * t.operator
-            for key, cc in ((
-                (x, z), c),
-                (prod.key, -ta * c * prod.sign),
-            ):
-                nxt[key] = nxt.get(key, 0.0) + cc
-        acc = nxt
-    c0 = acc[ident.key]
-    if abs(c0) < 1e-14:
+    c = np.zeros(2 ** len(gens))
+    c[0] = 1.0
+    for t, b in zip(h.terms, coords):
+        lam = t.coefficient
+        ta = math.tanh(beta * lam) if not math.isinf(beta) else float(np.sign(lam))
+        sigma = t.operator.sign * _product(gens, b, n).sign
+        c = c - ta * sigma * c[np.arange(c.size) ^ b]
+    if abs(c[0]) < 1e-14:
         raise ValueError("expansion has zero trace (frustrated zero-temperature state)")
-    coeffs = {}
-    for key, c in acc.items():
-        v = c / c0
-        if abs(v) >= PRUNE:
-            coeffs[key] = v
-    return PauliExpansion(h.site_graph, coeffs)
+    return PauliExpansion(h.site_graph, tuple(gens), c / c[0])
 
 
 def apply_pauli_layer(e: PauliExpansion, layer: ChannelLayer) -> PauliExpansion:
-    """Damp each expansion coefficient by the per-site channel factors."""
-    profiles = {}
-    for c in layer.channels:
-        profiles[c.site] = pauli_damping_profile(c)
+    """Damp each group coefficient by the per-site channel factors."""
     k = e.graph.qubits_per_site
     mask = (1 << k) - 1
-    out = {}
-    for (x, z), coeff in e.coeffs.items():
-        f = coeff
-        for site, prof in profiles.items():
-            lx = (x >> (site * k)) & mask
-            lz = (z >> (site * k)) & mask
-            if lx or lz:
-                f *= prof[(lx, lz)]
-        if abs(f) >= PRUNE:
-            out[(x, z)] = f
-    return PauliExpansion(e.graph, out)
+    c = e.coeffs
+    for ch in layer.channels:
+        table = np.empty(4**k)
+        for (x, z), f in pauli_damping_profile(ch).items():
+            table[(x << k) | z] = f
+        # local (x, z) bits of g_v at this site, as a table index
+        rows = [
+            (((g.x >> ch.site * k) & mask) << k) | ((g.z >> ch.site * k) & mask)
+            for g in e.generators
+        ]
+        if any(rows):
+            c = c * table[_xor_span(rows, np.min_scalar_type(4**k - 1))]
+    return PauliExpansion(e.graph, e.generators, c)
 
 
 @dataclass
 class RestrictedGroup:
-    """Expansion elements supported inside a region, with independent
-    generators found by F2 elimination and each element's exponent vector."""
+    """Span of the region's group elements with nonzero coefficient: generators
+    as exponent masks over the expansion's, and coefficients by exponent mask."""
 
     qubits: tuple[int, ...]
-    generators: list  # of PauliString (restricted to the region's qubits)
-    elements: list  # of (exponent bitmask over generators, signed coefficient)
-
-
-def _region_qubits(graph: SiteGraph, region) -> tuple[int, ...]:
-    out: list[int] = []
-    for s in sorted(region):
-        out.extend(graph.site_qubits(s))
-    return tuple(out)
+    generators: list  # of int
+    elements: np.ndarray
 
 
 def restricted_group(e: PauliExpansion, region) -> RestrictedGroup:
-    qs = _region_qubits(e.graph, region)
-    qset = set(qs)
-    members: list[tuple[PauliString, float]] = []
-    for (x, z), c in e.coeffs.items():
-        p = PauliString(e.n, x, z)
-        if p.support() <= qset:
-            members.append((p.restrict(qs), c))
-
-    # F2 elimination with sign tracking: pivots[j] holds (pauli, exponent mask)
-    nq = len(qs)
-    gens: list[PauliString] = []
-    pivots: dict[int, tuple[PauliString, int]] = {}  # leading-bit -> (row, mask)
-    elements: list[tuple[int, float]] = []
-
-    def reduce(p: PauliString) -> tuple[PauliString, int]:
-        mask = 0
-        word = (p.x << nq) | p.z
-        cur = p
-        while word:
-            lead = word.bit_length() - 1
-            if lead not in pivots:
-                break
-            row, rmask = pivots[lead]
-            cur = cur * row
-            mask ^= rmask
-            word = (cur.x << nq) | cur.z
-        return cur, mask
-
-    for p, c in members:
-        cur, mask = reduce(p)
-        word = (cur.x << nq) | cur.z
-        if word:
+    qs = tuple(q for s in sorted(region) for q in e.graph.site_qubits(s))
+    n = e.n
+    outside = ((1 << n) - 1) ^ sum(1 << q for q in qs)
+    # F2 kernel of the generators' outside-region bits: the exponent masks v
+    # whose g_v is supported inside the region
+    pivots: dict = {}
+    kernel = []
+    for i, g in enumerate(e.generators):
+        word, mask = _reduce(pivots, ((g.x & outside) << n) | (g.z & outside), 1 << i)
+        if not word:
+            kernel.append(mask)
+    members = _xor_span(kernel)
+    d = e.coeffs[members]
+    # reduce to the span of the nonzero coefficients: eliminate their kernel
+    # coordinates u bit by bit; each pivot's hit bits are the new coordinates
+    u = np.flatnonzero(np.abs(d) >= PRUNE)
+    rest, pos = u.copy(), np.zeros_like(u)
+    gens: list[int] = []
+    for bit in reversed(range(len(kernel))):
+        hit = (rest >> bit) & 1
+        if hit.any():
             if len(gens) >= RANK_CAP:
                 raise ValueError(f"restricted-group rank exceeds cap {RANK_CAP}")
-            gmask = 1 << len(gens)
-            # store the sign-stripped canonical row so that every element's
-            # sign relative to the generator products lands in its coefficient
-            canon = PauliString(cur.n, cur.x, cur.z, 1)
-            gens.append(canon)
-            pivots[word.bit_length() - 1] = (canon, gmask)
-            elements.append((mask | gmask, c * cur.sign))
-        else:
-            # cur = sign * I; fold the sign into the coefficient
-            elements.append((mask, c * cur.sign))
+            p = rest[hit.argmax()]
+            rest ^= hit * p
+            pos |= hit << len(gens)
+            gens.append(int(members[p]))
+    elements = np.zeros(2 ** len(gens))
+    elements[pos] = d[u]
     return RestrictedGroup(qs, gens, elements)
 
 
@@ -173,25 +179,19 @@ def marginal_spectrum(e: PauliExpansion, region) -> tuple[np.ndarray, int]:
     """Eigenvalues of the normalized marginal on ``region`` (one value per
     group character) and the degeneracy they each carry."""
     grp = restricted_group(e, region)
-    r = len(grp.generators)
     nq = len(grp.qubits)
-    d = np.zeros(2**r)
-    for mask, c in grp.elements:
-        d[mask] += c
-    # Walsh-Hadamard transform gives lam_s = sum_b d_b (-1)^{s.b}
-    lam = d.copy()
+    # Walsh-Hadamard transform gives lam_s = sum_b d_b (-1)^{s.b}; each
+    # butterfly pairs index i with i + h
+    lam = grp.elements
     h = 1
     while h < lam.size:
-        for i in range(0, lam.size, 2 * h):
-            a = lam[i : i + h].copy()
-            b = lam[i + h : i + 2 * h].copy()
-            lam[i : i + h] = a + b
-            lam[i + h : i + 2 * h] = a - b
+        lam = lam.reshape(-1, 2, h)
+        lam = np.stack((lam[:, 0] + lam[:, 1], lam[:, 0] - lam[:, 1]), axis=1)
         h *= 2
-    lam /= 2**nq
+    lam = lam.ravel() / 2**nq
     if lam.min() < -1e-10:
         raise ValueError(f"marginal spectrum has eigenvalue {lam.min()} < -1e-10")
-    return lam, 2 ** (nq - r)
+    return lam, 2 ** (nq - len(grp.generators))
 
 
 def marginal_entropy(e: PauliExpansion, region) -> float:

@@ -21,7 +21,7 @@ from hmnlab.channels import (
     transition_channel,
 )
 from hmnlab.dense import apply_layer_to_matrix, partial_trace_matrix
-from hmnlab.model import PauliString, SiteGraph
+from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph
 from tests.conftest import ising_pauli_chain
 
 
@@ -120,6 +120,22 @@ def test_commutation_preserving_checker():
     assert is_commutation_preserving(good, h) == CommutationCheck.PRESERVED
     tiny = is_commutation_preserving(good, h, budget=3)
     assert tiny == CommutationCheck.INCONCLUSIVE
+
+
+def test_commutation_check_inconclusive_past_product_cut():
+    """Seven commuting Pauli terms have 2^7 = 128 products, past the cut of
+    65 that the checker enumerates, so it cannot claim PRESERVED."""
+    g = SiteGraph(4)
+    labels = ("ZIII", "IZII", "IIZI", "IIIZ", "ZZII", "IZZI", "IIZZ")
+    h = LocalHamiltonian(
+        g,
+        tuple(
+            HamiltonianTerm(tuple(j for j, c in enumerate(lab) if c == "Z"), PauliString.from_label(lab), -1.0)
+            for lab in labels
+        ),
+    )
+    layer = ChannelLayer((bitflip(1, 0.3),))
+    assert is_commutation_preserving(layer, h) == CommutationCheck.INCONCLUSIVE
 
 
 def test_commutation_violating_channel():

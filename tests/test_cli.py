@@ -162,3 +162,31 @@ def test_invalid_config_refuses_to_run(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", dict(DECAY_CFG, engine="magic"))
     assert main(["run", cfg, "--output-dir", str(tmp_path)]) == 1
     assert not os.path.exists(tmp_path / "decay.csv")
+
+
+def test_validate_classical_engine_on_quantum_builtin(tmp_path):
+    cfg = dict(DECAY_CFG, model="bell_chain_n5")
+    assert any("non-diagonal" in f for f in validate_config(cfg))
+    path = write_cfg(tmp_path / "c.json", cfg)
+    assert main(["run", path, "--output-dir", str(tmp_path)]) == 1
+
+
+def test_validate_model_file_without_partition(tmp_path):
+    model = write_cfg(
+        tmp_path / "model.json",
+        {"n_sites": 3, "terms": [{"support": [0, 1], "pauli": "ZZ", "lambda": -1.0}]},
+    )
+    cfg = {"experiment": "cmi", "model": model, "engine": "pauli", "beta": [0.5]}
+    assert any("partition" in f for f in validate_config(cfg))
+    ok = dict(cfg, partition={"a": [0], "b": [1], "c": [2]})
+    assert validate_config(ok) == []
+    outside = dict(cfg, partition={"a": [0], "b": [1], "c": [5]})
+    assert any("outside the model" in f for f in validate_config(outside))
+
+
+def test_validate_non_increasing_distances(tmp_path):
+    for distances in ([1, 3, 2], [2, 2]):
+        cfg = dict(DECAY_CFG, distances=distances)
+        assert any("strictly increasing" in f for f in validate_config(cfg))
+        path = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["run", path, "--output-dir", str(tmp_path)]) == 1

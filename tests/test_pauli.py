@@ -1,11 +1,15 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hmnlab import dense, pauli
-from hmnlab.channels import ChannelLayer, bitflip, depolarizing
+from hmnlab import dense, pauli, zoo
+from hmnlab.channels import ChannelLayer, bitflip, dephasing, depolarizing
+from hmnlab.cli import main
 from hmnlab.model import (
     HamiltonianTerm,
     LocalHamiltonian,
@@ -20,12 +24,21 @@ from tests.conftest import (
 )
 
 
+def coeff(e, x, z):
+    """Coefficient of the canonical Hermitian Pauli (x, z) in the expansion."""
+    for v, c in enumerate(e.coeffs):
+        g = e.element(v)
+        if g.key == (x, z):
+            return c * g.sign
+    return 0.0
+
+
 def test_expand_single_z():
     g = SiteGraph(1)
     h = LocalHamiltonian(g, (HamiltonianTerm((0,), PauliString.from_label("Z"), 1.0),))
     e = pauli.expand_gibbs(h, 0.4)
-    assert e.coeffs[(0, 0)] == 1.0
-    assert e.coeffs[(0, 1)] == pytest.approx(-math.tanh(0.4))
+    assert coeff(e, 0, 0) == 1.0
+    assert coeff(e, 0, 1) == pytest.approx(-math.tanh(0.4))
 
 
 def test_expand_matches_dense():
@@ -58,9 +71,9 @@ def test_apply_layer_damps_coefficients():
     out = pauli.apply_pauli_layer(e, ChannelLayer((bitflip(1, 0.25),)))
     t = math.tanh(0.5)  # lam = -1, so each bond carries +tanh(beta)
     # ZZ on sites (0,1): Z on site 1 damped by 1-2p = 0.5
-    assert out.coeffs[(0, 0b110)] == pytest.approx(t * 0.5)
+    assert coeff(out, 0, 0b110) == pytest.approx(t * 0.5)
     # Z0Z2 has identity on the noisy site and survives undamped at t^2
-    assert out.coeffs[(0, 0b101)] == pytest.approx(t * t)
+    assert coeff(out, 0, 0b101) == pytest.approx(t * t)
 
 
 def test_apply_layer_matches_dense():
@@ -138,3 +151,124 @@ def test_term_cap():
     h = ising_pauli_chain(30)
     with pytest.raises(ValueError, match="cap"):
         pauli.expand_gibbs(h, 0.3)
+
+
+def _product(ops, mask, n):
+    p = PauliString.identity(n)
+    for i, g in enumerate(ops):
+        if mask >> i & 1:
+            p = p * g
+    return p
+
+
+@st.composite
+def dependent_commuting_models(draw):
+    """Commuting Pauli models on 2-4 qubits in which some terms are signed
+    products of others, with a beta and a random Pauli-diagonal layer."""
+    n = draw(st.integers(2, 4))
+    bits = st.integers(0, 2**n - 1)
+    gens = []
+    for x, z in draw(st.lists(st.tuples(bits, bits), min_size=2, max_size=4)):
+        p = PauliString(n, x, z)
+        if not p.is_identity() and all(p.commutes_with(g) for g in gens):
+            gens.append(p)
+    assume(len(gens) >= 2)
+    ops = list(gens)
+    masks = st.integers(1, 2 ** len(gens) - 1)
+    for mask, sign in draw(st.lists(st.tuples(masks, st.sampled_from((1, -1))), min_size=1, max_size=3)):
+        p = _product(gens, mask, n)
+        if not p.is_identity():
+            ops.append(PauliString(n, p.x, p.z, sign * p.sign))
+    assume(len(ops) > len(gens))
+    lams = draw(st.lists(st.floats(-1, 1), min_size=len(ops), max_size=len(ops)))
+    h = LocalHamiltonian(
+        SiteGraph(n),
+        tuple(HamiltonianTerm(tuple(sorted(p.support())), p, lam) for p, lam in zip(ops, lams)),
+    )
+    kinds = {"dephasing": dephasing, "bitflip": bitflip, "depolarizing": depolarizing}
+    noise = draw(
+        st.dictionaries(st.integers(0, n - 1), st.tuples(st.sampled_from(sorted(kinds)), st.floats(0, 1)))
+    )
+    layer = ChannelLayer(tuple(kinds[k](s, p) for s, (k, p) in sorted(noise.items())))
+    return h, draw(st.floats(0.05, 2.0)), layer
+
+
+def assert_entropies_match_dense(h, beta, layer):
+    n = h.site_graph.n_sites
+    e = pauli.expand_gibbs(h, beta)
+    rho = dense.gibbs_state(h, beta)
+    assert np.max(np.abs(e.to_matrix() - rho.entries)) < 1e-12
+    e = pauli.apply_pauli_layer(e, layer)
+    rho = dense.apply_layer(rho, layer)
+    for r in range(1, n + 1):
+        for region in itertools.combinations(range(n), r):
+            assert pauli.marginal_entropy(e, set(region)) == pytest.approx(
+                dense.region_entropy(rho, set(region)), abs=1e-10
+            )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dependent_commuting_models())
+def test_dependent_terms_match_dense(model):
+    """Terms that are signed products of other terms (h_a = sigma_a g_{b_a}
+    with sigma_a = -1 as often as +1): every subset entropy agrees with the
+    dense engine."""
+    assert_entropies_match_dense(*model)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.1])
+def test_xx_zz_minus_yy_matches_dense(beta):
+    """XX * ZZ = -YY, so the YY term enters with sigma = -1."""
+    h = LocalHamiltonian(
+        SiteGraph(2),
+        (
+            HamiltonianTerm((0, 1), PauliString.from_label("XX"), 0.8),
+            HamiltonianTerm((0, 1), PauliString.from_label("ZZ"), -0.5),
+            HamiltonianTerm((0, 1), PauliString.from_label("YY"), -0.7),
+        ),
+    )
+    assert_entropies_match_dense(h, beta, ChannelLayer((dephasing(0, 0.2),)))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(3, 5), st.lists(st.integers(3, 31), min_size=1, max_size=3))
+def test_cluster_chain_with_product_terms_at_zero_temperature(n, masks):
+    """The cluster chain plus products of its stabilizers at beta = inf: the
+    ground state is still the cluster state, reached through dependent
+    terms."""
+    base = zoo.cluster_chain(n)
+    ops = [t.operator for t in base.terms]
+    extra = []
+    for mask in masks:
+        p = _product(ops, mask % 2**n, n)
+        if not p.is_identity():
+            extra.append(HamiltonianTerm(tuple(sorted(p.support())), p, -1.0))
+    h = LocalHamiltonian(base.site_graph, base.terms + tuple(extra))
+    assert_entropies_match_dense(h, math.inf, ChannelLayer((dephasing(n // 2, 0.3),)))
+
+
+def test_more_than_64_qubits_matches_short_chain(tmp_path):
+    """ZZ terms on sites 0-23-47-69 of a 70-site model file give the CMI of
+    the same terms relabelled onto a 4-site chain."""
+    csv = []
+    for n_sites, sites in ((70, (0, 23, 47, 69)), (4, (0, 1, 2, 3))):
+        model = tmp_path / f"model{n_sites}.json"
+        model.write_text(json.dumps({
+            "n_sites": n_sites,
+            "terms": [{"support": [a, b], "pauli": "ZZ", "lambda": -1.0} for a, b in zip(sites, sites[1:])],
+        }))
+        cfg = tmp_path / f"cfg{n_sites}.json"
+        cfg.write_text(json.dumps({
+            "experiment": "cmi",
+            "model": str(model),
+            "engine": "pauli",
+            "beta": [0.7],
+            "partition": {"a": [sites[0]], "b": list(sites[1:3]), "c": [sites[3]]},
+            "channel": [{"site": s, "kind": "bitflip", "p": 0.2} for s in sites[1:3]],
+            "output": f"cmi{n_sites}",
+        }))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        row = (tmp_path / f"cmi{n_sites}.csv").read_text().strip().split("\n")[1]
+        csv.append(float(row.split(",")[2]))
+    assert csv[0] > 1e-6
+    assert csv[0] == pytest.approx(csv[1], abs=1e-12)
