@@ -157,14 +157,11 @@ class ChannelLayer:
     """Map site -> SiteChannel; identity on absent sites."""
 
     channels: tuple[SiteChannel, ...] = ()
-    region: frozenset[int] = frozenset()
 
     def __post_init__(self):
         sites = [c.site for c in self.channels]
         if len(set(sites)) != len(sites):
             raise ValueError("duplicate site in channel layer")
-        region = frozenset(self.region) | frozenset(sites)
-        object.__setattr__(self, "region", region)
         object.__setattr__(self, "channels", tuple(self.channels))
 
     @property
@@ -230,7 +227,7 @@ def compose_with_trace(layer: ChannelLayer, traced_region, q: int = 2) -> Channe
             out.append(transition_channel(s, np.full((q, q), 1 / q)))
         else:
             out.append(complete_depolarization(s, q))
-    return ChannelLayer(tuple(out), region=layer.region | traced)
+    return ChannelLayer(tuple(out))
 
 
 def pauli_damping_profile(c: SiteChannel) -> dict[tuple[int, int], float]:

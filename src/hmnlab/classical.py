@@ -1,5 +1,5 @@
 """Exact classical engine: Gibbs distributions of diagonal Hamiltonians,
-transition-matrix channels, Shannon entropies, CMI, post-selection, and the
+transition-matrix channels, Shannon entropies, post-selection, and the
 pinned-Hamiltonian construction for conditioning on channel outcomes.
 
 Distributions are stored as flat probability vectors of length q^n in
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelLayer
-from .model import LocalHamiltonian, Partition, SiteGraph
+from .model import LocalHamiltonian, Partition, SiteGraph, entropy_bits
 
 MEMORY_CAP = 2**22
-_LOG2 = math.log(2.0)
 
 
 @dataclass
@@ -37,15 +36,22 @@ class Distribution:
         return self.probs.reshape((self.graph.q,) * self.graph.n_sites)
 
 
+def check(h: LocalHamiltonian) -> None:
+    """Raise ValueError unless the engine can take ``h``: diagonal terms and
+    at most MEMORY_CAP configurations."""
+    dim = h.site_graph.dim
+    if dim > MEMORY_CAP:
+        raise ValueError(f"{dim} configurations exceed memory cap {MEMORY_CAP}")
+    if not h.all_diagonal:
+        raise ValueError("classical engine requires diagonal terms; got non-diagonal terms")
+
+
 def energy_table(h: LocalHamiltonian) -> np.ndarray:
     """Per-configuration energies as a (q,)*n tensor."""
+    check(h)
     g = h.site_graph
-    if g.dim > MEMORY_CAP:
-        raise ValueError(f"{g.dim} configurations exceed memory cap {MEMORY_CAP}")
     e = np.zeros((g.q,) * g.n_sites)
     for t in h.terms:
-        if not t.is_diagonal:
-            raise ValueError("classical engine requires diagonal terms")
         # permute the table's axes into increasing site order, then broadcast
         table = np.transpose(t.coefficient * t.operator, np.argsort(t.support))
         shape = [g.q if s in t.support else 1 for s in range(g.n_sites)]
@@ -74,6 +80,10 @@ def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
     return Distribution(p / p.sum(), d.graph)
 
 
+def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> Distribution:
+    return apply_transitions(gibbs_distribution(h, beta), layer)
+
+
 def marginal(d: Distribution, region) -> np.ndarray:
     """Marginal tensor over the (sorted) region sites."""
     region = sorted(set(region))
@@ -84,27 +94,15 @@ def marginal(d: Distribution, region) -> np.ndarray:
 def shannon_entropy(d: Distribution, region) -> float:
     if not set(region):
         return 0.0
-    p = marginal(d, region).ravel()
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum() / _LOG2)
+    return entropy_bits(marginal(d, region))
 
 
-def cmi(d: Distribution, p: Partition) -> float:
-    """I(A:C|B) in bits, clamped at 0 from below (raw value >= -1e-10)."""
-    raw = (
-        shannon_entropy(d, p.a | p.b)
-        + shannon_entropy(d, p.b | p.c)
-        - shannon_entropy(d, p.b)
-        - shannon_entropy(d, p.abc)
-    )
-    if raw < -1e-10:
-        raise AssertionError(f"classical CMI came out {raw} < -1e-10")
-    return max(raw, 0.0)
+region_entropy = shannon_entropy
 
 
 def post_select_decompose(d: Distribution, p: Partition) -> list[tuple[float, float]]:
     """Per outcome y on B: (P(B=y), I(A:C | B=y)).  The weighted sum of the
-    mutual informations equals cmi(d, p)."""
+    mutual informations equals experiments.cmi(classical, d, p)."""
     if not p.b:
         raise ValueError("B must be nonempty to post-select")
     g = d.graph

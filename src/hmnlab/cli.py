@@ -9,7 +9,10 @@ Config schema (JSON object):
     experiment: "decay" | "cmi" | "certificates" | "cluster_equivalence"
     model:      builtin id ("ising_chain_n8", ...) or path to a model file
     beta:       list of numbers ("inf" allowed)
-    channel:    {"kind": ..., "p": ...} or list of per-site channel objects
+    channel:    list of per-site channel objects, or on a builtin model its
+                family's bulk channel {"kind": ..., "p": ...}, the only form
+                decay takes: kind "bitflip" (ising_chain) or "dephasing"
+                (cluster_chain); parity_chain and bell_chain take no kind
     distances:  strictly increasing list of integers (decay experiments)
     partition:  {"a": [...], "b": [...], "c": [...]} (required for file models)
     engine:     "classical" | "dense" | "pauli"
@@ -28,6 +31,7 @@ import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__, classical, dense, experiments, pauli, series, zoo
 from .channels import parse_layer
@@ -46,6 +50,7 @@ _CONFIG_KEYS = {
     "n",
 }
 
+EXPERIMENTS = ("decay", "cmi", "certificates", "cluster_equivalence")
 DEFAULT_DISTANCES = (1, 2, 3, 4, 5, 6)
 
 
@@ -58,11 +63,10 @@ def fmt(x) -> str:
 
 
 def _parse_beta(b) -> float:
-    if isinstance(b, str):
-        if b in ("inf", "Infinity"):
-            return math.inf
-        return float(b)
-    return float(b)
+    try:
+        return float(b)  # also reads "inf" and "Infinity"
+    except (TypeError, ValueError):
+        raise ValueError(f"beta {b!r} is not a number or 'inf'") from None
 
 
 def load_config(path: str) -> dict:
@@ -73,104 +77,136 @@ def load_config(path: str) -> dict:
     return obj
 
 
-def validate_config(cfg: dict) -> list:
+def _bulk_p(family: str, ch) -> float:
+    """The p of a builtin family's bulk channel config {"kind", "p"}."""
+    ch = ch or {}
+    unknown = set(ch) - {"kind", "p"}
+    if unknown:
+        raise ValueError(f"unknown bulk channel keys: {sorted(unknown)}")
+    bulk = zoo.BULK_KIND.get(family)
+    if "kind" in ch and ch["kind"] != bulk:
+        raise ValueError(
+            f"channel kind {ch['kind']!r} is not the {family} bulk channel "
+            f"({bulk or 'fixed, no kind'})"
+        )
+    try:
+        p = float(ch.get("p", 1.0))
+    except (TypeError, ValueError):
+        p = math.nan
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"channel p {ch.get('p')!r} is not a probability in [0, 1]")
+    return p
+
+
+def resolve(cfg: dict) -> SimpleNamespace:
+    """Everything ``run`` takes from a config whose experiment and engine are
+    known: betas, the engine that runs, model, channel layer and partition.
+    The model passes that engine's ``check`` before the channel is read; a
+    decay experiment is resolved at its largest distance.  ``validate``
+    reports whatever this raises."""
+    exp = cfg["experiment"]
+    engine = cfg.get("engine", "classical")
+    r = SimpleNamespace(betas=[_parse_beta(b) for b in cfg.get("beta", [0.1])], engine=engine)
+    if exp == "certificates" or (exp == "cluster_equivalence" and engine == "classical"):
+        r.engine = "dense"  # the series are dense; the equivalence has no classical path
+    check = experiments.ENGINES[r.engine].check
+    if exp == "cluster_equivalence":  # always the cluster chain; the model is ignored
+        r.n = int(cfg.get("n", 6))
+        check(zoo.cluster_chain(r.n))
+        return r
+    model = cfg.get("model", "")
+    if not isinstance(model, str):
+        raise ValueError(f"model {model!r} is neither a builtin id nor a file path")
+    ch = cfg.get("channel")
+    if os.path.exists(model):
+        if exp == "decay":
+            raise ValueError("decay experiments need a builtin model id")
+        try:
+            r.h = load_model(model)
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"model file invalid: {e}") from None
+        check(r.h)
+        try:
+            praw = cfg["partition"]
+            r.partition = Partition(
+                frozenset(praw["a"]), frozenset(praw.get("b", ())), frozenset(praw["c"])
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise ValueError(
+                f"model file needs a partition with nonempty disjoint a and c: {e!r}"
+            ) from None
+        if not r.partition.abc <= set(range(r.h.site_graph.n_sites)):
+            raise ValueError("partition names sites outside the model")
+        r.layer = parse_layer(ch or [], r.h.site_graph.q)
+    else:
+        r.family, n = zoo.parse_model_id(model)
+        if exp == "decay":
+            r.distances = cfg.get("distances", DEFAULT_DISTANCES)
+            if any(b <= a for a, b in zip(r.distances, r.distances[1:])):
+                raise ValueError(f"distances {list(r.distances)} are not strictly increasing")
+            if r.distances:
+                n = int(max(r.distances)) + 1  # the largest chain the curve builds
+        r.h = zoo.build_model(r.family, n, engine)
+        check(r.h)
+        if isinstance(ch, list):
+            if exp == "decay":
+                raise ValueError("decay takes one bulk channel {kind, p}, not a per-site list")
+            r.layer = parse_layer(ch, r.h.site_graph.q)
+        else:
+            r.p_noise = _bulk_p(r.family, ch)
+            r.layer = zoo.bulk_layer(r.family, n, r.p_noise, engine)
+        r.partition = experiments.boundary_partition(n)
+    if exp == "certificates":
+        r.max_weight = int(cfg.get("max_weight", 4))
+        series.check_weight(r.max_weight)
+    return r
+
+
+def _admit(cfg: dict) -> tuple[list, SimpleNamespace | None]:
+    """(findings, resolved config); the config is resolved only when its
+    experiment and engine names are known."""
     findings = []
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         findings.append(f"unknown config keys: {sorted(unknown)}")
     exp = cfg.get("experiment")
-    if exp not in ("decay", "cmi", "certificates", "cluster_equivalence"):
+    if exp not in EXPERIMENTS:
         findings.append(f"unknown experiment {exp!r}")
     engine = cfg.get("engine", "classical")
-    if engine not in ("classical", "dense", "pauli"):
+    if engine not in experiments.ENGINES:
         findings.append(f"unknown engine {engine!r}")
-    distances = cfg.get("distances", DEFAULT_DISTANCES)
-    if exp == "decay" and any(b <= a for a, b in zip(distances, distances[1:])):
-        findings.append(f"distances {list(distances)} are not strictly increasing")
-    model = cfg.get("model", "")
-    # run ignores the model of a cluster_equivalence experiment
-    if exp == "cluster_equivalence" or not isinstance(model, str):
-        return findings
-    is_file = os.path.exists(model)
-    if is_file and exp == "decay":
-        findings.append("decay experiments need a builtin model id")
+    if exp not in EXPERIMENTS or engine not in experiments.ENGINES:
+        return findings, None
     try:
-        if is_file:
-            h = load_model(model)
-        else:
-            family, n = zoo.parse_model_id(model)
-            if exp == "decay" and distances:
-                n = int(max(distances)) + 1  # the largest chain the curve builds
-            h = zoo.build_model(family, n, engine)
-    except (ValueError, KeyError) as e:
-        findings.append(f"model file invalid: {e}" if is_file else str(e))
-        return findings
-    if is_file and exp != "decay":
-        try:
-            p = _partition(cfg)
-        except (ValueError, KeyError, TypeError) as e:
-            findings.append(f"model file needs a partition with nonempty disjoint a and c: {e!r}")
-        else:
-            if not p.abc <= set(range(h.site_graph.n_sites)):
-                findings.append("partition names sites outside the model")
-    if engine == "pauli" and not (h.all_pauli and h.commuting):
-        findings.append("engine=pauli but the model terms are not commuting Pauli strings")
-    if engine == "classical" and not h.all_diagonal:
-        findings.append("engine=classical but the model has non-diagonal terms")
-    if engine == "dense" and h.site_graph.dim > dense.DENSE_DIM_CAP:
-        findings.append(
-            f"model dimension {h.site_graph.dim} exceeds dense cap {dense.DENSE_DIM_CAP}"
-        )
-    return findings
+        return findings, resolve(cfg)
+    except Exception as e:  # whatever run would fail on is a finding
+        return findings + [str(e)], None
 
 
-def _partition(cfg: dict) -> Partition:
-    praw = cfg["partition"]
-    return Partition(frozenset(praw["a"]), frozenset(praw.get("b", ())), frozenset(praw["c"]))
-
-
-def _resolve_model(cfg: dict, engine: str):
-    model = cfg["model"]
-    if os.path.exists(model):
-        h = load_model(model)
-        p = _partition(cfg)
-        layer = parse_layer(cfg.get("channel", []), h.site_graph.q)
-        return h, layer, p
-    family, n = zoo.parse_model_id(model)
-    h = zoo.build_model(family, n, engine)
-    ch = cfg.get("channel")
-    if isinstance(ch, list):
-        layer = parse_layer(ch, h.site_graph.q)
-    else:
-        p_noise = float(ch.get("p", 1.0)) if ch else 1.0
-        layer = zoo.bulk_layer(family, n, p_noise, engine)
-    p = experiments.boundary_partition(n)
-    return h, layer, p
+def validate_config(cfg: dict) -> list:
+    """Every reason ``run`` would refuse ``cfg``, as messages."""
+    return _admit(cfg)[0]
 
 
 def run_experiment(cfg: dict, out_dir: str) -> int:
-    engine = cfg.get("engine", "classical")
-    betas = [_parse_beta(b) for b in cfg.get("beta", [0.1])]
-    base = cfg.get("output", cfg["experiment"])
+    findings, r = _admit(cfg)
+    if findings:
+        raise ValueError("; ".join(findings))
+    exp = cfg["experiment"]
     os.makedirs(out_dir, exist_ok=True)
-    stem = os.path.join(out_dir, base)
+    stem = os.path.join(out_dir, cfg.get("output", exp))
     timings = {}
     status = 0
-    results: dict = {"experiment": cfg["experiment"]}
+    results: dict = {"experiment": exp}
+    rows = []  # (beta, distance, cmi bits) for the CSV of decay and cmi runs
 
-    if cfg["experiment"] == "decay":
-        family, _ = zoo.parse_model_id(cfg["model"])
-        distances = cfg.get("distances", DEFAULT_DISTANCES)
-        ch = cfg.get("channel") or {}
-        p_noise = float(ch.get("p", 1.0))
-        rows = []
+    if exp == "decay":
         fits = []
-        for beta in betas:
+        for beta in r.betas:
             t0 = time.perf_counter()
-            curve = experiments.decay_curve(family, engine, beta, distances, p_noise)
+            curve = experiments.decay_curve(r.family, r.engine, beta, r.distances, r.p_noise)
             timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
-            for d, v in curve.points:
-                rows.append((beta, d, v))
+            rows += [(beta, d, v) for d, v in curve.points]
             try:
                 f = experiments.fit_markov_length(curve)
                 fits.append(
@@ -185,57 +221,35 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
                 )
             except ValueError as e:
                 fits.append({"beta": fmt(beta), "error": str(e)})
-        with open(stem + ".csv", "w") as f:
-            f.write("beta,distance,cmi_bits\n")
-            for beta, d, v in rows:
-                f.write(f"{fmt(beta)},{fmt(d)},{fmt(v)}\n")
         results["fits"] = fits
-    elif cfg["experiment"] == "cmi":
-        h, layer, p = _resolve_model(cfg, engine)
-        rows = []
-        d_ac = experiments.graph_distance(h, p)
-        for beta in betas:
+    elif exp == "cmi":
+        d_ac = experiments.graph_distance(r.h, r.partition)
+        for beta in r.betas:
             t0 = time.perf_counter()
-            v = experiments.evaluate_cmi(h, beta, layer, p, engine)
+            v = experiments.evaluate_cmi(r.h, beta, r.layer, r.partition, r.engine)
             timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
             rows.append((beta, d_ac, v))
+    else:  # certificates and cluster_equivalence: one pass/fail report per beta
+        reports = []
+        for beta in r.betas:
+            t0 = time.perf_counter()
+            if exp == "certificates":
+                rep = series.derivative_norm_certificate(r.h, beta, r.layer, r.max_weight)
+            else:
+                rep = experiments.cluster_gibbs_equivalence(r.n, beta, r.engine)
+            timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
+            for d in [rep, *rep.get("clusters", ())]:
+                d.update({k: fmt(v) for k, v in d.items() if isinstance(v, float)})
+            reports.append(rep)
+            if not rep["pass"]:
+                status = 2
+        results["certificates" if exp == "certificates" else "equivalence"] = reports
+
+    if exp in ("decay", "cmi"):
         with open(stem + ".csv", "w") as f:
             f.write("beta,distance,cmi_bits\n")
             for beta, d, v in rows:
                 f.write(f"{fmt(beta)},{fmt(d)},{fmt(v)}\n")
-    elif cfg["experiment"] == "certificates":
-        h, layer, p = _resolve_model(cfg, engine)
-        max_weight = int(cfg.get("max_weight", 4))
-        reports = []
-        for beta in betas:
-            t0 = time.perf_counter()
-            rep = series.derivative_norm_certificate(h, beta, layer, max_weight)
-            timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
-            for c in rep["clusters"]:
-                c["norm"] = fmt(c["norm"])
-                c["bound"] = fmt(c["bound"])
-            rep["beta"] = fmt(rep["beta"])
-            reports.append(rep)
-            if not rep["pass"]:
-                status = 2
-        results["certificates"] = reports
-    elif cfg["experiment"] == "cluster_equivalence":
-        n = int(cfg.get("n", 6))
-        reports = []
-        for beta in betas:
-            t0 = time.perf_counter()
-            rep = experiments.cluster_gibbs_equivalence(n, beta, engine if engine != "classical" else "dense")
-            timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
-            rep["distance"] = fmt(rep["distance"])
-            rep["p"] = fmt(rep["p"])
-            rep["beta"] = fmt(rep["beta"])
-            reports.append(rep)
-            if not rep["pass"]:
-                status = 2
-        results["equivalence"] = reports
-    else:
-        raise ValueError(f"unknown experiment {cfg['experiment']!r}")
-
     with open(stem + ".json", "w") as f:
         json.dump(results, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -289,13 +303,7 @@ def main(argv=None) -> int:
                 print(f"finding: {f}")
             print(f"{len(findings)} finding(s)")
             return 0
-        cfg = apply_overrides(cfg, args.override)
-        findings = validate_config(cfg)
-        if findings:
-            for f in findings:
-                print(f"error: {f}", file=sys.stderr)
-            return 1
-        return run_experiment(cfg, args.output_dir)
+        return run_experiment(apply_overrides(cfg, args.override), args.output_dir)
     except Exception as e:  # tooling failure, distinct from bound violations
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -5,7 +5,6 @@ estimate chain tying them together.  All counts are exact Python integers
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -270,14 +269,3 @@ def verify_combinatorial_estimate(w: Cluster, g: DualInteractionGraph) -> dict:
     rep["multiplicities"] = [m for _, m in w.multiplicities]
     return rep
 
-
-def brute_force_chi_star(n: int, g: SimpleGraph) -> int:
-    """Exhaustive oracle: count colorings of V with colors 0..n-1 that use
-    every color and make adjacent nodes differ."""
-    count = 0
-    for col in itertools.product(range(n), repeat=g.n):
-        if len(set(col)) != n:
-            continue
-        if all(col[a] != col[b] for a, b in g.edges):
-            count += 1
-    return count

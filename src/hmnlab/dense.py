@@ -13,10 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelLayer
-from .model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph
+from .model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph, entropy_bits
 
 DENSE_DIM_CAP = 4096
-_HERM_TOL = 1e-12
+
+
+def check(h: LocalHamiltonian) -> None:
+    """Raise ValueError unless the Hilbert dimension is within DENSE_DIM_CAP."""
+    dim = h.site_graph.dim
+    if dim > DENSE_DIM_CAP:
+        raise ValueError(f"dimension {dim} exceeds dense cap {DENSE_DIM_CAP}")
 
 
 def term_matrix(graph: SiteGraph, term: HamiltonianTerm, bare: bool = False) -> np.ndarray:
@@ -69,21 +75,17 @@ def gibbs_state(h: LocalHamiltonian, beta: float) -> DensityMatrix:
     For commuting Hamiltonians the product of per-term exponentials is used
     and cross-checked against the eigendecomposition exponential.
     """
+    check(h)
     g = h.site_graph
-    if g.dim > DENSE_DIM_CAP:
-        raise ValueError(f"dimension {g.dim} exceeds dense cap {DENSE_DIM_CAP}")
     hm = hamiltonian_matrix(h)
     vals, vecs = np.linalg.eigh(hm)
     if math.isinf(beta):
-        ground = vals <= vals[0] + 1e-10
-        p = np.where(ground, 1.0, 0.0)
-        p /= p.sum()
-        rho = (vecs * p) @ vecs.conj().T
-        return DensityMatrix(rho, g)
-    w = np.exp(-beta * (vals - vals.min()))
+        w = np.where(vals <= vals[0] + 1e-10, 1.0, 0.0)
+    else:
+        w = np.exp(-beta * (vals - vals.min()))
     w /= w.sum()
     rho = (vecs * w) @ vecs.conj().T
-    if h.commuting and h.terms:
+    if not math.isinf(beta) and h.commuting and h.terms:
         prod = np.eye(g.dim, dtype=complex)
         for t in h.terms:
             tm = term_matrix(g, t)
@@ -111,6 +113,10 @@ def apply_layer_to_matrix(m: np.ndarray, layer: ChannelLayer, graph: SiteGraph) 
 
 def apply_layer(rho: DensityMatrix, layer: ChannelLayer) -> DensityMatrix:
     return DensityMatrix(apply_layer_to_matrix(rho.entries, layer, rho.graph), rho.graph)
+
+
+def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> DensityMatrix:
+    return apply_layer(gibbs_state(h, beta), layer)
 
 
 def partial_trace_matrix(m: np.ndarray, keep, graph: SiteGraph) -> np.ndarray:
@@ -152,29 +158,18 @@ def embed_operator(m: np.ndarray, region, graph: SiteGraph) -> np.ndarray:
     return t.reshape(graph.dim, graph.dim)
 
 
-def von_neumann_entropy(m: np.ndarray, base: float = 2.0) -> float:
-    """Entropy of a unit-trace PSD matrix, eigenvalues clamped at 1e-15."""
+def von_neumann_entropy(m: np.ndarray) -> float:
+    """Entropy (bits) of a unit-trace PSD matrix."""
     vals = np.linalg.eigvalsh(m)
     if vals.min() < -1e-8:
         raise ValueError(f"negative eigenvalue {vals.min()} in entropy input")
-    vals = np.clip(vals.real, 1e-15, None)
-    return float(-(vals * np.log(vals)).sum() / math.log(base))
+    return entropy_bits(vals)
 
 
 def region_entropy(rho: DensityMatrix, region) -> float:
     if not region:
         return 0.0
     return von_neumann_entropy(partial_trace_matrix(rho.entries, region, rho.graph))
-
-
-def quantum_cmi(rho: DensityMatrix, p: Partition) -> float:
-    """I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC), in bits."""
-    return (
-        region_entropy(rho, p.a | p.b)
-        + region_entropy(rho, p.b | p.c)
-        - region_entropy(rho, p.b)
-        - region_entropy(rho, p.abc)
-    )
 
 
 def _psd_log(m: np.ndarray) -> np.ndarray:
@@ -187,7 +182,6 @@ def _psd_log(m: np.ndarray) -> np.ndarray:
 @dataclass
 class CmiOperator:
     matrix: np.ndarray
-    parts: dict  # the four log terms, for diagnostics
 
     @property
     def norm(self) -> float:
@@ -205,20 +199,12 @@ def cmi_operator(h: LocalHamiltonian, beta: float, layer: ChannelLayer, p: Parti
     vals, vecs = np.linalg.eigh(hm)
     rho_t = (vecs * np.exp(-beta * vals)) @ vecs.conj().T  # unnormalized
     noised = apply_layer_to_matrix(rho_t, layer, g)
-    parts = {}
     out = np.zeros_like(noised)
-    for name, region, s in (
-        ("AB", p.a | p.b, 1),
-        ("BC", p.b | p.c, 1),
-        ("B", p.b, -1),
-        ("ABC", p.abc, -1),
-    ):
+    for region, s in ((p.a | p.b, 1), (p.b | p.c, 1), (p.b, -1), (p.abc, -1)):
         if region:
             marg = partial_trace_matrix(noised, region, g)
             full = embed_operator(marg, region, g)
         else:
             full = np.trace(noised).real * np.eye(g.dim, dtype=complex)
-        term = _psd_log(full)
-        parts[name] = term
-        out = out + s * term
-    return CmiOperator(out, parts)
+        out = out + s * _psd_log(full)
+    return CmiOperator(out)

@@ -11,9 +11,14 @@ import numpy as np
 
 from . import classical, dense, pauli, zoo
 from .channels import ChannelLayer, dephasing
-from .model import LocalHamiltonian, Partition, graph_distance
+from .model import LocalHamiltonian, Partition, entropy_bits, graph_distance
 
 CMI_FLOOR = 1e-12
+
+# Each engine module has check(h), prepare(h, beta, layer) -> state and
+# region_entropy(state, region) in bits.  The seam reads them as module
+# attributes at call time, so a patched engine function is the one called.
+ENGINES = {"classical": classical, "dense": dense, "pauli": pauli}
 
 
 def beta_critical(degree: int) -> float:
@@ -35,20 +40,25 @@ def boundary_partition(n: int) -> Partition:
     return Partition(frozenset({0}), frozenset(range(1, n - 1)), frozenset({n - 1}))
 
 
+def cmi(engine, state, p: Partition) -> float:
+    """I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC) in bits for a state of the
+    engine module ``engine``.  A raw value below -1e-10 raises; smaller
+    negatives are rounding and read 0."""
+    s = engine.region_entropy
+    raw = s(state, p.a | p.b) + s(state, p.b | p.c) - s(state, p.b) - s(state, p.abc)
+    if raw < -1e-10:
+        raise AssertionError(f"CMI came out {raw} < -1e-10")
+    return max(raw, 0.0)
+
+
 def evaluate_cmi(
     h: LocalHamiltonian, beta: float, layer: ChannelLayer, p: Partition, engine: str
 ) -> float:
-    """Dispatch a single CMI evaluation to the named engine (bits)."""
-    if engine == "classical":
-        d = classical.apply_transitions(classical.gibbs_distribution(h, beta), layer)
-        return classical.cmi(d, p)
-    if engine == "dense":
-        rho = dense.apply_layer(dense.gibbs_state(h, beta), layer)
-        return dense.quantum_cmi(rho, p)
-    if engine == "pauli":
-        e = pauli.apply_pauli_layer(pauli.expand_gibbs(h, beta), layer)
-        return pauli.pauli_cmi(e, p)
-    raise ValueError(f"unknown engine {engine!r}")
+    """One CMI evaluation (bits) on the named engine."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    eng = ENGINES[engine]
+    return cmi(eng, eng.prepare(h, beta, layer), p)
 
 
 @dataclass
@@ -121,18 +131,15 @@ def cluster_gibbs_equivalence(n: int, beta: float, engine: str = "dense") -> dic
     h = zoo.cluster_chain(n)
     p = 1.0 / (math.exp(2 * beta) + 1.0)
     layer = ChannelLayer(tuple(dephasing(s, p) for s in range(n)))
+    if engine not in ("dense", "pauli"):
+        raise ValueError(f"unknown engine {engine!r}")
+    thermal = ENGINES[engine].prepare(h, beta, ChannelLayer())
+    dephased = ENGINES[engine].prepare(h, math.inf, layer)
     if engine == "dense":
-        thermal = dense.gibbs_state(h, beta)
-        dephased = dense.apply_layer(dense.gibbs_state(h, math.inf), layer)
         diff = np.linalg.eigvalsh(thermal.entries - dephased.entries)
         dist = 0.5 * float(np.abs(diff).sum())
-    elif engine == "pauli":
-        thermal = pauli.expand_gibbs(h, beta)
-        dephased = pauli.apply_pauli_layer(pauli.expand_gibbs(h, math.inf), layer)
-        # both expansions come from h, so they share generators and index
+    else:  # both expansions come from h, so they share generators and index
         dist = float(np.max(np.abs(thermal.coeffs - dephased.coeffs)))
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
     return {
         "n": n,
         "beta": beta,
@@ -148,9 +155,7 @@ def binary_entropy(d: float) -> float:
     """H(D) = -D log2 D - (1-D) log2 (1-D), the Fannes-Audenaert helper."""
     if not 0.0 <= d <= 1.0:
         raise ValueError("argument must lie in [0, 1]")
-    if d in (0.0, 1.0):
-        return 0.0
-    return -d * math.log2(d) - (1 - d) * math.log2(1 - d)
+    return entropy_bits([d, 1 - d])
 
 
 def theorem3_bound(k: int, q: float) -> float:

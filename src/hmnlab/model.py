@@ -142,15 +142,6 @@ class PauliString:
         sign = self.sign * other.sign * (1 if phase == 0 else -1)
         return PauliString(self.n, x3, z3, sign)
 
-    def restrict(self, qubits) -> "PauliString":
-        """Restriction to a subset of qubits (re-indexed in sorted order)."""
-        qs = sorted(qubits)
-        x = z = 0
-        for jnew, j in enumerate(qs):
-            x |= ((self.x >> j) & 1) << jnew
-            z |= ((self.z >> j) & 1) << jnew
-        return PauliString(len(qs), x, z, self.sign)
-
     def to_matrix(self) -> np.ndarray:
         """Dense matrix with qubit 0 as the most significant tensor factor."""
         out = np.array([[self.sign]], dtype=complex)
@@ -239,6 +230,15 @@ class Partition:
     @property
     def abc(self) -> frozenset[int]:
         return self.a | self.b | self.c
+
+
+def entropy_bits(values, degeneracy: int = 1) -> float:
+    """Entropy in bits of a probability vector or spectrum whose every value
+    occurs ``degeneracy`` times.  Values <= 1e-18 count as zero; none is
+    raised to a floor."""
+    v = np.ravel(values)
+    v = v[v > 1e-18]
+    return float(-degeneracy * (v * np.log(v)).sum() / math.log(2.0))
 
 
 @dataclass(frozen=True)

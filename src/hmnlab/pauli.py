@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelLayer, pauli_damping_profile
-from .model import LocalHamiltonian, Partition, PauliString, SiteGraph
+from .model import LocalHamiltonian, PauliString, SiteGraph, entropy_bits
 
 TERM_CAP = 22
 RANK_CAP = 24
@@ -81,14 +81,19 @@ class PauliExpansion:
         return out / d
 
 
-def expand_gibbs(h: LocalHamiltonian, beta: float) -> PauliExpansion:
-    """Expansion of exp(-beta H)/Z; beta=inf uses tanh(+-inf) = +-1 factors."""
+def check(h: LocalHamiltonian) -> None:
+    """Raise ValueError unless ``h`` is at most TERM_CAP commuting Pauli terms."""
     if not h.all_pauli:
         raise ValueError("Pauli engine needs Pauli terms")
     if not h.commuting:
         raise ValueError("Hamiltonian terms do not commute")
     if len(h.terms) > TERM_CAP:
         raise ValueError(f"{len(h.terms)} terms exceed cap {TERM_CAP}")
+
+
+def expand_gibbs(h: LocalHamiltonian, beta: float) -> PauliExpansion:
+    """Expansion of exp(-beta H)/Z; beta=inf uses tanh(+-inf) = +-1 factors."""
+    check(h)
     n = h.site_graph.n_qubits
     gens: list[PauliString] = []
     pivots: dict = {}
@@ -130,6 +135,10 @@ def apply_pauli_layer(e: PauliExpansion, layer: ChannelLayer) -> PauliExpansion:
         if any(rows):
             c = c * table[_xor_span(rows, np.min_scalar_type(4**k - 1))]
     return PauliExpansion(e.graph, e.generators, c)
+
+
+def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> PauliExpansion:
+    return apply_pauli_layer(expand_gibbs(h, beta), layer)
 
 
 @dataclass
@@ -202,14 +211,7 @@ def marginal_entropy(e: PauliExpansion, region) -> float:
     total = lam.sum() * deg
     if abs(total - 1) > 1e-10:
         raise ValueError(f"marginal trace {total} != 1")
-    pos = lam[lam > 1e-18]
-    return float(-deg * (pos * np.log(pos)).sum() / math.log(2.0))
+    return entropy_bits(lam, deg)
 
 
-def pauli_cmi(e: PauliExpansion, p: Partition) -> float:
-    return (
-        marginal_entropy(e, p.a | p.b)
-        + marginal_entropy(e, p.b | p.c)
-        - marginal_entropy(e, p.b)
-        - marginal_entropy(e, p.abc)
-    )
+region_entropy = marginal_entropy

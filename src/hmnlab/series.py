@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dense
 from .channels import ChannelLayer, complete_depolarization, compose_with_trace
 from .classical import PinnedHamiltonian
 from .combinatorics import Cluster
@@ -24,6 +25,11 @@ from .model import DualInteractionGraph, LocalHamiltonian, Partition, SiteGraph
 
 MAX_WEIGHT_CAP = 8
 CLUSTER_COUNT_CAP = 2_000_000
+
+
+def check_weight(max_weight: int) -> None:
+    if max_weight > MAX_WEIGHT_CAP:
+        raise ValueError(f"max weight {max_weight} exceeds cap {MAX_WEIGHT_CAP}")
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -117,13 +123,15 @@ def series_of_channelled_gibbs(
     max_degree: int,
     prefactor: np.ndarray | None = None,
 ) -> TruncatedSeries:
-    """Series of E[prefactor^(1/2)-symmetrized... no: E[Pi_a e^{-beta lam_a h_a} * P0]
-    in the term variables, with the channel applied to every coefficient.
+    """Series of E[P0 * Pi_a e^{-beta lam_a h_a}] in the term variables
+    lam_a, with the channel applied to every coefficient.
 
-    ``prefactor`` (default I) is a fixed matrix commuting with all terms,
-    e.g. the pinning factors; it is NOT expanded.  Unitality of the layer
-    (degree-0 coefficient = I after the channel) is enforced.
+    ``P0 = prefactor`` (default I) is a fixed matrix commuting with all
+    terms, e.g. the pinning factors; it is NOT expanded.  Unitality of the
+    layer (degree-0 coefficient = I after the channel) is enforced.  The
+    coefficients are dense matrices, so the dense engine's cap applies.
     """
+    dense.check(h)
     g = h.site_graph
     dim = g.dim
     s = TruncatedSeries(max_degree, dim, {(): np.eye(dim, dtype=complex) if prefactor is None else np.asarray(prefactor, dtype=complex)})
@@ -174,8 +182,7 @@ def enumerate_connected_clusters(
     optionally only those containing a term whose support meets ``anchor``
     (a site set).  A multiset is connected iff its set of distinct terms
     induces a connected subgraph of the dual graph."""
-    if max_weight > MAX_WEIGHT_CAP:
-        raise ValueError(f"max weight {max_weight} exceeds cap {MAX_WEIGHT_CAP}")
+    check_weight(max_weight)
     anchor = frozenset(anchor) if anchor is not None else None
     out = []
     n = g.n_terms
@@ -252,10 +259,12 @@ def derivative_norm_certificate(
     from .model import build_dual_graph
 
     g = build_dual_graph(h)
+    # the weight and dense caps both raise before any matrix is built
+    clusters = enumerate_connected_clusters(g, max_weight)
     s = log_series(series_of_channelled_gibbs(h, beta, layer, max_weight))
     entries = []
     violations = 0
-    for w in enumerate_connected_clusters(g, max_weight):
+    for w in clusters:
         norm = spectral_norm(cluster_derivative(s, w)) / w.factorial
         bound = (2 * math.e * (g.degree + 1) * beta) ** (w.weight + 1)
         ok = norm <= bound + 1e-12

@@ -117,6 +117,11 @@ def build_model(family: str, n: int, engine: str = "auto") -> LocalHamiltonian:
     raise ValueError(f"unknown model family {family!r}")
 
 
+# the config ``kind`` of each family's bulk channel; the parity and Bell
+# chains have a fixed read-out channel and take no kind
+BULK_KIND = {"ising_chain": "bitflip", "cluster_chain": "dephasing"}
+
+
 def default_bulk_channel(
     family: str, site: int, p: float = 1.0, engine: str = "auto"
 ) -> SiteChannel:

@@ -83,6 +83,18 @@ def brute_cmi_bits(probs, g, part):
     )
 
 
+def brute_force_chi_star(n, g):
+    """Oracle: count colorings of V with colors 0..n-1 that use every color
+    and make adjacent nodes differ."""
+    count = 0
+    for col in itertools.product(range(n), repeat=g.n):
+        if len(set(col)) != n:
+            continue
+        if all(col[a] != col[b] for a, b in g.edges):
+            count += 1
+    return count
+
+
 def random_commuting_pauli_model(rng, n, max_terms=6):
     """Random set of mutually commuting Pauli terms with coefficients in
     [-1, 1]; supports are whole-site (q=2) so any site may be channelled."""

@@ -20,7 +20,6 @@ from hmnlab.channels import ChannelLayer, bitflip, transition_channel
 from hmnlab.cli import main as cli_main
 from hmnlab.combinatorics import (
     SimpleGraph,
-    brute_force_chi_star,
     chi_star,
     verify_combinatorial_estimate,
 )
@@ -44,6 +43,7 @@ from hmnlab.series import (
 )
 from tests.conftest import (
     brute_cmi_bits,
+    brute_force_chi_star,
     ising_diag_chain,
     random_commuting_pauli_model,
     random_pauli_diagonal_layer,
@@ -259,7 +259,7 @@ def test_post_selection_decomposition_identity(rng):
         d = classical.Distribution(raw / raw.sum(), g)
         dec = classical.post_select_decompose(d, p)
         total = sum(w * mi for w, mi in dec)
-        assert abs(total - classical.cmi(d, p)) <= 1e-10
+        assert abs(total - experiments.cmi(classical, d, p)) <= 1e-10
 
 
 def test_entropy_inequalities_random_sweep(rng):
@@ -271,13 +271,13 @@ def test_entropy_inequalities_random_sweep(rng):
     for _ in range(150):
         raw = rng.random(16)
         d = classical.Distribution(raw / raw.sum(), g4)
-        base = classical.cmi(d, p4)
+        base = experiments.cmi(classical, d, p4)
         assert base >= -1e-8
         cols = rng.random((2, 2)) + 0.05
         t = cols / cols.sum(axis=0)
         site = int(rng.choice([0, 3]))
         noisy = classical.apply_transitions(d, ChannelLayer((transition_channel(site, t),)))
-        assert classical.cmi(noisy, p4) <= base + 1e-10
+        assert experiments.cmi(classical, noisy, p4) <= base + 1e-10
     # 150 quantum (random channelled commuting Gibbs states, dense engine)
     for _ in range(150):
         n = int(rng.integers(4, 7))
@@ -285,11 +285,11 @@ def test_entropy_inequalities_random_sweep(rng):
         layer = random_pauli_diagonal_layer(rng, n, max_sites=2)
         rho = dense.apply_layer(dense.gibbs_state(h, float(rng.uniform(0.1, 1.0))), layer)
         p = Partition(frozenset({0}), frozenset(range(1, n - 1)), frozenset({n - 1}))
-        base = dense.quantum_cmi(rho, p)
+        base = experiments.cmi(dense, rho, p)
         assert base >= -1e-8
         end = int(rng.choice([0, n - 1]))
         extra = ChannelLayer((bitflip(end, float(rng.uniform(0, 0.5))),))
-        assert dense.quantum_cmi(dense.apply_layer(rho, extra), p) <= base + 1e-8
+        assert experiments.cmi(dense, dense.apply_layer(rho, extra), p) <= base + 1e-8
 
 
 def test_engine_cross_validation(rng):

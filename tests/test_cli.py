@@ -190,3 +190,58 @@ def test_validate_non_increasing_distances(tmp_path):
         assert any("strictly increasing" in f for f in validate_config(cfg))
         path = write_cfg(tmp_path / "c.json", cfg)
         assert main(["run", path, "--output-dir", str(tmp_path)]) == 1
+
+
+CERT_CFG = {
+    "experiment": "certificates",
+    "model": "ising_chain_n5",
+    "engine": "pauli",
+    "beta": [0.01],
+    "channel": {"kind": "bitflip", "p": 0.2},
+    "max_weight": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (dict(DECAY_CFG, experiment="cmi", model="ising_chain_n30", engine="pauli"), "29 terms exceed cap 22"),
+        (dict(DECAY_CFG, experiment="cmi", model="ising_chain_n24"), "exceed memory cap"),
+        (dict(DECAY_CFG, channel=[{"site": 1, "kind": "bitflip", "p": 0.2}]), "not a per-site list"),
+        (dict(DECAY_CFG, channel={"kind": "bitflip", "p": 1.5}), "p 1.5 is not a probability"),
+        (dict(DECAY_CFG, channel={"kind": "bitflip", "p": "abc"}), "p 'abc' is not a probability"),
+        (dict(DECAY_CFG, beta=["hot"]), "beta 'hot'"),
+        (dict(CERT_CFG, max_weight=9), "max weight 9 exceeds cap 8"),
+        (dict(DECAY_CFG, channel={"kind": "dephasing", "p": 0.2}), "kind 'dephasing'"),
+        (dict(DECAY_CFG, channel={"kind": "nonsense", "p": 0.2}), "kind 'nonsense'"),
+        (dict(DECAY_CFG, model="bell_chain_n5", engine="pauli"), "kind 'bitflip'"),
+    ],
+    ids=[
+        "pauli_term_cap",
+        "classical_memory_cap",
+        "decay_per_site_channels",
+        "p_above_one",
+        "p_not_a_number",
+        "beta_not_a_number",
+        "certificate_weight_cap",
+        "ising_dephasing_kind",
+        "unknown_kind",
+        "bell_chain_takes_no_kind",
+    ],
+)
+def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):
+    findings = validate_config(cfg)
+    assert len(findings) == 1 and message in findings[0], findings
+    path = write_cfg(tmp_path / "c.json", cfg)
+    assert main(["run", path, "--output-dir", str(tmp_path)]) == 1
+    assert f"error: {findings[0]}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_certificates_take_the_dense_cap():
+    """Certificates build dense series whatever the engine.  A 14-qubit chain
+    would need a 16384 x 16384 matrix per series coefficient, so this is
+    checked through validate only."""
+    cfg = dict(CERT_CFG, model="ising_chain_n14")
+    assert validate_config(cfg) == ["dimension 16384 exceeds dense cap 4096"]
+    assert validate_config(dict(CERT_CFG, model="ising_chain_n12")) == []

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hmnlab import classical, dense
 from hmnlab.channels import ChannelLayer, bitflip, dephasing, transition_channel
+from hmnlab.experiments import cmi
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph
 from tests.conftest import (
     brute_gibbs_probs,
@@ -114,13 +117,13 @@ def test_cmi_matches_classical_engine():
     rho = dense.apply_layer(dense.gibbs_state(h, 0.45), layer)
     d = classical.apply_transitions(classical.gibbs_distribution(h, 0.45), layer)
     p = boundary(5)
-    assert dense.quantum_cmi(rho, p) == pytest.approx(classical.cmi(d, p), abs=1e-10)
+    assert cmi(dense, rho, p) == pytest.approx(cmi(classical, d, p), abs=1e-10)
 
 
 def test_unchannelled_gibbs_is_markov():
     for h in (ising_pauli_chain(5), ising_diag_chain(5)):
         rho = dense.gibbs_state(h, 0.8)
-        assert dense.quantum_cmi(rho, boundary(5)) <= 1e-9
+        assert cmi(dense, rho, boundary(5)) <= 1e-9
 
 
 def test_ssa_random_quantum(rng):
@@ -131,7 +134,7 @@ def test_ssa_random_quantum(rng):
         layer = random_pauli_diagonal_layer(rng, n, max_sites=2)
         rho = dense.apply_layer(dense.gibbs_state(h, float(rng.uniform(0, 1.5))), layer)
         p = boundary(n)
-        assert dense.quantum_cmi(rho, p) >= -1e-8
+        assert cmi(dense, rho, p) >= -1e-8
 
 
 def test_dense_dim_cap():
@@ -149,7 +152,7 @@ def test_cmi_operator_trace_identity():
     op = dense.cmi_operator(h, beta, layer, p)
     rho = dense.apply_layer(dense.gibbs_state(h, beta), layer)
     lhs = -np.trace(rho.entries @ op.matrix).real
-    cmi_nats = dense.quantum_cmi(rho, p) * math.log(2)
+    cmi_nats = cmi(dense, rho, p) * math.log(2)
     assert lhs == pytest.approx(cmi_nats, abs=1e-12)
 
 
@@ -166,3 +169,37 @@ def test_cmi_operator_rejects_cold():
     layer = ChannelLayer(())
     with pytest.raises(ValueError, match="temperature"):
         dense.cmi_operator(h, 20.0, layer, boundary(4))
+
+
+@st.composite
+def diagonal_models(draw):
+    """Diagonal models of one- and two-site terms on 3-5 sites (q = 2) or
+    3-4 sites (q = 3), a beta, a random transition layer and a random
+    partition."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(3, 5 if q == 2 else 4))
+    terms = []
+    for width in draw(st.lists(st.integers(1, 2), min_size=1, max_size=5)):
+        support = tuple(draw(st.lists(st.integers(0, n - 1), min_size=width, max_size=width, unique=True)))
+        table = draw(st.lists(st.floats(-1, 1), min_size=q**width, max_size=q**width))
+        terms.append(HamiltonianTerm(support, np.reshape(table, (q,) * width), draw(st.floats(-1, 1))))
+    layer = []
+    for site in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+        cols = np.reshape(draw(st.lists(st.floats(0.01, 1), min_size=q * q, max_size=q * q)), (q, q))
+        layer.append(transition_channel(site, cols / cols.sum(axis=0)))
+    labels = draw(st.lists(st.sampled_from("abcx"), min_size=n, max_size=n))
+    assume("a" in labels and "c" in labels)
+    p = Partition(*(frozenset(i for i, x in enumerate(labels) if x == r) for r in "abc"))
+    h = LocalHamiltonian(SiteGraph(n, q), tuple(terms))
+    return h, draw(st.floats(0.05, 3.0)), ChannelLayer(tuple(layer)), p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(diagonal_models())
+def test_classical_cmi_matches_dense(model):
+    """The one CMI agrees between the classical and dense engines on random
+    diagonal models under random transition layers."""
+    h, beta, layer, p = model
+    c = cmi(classical, classical.prepare(h, beta, layer), p)
+    d = cmi(dense, dense.prepare(h, beta, layer), p)
+    assert c == pytest.approx(d, abs=1e-10)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hmnlab.experiments import (
     binary_entropy,
     boundary_partition,
     cluster_gibbs_equivalence,
+    cmi,
     decay_curve,
     evaluate_cmi,
     fit_markov_length,
@@ -143,3 +145,17 @@ def test_low_temperature_demo_shapes():
     assert set(out) == {"parity_chain", "bell_chain"}
     for fam, curves in out.items():
         assert len(curves) == 1 and len(curves[0].points) == 3
+
+
+def test_cmi_policy_clamps_rounding_and_raises_below_tolerance():
+    """One negative-CMI policy for every engine: raw values down to -1e-10
+    read 0, lower ones raise."""
+    p = boundary_partition(4)
+
+    def engine(s_ab):  # S(AB) = s_ab, every other region entropy 0
+        return SimpleNamespace(region_entropy=lambda state, r: s_ab if r == p.a | p.b else 0.0)
+
+    assert cmi(engine(0.25), None, p) == 0.25
+    assert cmi(engine(-1e-11), None, p) == 0.0
+    with pytest.raises(AssertionError):
+        cmi(engine(-1e-9), None, p)

@@ -11,6 +11,7 @@ from hmnlab.model import (
     PauliString,
     SiteGraph,
     build_dual_graph,
+    entropy_bits,
     graph_distance,
     parse_model,
     verify_commuting,
@@ -138,3 +139,13 @@ def test_parse_model_roundtrips_json():
     obj = {"n_sites": 2, "terms": [{"support": [0, 1], "pauli": "XX", "lambda": 0.5}]}
     h = parse_model(json.loads(json.dumps(obj)))
     assert h.terms[0].coefficient == 0.5
+
+
+def test_entropy_bits_floor():
+    """Values <= 1e-18 (rounding negatives too) count as zero; no value is
+    raised to a floor, so a tiny eigenvalue adds only its own entropy."""
+    assert entropy_bits([0.5, 0.5]) == 1.0
+    assert entropy_bits([0.25, 0.25], degeneracy=2) == 2.0
+    assert entropy_bits([0.5, 0.5, 1e-18, -1e-17]) == 1.0
+    assert entropy_bits([1.0, 0.0]) == 0.0
+    assert entropy_bits([1.0, 1e-16]) == pytest.approx(-1e-16 * math.log2(1e-16), rel=1e-12)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hmnlab import dense, pauli, zoo
 from hmnlab.channels import ChannelLayer, bitflip, dephasing, depolarizing
 from hmnlab.cli import main
+from hmnlab.experiments import cmi
 from hmnlab.model import (
     HamiltonianTerm,
     LocalHamiltonian,
@@ -134,7 +135,7 @@ def test_pauli_cmi_matches_dense():
     e = pauli.apply_pauli_layer(pauli.expand_gibbs(h, 0.8), layer)
     rho = dense.apply_layer(dense.gibbs_state(h, 0.8), layer)
     p = Partition(frozenset({0}), frozenset({1, 2, 3}), frozenset({4}))
-    assert pauli.pauli_cmi(e, p) == pytest.approx(dense.quantum_cmi(rho, p), abs=1e-10)
+    assert cmi(pauli, e, p) == pytest.approx(cmi(dense, rho, p), abs=1e-10)
 
 
 def test_pauli_scales_past_dense():
@@ -143,7 +144,7 @@ def test_pauli_scales_past_dense():
     layer = ChannelLayer(tuple(bitflip(i, 0.1) for i in range(1, 15)))
     e = pauli.apply_pauli_layer(pauli.expand_gibbs(h, 0.4), layer)
     p = Partition(frozenset({0}), frozenset(range(1, 15)), frozenset({15}))
-    val = pauli.pauli_cmi(e, p)
+    val = cmi(pauli, e, p)
     assert -1e-10 <= val < 1e-4
 
 
