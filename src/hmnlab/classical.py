@@ -46,6 +46,12 @@ def check(h: LocalHamiltonian) -> None:
         raise ValueError("classical engine requires diagonal terms; got non-diagonal terms")
 
 
+def check_layer(layer: ChannelLayer) -> None:
+    """Raise ValueError unless every site channel is a transition matrix."""
+    if not layer.all_classical():
+        raise ValueError("classical engine accepts transition-matrix channels only")
+
+
 def energy_table(h: LocalHamiltonian) -> np.ndarray:
     """Per-configuration energies as a (q,)*n tensor."""
     check(h)
@@ -70,8 +76,7 @@ def gibbs_distribution(h: LocalHamiltonian, beta: float) -> Distribution:
 
 
 def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
-    if not layer.all_classical():
-        raise ValueError("classical engine accepts transition-matrix channels only")
+    check_layer(layer)
     t = d.tensor()
     n = d.graph.n_sites
     for c in layer.channels:

@@ -13,6 +13,7 @@ Config schema (JSON object):
                 family's bulk channel {"kind": ..., "p": ...}, the only form
                 decay takes: kind "bitflip" (ising_chain) or "dephasing"
                 (cluster_chain); parity_chain and bell_chain take no kind
+                and no p
     distances:  strictly increasing list of integers (decay experiments)
     partition:  {"a": [...], "b": [...], "c": [...]} (required for file models)
     engine:     "classical" | "dense" | "pauli"
@@ -89,6 +90,8 @@ def _bulk_p(family: str, ch) -> float:
             f"channel kind {ch['kind']!r} is not the {family} bulk channel "
             f"({bulk or 'fixed, no kind'})"
         )
+    if "p" in ch and bulk is None:
+        raise ValueError(f"the {family} bulk channel is fixed and takes no p")
     try:
         p = float(ch.get("p", 1.0))
     except (TypeError, ValueError):
@@ -101,9 +104,9 @@ def _bulk_p(family: str, ch) -> float:
 def resolve(cfg: dict) -> SimpleNamespace:
     """Everything ``run`` takes from a config whose experiment and engine are
     known: betas, the engine that runs, model, channel layer and partition.
-    The model passes that engine's ``check`` before the channel is read; a
-    decay experiment is resolved at its largest distance.  ``validate``
-    reports whatever this raises."""
+    The model passes that engine's ``check`` before the channel is read, and
+    the channel layer its ``check_layer``; a decay experiment is resolved at
+    its largest distance.  ``validate`` reports whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
     r = SimpleNamespace(betas=[_parse_beta(b) for b in cfg.get("beta", [0.1])], engine=engine)
@@ -156,6 +159,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
             r.p_noise = _bulk_p(r.family, ch)
             r.layer = zoo.bulk_layer(r.family, n, r.p_noise, engine)
         r.partition = experiments.boundary_partition(n)
+    experiments.ENGINES[r.engine].check_layer(r.layer)
     if exp == "certificates":
         r.max_weight = int(cfg.get("max_weight", 4))
         series.check_weight(r.max_weight)

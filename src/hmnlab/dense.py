@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelLayer
+from .channels import ChannelLayer, SiteChannel
 from .model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph, entropy_bits
 
 DENSE_DIM_CAP = 4096
@@ -23,6 +23,10 @@ def check(h: LocalHamiltonian) -> None:
     dim = h.site_graph.dim
     if dim > DENSE_DIM_CAP:
         raise ValueError(f"dimension {dim} exceeds dense cap {DENSE_DIM_CAP}")
+
+
+def check_layer(layer: ChannelLayer) -> None:
+    """Every site channel has a Kraus form, so the dense engine takes any layer."""
 
 
 def term_matrix(graph: SiteGraph, term: HamiltonianTerm, bare: bool = False) -> np.ndarray:
@@ -97,18 +101,25 @@ def gibbs_state(h: LocalHamiltonian, beta: float) -> DensityMatrix:
     return DensityMatrix(rho, g)
 
 
-def _site_kraus(k: np.ndarray, site: int, graph: SiteGraph) -> np.ndarray:
-    left = np.eye(graph.q**site, dtype=complex)
-    right = np.eye(graph.q ** (graph.n_sites - site - 1), dtype=complex)
-    return np.kron(np.kron(left, k), right)
+def _superoperator(c: SiteChannel) -> np.ndarray:
+    """S[i, j, k, l] = sum_K K[i, k] conj(K[j, l]): the channel sends the
+    site's ket-bra entry (k, l) to (i, j)."""
+    ks = np.array(c.kraus_ops())
+    return np.einsum("aik,ajl->ijkl", ks, ks.conj())
 
 
 def apply_layer_to_matrix(m: np.ndarray, layer: ChannelLayer, graph: SiteGraph) -> np.ndarray:
-    out = m
+    """The layer applied to one matrix or to a stack (..., dim, dim).  Each
+    site channel is its q^2 x q^2 superoperator contracted on that site's ket
+    and bra axes, about q^2 dim^2 work per matrix."""
+    n, q = graph.n_sites, graph.q
+    lead = m.shape[:-2]
+    t = m.reshape(lead + (q,) * (2 * n))
     for c in layer.channels:
-        ks = [_site_kraus(k, c.site, graph) for k in c.kraus_ops()]
-        out = sum(k @ out @ k.conj().T for k in ks)
-    return out
+        ket, bra = len(lead) + c.site, len(lead) + n + c.site
+        t = np.tensordot(_superoperator(c), t, axes=([2, 3], [ket, bra]))
+        t = np.moveaxis(t, (0, 1), (ket, bra))
+    return t.reshape(m.shape)
 
 
 def apply_layer(rho: DensityMatrix, layer: ChannelLayer) -> DensityMatrix:

@@ -15,9 +15,10 @@ from .model import LocalHamiltonian, Partition, entropy_bits, graph_distance
 
 CMI_FLOOR = 1e-12
 
-# Each engine module has check(h), prepare(h, beta, layer) -> state and
-# region_entropy(state, region) in bits.  The seam reads them as module
-# attributes at call time, so a patched engine function is the one called.
+# Each engine module has check(h), check_layer(layer), prepare(h, beta,
+# layer) -> state and region_entropy(state, region) in bits.  The seam reads
+# them as module attributes at call time, so a patched engine function is the
+# one called.
 ENGINES = {"classical": classical, "dense": dense, "pauli": pauli}
 
 

@@ -91,6 +91,12 @@ def check(h: LocalHamiltonian) -> None:
         raise ValueError(f"{len(h.terms)} terms exceed cap {TERM_CAP}")
 
 
+def check_layer(layer: ChannelLayer) -> None:
+    """Raise ValueError unless every site channel has a Pauli damping profile."""
+    for ch in layer.channels:
+        pauli_damping_profile(ch)
+
+
 def expand_gibbs(h: LocalHamiltonian, beta: float) -> PauliExpansion:
     """Expansion of exp(-beta H)/Z; beta=inf uses tanh(+-inf) = +-1 factors."""
     check(h)
@@ -165,23 +171,32 @@ def restricted_group(e: PauliExpansion, region) -> RestrictedGroup:
             kernel.append(mask)
     members = _xor_span(kernel)
     d = e.coeffs[members]
-    # reduce to the span of the nonzero coefficients: eliminate their kernel
-    # coordinates u bit by bit; each pivot's hit bits are the new coordinates
+    if np.all(np.abs(d) >= PRUNE):
+        gens, elements = kernel, d  # every coefficient is nonzero: the whole kernel
+    else:
+        gens, elements = _nonzero_span(members, d)
+    if len(gens) > RANK_CAP:
+        raise ValueError(f"restricted-group rank exceeds cap {RANK_CAP}")
+    return RestrictedGroup(qs, gens, elements)
+
+
+def _nonzero_span(members: np.ndarray, d: np.ndarray) -> tuple[list, np.ndarray]:
+    """Generators of the span of the members with nonzero coefficient d, and
+    the coefficients by exponent mask over them: eliminate the nonzero
+    coordinates u bit by bit; each pivot's hit bits are the new coordinates."""
     u = np.flatnonzero(np.abs(d) >= PRUNE)
     rest, pos = u.copy(), np.zeros_like(u)
     gens: list[int] = []
-    for bit in reversed(range(len(kernel))):
+    for bit in reversed(range(d.size.bit_length() - 1)):
         hit = (rest >> bit) & 1
         if hit.any():
-            if len(gens) >= RANK_CAP:
-                raise ValueError(f"restricted-group rank exceeds cap {RANK_CAP}")
             p = rest[hit.argmax()]
             rest ^= hit * p
             pos |= hit << len(gens)
             gens.append(int(members[p]))
     elements = np.zeros(2 ** len(gens))
     elements[pos] = d[u]
-    return RestrictedGroup(qs, gens, elements)
+    return gens, elements
 
 
 def marginal_spectrum(e: PauliExpansion, region) -> tuple[np.ndarray, int]:

@@ -10,6 +10,7 @@ variables; beta is a fixed prefactor.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,6 +26,13 @@ from .model import DualInteractionGraph, LocalHamiltonian, Partition, SiteGraph
 
 MAX_WEIGHT_CAP = 8
 CLUSTER_COUNT_CAP = 2_000_000
+# bytes of coefficients handled per batched step (series products, channel
+# layer): bounds the temporaries whatever the number of keys
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_len(dim: int) -> int:
+    return max(1, _BLOCK_BYTES // (16 * dim * dim))
 
 
 def check_weight(max_weight: int) -> None:
@@ -76,22 +84,36 @@ class TruncatedSeries:
                 self.coeffs[k] = scale * m
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = TruncatedSeries(self.max_degree, self.dim)
-        for k1, m1 in self.coeffs.items():
-            w1 = _key_weight(k1)
-            for k2, m2 in other.coeffs.items():
-                if w1 + _key_weight(k2) > self.max_degree:
-                    continue
-                k = _merge_keys(k1, k2)
-                prod = m1 @ m2
-                if k in out.coeffs:
-                    out.coeffs[k] = out.coeffs[k] + prod
-                else:
-                    out.coeffs[k] = prod
-        return out
-
-    def map_coeffs(self, f) -> "TruncatedSeries":
-        return TruncatedSeries(self.max_degree, self.dim, {k: f(m) for k, m in self.coeffs.items()})
+        d, dim = self.max_degree, self.dim
+        # other's keys by weight: the partners k2 with w1 + w2 <= d of any k1
+        # are a prefix of this order
+        ranked = sorted((_key_weight(k), k) for k in other.coeffs)
+        w2 = [w for w, _ in ranked]
+        keys2 = [k for _, k in ranked]
+        prefix = [bisect.bisect_right(w2, d - _key_weight(k)) for k in self.coeffs]
+        # the merged-key index, built once: slot[k] is k's place in out, and
+        # rows[i] holds the slots of the i-th k1's partners
+        slot: dict = {}
+        rows = [
+            [slot.setdefault(_merge_keys(k1, k2), len(slot)) for k2 in keys2[:n]]
+            for k1, n in zip(self.coeffs, prefix)
+        ]
+        out = [np.zeros((dim, dim), dtype=complex) for _ in slot]
+        step = _block_len(dim)
+        buf = np.empty(step * dim * dim, dtype=complex)
+        for j0 in range(0, max(prefix, default=0), step):
+            # a block of partners side by side, one dim x (b dim) matrix that
+            # each k1 multiplies in one product, as far as it admits them
+            block = np.stack([other.coeffs[k] for k in keys2[j0 : j0 + step]], axis=1)
+            for m1, n, row in zip(self.coeffs.values(), prefix, rows):
+                b = min(n - j0, block.shape[1])
+                if b > 0:
+                    prod = np.matmul(
+                        m1, block[:, :b].reshape(dim, -1), out=buf[: b * dim * dim].reshape(dim, -1)
+                    )
+                    for r, m in zip(row[j0 : j0 + b], prod.reshape(dim, b, dim).swapaxes(0, 1)):
+                        out[r] += m
+        return TruncatedSeries(d, dim, dict(zip(slot, out)))
 
     def evaluate(self, lam: dict) -> np.ndarray:
         """Substitute numeric values for the term variables."""
@@ -134,7 +156,8 @@ def series_of_channelled_gibbs(
     dense.check(h)
     g = h.site_graph
     dim = g.dim
-    s = TruncatedSeries(max_degree, dim, {(): np.eye(dim, dtype=complex) if prefactor is None else np.asarray(prefactor, dtype=complex)})
+    p0 = np.eye(dim, dtype=complex) if prefactor is None else np.array(prefactor, dtype=complex)
+    s = TruncatedSeries(max_degree, dim, {(): p0})
     for a, t in enumerate(h.terms):
         ha = term_matrix(g, t, bare=True)
         factor = TruncatedSeries(max_degree, dim)
@@ -143,7 +166,14 @@ def series_of_channelled_gibbs(
             factor.coeffs[((a, k),) if k else ()] = ((-beta) ** k / math.factorial(k)) * power
             power = power @ ha
         s = s * factor
-    s = s.map_coeffs(lambda m: apply_layer_to_matrix(m, layer, g))
+    # the coefficients are fresh arrays here, so the layer writes back into them
+    keys = list(s.coeffs)
+    step = _block_len(dim)
+    for i in range(0, len(keys), step):
+        block = keys[i : i + step]
+        images = apply_layer_to_matrix(np.stack([s.coeffs[k] for k in block]), layer, g)
+        for k, m in zip(block, images):
+            s.coeffs[k][...] = m
     d0 = s.get(())
     if np.max(np.abs(d0 - np.eye(dim))) > 1e-10:
         raise ValueError("degree-0 coefficient is not identity (non-unital layer?)")
@@ -163,6 +193,10 @@ def log_series(s: TruncatedSeries) -> TruncatedSeries:
     for n in range(1, s.max_degree + 1):
         out.add_inplace(power, (-1.0) ** (n - 1) / n)
         if n < s.max_degree:
+            # every key of A has weight >= 1: keys of full degree have no
+            # partner, and dropping them first frees them during the product
+            low = {k: m for k, m in power.coeffs.items() if _key_weight(k) < s.max_degree}
+            power = TruncatedSeries(s.max_degree, s.dim, low)
             power = power * a
     return out.prune(0.0)
 

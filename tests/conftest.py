@@ -83,6 +83,35 @@ def brute_cmi_bits(probs, g, part):
     )
 
 
+def brute_apply_layer(m, layer, g):
+    """Oracle: every site channel's Kraus operators as full-space matrices
+    I (x) K (x) I, applied as sum_K K m K^+ one channel after another (also
+    to a stack of matrices, through matmul broadcasting)."""
+    out = m
+    for c in layer.channels:
+        left = np.eye(g.q**c.site, dtype=complex)
+        right = np.eye(g.q ** (g.n_sites - c.site - 1), dtype=complex)
+        ks = [np.kron(np.kron(left, k), right) for k in c.kraus_ops()]
+        out = sum(k @ out @ k.conj().T for k in ks)
+    return out
+
+
+def naive_series_product(s1, s2):
+    """Oracle: {key: coefficient} of s1 * s2 by the double loop over both
+    series' keys, one matrix product per pair within the truncation degree."""
+    out = {}
+    for k1, m1 in s1.coeffs.items():
+        for k2, m2 in s2.coeffs.items():
+            if sum(m for _, m in k1) + sum(m for _, m in k2) > s1.max_degree:
+                continue
+            acc = dict(k1)
+            for a, m in k2:
+                acc[a] = acc.get(a, 0) + m
+            k = tuple(sorted(acc.items()))
+            out[k] = out.get(k, 0) + m1 @ m2
+    return out
+
+
 def brute_force_chi_star(n, g):
     """Oracle: count colorings of V with colors 0..n-1 that use every color
     and make adjacent nodes differ."""

@@ -215,6 +215,27 @@ CERT_CFG = {
         (dict(DECAY_CFG, channel={"kind": "dephasing", "p": 0.2}), "kind 'dephasing'"),
         (dict(DECAY_CFG, channel={"kind": "nonsense", "p": 0.2}), "kind 'nonsense'"),
         (dict(DECAY_CFG, model="bell_chain_n5", engine="pauli"), "kind 'bitflip'"),
+        (
+            dict(DECAY_CFG, experiment="cmi", channel=[{"site": 1, "kind": "bitflip", "p": 0.2}]),
+            "classical engine accepts transition-matrix channels only",
+        ),
+        (
+            dict(
+                DECAY_CFG,
+                experiment="cmi",
+                engine="pauli",
+                channel=[{"site": 1, "kind": "transition", "matrix": [[0.9, 0.1], [0.1, 0.9]]}],
+            ),
+            "transition matrices have no Pauli damping profile",
+        ),
+        (
+            dict(DECAY_CFG, model="bell_chain_n5", engine="dense", channel={"p": 0.3}),
+            "the bell_chain bulk channel is fixed and takes no p",
+        ),
+        (
+            dict(DECAY_CFG, model="parity_chain_n5", engine="dense", channel={"p": 0.3}),
+            "the parity_chain bulk channel is fixed and takes no p",
+        ),
     ],
     ids=[
         "pauli_term_cap",
@@ -227,6 +248,10 @@ CERT_CFG = {
         "ising_dephasing_kind",
         "unknown_kind",
         "bell_chain_takes_no_kind",
+        "classical_engine_quantum_channel",
+        "pauli_engine_transition_channel",
+        "bell_chain_takes_no_p",
+        "parity_chain_takes_no_p",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):

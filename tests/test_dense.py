@@ -6,10 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hmnlab import classical, dense
-from hmnlab.channels import ChannelLayer, bitflip, dephasing, transition_channel
+from hmnlab.channels import (
+    ChannelLayer,
+    SiteChannel,
+    bitflip,
+    dephasing,
+    depolarizing,
+    transition_channel,
+)
 from hmnlab.experiments import cmi
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph
 from tests.conftest import (
+    brute_apply_layer,
     brute_gibbs_probs,
     ising_diag_chain,
     ising_pauli_chain,
@@ -67,6 +75,42 @@ def test_apply_layer_transition_matches_classical():
     rho = dense.apply_layer(dense.gibbs_state(h, 0.5), layer)
     d = classical.apply_transitions(classical.gibbs_distribution(h, 0.5), layer)
     assert np.allclose(np.diag(rho.entries).real, d.probs)
+
+
+def random_channels(rng, q, site):
+    """A transition, a Kraus and (for q a power of two) a Pauli-mixture
+    channel on ``site``, each drawn at random."""
+    t = rng.uniform(0, 1, (q, q))
+    # the k blocks of a random isometry are Kraus operators of a channel
+    v, _ = np.linalg.qr(rng.normal(size=(3 * q, q)) + 1j * rng.normal(size=(3 * q, q)))
+    out = [
+        transition_channel(site, t / t.sum(axis=0)),
+        SiteChannel(site, kraus=tuple(v[i * q : (i + 1) * q] for i in range(3))),
+    ]
+    if q in (2, 4):
+        out.append(depolarizing(site, float(rng.uniform(0, 1)), q))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_contracted_layer_matches_kron_oracle(q):
+    """Every channel kind on an end site and on the middle site of three,
+    alone and in a layer with the other kinds, on one matrix and on a stack."""
+    rng = np.random.default_rng(q)
+    g = SiteGraph(3, q)
+    m = rng.normal(size=(g.dim, g.dim)) + 1j * rng.normal(size=(g.dim, g.dim))
+    stack = rng.normal(size=(2, 3, g.dim, g.dim)) + 1j * rng.normal(size=(2, 3, g.dim, g.dim))
+    layers = [ChannelLayer((c,)) for s in (0, 1, 2) for c in random_channels(rng, q, s)]
+    kinds = [random_channels(rng, q, s) for s in (0, 1, 2)]
+    for shift in range(len(kinds[0])):  # each kind once on every site
+        layers.append(ChannelLayer(tuple(k[(s + shift) % len(k)] for s, k in enumerate(kinds))))
+    for layer in layers:
+        got = dense.apply_layer_to_matrix(m, layer, g)
+        assert np.max(np.abs(got - brute_apply_layer(m, layer, g))) < 1e-12
+        got = dense.apply_layer_to_matrix(stack, layer, g)
+        assert got.shape == stack.shape
+        for i, j in np.ndindex(2, 3):
+            assert np.max(np.abs(got[i, j] - brute_apply_layer(stack[i, j], layer, g))) < 1e-12
 
 
 def test_partial_trace_pure_entangled():

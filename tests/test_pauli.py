@@ -93,6 +93,33 @@ def test_restricted_group_rank():
     assert len(grp.elements) == 8
 
 
+def walsh_hadamard(elements):
+    """Oracle: lam_s = sum_b d_b (-1)^{popcount(s & b)} by a dense sign matrix."""
+    idx = np.arange(len(elements))
+    signs = np.array([[(-1.0) ** bin(s & b).count("1") for b in idx] for s in idx])
+    return signs @ elements
+
+
+def test_full_rank_fast_path_matches_reduction():
+    """Where every coefficient on the region is nonzero, restricted_group
+    takes the whole kernel; eliminating over the nonzero span gives the same
+    group and the same spectrum."""
+    h = ising_pauli_chain(6)
+    layer = ChannelLayer((bitflip(2, 0.2), bitflip(3, 0.3)))
+    e = pauli.prepare(h, 0.7, layer)
+    for region, rank in (({1, 2, 3}, 2), ({0, 1, 2, 3, 4}, 4), (set(range(6)), 5)):
+        fast = pauli.restricted_group(e, region)
+        members = pauli._xor_span(fast.generators)
+        assert len(fast.generators) == rank
+        assert np.array_equal(fast.elements, e.coeffs[members])  # the whole kernel
+        gens, elements = pauli._nonzero_span(members, fast.elements)
+        assert len(gens) == rank
+        assert sorted(pauli._xor_span(gens)) == sorted(members)
+        assert np.allclose(
+            np.sort(walsh_hadamard(elements)), np.sort(walsh_hadamard(fast.elements)), atol=1e-14
+        )
+
+
 def test_marginal_spectrum_uniformity():
     h = ising_pauli_chain(3)
     e = pauli.expand_gibbs(h, 0.0)

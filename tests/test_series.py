@@ -27,7 +27,7 @@ from hmnlab.series import (
     series_of_channelled_gibbs,
     spectral_norm,
 )
-from tests.conftest import ising_diag_chain, ising_pauli_chain
+from tests.conftest import ising_diag_chain, ising_pauli_chain, naive_series_product
 
 
 def boundary(n):
@@ -48,6 +48,44 @@ def test_series_truncation_drops_high_degree():
     a = TruncatedSeries(1, 2, {(): eye, ((0, 1),): eye})
     c = a * a
     assert c.get(((0, 2),)).max() == 0.0
+
+
+def random_series(rng, n_vars, max_degree, dim, n_keys):
+    """A series with n_keys random complex coefficients at random exponent
+    keys of weight <= max_degree (the empty key included)."""
+    keys = {()}
+    while len(keys) < n_keys:
+        acc = {}
+        for _ in range(int(rng.integers(1, max_degree + 1))):
+            a = int(rng.integers(n_vars))
+            acc[a] = acc.get(a, 0) + 1
+        keys.add(tuple(sorted(acc.items())))
+    return TruncatedSeries(
+        max_degree,
+        dim,
+        {k: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for k in keys},
+    )
+
+
+@pytest.mark.parametrize(
+    "block_bytes", [None, 3 * 16 * 4 * 4], ids=["default_blocks", "blocks_of_three"]
+)
+def test_series_product_matches_naive_pairs(monkeypatch, block_bytes):
+    """Random series whose key pairs partly exceed the truncation degree;
+    the second case splits the partners into blocks of three."""
+    if block_bytes:
+        monkeypatch.setattr(series, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(7)
+    for max_degree, n_keys in ((2, 6), (3, 12), (4, 20)):
+        a = random_series(rng, 4, max_degree, 4, n_keys)
+        b = random_series(rng, 4, max_degree, 4, n_keys)
+        weights = [sum(m for _, m in k1 + k2) for k1 in a.coeffs for k2 in b.coeffs]
+        assert max(weights) > max_degree  # some pairs fall to the truncation
+        got = a * b
+        want = naive_series_product(a, b)
+        assert set(got.coeffs) == set(want)
+        for k, m in want.items():
+            assert np.max(np.abs(got.coeffs[k] - m)) < 1e-12
 
 
 def test_series_evaluation_converges_to_state():
