@@ -58,10 +58,7 @@ def energy_table(h: LocalHamiltonian) -> np.ndarray:
     g = h.site_graph
     e = np.zeros((g.q,) * g.n_sites)
     for t in h.terms:
-        # permute the table's axes into increasing site order, then broadcast
-        table = np.transpose(t.coefficient * t.operator, np.argsort(t.support))
-        shape = [g.q if s in t.support else 1 for s in range(g.n_sites)]
-        e += table.reshape(shape)
+        e += t.coefficient * t.site_table(g)
     return e
 
 

@@ -34,19 +34,8 @@ def term_matrix(graph: SiteGraph, term: HamiltonianTerm, bare: bool = False) -> 
     if term.is_pauli:
         m = term.operator.to_matrix()
     else:
-        diag = np.zeros(graph.dim)
-        table = term.operator
-        sup = term.support
-        q = graph.q
-        n = graph.n_sites
-        for idx in range(graph.dim):
-            digits = []
-            rem = idx
-            for s in range(n):
-                digits.append(rem // q ** (n - 1 - s))
-                rem %= q ** (n - 1 - s)
-            diag[idx] = table[tuple(digits[s] for s in sup)]
-        m = np.diag(diag).astype(complex)
+        diag = np.broadcast_to(term.site_table(graph), (graph.q,) * graph.n_sites)
+        m = np.diag(diag.ravel()).astype(complex)
     return m if bare else term.coefficient * m
 
 

@@ -182,6 +182,12 @@ class HamiltonianTerm:
     def is_pauli(self) -> bool:
         return isinstance(self.operator, PauliString)
 
+    def site_table(self, graph: SiteGraph) -> np.ndarray:
+        """A diagonal term's table with its axes in increasing site order,
+        shaped to broadcast against the (q,)*n configuration tensor."""
+        table = np.transpose(self.operator, np.argsort(self.support))
+        return table.reshape([graph.q if s in self.support else 1 for s in range(graph.n_sites)])
+
 
 @dataclass(frozen=True)
 class LocalHamiltonian:

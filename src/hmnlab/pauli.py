@@ -50,7 +50,7 @@ def _reduce(pivots: dict, word: int, mask: int) -> tuple[int, int]:
     return word, mask
 
 
-def _product(gens, v: int, n: int) -> PauliString:
+def group_element(gens, v: int, n: int) -> PauliString:
     """g_v: the generators in v multiplied in index order."""
     out = PauliString.identity(n)
     for i, g in enumerate(gens):
@@ -70,7 +70,7 @@ class PauliExpansion:
         return self.graph.n_qubits
 
     def element(self, v: int) -> PauliString:
-        return _product(self.generators, v, self.n)
+        return group_element(self.generators, v, self.n)
 
     def to_matrix(self) -> np.ndarray:
         """Dense state, for cross-validation on small systems."""
@@ -97,50 +97,63 @@ def check_layer(layer: ChannelLayer) -> None:
         pauli_damping_profile(ch)
 
 
-def expand_gibbs(h: LocalHamiltonian, beta: float) -> PauliExpansion:
-    """Expansion of exp(-beta H)/Z; beta=inf uses tanh(+-inf) = +-1 factors."""
-    check(h)
+def term_group(h: LocalHamiltonian) -> tuple[tuple, list, list]:
+    """F2 elimination of the terms' symplectic vectors: the generators G_i
+    (each of sign +1) picked among the terms, and per term its mask b_a and
+    sign sigma_a with h_a = sigma_a g_{b_a}."""
     n = h.site_graph.n_qubits
     gens: list[PauliString] = []
     pivots: dict = {}
-    coords = []  # per term: b_a, the generator mask with h_a = +-g_{b_a}
+    coords = []
     for t in h.terms:
         p, new = t.operator, 1 << len(gens)
         word, mask = _reduce(pivots, (p.x << n) | p.z, new)
         if word:
             gens.append(PauliString(n, p.x, p.z))
         coords.append(new if word else mask ^ new)
+    signs = [t.operator.sign * group_element(gens, b, n).sign for t, b in zip(h.terms, coords)]
+    return tuple(gens), coords, signs
+
+
+def expand_gibbs(h: LocalHamiltonian, beta: float) -> PauliExpansion:
+    """Expansion of exp(-beta H)/Z; beta=inf uses tanh(+-inf) = +-1 factors."""
+    check(h)
+    gens, coords, signs = term_group(h)
     # work with factors I - t_a h_a, t_a = tanh(beta lambda_a); the dropped
     # cosh prefactors cancel in the final normalization
     c = np.zeros(2 ** len(gens))
     c[0] = 1.0
-    for t, b in zip(h.terms, coords):
+    for t, b, sigma in zip(h.terms, coords, signs):
         lam = t.coefficient
         ta = math.tanh(beta * lam) if not math.isinf(beta) else float(np.sign(lam))
-        sigma = t.operator.sign * _product(gens, b, n).sign
         c = c - ta * sigma * c[np.arange(c.size) ^ b]
     if abs(c[0]) < 1e-14:
         raise ValueError("expansion has zero trace (frustrated zero-temperature state)")
-    return PauliExpansion(h.site_graph, tuple(gens), c / c[0])
+    return PauliExpansion(h.site_graph, gens, c / c[0])
+
+
+def damp(c: np.ndarray, graph: SiteGraph, generators, layer: ChannelLayer) -> np.ndarray:
+    """c_v f_v, with E[g_v] = f_v g_v: c times the per-site damping tables
+    read at the local bits of g_v."""
+    k = graph.qubits_per_site
+    mask = (1 << k) - 1
+    for ch in layer.channels:
+        table = np.empty(4**k)
+        for (x, z), fx in pauli_damping_profile(ch).items():
+            table[(x << k) | z] = fx
+        # local (x, z) bits of g_v at this site, as a table index
+        rows = [
+            (((g.x >> ch.site * k) & mask) << k) | ((g.z >> ch.site * k) & mask)
+            for g in generators
+        ]
+        if any(rows):
+            c = c * table[_xor_span(rows, np.min_scalar_type(4**k - 1))]
+    return c
 
 
 def apply_pauli_layer(e: PauliExpansion, layer: ChannelLayer) -> PauliExpansion:
     """Damp each group coefficient by the per-site channel factors."""
-    k = e.graph.qubits_per_site
-    mask = (1 << k) - 1
-    c = e.coeffs
-    for ch in layer.channels:
-        table = np.empty(4**k)
-        for (x, z), f in pauli_damping_profile(ch).items():
-            table[(x << k) | z] = f
-        # local (x, z) bits of g_v at this site, as a table index
-        rows = [
-            (((g.x >> ch.site * k) & mask) << k) | ((g.z >> ch.site * k) & mask)
-            for g in e.generators
-        ]
-        if any(rows):
-            c = c * table[_xor_span(rows, np.min_scalar_type(4**k - 1))]
-    return PauliExpansion(e.graph, e.generators, c)
+    return PauliExpansion(e.graph, e.generators, damp(e.coeffs, e.graph, e.generators, layer))
 
 
 def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> PauliExpansion:
@@ -199,20 +212,25 @@ def _nonzero_span(members: np.ndarray, d: np.ndarray) -> tuple[list, np.ndarray]
     return gens, elements
 
 
+def walsh_hadamard(x: np.ndarray) -> np.ndarray:
+    """y_s = sum_v x_v (-1)^{s.v} along the last axis (length 2^r): the
+    character values of the group element with coefficients x; each
+    butterfly pairs index i with i + h."""
+    lead, size = x.shape[:-1], x.shape[-1]
+    h = 1
+    while h < size:
+        x = x.reshape(lead + (size // (2 * h), 2, h))
+        x = np.stack((x[..., 0, :] + x[..., 1, :], x[..., 0, :] - x[..., 1, :]), axis=-2)
+        h *= 2
+    return x.reshape(lead + (size,))
+
+
 def marginal_spectrum(e: PauliExpansion, region) -> tuple[np.ndarray, int]:
     """Eigenvalues of the normalized marginal on ``region`` (one value per
     group character) and the degeneracy they each carry."""
     grp = restricted_group(e, region)
     nq = len(grp.qubits)
-    # Walsh-Hadamard transform gives lam_s = sum_b d_b (-1)^{s.b}; each
-    # butterfly pairs index i with i + h
-    lam = grp.elements
-    h = 1
-    while h < lam.size:
-        lam = lam.reshape(-1, 2, h)
-        lam = np.stack((lam[:, 0] + lam[:, 1], lam[:, 0] - lam[:, 1]), axis=1)
-        h *= 2
-    lam = lam.ravel() / 2**nq
+    lam = walsh_hadamard(grp.elements) / 2**nq
     if lam.min() < -1e-10:
         raise ValueError(f"marginal spectrum has eigenvalue {lam.min()} < -1e-10")
     return lam, 2 ** (nq - len(grp.generators))

@@ -1,11 +1,27 @@
 """Truncated multivariate series of channelled Gibbs states and their
 logarithms, cluster derivatives, and the derivative-norm certificates.
 
-A series is a map {exponent multiset over term indices} -> dense matrix,
+A series is a map {exponent multiset over term indices} -> coefficient,
 truncated at total degree D, expanded around lambda = 0 (so the degree-0
 coefficient of a channelled Gibbs series is the identity whenever the
 channels are unital).  The term coefficients lambda_a are the expansion
 variables; beta is a fixed prefactor.
+
+Coefficients live in one of two algebras, and one product, log and norm
+serve both:
+
+* (dim, dim) matrices, multiplied by matmul: the general case, and the only
+  one for diagonal tables, non-commuting terms, transition or Kraus
+  channels that are not Pauli-diagonal, and pinned prefactors.  This is
+  what ``series_of_channelled_gibbs`` builds.
+* Character vectors over the abelian group g_v that commuting Pauli terms
+  generate (``pauli.term_group``), when the pauli engine admits the model
+  and the layer: a Pauli-diagonal channel damps each g_v, so every
+  coefficient stays in the group algebra.  There a coefficient is its 2^r
+  character values, products are pointwise, and the spectral norm is the
+  largest |character value|.  Certificates and the CMI-operator series use
+  this basis when it applies; ``cmi_operator_series`` converts its sum
+  back to matrices once.
 """
 
 from __future__ import annotations
@@ -17,22 +33,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dense
+from . import dense, pauli
 from .channels import ChannelLayer, complete_depolarization, compose_with_trace
 from .classical import PinnedHamiltonian
 from .combinatorics import Cluster
 from .dense import apply_layer_to_matrix, term_matrix
-from .model import DualInteractionGraph, LocalHamiltonian, Partition, SiteGraph
+from .model import DualInteractionGraph, LocalHamiltonian, Partition
 
 MAX_WEIGHT_CAP = 8
 CLUSTER_COUNT_CAP = 2_000_000
+# coefficients no larger than this (largest |entry| or |character value|)
+# are dropped from built series and logs
+SERIES_FLOOR = 1e-16
 # bytes of coefficients handled per batched step (series products, channel
 # layer): bounds the temporaries whatever the number of keys
 _BLOCK_BYTES = 1 << 20
 
 
-def _block_len(dim: int) -> int:
-    return max(1, _BLOCK_BYTES // (16 * dim * dim))
+def _block_len(coeff_bytes: int) -> int:
+    return max(1, _BLOCK_BYTES // coeff_bytes)
 
 
 def check_weight(max_weight: int) -> None:
@@ -41,6 +60,10 @@ def check_weight(max_weight: int) -> None:
 
 
 def spectral_norm(m: np.ndarray) -> float:
+    """Operator norm of a matrix coefficient, or of the group-algebra element
+    whose character values ``m`` holds."""
+    if m.ndim == 1:
+        return float(np.max(np.abs(m)))
     if np.max(np.abs(m - m.conj().T)) < 1e-12:
         return float(np.max(np.abs(np.linalg.eigvalsh(m))))
     return float(np.linalg.norm(m, 2))
@@ -66,15 +89,28 @@ def _key_factorial(k: tuple) -> int:
 
 @dataclass
 class TruncatedSeries:
+    """``group`` is None for (dim, dim) matrix coefficients, or the r
+    generators of a commuting Pauli group whose 2^r character values each
+    coefficient holds; ``dim`` is the Hilbert dimension either way."""
+
     max_degree: int
     dim: int
     coeffs: dict = field(default_factory=dict)  # exponent key -> ndarray
+    group: tuple | None = None
+
+    def zeros(self, *lead: int) -> np.ndarray:
+        if self.group is None:
+            return np.zeros(lead + (self.dim, self.dim), dtype=complex)
+        return np.zeros(lead + (2 ** len(self.group),))
+
+    def unit(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=complex) if self.group is None else np.ones(2 ** len(self.group))
 
     def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.max_degree, self.dim, dict(self.coeffs))
+        return TruncatedSeries(self.max_degree, self.dim, dict(self.coeffs), self.group)
 
     def get(self, key: tuple) -> np.ndarray:
-        return self.coeffs.get(tuple(sorted(key)), np.zeros((self.dim, self.dim), dtype=complex))
+        return self.coeffs.get(tuple(sorted(key)), self.zeros())
 
     def add_inplace(self, other: "TruncatedSeries", scale: float = 1.0):
         for k, m in other.coeffs.items():
@@ -84,7 +120,7 @@ class TruncatedSeries:
                 self.coeffs[k] = scale * m
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        d, dim = self.max_degree, self.dim
+        d = self.max_degree
         # other's keys by weight: the partners k2 with w1 + w2 <= d of any k1
         # are a prefix of this order
         ranked = sorted((_key_weight(k), k) for k in other.coeffs)
@@ -92,32 +128,29 @@ class TruncatedSeries:
         keys2 = [k for _, k in ranked]
         prefix = [bisect.bisect_right(w2, d - _key_weight(k)) for k in self.coeffs]
         # the merged-key index, built once: slot[k] is k's place in out, and
-        # rows[i] holds the slots of the i-th k1's partners
+        # rows[i] holds the slots of the i-th k1's partners (distinct, since
+        # k2 -> k1 + k2 is one-to-one)
         slot: dict = {}
         rows = [
-            [slot.setdefault(_merge_keys(k1, k2), len(slot)) for k2 in keys2[:n]]
+            np.array([slot.setdefault(_merge_keys(k1, k2), len(slot)) for k2 in keys2[:n]], dtype=np.intp)
             for k1, n in zip(self.coeffs, prefix)
         ]
-        out = [np.zeros((dim, dim), dtype=complex) for _ in slot]
-        step = _block_len(dim)
-        buf = np.empty(step * dim * dim, dtype=complex)
+        out = self.zeros(len(slot))
+        times = np.matmul if self.group is None else np.multiply
+        step = _block_len(self.zeros().nbytes)
         for j0 in range(0, max(prefix, default=0), step):
-            # a block of partners side by side, one dim x (b dim) matrix that
-            # each k1 multiplies in one product, as far as it admits them
-            block = np.stack([other.coeffs[k] for k in keys2[j0 : j0 + step]], axis=1)
+            # a block of partners, which each k1 multiplies in one call as far
+            # as it admits them
+            block = np.stack([other.coeffs[k] for k in keys2[j0 : j0 + step]])
             for m1, n, row in zip(self.coeffs.values(), prefix, rows):
-                b = min(n - j0, block.shape[1])
+                b = min(n - j0, len(block))
                 if b > 0:
-                    prod = np.matmul(
-                        m1, block[:, :b].reshape(dim, -1), out=buf[: b * dim * dim].reshape(dim, -1)
-                    )
-                    for r, m in zip(row[j0 : j0 + b], prod.reshape(dim, b, dim).swapaxes(0, 1)):
-                        out[r] += m
-        return TruncatedSeries(d, dim, dict(zip(slot, out)))
+                    out[row[j0 : j0 + b]] += times(m1, block[:b])
+        return TruncatedSeries(d, self.dim, dict(zip(slot, out)), self.group)
 
     def evaluate(self, lam: dict) -> np.ndarray:
         """Substitute numeric values for the term variables."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out = self.zeros()
         for k, m in self.coeffs.items():
             scale = 1.0
             for a, mu in k:
@@ -131,6 +164,7 @@ class TruncatedSeries:
             self.max_degree,
             self.dim,
             {k: m for k, m in self.coeffs.items() if np.max(np.abs(m)) > tol},
+            self.group,
         )
 
 
@@ -166,9 +200,10 @@ def series_of_channelled_gibbs(
             factor.coeffs[((a, k),) if k else ()] = ((-beta) ** k / math.factorial(k)) * power
             power = power @ ha
         s = s * factor
-    # the coefficients are fresh arrays here, so the layer writes back into them
+    # the coefficients are rows of the product's stack, and the layer writes
+    # back into them
     keys = list(s.coeffs)
-    step = _block_len(dim)
+    step = _block_len(16 * dim * dim)
     for i in range(0, len(keys), step):
         block = keys[i : i + step]
         images = apply_layer_to_matrix(np.stack([s.coeffs[k] for k in block]), layer, g)
@@ -178,27 +213,79 @@ def series_of_channelled_gibbs(
     if np.max(np.abs(d0 - np.eye(dim))) > 1e-10:
         raise ValueError("degree-0 coefficient is not identity (non-unital layer?)")
     s.coeffs[()] = np.eye(dim, dtype=complex)
-    return s.prune(1e-16)
+    return s.prune(SERIES_FLOOR)
+
+
+def _character_series(
+    h: LocalHamiltonian, beta: float, layer: ChannelLayer, max_degree: int
+) -> TruncatedSeries:
+    """``series_of_channelled_gibbs`` in the character basis of the term
+    group.  With h_a = sigma_a g_{b_a}, the coefficient of lambda^k is
+    prod_a (-beta sigma_a)^{k_a} / k_a! times g_v, v the XOR of the b_a with
+    k_a odd; the layer damps it by f_v, and one Walsh-Hadamard transform of
+    the stack gives the character values."""
+    gens, coords, signs = pauli.term_group(h)
+    f = pauli.damp(np.ones(2 ** len(gens)), h.site_graph, gens, layer)
+    keys, elements, scales = [], [], []
+    for w in range(max_degree + 1):
+        for combo in itertools.combinations_with_replacement(range(len(h.terms)), w):
+            key = tuple((a, len(list(run))) for a, run in itertools.groupby(combo))
+            c, v = 1.0, 0
+            for a, k in key:
+                c *= (-beta * signs[a]) ** k / math.factorial(k)
+                v ^= coords[a] if k % 2 else 0
+            keys.append(key)
+            elements.append(v)
+            scales.append(c * f[v])
+    stack = np.zeros((len(keys), f.size))
+    stack[np.arange(len(keys)), elements] = scales
+    chars = pauli.walsh_hadamard(stack)
+    chars[0] = 1.0  # the empty key: an admitted layer is unital, f_0 = 1
+    return TruncatedSeries(max_degree, h.site_graph.dim, dict(zip(keys, chars)), gens).prune(
+        SERIES_FLOOR
+    )
+
+
+def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
+    """``_character_series`` where the pauli engine admits the model and the
+    layer, else ``series_of_channelled_gibbs``."""
+    try:
+        pauli.check(h)
+        pauli.check_layer(layer)
+    except ValueError:
+        return series_of_channelled_gibbs
+    return _character_series
+
+
+def _to_matrices(s: TruncatedSeries) -> TruncatedSeries:
+    """A character-basis series with (dim, dim) coefficients: back to group
+    coefficients c_v by the inverse transform, then summed against g_v."""
+    keys = list(s.coeffs)
+    r, n = len(s.group), s.dim.bit_length() - 1
+    c = pauli.walsh_hadamard(np.array([s.coeffs[k] for k in keys]).reshape(-1, 2**r)) / 2**r
+    out = np.zeros((len(keys), s.dim, s.dim), dtype=complex)
+    for v in np.flatnonzero(np.any(c != 0, axis=0)):
+        out += c[:, v, None, None] * pauli.group_element(s.group, int(v), n).to_matrix()
+    return TruncatedSeries(s.max_degree, s.dim, dict(zip(keys, out)))
 
 
 def log_series(s: TruncatedSeries) -> TruncatedSeries:
     """log(I + A) = sum_n (-1)^{n-1}/n A^n with A = s - I, truncated."""
-    d0 = s.get(())
-    if np.max(np.abs(d0 - np.eye(s.dim))) > 1e-12:
+    if np.max(np.abs(s.get(()) - s.unit())) > 1e-12:
         raise ValueError("log series needs degree-0 coefficient = I")
     a = s.copy()
     a.coeffs.pop((), None)
-    out = TruncatedSeries(s.max_degree, s.dim)
+    out = TruncatedSeries(s.max_degree, s.dim, group=s.group)
     power = a.copy()
     for n in range(1, s.max_degree + 1):
         out.add_inplace(power, (-1.0) ** (n - 1) / n)
         if n < s.max_degree:
             # every key of A has weight >= 1: keys of full degree have no
-            # partner, and dropping them first frees them during the product
+            # partner, so they are dropped before the product
             low = {k: m for k, m in power.coeffs.items() if _key_weight(k) < s.max_degree}
-            power = TruncatedSeries(s.max_degree, s.dim, low)
+            power = TruncatedSeries(s.max_degree, s.dim, low, s.group)
             power = power * a
-    return out.prune(0.0)
+    return out.prune(SERIES_FLOOR)
 
 
 def cluster_derivative(s: TruncatedSeries, w: Cluster) -> np.ndarray:
@@ -274,28 +361,34 @@ def cmi_operator_series(
     """Series of log E[rho_AB] + log E[rho_BC] - log E[rho_B] - log E[rho_ABC],
     each marginal realized by composing complete depolarization over the
     complement with the B-supported layer (so all four stay full-dimension)."""
+    dense.check(h)
     g = h.site_graph
     all_sites = set(range(g.n_sites))
+    # tracing keeps a Pauli-diagonal layer Pauli-diagonal: all four logs
+    # share one basis
+    build = _series_builder(h, layer)
     out = TruncatedSeries(max_degree, g.dim)
     for region, sgn in ((p.a | p.b, 1), (p.b | p.c, 1), (p.b, -1), (p.abc, -1)):
-        traced = all_sites - region
-        lyr = compose_with_trace(layer, traced, g.q)
-        ls = log_series(series_of_channelled_gibbs(h, beta, lyr, max_degree))
+        lyr = compose_with_trace(layer, all_sites - region, g.q)
+        ls = log_series(build(h, beta, lyr, max_degree))
+        out.group = ls.group
         out.add_inplace(ls, sgn)
-    return out.prune(0.0)
+    out = out.prune(SERIES_FLOOR)
+    return out if out.group is None else _to_matrices(out)
 
 
 def derivative_norm_certificate(
     h: LocalHamiltonian, beta: float, layer: ChannelLayer, max_weight: int
 ) -> dict:
     """Per-cluster check of (1/W!) ||D_W log E[rho]|| <= (2e(d+1) beta)^{|W|+1}
-    over all connected clusters up to max_weight."""
+    over all connected clusters up to max_weight, in the character basis
+    where the pauli engine admits the model and the layer."""
     from .model import build_dual_graph
 
     g = build_dual_graph(h)
-    # the weight and dense caps both raise before any matrix is built
+    # the weight cap raises before any coefficient is built
     clusters = enumerate_connected_clusters(g, max_weight)
-    s = log_series(series_of_channelled_gibbs(h, beta, layer, max_weight))
+    s = log_series(_series_builder(h, layer)(h, beta, layer, max_weight))
     entries = []
     violations = 0
     for w in clusters:

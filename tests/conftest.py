@@ -10,9 +10,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from hmnlab.channels import ChannelLayer, bitflip, dephasing, depolarizing
-from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph
+from hmnlab.channels import ChannelLayer, bitflip, compose_with_trace, dephasing, depolarizing
+from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, build_dual_graph
+from hmnlab.series import (
+    TruncatedSeries,
+    cluster_derivative,
+    enumerate_connected_clusters,
+    log_series,
+    series_of_channelled_gibbs,
+    spectral_norm,
+)
 
 
 def ising_pauli_chain(n, lam=-1.0):
@@ -30,6 +40,17 @@ def ising_diag_chain(n, lam=-1.0):
     g = SiteGraph(n)
     tbl = np.array([[1.0, -1.0], [-1.0, 1.0]])
     terms = [HamiltonianTerm((i, i + 1), tbl, lam) for i in range(n - 1)]
+    return LocalHamiltonian(g, tuple(terms))
+
+
+def lattice_2x3(lam=-0.9):
+    """2 x 3 grid of ZZ bonds (7 edges), site (r, c) -> index 3r + c."""
+    g = SiteGraph(6)
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+    terms = []
+    for a, b in edges:
+        z = (1 << a) | (1 << b)
+        terms.append(HamiltonianTerm((a, b), PauliString(6, 0, z), lam))
     return LocalHamiltonian(g, tuple(terms))
 
 
@@ -112,6 +133,28 @@ def naive_series_product(s1, s2):
     return out
 
 
+def dense_certificate_norms(h, beta, layer, max_weight):
+    """Reference: {cluster multiplicities: (1/W!) ||D_W log E[rho]||} from
+    the public dense series, log and norm."""
+    ls = log_series(series_of_channelled_gibbs(h, beta, layer, max_weight))
+    return {
+        w.multiplicities: spectral_norm(cluster_derivative(ls, w)) / w.factorial
+        for w in enumerate_connected_clusters(build_dual_graph(h), max_weight)
+    }
+
+
+def dense_cmi_series(h, beta, layer, p, max_degree):
+    """Reference: {key: coefficient} of the four-log CMI-operator series, each
+    marginal's log from the public dense series of the layer composed with
+    complete depolarization off the region."""
+    out = TruncatedSeries(max_degree, h.site_graph.dim)
+    every = set(range(h.site_graph.n_sites))
+    for region, sgn in ((p.a | p.b, 1), (p.b | p.c, 1), (p.b, -1), (p.abc, -1)):
+        lyr = compose_with_trace(layer, every - region, h.site_graph.q)
+        out.add_inplace(log_series(series_of_channelled_gibbs(h, beta, lyr, max_degree)), sgn)
+    return out.coeffs
+
+
 def brute_force_chi_star(n, g):
     """Oracle: count colorings of V with colors 0..n-1 that use every color
     and make adjacent nodes differ."""
@@ -157,6 +200,46 @@ def random_pauli_diagonal_layer(rng, n, max_sites=3):
         else:
             chans.append(depolarizing(int(s), p))
     return ChannelLayer(tuple(chans))
+
+
+def masked_product(ops, mask, n):
+    p = PauliString.identity(n)
+    for i, g in enumerate(ops):
+        if mask >> i & 1:
+            p = p * g
+    return p
+
+
+@st.composite
+def dependent_commuting_models(draw, max_qubits=4):
+    """Commuting Pauli models on 2..max_qubits qubits in which some terms are
+    signed products of others, with a beta and a random Pauli-diagonal layer."""
+    n = draw(st.integers(2, max_qubits))
+    bits = st.integers(0, 2**n - 1)
+    gens = []
+    for x, z in draw(st.lists(st.tuples(bits, bits), min_size=2, max_size=4)):
+        p = PauliString(n, x, z)
+        if not p.is_identity() and all(p.commutes_with(g) for g in gens):
+            gens.append(p)
+    assume(len(gens) >= 2)
+    ops = list(gens)
+    masks = st.integers(1, 2 ** len(gens) - 1)
+    for mask, sign in draw(st.lists(st.tuples(masks, st.sampled_from((1, -1))), min_size=1, max_size=3)):
+        p = masked_product(gens, mask, n)
+        if not p.is_identity():
+            ops.append(PauliString(n, p.x, p.z, sign * p.sign))
+    assume(len(ops) > len(gens))
+    lams = draw(st.lists(st.floats(-1, 1), min_size=len(ops), max_size=len(ops)))
+    h = LocalHamiltonian(
+        SiteGraph(n),
+        tuple(HamiltonianTerm(tuple(sorted(p.support())), p, lam) for p, lam in zip(ops, lams)),
+    )
+    kinds = {"dephasing": dephasing, "bitflip": bitflip, "depolarizing": depolarizing}
+    noise = draw(
+        st.dictionaries(st.integers(0, n - 1), st.tuples(st.sampled_from(sorted(kinds)), st.floats(0, 1)))
+    )
+    layer = ChannelLayer(tuple(kinds[k](s, p) for s, (k, p) in sorted(noise.items())))
+    return h, draw(st.floats(0.05, 2.0)), layer
 
 
 @pytest.fixture

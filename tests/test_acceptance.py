@@ -24,10 +24,7 @@ from hmnlab.combinatorics import (
     verify_combinatorial_estimate,
 )
 from hmnlab.model import (
-    HamiltonianTerm,
-    LocalHamiltonian,
     Partition,
-    PauliString,
     SiteGraph,
     build_dual_graph,
 )
@@ -45,20 +42,10 @@ from tests.conftest import (
     brute_cmi_bits,
     brute_force_chi_star,
     ising_diag_chain,
+    lattice_2x3,
     random_commuting_pauli_model,
     random_pauli_diagonal_layer,
 )
-
-
-def lattice_2x3(lam=-0.9):
-    """2 x 3 grid of ZZ bonds (7 edges), site (r, c) -> index 3r + c."""
-    g = SiteGraph(6)
-    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
-    terms = []
-    for a, b in edges:
-        z = (1 << a) | (1 << b)
-        terms.append(HamiltonianTerm((a, b), PauliString(6, 0, z), lam))
-    return LocalHamiltonian(g, tuple(terms))
 
 
 def test_parity_chain_one_bit_all_lengths():

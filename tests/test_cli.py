@@ -270,3 +270,26 @@ def test_certificates_take_the_dense_cap():
     cfg = dict(CERT_CFG, model="ising_chain_n14")
     assert validate_config(cfg) == ["dimension 16384 exceeds dense cap 4096"]
     assert validate_config(dict(CERT_CFG, model="ising_chain_n12")) == []
+
+
+def test_certificates_on_3x3_lattice(tmp_path):
+    """12 ZZ bonds on a 3x3 lattice, bit-flip on the centre, weight 4: the
+    commuting model runs in the character basis and every one of the 473
+    connected clusters passes."""
+    bonds = [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+    bonds += [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)]
+    model = {"n_sites": 9, "terms": [{"support": list(e), "pauli": "ZZ", "lambda": -0.9} for e in bonds]}
+    cfg = {
+        "experiment": "certificates",
+        "model": write_cfg(tmp_path / "lattice.json", model),
+        "engine": "pauli",
+        "beta": [0.01],
+        "channel": [{"site": 4, "kind": "bitflip", "p": 0.2}],
+        "partition": {"a": [0], "b": [1, 2, 3, 4, 5, 6, 7], "c": [8]},
+        "max_weight": 4,
+        "output": "cert",
+    }
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "cert.json").read_text())["certificates"][0]
+    assert len(rep["clusters"]) == 473
+    assert rep["pass"] and all(c["pass"] for c in rep["clusters"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -247,3 +248,22 @@ def test_classical_cmi_matches_dense(model):
     c = cmi(classical, classical.prepare(h, beta, layer), p)
     d = cmi(dense, dense.prepare(h, beta, layer), p)
     assert c == pytest.approx(d, abs=1e-10)
+
+
+def test_diagonal_term_matrix_matches_energy_table():
+    """q = 3 with a 3-site term listed in mixed site order: the dense diagonal
+    is the classical energy table, and each entry is the tables read at that
+    configuration's digits."""
+    rng = np.random.default_rng(5)
+    terms = (
+        HamiltonianTerm((2, 0, 3), rng.uniform(-1, 1, (3, 3, 3)), 0.7),
+        HamiltonianTerm((1,), rng.uniform(-1, 1, 3), -0.4),
+    )
+    h = LocalHamiltonian(SiteGraph(4, q=3), terms)
+    m = dense.hamiltonian_matrix(h)
+    diag = np.diag(m)
+    assert np.count_nonzero(m - np.diag(diag)) == 0
+    assert np.max(np.abs(diag - classical.energy_table(h).ravel())) < 1e-15
+    for idx, cfg in enumerate(itertools.product(range(3), repeat=4)):
+        want = sum(t.coefficient * t.operator[tuple(cfg[s] for s in t.support)] for t in terms)
+        assert abs(diag[idx] - want) < 1e-15

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmnlab import dense, pauli, zoo
@@ -19,7 +19,9 @@ from hmnlab.model import (
     SiteGraph,
 )
 from tests.conftest import (
+    dependent_commuting_models,
     ising_pauli_chain,
+    masked_product,
     random_commuting_pauli_model,
     random_pauli_diagonal_layer,
 )
@@ -181,46 +183,6 @@ def test_term_cap():
         pauli.expand_gibbs(h, 0.3)
 
 
-def _product(ops, mask, n):
-    p = PauliString.identity(n)
-    for i, g in enumerate(ops):
-        if mask >> i & 1:
-            p = p * g
-    return p
-
-
-@st.composite
-def dependent_commuting_models(draw):
-    """Commuting Pauli models on 2-4 qubits in which some terms are signed
-    products of others, with a beta and a random Pauli-diagonal layer."""
-    n = draw(st.integers(2, 4))
-    bits = st.integers(0, 2**n - 1)
-    gens = []
-    for x, z in draw(st.lists(st.tuples(bits, bits), min_size=2, max_size=4)):
-        p = PauliString(n, x, z)
-        if not p.is_identity() and all(p.commutes_with(g) for g in gens):
-            gens.append(p)
-    assume(len(gens) >= 2)
-    ops = list(gens)
-    masks = st.integers(1, 2 ** len(gens) - 1)
-    for mask, sign in draw(st.lists(st.tuples(masks, st.sampled_from((1, -1))), min_size=1, max_size=3)):
-        p = _product(gens, mask, n)
-        if not p.is_identity():
-            ops.append(PauliString(n, p.x, p.z, sign * p.sign))
-    assume(len(ops) > len(gens))
-    lams = draw(st.lists(st.floats(-1, 1), min_size=len(ops), max_size=len(ops)))
-    h = LocalHamiltonian(
-        SiteGraph(n),
-        tuple(HamiltonianTerm(tuple(sorted(p.support())), p, lam) for p, lam in zip(ops, lams)),
-    )
-    kinds = {"dephasing": dephasing, "bitflip": bitflip, "depolarizing": depolarizing}
-    noise = draw(
-        st.dictionaries(st.integers(0, n - 1), st.tuples(st.sampled_from(sorted(kinds)), st.floats(0, 1)))
-    )
-    layer = ChannelLayer(tuple(kinds[k](s, p) for s, (k, p) in sorted(noise.items())))
-    return h, draw(st.floats(0.05, 2.0)), layer
-
-
 def assert_entropies_match_dense(h, beta, layer):
     n = h.site_graph.n_sites
     e = pauli.expand_gibbs(h, beta)
@@ -268,7 +230,7 @@ def test_cluster_chain_with_product_terms_at_zero_temperature(n, masks):
     ops = [t.operator for t in base.terms]
     extra = []
     for mask in masks:
-        p = _product(ops, mask % 2**n, n)
+        p = masked_product(ops, mask % 2**n, n)
         if not p.is_identity():
             extra.append(HamiltonianTerm(tuple(sorted(p.support())), p, -1.0))
     h = LocalHamiltonian(base.site_graph, base.terms + tuple(extra))

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmnlab import dense, series
-from hmnlab.channels import ChannelLayer, bitflip, transition_channel
+from hmnlab.channels import ChannelLayer, bitflip, compose_with_trace, transition_channel
 from hmnlab.classical import pinned_hamiltonian
 from hmnlab.combinatorics import (
     Cluster,
@@ -13,7 +15,7 @@ from hmnlab.combinatorics import (
     interaction_graph_of_cluster,
     quotient_graph,
 )
-from hmnlab.model import Partition, build_dual_graph
+from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, PauliString, SiteGraph, build_dual_graph
 from hmnlab.series import (
     TruncatedSeries,
     cluster_derivative,
@@ -27,7 +29,15 @@ from hmnlab.series import (
     series_of_channelled_gibbs,
     spectral_norm,
 )
-from tests.conftest import ising_diag_chain, ising_pauli_chain, naive_series_product
+from tests.conftest import (
+    dense_certificate_norms,
+    dense_cmi_series,
+    dependent_commuting_models,
+    ising_diag_chain,
+    ising_pauli_chain,
+    lattice_2x3,
+    naive_series_product,
+)
 
 
 def boundary(n):
@@ -253,3 +263,107 @@ def test_weight_cap():
     g = build_dual_graph(h)
     with pytest.raises(ValueError, match="cap"):
         enumerate_connected_clusters(g, 9)
+
+
+@st.composite
+def admitted_cases(draw):
+    """A commuting Pauli model with dependent signed terms on up to 6 qubits,
+    its Pauli-diagonal layer composed with complete depolarization on a
+    random set of sites, a partition and a weight <= 4.  At beta ~ 1e-3 and
+    below some clusters exceed their bound."""
+    h, beta, layer = draw(dependent_commuting_models(max_qubits=6))
+    beta = draw(st.sampled_from((beta, beta / 1000)))
+    n = h.site_graph.n_sites
+    layer = compose_with_trace(layer, draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    a, c, *rest = draw(st.permutations(range(n)))
+    roles = {a: "a", c: "c"} | dict(zip(rest, draw(st.lists(st.sampled_from("abc-"), min_size=len(rest), max_size=len(rest)))))
+    a, b, c = (frozenset(s for s, x in roles.items() if x == r) for r in "abc")
+    return h, beta, layer, Partition(a, b, c), draw(st.integers(1, 4))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(admitted_cases())
+def test_character_basis_matches_dense(case):
+    """Certificates and CMI-operator series in the character basis of the
+    term group agree with the dense series: norms and coefficients to 1e-12
+    (a missing key reads zero), and the same clusters pass."""
+    h, beta, layer, p, weight = case
+    assert series._series_builder(h, layer) is series._character_series
+    rep = derivative_norm_certificate(h, beta, layer, weight)
+    want = dense_certificate_norms(h, beta, layer, weight)
+    assert [tuple(zip(e["terms"], e["multiplicities"])) for e in rep["clusters"]] == list(want)
+    for e, norm in zip(rep["clusters"], want.values()):
+        assert abs(e["norm"] - norm) < 1e-12
+        assert e["pass"] == (norm <= e["bound"] + 1e-12)
+    got = cmi_operator_series(h, beta, layer, p, weight).coeffs
+    want = dense_cmi_series(h, beta, layer, p, weight)
+    for k in set(got) | set(want):
+        assert np.max(np.abs(got.get(k, 0) - want.get(k, 0))) < 1e-12, k
+
+
+# (1/W!) ||D_W log E[rho]|| per cluster at beta = 0.3, weight 3, as the dense
+# path computes them
+T_085 = np.array([[0.85, 0.15], [0.15, 0.85]])
+DIAG_NORMS = [0.21, 0.02295, 0.003213, 0.147, 0.0341955, 0.003351159, 0.21, 0.02295,
+              0.003213, 0.03213, 0.00472311, 0.0067473, 0.03213, 0.0067473, 0.00472311, 0.0070227]
+NONCOMMUTING_NORMS = [0.3, 0.0, 0.0, 0.18, 0.0288, 0.003456, 0.3, 0.0,
+                      0.0, 0.054, 0.00324, 0.0054, 0.054, 0.0054, 0.00324, 0.0216]
+
+
+def test_dense_route_cases_keep_their_values():
+    """Diagonal tables under transition channels and a non-commuting model
+    are not admitted to the character basis, and the pinned traced series
+    always has matrix coefficients; their values stay those of the dense
+    path."""
+    hd = ising_diag_chain(4)
+    ld = ChannelLayer((transition_channel(1, T_085), transition_channel(2, T_085)))
+    hn = LocalHamiltonian(
+        SiteGraph(3),
+        (
+            HamiltonianTerm((0, 1), PauliString.from_label("XXI"), 0.7),
+            HamiltonianTerm((1, 2), PauliString.from_label("IZZ"), -0.5),
+            HamiltonianTerm((2,), PauliString.from_label("IIX"), 0.4),
+        ),
+    )
+    ln = ChannelLayer((bitflip(1, 0.2),))
+    for h, layer, norms in ((hd, ld, DIAG_NORMS), (hn, ln, NONCOMMUTING_NORMS)):
+        assert series._series_builder(h, layer) is series_of_channelled_gibbs
+        rep = derivative_norm_certificate(h, 0.3, layer, 3)
+        assert rep["pass"]
+        assert np.max(np.abs(np.array([e["norm"] for e in rep["clusters"]]) - norms)) < 1e-12
+    cs = cmi_operator_series(hd, 0.3, ld, boundary(4), 4)
+    big = {k: spectral_norm(m) for k, m in cs.coeffs.items() if spectral_norm(m) > 1e-12}
+    want = {
+        ((0, 1), (1, 1), (2, 1)): 0.0070227,
+        ((0, 1), (1, 1), (2, 2)): 0.001474767,
+        ((0, 2), (1, 1), (2, 1)): 0.001474767,
+        ((0, 1), (1, 2), (2, 1)): 0.0020646738,
+    }
+    assert set(big) == set(want)
+    assert all(abs(big[k] - v) < 1e-12 for k, v in want.items())
+    pin = pinned_hamiltonian(hd, 0.3, ld, {1: 0, 2: 1})
+    ls = log_series(pinned_traced_series(pin, {1, 2}, 3))
+    assert ls.group is None
+    got = [spectral_norm(cluster_derivative(ls, w)) / w.factorial
+           for w in enumerate_connected_clusters(build_dual_graph(hd), 3)]
+    assert np.max(np.abs(np.array(got) - DIAG_NORMS)) < 1e-12
+
+
+@pytest.mark.parametrize("route", ["characters", "matrices"])
+def test_cmi_series_keeps_no_float_noise(route):
+    """2x3 ZZ lattice, A = {0}, C = {5}, noise on B: the three shortest A-C
+    paths are the only clusters of weight <= 3 that join A to C, so after the
+    floor the series has no key at weight 2 and exactly those three at
+    weight 3, on either route."""
+    h = lattice_2x3()
+    b = (1, 2, 3, 4)
+    if route == "characters":
+        layer = ChannelLayer(tuple(bitflip(s, 0.2) for s in b))
+    else:
+        layer = ChannelLayer(tuple(transition_channel(s, [[0.8, 0.2], [0.2, 0.8]]) for s in b))
+    p = Partition(frozenset({0}), frozenset(b), frozenset({5}))
+    assert not cmi_operator_series(h, 0.03, layer, p, 2).coeffs
+    s = cmi_operator_series(h, 0.03, layer, p, 3)
+    paths = {((0, 1), (1, 1), (6, 1)), ((2, 1), (3, 1), (4, 1)), ((0, 1), (3, 1), (5, 1))}
+    assert set(s.coeffs) == paths
+    assert all(spectral_norm(m) > 1e-8 for m in s.coeffs.values())
