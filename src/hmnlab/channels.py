@@ -276,30 +276,27 @@ class CommutationCheck(enum.Enum):
 def is_commutation_preserving(
     layer: ChannelLayer,
     h: LocalHamiltonian,
-    subset_cap: int | None = None,
-    multiplicity_cap: int = 2,
     budget: int = 200_000,
 ) -> CommutationCheck:
     """Brute-force falsifier for the commutation-preserving property.
 
     Enumerates products O_m of Hamiltonian terms (multiplicities mod 2 for
-    Pauli terms, up to ``multiplicity_cap`` otherwise), applies the layer's
-    channels on every site subset S with |S| <= subset_cap, and checks all
-    image pairs for commutation.  A finite enumeration can only falsify, so
-    the outcomes are a tri-state: VIOLATED on a found counterexample,
-    PRESERVED when every product and every image pair was checked and
-    commutes, INCONCLUSIVE when the budget runs out first or the products
-    were cut at 65.
+    Pauli terms, up to 2 otherwise), applies the layer's channels on every
+    site subset S (of at most 3 sites when the model has more than 6), and
+    checks all image pairs for commutation.  A finite enumeration can only
+    falsify, so the outcomes are a tri-state: VIOLATED on a found
+    counterexample, PRESERVED when every product and every image pair was
+    checked and commutes, INCONCLUSIVE when the budget runs out first or the
+    products were cut at 65.
     """
     from .dense import apply_layer_to_matrix, term_matrix
 
     g = h.site_graph
-    if subset_cap is None:
-        subset_cap = g.n_sites if g.n_sites <= 6 else 3
+    subset_cap = g.n_sites if g.n_sites <= 6 else 3
 
     m = len(h.terms)
     all_pauli = h.all_pauli
-    caps = [1 if all_pauli else multiplicity_cap] * m
+    caps = [1 if all_pauli else 2] * m
     products: list[np.ndarray] = []
     combos = itertools.product(*(range(c + 1) for c in caps))
     # products of bare h_a (coefficient-free), which is what must stay commuting

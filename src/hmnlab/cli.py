@@ -14,7 +14,8 @@ Config schema (JSON object):
                 decay takes: kind "bitflip" (ising_chain) or "dephasing"
                 (cluster_chain); parity_chain and bell_chain take no kind
                 and no p
-    distances:  strictly increasing list of integers (decay experiments)
+    distances:  strictly increasing list of integers >= 1 (decay experiments)
+    max_weight: integer from 1 to series.MAX_WEIGHT_CAP (certificates, default 4)
     partition:  {"a": [...], "b": [...], "c": [...]} (required for file models)
     engine:     "classical" | "dense" | "pauli"
     output:     basename for the CSV/JSON artifacts
@@ -106,7 +107,8 @@ def resolve(cfg: dict) -> SimpleNamespace:
     known: betas, the engine that runs, model, channel layer and partition.
     The model passes that engine's ``check`` before the channel is read, and
     the channel layer its ``check_layer``; a decay experiment is resolved at
-    its largest distance.  ``validate`` reports whatever this raises."""
+    its largest distance, and its chain at the smallest distance is built and
+    checked too.  ``validate`` reports whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
     r = SimpleNamespace(betas=[_parse_beta(b) for b in cfg.get("beta", [0.1])], engine=engine)
@@ -145,10 +147,13 @@ def resolve(cfg: dict) -> SimpleNamespace:
         r.family, n = zoo.parse_model_id(model)
         if exp == "decay":
             r.distances = cfg.get("distances", DEFAULT_DISTANCES)
+            for d in r.distances:
+                if type(d) is not int or d < 1:
+                    raise ValueError(f"distance {d!r} is not an integer >= 1")
             if any(b <= a for a, b in zip(r.distances, r.distances[1:])):
                 raise ValueError(f"distances {list(r.distances)} are not strictly increasing")
             if r.distances:
-                n = int(max(r.distances)) + 1  # the largest chain the curve builds
+                n = r.distances[-1] + 1  # the largest chain the curve builds
         r.h = zoo.build_model(r.family, n, engine)
         check(r.h)
         if isinstance(ch, list):
@@ -159,9 +164,11 @@ def resolve(cfg: dict) -> SimpleNamespace:
             r.p_noise = _bulk_p(r.family, ch)
             r.layer = zoo.bulk_layer(r.family, n, r.p_noise, engine)
         r.partition = experiments.boundary_partition(n)
+        if exp == "decay" and r.distances:  # and the smallest chain it builds
+            check(zoo.build_model(r.family, r.distances[0] + 1, engine))
     experiments.ENGINES[r.engine].check_layer(r.layer)
     if exp == "certificates":
-        r.max_weight = int(cfg.get("max_weight", 4))
+        r.max_weight = cfg.get("max_weight", 4)
         series.check_weight(r.max_weight)
     return r
 

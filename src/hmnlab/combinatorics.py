@@ -1,16 +1,16 @@
-"""Graph machinery for the cluster-derivative bounds: connected partitions,
-exact-n proper colorings, spanning-tree counts, and the combinatorial
-estimate chain tying them together.  All counts are exact Python integers
-(Fractions where a 1/n shows up)."""
+"""Graph machinery for the cluster-derivative bounds: cluster keys,
+connected partitions, exact-n proper colorings, spanning-tree counts, and
+the combinatorial estimate chain tying them together.  All counts are exact
+Python integers; the coloring sum, whose terms carry a 1/n, is read off the
+chromatic polynomial as an integer."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .model import DualInteractionGraph
+from .model import DualInteractionGraph, neighbor_sets
 
 PARTITION_NODE_CAP = 10
 ESTIMATE_WEIGHT_CAP = 7
@@ -31,26 +31,19 @@ class SimpleGraph:
             es.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(es))
 
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
-
-    def adjacency(self) -> list:
-        adj = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+    @cached_property
+    def neighbors(self) -> tuple[frozenset[int], ...]:
+        return neighbor_sets(self.n, self.edges)
 
     def is_connected_subset(self, nodes) -> bool:
         nodes = set(nodes)
         if not nodes:
             return False
-        adj = self.adjacency()
         seen = {next(iter(nodes))}
         stack = list(seen)
         while stack:
             v = stack.pop()
-            for w in adj[v]:
+            for w in self.neighbors[v]:
                 if w in nodes and w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -60,9 +53,31 @@ class SimpleGraph:
         return self.is_connected_subset(range(self.n))
 
 
+def key_weight(key: tuple) -> int:
+    """Total degree of a key: a sorted tuple of (term index, multiplicity)."""
+    return sum(m for _, m in key)
+
+
+def key_factorial(key: tuple) -> int:
+    """W! = prod_a mu_a! of a key."""
+    out = 1
+    for _, m in key:
+        out *= math.factorial(m)
+    return out
+
+
+def merge_keys(k1: tuple, k2: tuple) -> tuple:
+    """The key of the product of two monomials."""
+    acc = dict(k1)
+    for a, m in k2:
+        acc[a] = acc.get(a, 0) + m
+    return tuple(sorted(acc.items()))
+
+
 @dataclass(frozen=True)
 class Cluster:
-    """Multiset of Hamiltonian-term indices."""
+    """Multiset of Hamiltonian-term indices; ``multiplicities`` is also the
+    cluster's key in a series."""
 
     multiplicities: tuple  # sorted tuple of (term index, mu >= 1)
 
@@ -74,33 +89,28 @@ class Cluster:
 
     @property
     def weight(self) -> int:
-        return sum(m for _, m in self.multiplicities)
+        return key_weight(self.multiplicities)
 
     @property
     def factorial(self) -> int:
-        out = 1
-        for _, m in self.multiplicities:
-            out *= math.factorial(m)
-        return out
+        return key_factorial(self.multiplicities)
 
     @property
     def support(self) -> frozenset:
         return frozenset(a for a, _ in self.multiplicities)
 
-    def exponent_key(self) -> tuple:
-        return self.multiplicities
-
 
 def interaction_graph_of_cluster(w: Cluster, g: DualInteractionGraph) -> SimpleGraph:
-    """One node per multiset copy; edges between copies whose terms share
-    support.  Copies of the same term always overlap with themselves."""
+    """One node per multiset copy; edges between copies whose terms are
+    neighbours in the dual graph.  Copies of the same term always overlap
+    with themselves."""
     nodes = []
     for a, m in w.multiplicities:
         nodes.extend([a] * m)
     edges = set()
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            if nodes[i] == nodes[j] or g.supports[nodes[i]] & g.supports[nodes[j]]:
+            if nodes[i] == nodes[j] or nodes[j] in g.neighbors[nodes[i]]:
                 edges.add((i, j))
     return SimpleGraph(len(nodes), frozenset(edges))
 
@@ -218,13 +228,15 @@ def spanning_tree_count(g: SimpleGraph) -> int:
     return sign * m[-1][-1]
 
 
-def coloring_weight(g: SimpleGraph) -> Fraction:
+def coloring_weight(g: SimpleGraph) -> int:
     """sum_{n=1}^{|V|} (-1)^{n-1}/n chi*(n, g) -- the scalar multiplying the
     derivative product of one connected partition block structure in the
-    logarithm's cluster derivative."""
-    return sum(
-        (Fraction((-1) ** (n - 1), n)) * chi_star(n, g) for n in range(1, g.n + 1)
-    )
+    logarithm's cluster derivative.
+
+    chi*(n, g) = n! a_n, a_n the partitions of the nodes into n independent
+    sets, and P_g(x) = sum_n a_n x(x-1)...(x-n+1), whose linear coefficient
+    is sum_n a_n (-1)^{n-1} (n-1)!: the sum is [x] P_g(x), an integer."""
+    return _chromatic_poly(g.n, g.edges)[1]
 
 
 def estimate_chain(w: Cluster, g: DualInteractionGraph) -> dict:
@@ -235,22 +247,22 @@ def estimate_chain(w: Cluster, g: DualInteractionGraph) -> dict:
             <= 2^{|W|-1} prod_a max(deg a, 1)
             <= W! (2e(1+d))^{|W|+1}
 
-    Left and middle quantities exact; the final comparison is float.
-    The degree product gets max(.,1) so the single-node graph (tau = 1)
-    does not break the chain.
+    Left and middle quantities are exact integers; the final comparison is
+    float.  The degree product gets max(.,1) so the single-node graph
+    (tau = 1) does not break the chain.
     """
     if w.weight > ESTIMATE_WEIGHT_CAP:
         raise ValueError(f"weight {w.weight} exceeds cap {ESTIMATE_WEIGHT_CAP}")
     graph = interaction_graph_of_cluster(w, g)
-    left = Fraction(0)
-    for blocks in enumerate_connected_partitions(graph):
-        q = quotient_graph(graph, blocks)
-        left += abs(coloring_weight(q))
+    left = sum(
+        abs(coloring_weight(quotient_graph(graph, blocks)))
+        for blocks in enumerate_connected_partitions(graph)
+    )
     tau = spanning_tree_count(graph)
     mid1 = 2 ** (w.weight - 1) * tau
     degprod = 1
-    for v in range(graph.n):
-        degprod *= max(graph.degree(v), 1)
+    for nbrs in graph.neighbors:
+        degprod *= max(len(nbrs), 1)
     mid2 = 2 ** (w.weight - 1) * degprod
     right = w.factorial * (2 * math.e * (1 + g.degree)) ** (w.weight + 1)
     return {

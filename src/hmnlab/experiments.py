@@ -85,10 +85,10 @@ class MarkovLengthFit:
     diverged: bool
 
 
-def fit_markov_length(curve: DecayCurve, floor: float = CMI_FLOOR) -> MarkovLengthFit:
+def fit_markov_length(curve: DecayCurve) -> MarkovLengthFit:
     """Least squares on (d, ln cmi); slope >= -1e-3 flags divergence
     (no decay / long-range CMI)."""
-    usable = [(d, v) for d, v in curve.points if v > floor and math.isfinite(d)]
+    usable = [(d, v) for d, v in curve.points if v > CMI_FLOOR and math.isfinite(d)]
     censored = len(curve.points) - len(usable)
     if len(usable) < 3:
         raise ValueError(f"only {len(usable)} points above floor; need >= 3")

@@ -13,6 +13,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,15 +33,11 @@ _PAULI_MATS = {
 
 @dataclass(frozen=True)
 class SiteGraph:
-    """Collection of n sites with local dimension q.
-
-    ``adjacency`` is geometry metadata only (site-level edges); engines never
-    read it, distances always come from the dual interaction graph.
-    """
+    """Collection of n sites with local dimension q.  Distances come from
+    the dual interaction graph, not from site geometry."""
 
     n_sites: int
     q: int = 2
-    adjacency: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -109,7 +106,7 @@ class PauliString:
         out = []
         for j in range(self.n):
             xb, zb = (self.x >> j) & 1, (self.z >> j) & 1
-            out.append("IXZY"[xb + 2 * zb] if (xb, zb) != (1, 1) else "Y")
+            out.append("IXZY"[xb + 2 * zb])
         return "".join(out)
 
     @property
@@ -147,8 +144,7 @@ class PauliString:
         out = np.array([[self.sign]], dtype=complex)
         for j in range(self.n):
             xb, zb = (self.x >> j) & 1, (self.z >> j) & 1
-            letter = "IXZY"[xb + 2 * zb] if (xb, zb) != (1, 1) else "Y"
-            out = np.kron(out, _PAULI_MATS[letter])
+            out = np.kron(out, _PAULI_MATS["IXZY"[xb + 2 * zb]])
         return out
 
 
@@ -247,6 +243,15 @@ def entropy_bits(values, degeneracy: int = 1) -> float:
     return float(-degeneracy * (v * np.log(v)).sum() / math.log(2.0))
 
 
+def neighbor_sets(n: int, edges) -> tuple[frozenset[int], ...]:
+    """Each node's neighbours in the undirected graph on 0..n-1 with ``edges``."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return tuple(frozenset(s) for s in adj)
+
+
 @dataclass(frozen=True)
 class DualInteractionGraph:
     """Terms as nodes, edges between terms with overlapping support."""
@@ -258,26 +263,20 @@ class DualInteractionGraph:
 
     @cached_property
     def neighbors(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n_terms)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return tuple(frozenset(s) for s in adj)
+        return neighbor_sets(self.n_terms, self.edges)
 
 
 def build_dual_graph(h: LocalHamiltonian) -> DualInteractionGraph:
+    """Two terms overlap iff some site lists both, so the edges are the pairs
+    of each site's terms and the degree is the longest such list."""
     supports = tuple(frozenset(t.support) for t in h.terms)
-    edges = set()
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            if supports[a] & supports[b]:
-                edges.add((a, b))
-    per_site = [0] * h.site_graph.n_sites
-    for sup in supports:
+    on_site: list[list[int]] = [[] for _ in range(h.site_graph.n_sites)]
+    for a, sup in enumerate(supports):
         for s in sup:
-            per_site[s] += 1
-    degree = max(per_site) if supports else 0
-    return DualInteractionGraph(len(supports), frozenset(edges), degree, supports)
+            on_site[s].append(a)
+    edges = frozenset(e for terms in on_site for e in itertools.combinations(terms, 2))
+    degree = max(len(terms) for terms in on_site)
+    return DualInteractionGraph(len(supports), edges, degree, supports)
 
 
 def graph_distance(h: LocalHamiltonian, p: Partition) -> float:
@@ -308,7 +307,7 @@ def graph_distance(h: LocalHamiltonian, p: Partition) -> float:
     return INF_DISTANCE
 
 
-def verify_commuting(h: LocalHamiltonian, tol: float = 1e-12) -> bool:
+def verify_commuting(h: LocalHamiltonian) -> bool:
     """True iff every pair of terms commutes (symplectic check for Pauli pairs,
     dense commutator on the joint support otherwise)."""
     from .dense import term_matrix  # local import to avoid a cycle
@@ -324,7 +323,7 @@ def verify_commuting(h: LocalHamiltonian, tol: float = 1e-12) -> bool:
                 continue
             mi = term_matrix(h.site_graph, ti)
             mj = term_matrix(h.site_graph, tj)
-            if np.max(np.abs(mi @ mj - mj @ mi)) > tol:
+            if np.max(np.abs(mi @ mj - mj @ mi)) > 1e-12:
                 return False
     return True
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import dense, pauli
 from .channels import ChannelLayer, complete_depolarization, compose_with_trace
 from .classical import PinnedHamiltonian
-from .combinatorics import Cluster
+from .combinatorics import Cluster, key_factorial, key_weight, merge_keys
 from .dense import apply_layer_to_matrix, term_matrix
 from .model import DualInteractionGraph, LocalHamiltonian, Partition
 
@@ -54,7 +54,10 @@ def _block_len(coeff_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // coeff_bytes)
 
 
-def check_weight(max_weight: int) -> None:
+def check_weight(max_weight) -> None:
+    """A truncation weight is an int (not a bool) from 1 to MAX_WEIGHT_CAP."""
+    if type(max_weight) is not int or max_weight < 1:
+        raise ValueError(f"max weight {max_weight!r} is not an integer >= 1")
     if max_weight > MAX_WEIGHT_CAP:
         raise ValueError(f"max weight {max_weight} exceeds cap {MAX_WEIGHT_CAP}")
 
@@ -67,24 +70,6 @@ def spectral_norm(m: np.ndarray) -> float:
     if np.max(np.abs(m - m.conj().T)) < 1e-12:
         return float(np.max(np.abs(np.linalg.eigvalsh(m))))
     return float(np.linalg.norm(m, 2))
-
-
-def _merge_keys(k1: tuple, k2: tuple) -> tuple:
-    acc = dict(k1)
-    for a, m in k2:
-        acc[a] = acc.get(a, 0) + m
-    return tuple(sorted(acc.items()))
-
-
-def _key_weight(k: tuple) -> int:
-    return sum(m for _, m in k)
-
-
-def _key_factorial(k: tuple) -> int:
-    out = 1
-    for _, m in k:
-        out *= math.factorial(m)
-    return out
 
 
 @dataclass
@@ -123,16 +108,16 @@ class TruncatedSeries:
         d = self.max_degree
         # other's keys by weight: the partners k2 with w1 + w2 <= d of any k1
         # are a prefix of this order
-        ranked = sorted((_key_weight(k), k) for k in other.coeffs)
+        ranked = sorted((key_weight(k), k) for k in other.coeffs)
         w2 = [w for w, _ in ranked]
         keys2 = [k for _, k in ranked]
-        prefix = [bisect.bisect_right(w2, d - _key_weight(k)) for k in self.coeffs]
+        prefix = [bisect.bisect_right(w2, d - key_weight(k)) for k in self.coeffs]
         # the merged-key index, built once: slot[k] is k's place in out, and
         # rows[i] holds the slots of the i-th k1's partners (distinct, since
         # k2 -> k1 + k2 is one-to-one)
         slot: dict = {}
         rows = [
-            np.array([slot.setdefault(_merge_keys(k1, k2), len(slot)) for k2 in keys2[:n]], dtype=np.intp)
+            np.array([slot.setdefault(merge_keys(k1, k2), len(slot)) for k2 in keys2[:n]], dtype=np.intp)
             for k1, n in zip(self.coeffs, prefix)
         ]
         out = self.zeros(len(slot))
@@ -282,7 +267,7 @@ def log_series(s: TruncatedSeries) -> TruncatedSeries:
         if n < s.max_degree:
             # every key of A has weight >= 1: keys of full degree have no
             # partner, so they are dropped before the product
-            low = {k: m for k, m in power.coeffs.items() if _key_weight(k) < s.max_degree}
+            low = {k: m for k, m in power.coeffs.items() if key_weight(k) < s.max_degree}
             power = TruncatedSeries(s.max_degree, s.dim, low, s.group)
             power = power * a
     return out.prune(SERIES_FLOOR)
@@ -293,7 +278,32 @@ def cluster_derivative(s: TruncatedSeries, w: Cluster) -> np.ndarray:
     coefficient of lambda^W."""
     if w.weight > s.max_degree:
         raise ValueError("cluster weight exceeds truncation degree")
-    return w.factorial * s.get(w.exponent_key())
+    return w.factorial * s.get(w.multiplicities)
+
+
+def connected_term_sets(g: DualInteractionGraph, max_size: int, anchor) -> list:
+    """Sorted tuples of distinct terms that induce connected subgraphs of the
+    dual graph, at most ``max_size`` terms each, ordered by size and then
+    lexicographically: all of them when ``anchor`` is None, else those with
+    a term whose support meets ``anchor`` (a site set).
+
+    Grown level by level: a connected set of size k+1 is a connected set of
+    size k plus one of its neighbours (drop a leaf of a spanning tree).
+    Rooting that tree at a term that meets the anchor keeps the term, so the
+    anchored terms are the only seeds."""
+    anchor = frozenset(anchor) if anchor is not None else None
+    level = [(a,) for a in range(g.n_terms) if anchor is None or g.supports[a] & anchor]
+    out = list(level)
+    for _ in range(max_size - 1):
+        grown = set()
+        for s in level:
+            for b in set().union(*(g.neighbors[a] for a in s)).difference(s):
+                grown.add(tuple(sorted(s + (b,))))
+            if len(out) + len(grown) > CLUSTER_COUNT_CAP:
+                raise ValueError("cluster enumeration budget exceeded")
+        level = sorted(grown)
+        out += level
+    return out
 
 
 def enumerate_connected_clusters(
@@ -304,37 +314,16 @@ def enumerate_connected_clusters(
     (a site set).  A multiset is connected iff its set of distinct terms
     induces a connected subgraph of the dual graph."""
     check_weight(max_weight)
-    anchor = frozenset(anchor) if anchor is not None else None
     out = []
-    n = g.n_terms
-    for size in range(1, max_weight + 1):
-        for subset in itertools.combinations(range(n), size):
-            if not _connected_in_dual(subset, g):
-                continue
-            if anchor is not None and not any(g.supports[a] & anchor for a in subset):
-                continue
-            # distribute total weight w >= size over the subset, each term >= 1
-            for w in range(size, max_weight + 1):
-                for extra in _compositions(w - size, size):
-                    out.append(
-                        Cluster(tuple((a, 1 + e) for a, e in zip(subset, extra)))
-                    )
-                    if len(out) > CLUSTER_COUNT_CAP:
-                        raise ValueError("cluster enumeration budget exceeded")
+    for subset in connected_term_sets(g, max_weight, anchor):
+        size = len(subset)
+        # distribute total weight w >= size over the subset, each term >= 1
+        for w in range(size, max_weight + 1):
+            for extra in _compositions(w - size, size):
+                out.append(Cluster(tuple((a, 1 + e) for a, e in zip(subset, extra))))
+                if len(out) > CLUSTER_COUNT_CAP:
+                    raise ValueError("cluster enumeration budget exceeded")
     return out
-
-
-def _connected_in_dual(subset, g: DualInteractionGraph) -> bool:
-    subset = set(subset)
-    seen = {next(iter(subset))}
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors[v]:
-            if u in subset and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen == subset
 
 
 def _compositions(total: int, parts: int):
@@ -451,10 +440,11 @@ def pinned_series_check(pin: PinnedHamiltonian, max_degree: int) -> dict:
     s = pinned_traced_series(pin, set(pin.pinning), max_degree)
     d0_ok = bool(np.max(np.abs(s.get(()) - np.eye(s.dim))) <= 1e-10)
     ls = log_series(s)
+    connected = set(connected_term_sets(g, max_degree, None))
     max_disc = 0.0
     for key, m in ls.coeffs.items():
-        if key and not _connected_in_dual([a for a, _ in key], g):
-            max_disc = max(max_disc, spectral_norm(m) * _key_factorial(key))
+        if key and tuple(a for a, _ in key) not in connected:
+            max_disc = max(max_disc, spectral_norm(m) * key_factorial(key))
     bound_viol = []
     for w in enumerate_connected_clusters(g, max_degree):
         norm = spectral_norm(cluster_derivative(s, w))

@@ -14,6 +14,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from hmnlab.channels import ChannelLayer, bitflip, compose_with_trace, dephasing, depolarizing
+from hmnlab.combinatorics import Cluster
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, build_dual_graph
 from hmnlab.series import (
     TruncatedSeries,
@@ -153,6 +154,32 @@ def dense_cmi_series(h, beta, layer, p, max_degree):
         lyr = compose_with_trace(layer, every - region, h.site_graph.q)
         out.add_inplace(log_series(series_of_channelled_gibbs(h, beta, lyr, max_degree)), sgn)
     return out.coeffs
+
+
+def brute_connected_clusters(g, max_weight, anchor=None):
+    """Oracle: the connected clusters of weight <= max_weight, by testing every
+    C(m, k) term subset for connectivity (a BFS over overlapping supports),
+    keeping those with a term meeting ``anchor``, and spreading each total
+    weight over the subset in lexicographic order."""
+    out = []
+    for size in range(1, max_weight + 1):
+        for subset in itertools.combinations(range(g.n_terms), size):
+            seen, stack = {subset[0]}, [subset[0]]
+            while stack:
+                v = stack.pop()
+                for u in subset:
+                    if u not in seen and g.supports[u] & g.supports[v]:
+                        seen.add(u)
+                        stack.append(u)
+            if len(seen) < size:
+                continue
+            if anchor is not None and not any(g.supports[a] & set(anchor) for a in subset):
+                continue
+            for w in range(size, max_weight + 1):
+                for extra in itertools.product(range(w - size + 1), repeat=size):
+                    if sum(extra) == w - size:
+                        out.append(Cluster(tuple((a, 1 + e) for a, e in zip(subset, extra))))
+    return out
 
 
 def brute_force_chi_star(n, g):

@@ -212,6 +212,21 @@ CERT_CFG = {
         (dict(DECAY_CFG, channel={"kind": "bitflip", "p": "abc"}), "p 'abc' is not a probability"),
         (dict(DECAY_CFG, beta=["hot"]), "beta 'hot'"),
         (dict(CERT_CFG, max_weight=9), "max weight 9 exceeds cap 8"),
+        (dict(CERT_CFG, max_weight=-1), "max weight -1 is not an integer >= 1"),
+        (dict(CERT_CFG, max_weight=0), "max weight 0 is not an integer >= 1"),
+        (dict(CERT_CFG, max_weight=2.7), "max weight 2.7 is not an integer >= 1"),
+        (dict(CERT_CFG, max_weight=True), "max weight True is not an integer >= 1"),
+        (dict(DECAY_CFG, distances=[1, 2.5, 3]), "distance 2.5 is not an integer >= 1"),
+        (dict(DECAY_CFG, distances=[0, 1, 2]), "distance 0 is not an integer >= 1"),
+        (dict(DECAY_CFG, distances=[-1, 1, 2]), "distance -1 is not an integer >= 1"),
+        (
+            dict(DECAY_CFG, model="bell_chain_n5", engine="dense", channel={}, distances=[1, 2]),
+            "bell chain needs at least 3 sites",
+        ),
+        (
+            dict(DECAY_CFG, model="parity_chain_n5", channel={}, distances=[1, 2]),
+            "parity chain needs at least 3 sites",
+        ),
         (dict(DECAY_CFG, channel={"kind": "dephasing", "p": 0.2}), "kind 'dephasing'"),
         (dict(DECAY_CFG, channel={"kind": "nonsense", "p": 0.2}), "kind 'nonsense'"),
         (dict(DECAY_CFG, model="bell_chain_n5", engine="pauli"), "kind 'bitflip'"),
@@ -245,6 +260,15 @@ CERT_CFG = {
         "p_not_a_number",
         "beta_not_a_number",
         "certificate_weight_cap",
+        "certificate_weight_negative",
+        "certificate_weight_zero",
+        "certificate_weight_float",
+        "certificate_weight_bool",
+        "distance_float",
+        "distance_zero",
+        "distance_negative",
+        "bell_chain_distance_one",
+        "parity_chain_distance_one",
         "ising_dephasing_kind",
         "unknown_kind",
         "bell_chain_takes_no_kind",

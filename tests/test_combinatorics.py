@@ -106,6 +106,38 @@ def test_coloring_weight_values():
     assert coloring_weight(complete(3)) == Fraction(2, 1)
 
 
+def test_coloring_weight_is_the_coloring_sum(rng):
+    """[x] P_G(x) equals sum_n (-1)^{n-1}/n chi*(n, G) on every graph of up
+    to 5 nodes and on random graphs of 6 and 7 nodes."""
+    graphs = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(2 ** len(pairs)):
+            graphs.append(SimpleGraph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)))
+    for n in (6, 7):
+        for _ in range(15):
+            pairs = itertools.combinations(range(n), 2)
+            graphs.append(SimpleGraph(n, frozenset(p for p in pairs if rng.random() < 0.5)))
+    for g in graphs:
+        want = sum(Fraction((-1) ** (n - 1), n) * chi_star(n, g) for n in range(1, g.n + 1))
+        assert coloring_weight(g) == want, g
+
+
+def test_estimate_chain_exact_values():
+    """Hand counts on the 3-bond chain.  W = 2*{0} + {1} is a triangle: its
+    five partitions are connected, with coloring sums 1, three times -1 and
+    2, so left = 6; tau = 3 and every degree is 2.  W = {0, 1, 2} is a path:
+    left = 1 + 1 + 1 + 1 = 4 = 2^2 tau, degrees 1, 2, 1."""
+    g = build_dual_graph(ising_pauli_chain(4))
+    for key, want in [
+        (((0, 2), (1, 1)), (6, 12, 32)),
+        (((0, 1), (1, 1), (2, 1)), (4, 4, 8)),
+    ]:
+        rep = estimate_chain(Cluster(key), g)
+        assert (rep["left"], rep["tree_bound"], rep["degree_bound"]) == want
+        assert type(rep["left"]) is int
+
+
 def test_cluster_interaction_graph():
     h = ising_pauli_chain(4)
     g = build_dual_graph(h)

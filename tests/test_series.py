@@ -20,6 +20,7 @@ from hmnlab.series import (
     TruncatedSeries,
     cluster_derivative,
     cmi_operator_series,
+    connected_term_sets,
     connects,
     derivative_norm_certificate,
     enumerate_connected_clusters,
@@ -30,6 +31,7 @@ from hmnlab.series import (
     spectral_norm,
 )
 from tests.conftest import (
+    brute_connected_clusters,
     dense_certificate_norms,
     dense_cmi_series,
     dependent_commuting_models,
@@ -263,6 +265,37 @@ def test_weight_cap():
     g = build_dual_graph(h)
     with pytest.raises(ValueError, match="cap"):
         enumerate_connected_clusters(g, 9)
+
+
+@st.composite
+def random_dual_graphs(draw):
+    """Dual graphs of up to 10 terms with random supports on up to 8 sites."""
+    n = draw(st.integers(1, 8))
+    supports = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3), max_size=10))
+    terms = tuple(HamiltonianTerm(tuple(sorted(s)), np.zeros((2,) * len(s)), 0.0) for s in supports)
+    return build_dual_graph(LocalHamiltonian(SiteGraph(n), terms))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_dual_graphs(), st.integers(1, 5), st.none() | st.sets(st.integers(0, 7), max_size=3))
+def test_cluster_growth_matches_subset_scan(g, max_weight, anchor):
+    """Grown clusters equal the scan over every term subset, order included."""
+    got = enumerate_connected_clusters(g, max_weight, anchor)
+    assert got == brute_connected_clusters(g, max_weight, anchor)
+
+
+def test_cluster_budget(monkeypatch):
+    """The budget stops the 2x3 lattice while its connected term sets grow
+    past 10, and the 3-bond chain, whose 6 term sets fit a budget of 6, at
+    its clusters."""
+    monkeypatch.setattr(series, "CLUSTER_COUNT_CAP", 10)
+    with pytest.raises(ValueError, match="cluster enumeration budget exceeded"):
+        connected_term_sets(build_dual_graph(lattice_2x3()), 4, None)
+    monkeypatch.setattr(series, "CLUSTER_COUNT_CAP", 6)
+    chain = build_dual_graph(ising_pauli_chain(4))
+    assert len(connected_term_sets(chain, 4, None)) == 6
+    with pytest.raises(ValueError, match="cluster enumeration budget exceeded"):
+        enumerate_connected_clusters(chain, 4)
 
 
 @st.composite
