@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LocalHamiltonian, PauliString, SiteGraph
+from .model import LocalHamiltonian, PauliString, require_int
 
 _TOL = 1e-12
 
@@ -209,25 +209,21 @@ def compose_channels(first: SiteChannel, second: SiteChannel) -> SiteChannel:
 
 
 def compose_with_trace(layer: ChannelLayer, traced_region, q: int = 2) -> ChannelLayer:
-    """Compose complete depolarization (after any existing channel) on every
-    traced site; realizes partial trace as a channel."""
+    """Realizes a partial trace as a channel: complete depolarization on every
+    traced site.  Every site channel is trace-preserving, so the trace absorbs
+    the site's own channel.  It is the uniform transition matrix on a site
+    whose channel is one, and on a traced site without a channel when the
+    layer's first channel is one."""
     traced = frozenset(traced_region)
-    out = []
-    for c in layer.channels:
-        if c.site in traced:
-            if c.transition is not None:
-                dep = transition_channel(c.site, np.full((q, q), 1 / q))
-            else:
-                dep = complete_depolarization(c.site, q)
-            out.append(compose_channels(c, dep))
-        else:
-            out.append(c)
-    for s in sorted(traced - layer.sites):
-        if layer.channels and layer.channels[0].transition is not None:
-            out.append(transition_channel(s, np.full((q, q), 1 / q)))
-        else:
-            out.append(complete_depolarization(s, q))
-    return ChannelLayer(tuple(out))
+
+    def trace(site: int, like: SiteChannel | None) -> SiteChannel:
+        if like is not None and like.transition is not None:
+            return transition_channel(site, np.full((q, q), 1 / q))
+        return complete_depolarization(site, q)
+
+    out = [trace(c.site, c) if c.site in traced else c for c in layer.channels]
+    first = layer.channels[0] if layer.channels else None
+    return ChannelLayer(tuple(out + [trace(s, first) for s in sorted(traced - layer.sites)]))
 
 
 def pauli_damping_profile(c: SiteChannel) -> dict[tuple[int, int], float]:
@@ -340,23 +336,44 @@ def is_commutation_preserving(
 _CHANNEL_KEYS = {"site", "kind", "p", "matrix", "kraus"}
 
 
+def parse_probability(p) -> float:
+    """A channel's ``p``: a number (not a bool) in [0, 1]."""
+    try:
+        v = math.nan if isinstance(p, bool) else float(p)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"channel p {p!r} is not a probability in [0, 1]")
+    return v
+
+
 def parse_channel(obj: dict, q: int = 2) -> SiteChannel:
+    """One per-site channel object; the site must be an int >= 0 (whether it
+    is in the model is the caller's check), and a missing key is named."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"channel {obj!r} is not an object")
     unknown = set(obj) - _CHANNEL_KEYS
     if unknown:
         raise ValueError(f"unknown channel keys: {sorted(unknown)}")
-    site = int(obj["site"])
-    kind = obj["kind"]
+
+    def field(key: str):
+        if key not in obj:
+            raise ValueError(f"channel {obj!r} has no {key!r}")
+        return obj[key]
+
+    site = require_int(field("site"), "channel site", 0)
+    kind = field("kind")
     if kind == "dephasing":
-        return dephasing(site, float(obj["p"]))
+        return dephasing(site, parse_probability(field("p")))
     if kind == "bitflip":
-        return bitflip(site, float(obj["p"]))
+        return bitflip(site, parse_probability(field("p")))
     if kind == "depolarizing":
-        return depolarizing(site, float(obj["p"]), q)
+        return depolarizing(site, parse_probability(field("p")), q)
     if kind == "transition":
-        return transition_channel(site, obj["matrix"])
+        return transition_channel(site, field("matrix"))
     if kind == "kraus":
         ks = tuple(
-            np.array([[complex(re, im) for re, im in row] for row in k]) for k in obj["kraus"]
+            np.array([[complex(re, im) for re, im in row] for row in k]) for k in field("kraus")
         )
         return SiteChannel(site, kraus=ks)
     raise ValueError(f"unknown channel kind {kind!r}")

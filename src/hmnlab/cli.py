@@ -8,14 +8,23 @@ Exit codes: 0 success, 2 a certificate/bound check failed, 1 tooling error.
 Config schema (JSON object):
     experiment: "decay" | "cmi" | "certificates" | "cluster_equivalence"
     model:      builtin id ("ising_chain_n8", ...) or path to a model file
-    beta:       list of numbers ("inf" allowed)
-    channel:    list of per-site channel objects, or on a builtin model its
-                family's bulk channel {"kind": ..., "p": ...}, the only form
-                decay takes: kind "bitflip" (ising_chain) or "dephasing"
+    beta:       list of numbers ("inf" allowed, NaN not); certificates take
+                betas in [0, inf) only
+    channel:    list of per-site channel objects, each on a site of the model
+                and of its dimension q, or on a builtin model its family's
+                bulk channel {"kind": ..., "p": ...}, the only form decay
+                takes: kind "bitflip" (ising_chain) or "dephasing"
                 (cluster_chain); parity_chain and bell_chain take no kind
-                and no p
-    distances:  strictly increasing list of integers >= 1 (decay experiments)
+                and no p.  Certificates need a unital layer, so not the
+                parity_chain read-out
+    distances:  strictly increasing list of integers >= 1 (decay
+                experiments): the chain distance d, a chain of d+1 sites
+                with A and C its end sites.  It is the dual-graph distance
+                on every family but cluster_chain, whose three-site terms
+                join the ends in fewer steps
     max_weight: integer from 1 to series.MAX_WEIGHT_CAP (certificates, default 4)
+    n:          integer >= 1, the cluster chain's size (cluster_equivalence,
+                default 6)
     partition:  {"a": [...], "b": [...], "c": [...]} (required for file models)
     engine:     "classical" | "dense" | "pauli"
     output:     basename for the CSV/JSON artifacts
@@ -36,8 +45,8 @@ import time
 from types import SimpleNamespace
 
 from . import __version__, classical, dense, experiments, pauli, series, zoo
-from .channels import parse_layer
-from .model import Partition, load_model
+from .channels import ChannelLayer, parse_layer, parse_probability
+from .model import Partition, graph_distance, load_model, require_int
 
 _CONFIG_KEYS = {
     "experiment",
@@ -66,9 +75,19 @@ def fmt(x) -> str:
 
 def _parse_beta(b) -> float:
     try:
-        return float(b)  # also reads "inf" and "Infinity"
+        v = float(b)  # also reads "inf" and "Infinity"
     except (TypeError, ValueError):
-        raise ValueError(f"beta {b!r} is not a number or 'inf'") from None
+        v = math.nan
+    if math.isnan(v):
+        raise ValueError(f"beta {b!r} is not a number or 'inf'")
+    return v
+
+
+def _list(cfg: dict, key: str, default) -> list:
+    value = cfg.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} {value!r} is not a list")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -93,13 +112,21 @@ def _bulk_p(family: str, ch) -> float:
         )
     if "p" in ch and bulk is None:
         raise ValueError(f"the {family} bulk channel is fixed and takes no p")
-    try:
-        p = float(ch.get("p", 1.0))
-    except (TypeError, ValueError):
-        p = math.nan
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"channel p {ch.get('p')!r} is not a probability in [0, 1]")
-    return p
+    return parse_probability(ch.get("p", 1.0))
+
+
+def _site_layer(ch, graph) -> ChannelLayer:
+    """A per-site channel list whose every channel sits on a site of the
+    model and acts on its local dimension q."""
+    if not isinstance(ch, list):
+        raise ValueError(f"channel {ch!r} is not a list of per-site channels")
+    layer = parse_layer(ch, graph.q)
+    for c in layer.channels:
+        if c.site >= graph.n_sites:
+            raise ValueError(f"channel site {c.site} is not a site of the model (0..{graph.n_sites - 1})")
+        if c.dim != graph.q:
+            raise ValueError(f"channel on site {c.site} acts on dimension {c.dim}, not the model's q = {graph.q}")
+    return layer
 
 
 def resolve(cfg: dict) -> SimpleNamespace:
@@ -111,12 +138,12 @@ def resolve(cfg: dict) -> SimpleNamespace:
     checked too.  ``validate`` reports whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
-    r = SimpleNamespace(betas=[_parse_beta(b) for b in cfg.get("beta", [0.1])], engine=engine)
+    r = SimpleNamespace(betas=[_parse_beta(b) for b in _list(cfg, "beta", [0.1])], engine=engine)
     if exp == "certificates" or (exp == "cluster_equivalence" and engine == "classical"):
         r.engine = "dense"  # the series are dense; the equivalence has no classical path
     check = experiments.ENGINES[r.engine].check
     if exp == "cluster_equivalence":  # always the cluster chain; the model is ignored
-        r.n = int(cfg.get("n", 6))
+        r.n = require_int(cfg.get("n", 6), "n", 1)
         check(zoo.cluster_chain(r.n))
         return r
     model = cfg.get("model", "")
@@ -128,13 +155,15 @@ def resolve(cfg: dict) -> SimpleNamespace:
             raise ValueError("decay experiments need a builtin model id")
         try:
             r.h = load_model(model)
-        except (ValueError, KeyError, TypeError) as e:
+        except KeyError as e:
+            raise ValueError(f"model file invalid: no key {e}") from None
+        except (ValueError, TypeError) as e:
             raise ValueError(f"model file invalid: {e}") from None
         check(r.h)
         try:
             praw = cfg["partition"]
             r.partition = Partition(
-                frozenset(praw["a"]), frozenset(praw.get("b", ())), frozenset(praw["c"])
+                *(frozenset(require_int(s, "partition site", 0) for s in praw.get(k, ())) for k in "abc")
             )
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise ValueError(
@@ -142,14 +171,13 @@ def resolve(cfg: dict) -> SimpleNamespace:
             ) from None
         if not r.partition.abc <= set(range(r.h.site_graph.n_sites)):
             raise ValueError("partition names sites outside the model")
-        r.layer = parse_layer(ch or [], r.h.site_graph.q)
+        r.layer = _site_layer(ch or [], r.h.site_graph)
     else:
         r.family, n = zoo.parse_model_id(model)
         if exp == "decay":
-            r.distances = cfg.get("distances", DEFAULT_DISTANCES)
+            r.distances = _list(cfg, "distances", DEFAULT_DISTANCES)
             for d in r.distances:
-                if type(d) is not int or d < 1:
-                    raise ValueError(f"distance {d!r} is not an integer >= 1")
+                require_int(d, "distance", 1)
             if any(b <= a for a, b in zip(r.distances, r.distances[1:])):
                 raise ValueError(f"distances {list(r.distances)} are not strictly increasing")
             if r.distances:
@@ -159,7 +187,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
         if isinstance(ch, list):
             if exp == "decay":
                 raise ValueError("decay takes one bulk channel {kind, p}, not a per-site list")
-            r.layer = parse_layer(ch, r.h.site_graph.q)
+            r.layer = _site_layer(ch, r.h.site_graph)
         else:
             r.p_noise = _bulk_p(r.family, ch)
             r.layer = zoo.bulk_layer(r.family, n, r.p_noise, engine)
@@ -170,6 +198,12 @@ def resolve(cfg: dict) -> SimpleNamespace:
     if exp == "certificates":
         r.max_weight = cfg.get("max_weight", 4)
         series.check_weight(r.max_weight)
+        # the bound (2e(d+1) beta)^{|W|+1} is finite and nonnegative only here
+        for b in r.betas:
+            if not 0.0 <= b < math.inf:
+                raise ValueError(f"certificate beta {fmt(b)} is not in [0, inf)")
+        if not r.layer.is_unital():
+            raise ValueError("certificates need a unital channel layer (E[I] = I), which this one is not")
     return r
 
 
@@ -234,7 +268,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
                 fits.append({"beta": fmt(beta), "error": str(e)})
         results["fits"] = fits
     elif exp == "cmi":
-        d_ac = experiments.graph_distance(r.h, r.partition)
+        d_ac = graph_distance(r.h, r.partition)
         for beta in r.betas:
             t0 = time.perf_counter()
             v = experiments.evaluate_cmi(r.h, beta, r.layer, r.partition, r.engine)

@@ -162,11 +162,13 @@ class HamiltonianTerm:
     coefficient: float
 
     def __post_init__(self):
-        if abs(self.coefficient) > 1 + 1e-12:
+        if len(set(self.support)) != len(self.support):
+            raise ValueError(f"term support {self.support} lists a site twice")
+        if not abs(self.coefficient) <= 1 + 1e-12:  # NaN fails too
             raise ValueError(f"|lambda|={abs(self.coefficient)} exceeds 1")
         if self.is_diagonal:
             table = np.asarray(self.operator, dtype=float)
-            if np.max(np.abs(table)) > 1 + 1e-12:
+            if not np.max(np.abs(table)) <= 1 + 1e-12:
                 raise ValueError("diagonal term exceeds unit operator norm")
             object.__setattr__(self, "operator", table)
 
@@ -332,18 +334,29 @@ _MODEL_KEYS = {"q", "n_sites", "terms"}
 _TERM_KEYS = {"support", "pauli", "diag", "lambda"}
 
 
+def require_int(value, what: str, least: int) -> int:
+    """``value`` if it is an int (not a bool) >= ``least``; no other number
+    is rounded to one."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} {value!r} is not an integer >= {least}")
+    return value
+
+
 def parse_model(obj: dict) -> LocalHamiltonian:
-    """Parse the JSON model format; unknown keys are rejected."""
+    """Parse the JSON model format; unknown keys are rejected, and ``n_sites``,
+    ``q`` and every support entry must be ints."""
     unknown = set(obj) - _MODEL_KEYS
     if unknown:
         raise ValueError(f"unknown model keys: {sorted(unknown)}")
-    graph = SiteGraph(n_sites=int(obj["n_sites"]), q=int(obj.get("q", 2)))
+    graph = SiteGraph(require_int(obj["n_sites"], "n_sites", 1), require_int(obj.get("q", 2), "q", 2))
     terms = []
     for raw in obj["terms"]:
         unknown = set(raw) - _TERM_KEYS
         if unknown:
             raise ValueError(f"unknown term keys: {sorted(unknown)}")
-        support = tuple(int(s) for s in raw["support"])
+        support = tuple(require_int(s, "support entry", 0) for s in raw["support"])
+        if any(s >= graph.n_sites for s in support):
+            raise ValueError(f"term support {support} outside site graph")
         lam = float(raw["lambda"])
         if "pauli" in raw and "diag" in raw:
             raise ValueError("term cannot be both pauli and diag")
@@ -352,17 +365,11 @@ def parse_model(obj: dict) -> LocalHamiltonian:
             k = graph.qubits_per_site
             if len(label) != len(support) * k:
                 raise ValueError("pauli label length must cover the support qubits")
-            x = z = 0
+            # the support's letters, placed on a label of the whole register
+            letters = ["I"] * graph.n_qubits
             for idx, ch in enumerate(label):
-                site = support[idx // k]
-                qubit = site * k + idx % k
-                if ch in ("X", "Y"):
-                    x |= 1 << qubit
-                if ch in ("Z", "Y"):
-                    z |= 1 << qubit
-                if ch not in "IXYZ":
-                    raise ValueError(f"bad Pauli letter {ch!r}")
-            op = PauliString(graph.n_qubits, x, z)
+                letters[support[idx // k] * k + idx % k] = ch
+            op = PauliString.from_label("".join(letters))
         elif "diag" in raw:
             vals = np.asarray(raw["diag"], dtype=float)
             shape = (graph.q,) * len(support)

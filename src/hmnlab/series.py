@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dense, pauli
-from .channels import ChannelLayer, complete_depolarization, compose_with_trace
+from .channels import ChannelLayer, compose_with_trace
 from .classical import PinnedHamiltonian
 from .combinatorics import Cluster, key_factorial, key_weight, merge_keys
 from .dense import apply_layer_to_matrix, term_matrix
-from .model import DualInteractionGraph, LocalHamiltonian, Partition
+from .model import DualInteractionGraph, LocalHamiltonian, Partition, require_int
 
 MAX_WEIGHT_CAP = 8
 CLUSTER_COUNT_CAP = 2_000_000
@@ -56,8 +56,7 @@ def _block_len(coeff_bytes: int) -> int:
 
 def check_weight(max_weight) -> None:
     """A truncation weight is an int (not a bool) from 1 to MAX_WEIGHT_CAP."""
-    if type(max_weight) is not int or max_weight < 1:
-        raise ValueError(f"max weight {max_weight!r} is not an integer >= 1")
+    require_int(max_weight, "max weight", 1)
     if max_weight > MAX_WEIGHT_CAP:
         raise ValueError(f"max weight {max_weight} exceeds cap {MAX_WEIGHT_CAP}")
 
@@ -157,6 +156,13 @@ def identity_series(d: int, dim: int) -> TruncatedSeries:
     return TruncatedSeries(d, dim, {(): np.eye(dim, dtype=complex)})
 
 
+def _monomials(m: int, max_degree: int) -> list:
+    """The keys of a series in m term variables up to ``max_degree``, by
+    degree and then lexicographically: tuples of runs (a, mu)."""
+    combos = (c for w in range(max_degree + 1) for c in itertools.combinations_with_replacement(range(m), w))
+    return [tuple((a, len(list(run))) for a, run in itertools.groupby(c)) for c in combos]
+
+
 def series_of_channelled_gibbs(
     h: LocalHamiltonian,
     beta: float,
@@ -171,34 +177,29 @@ def series_of_channelled_gibbs(
     terms, e.g. the pinning factors; it is NOT expanded.  Unitality of the
     layer (degree-0 coefficient = I after the channel) is enforced.  The
     coefficients are dense matrices, so the dense engine's cap applies.
-    """
+    A key's coefficient is its prefix key's (the key without its last run
+    (a, mu)) times (-beta)^mu/mu! h_a^mu: the factors multiplied in order."""
     dense.check(h)
-    g = h.site_graph
-    dim = g.dim
-    p0 = np.eye(dim, dtype=complex) if prefactor is None else np.array(prefactor, dtype=complex)
-    s = TruncatedSeries(max_degree, dim, {(): p0})
-    for a, t in enumerate(h.terms):
-        ha = term_matrix(g, t, bare=True)
-        factor = TruncatedSeries(max_degree, dim)
-        power = np.eye(dim, dtype=complex)
-        for k in range(max_degree + 1):
-            factor.coeffs[((a, k),) if k else ()] = ((-beta) ** k / math.factorial(k)) * power
-            power = power @ ha
-        s = s * factor
-    # the coefficients are rows of the product's stack, and the layer writes
-    # back into them
-    keys = list(s.coeffs)
-    step = _block_len(16 * dim * dim)
+    g, dim = h.site_graph, h.site_graph.dim
+    factors = []  # factors[a][mu] = (-beta)^mu/mu! h_a^mu
+    for t in h.terms:
+        ha, powers = term_matrix(g, t, bare=True), [np.eye(dim, dtype=complex)]
+        for _ in range(max_degree):
+            powers.append(powers[-1] @ ha)
+        factors.append([((-beta) ** mu / math.factorial(mu)) * m for mu, m in enumerate(powers)])
+    keys = _monomials(len(h.terms), max_degree)
+    row = {k: i for i, k in enumerate(keys)}
+    stack = np.empty((len(keys), dim, dim), dtype=complex)
+    stack[0] = np.eye(dim) if prefactor is None else prefactor
+    for i, k in enumerate(keys[1:], 1):
+        stack[i] = stack[row[k[:-1]]] @ factors[k[-1][0]][k[-1][1]]
+    step = _block_len(stack[0].nbytes)
     for i in range(0, len(keys), step):
-        block = keys[i : i + step]
-        images = apply_layer_to_matrix(np.stack([s.coeffs[k] for k in block]), layer, g)
-        for k, m in zip(block, images):
-            s.coeffs[k][...] = m
-    d0 = s.get(())
-    if np.max(np.abs(d0 - np.eye(dim))) > 1e-10:
+        stack[i : i + step] = apply_layer_to_matrix(stack[i : i + step], layer, g)
+    if np.max(np.abs(stack[0] - np.eye(dim))) > 1e-10:
         raise ValueError("degree-0 coefficient is not identity (non-unital layer?)")
-    s.coeffs[()] = np.eye(dim, dtype=complex)
-    return s.prune(SERIES_FLOOR)
+    stack[0] = np.eye(dim)
+    return TruncatedSeries(max_degree, dim, dict(zip(keys, stack))).prune(SERIES_FLOOR)
 
 
 def _character_series(
@@ -211,17 +212,15 @@ def _character_series(
     the stack gives the character values."""
     gens, coords, signs = pauli.term_group(h)
     f = pauli.damp(np.ones(2 ** len(gens)), h.site_graph, gens, layer)
-    keys, elements, scales = [], [], []
-    for w in range(max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(len(h.terms)), w):
-            key = tuple((a, len(list(run))) for a, run in itertools.groupby(combo))
-            c, v = 1.0, 0
-            for a, k in key:
-                c *= (-beta * signs[a]) ** k / math.factorial(k)
-                v ^= coords[a] if k % 2 else 0
-            keys.append(key)
-            elements.append(v)
-            scales.append(c * f[v])
+    keys = _monomials(len(h.terms), max_degree)
+    elements, scales = [], []
+    for key in keys:
+        c, v = 1.0, 0
+        for a, k in key:
+            c *= (-beta * signs[a]) ** k / math.factorial(k)
+            v ^= coords[a] if k % 2 else 0
+        elements.append(v)
+        scales.append(c * f[v])
     stack = np.zeros((len(keys), f.size))
     stack[np.arange(len(keys)), elements] = scales
     chars = pauli.walsh_hadamard(stack)
@@ -423,9 +422,8 @@ def pinned_traced_series(
         shape[site] = g.q
         factor = (g.q / np.exp(-d).sum()) * np.exp(-d)
         pre = pre * np.broadcast_to(factor.reshape(shape), (g.q,) * g.n_sites).ravel()
-    lyr = ChannelLayer(tuple(complete_depolarization(s, g.q) for s in sorted(region)))
     return series_of_channelled_gibbs(
-        h, pin.beta, lyr, max_degree, prefactor=np.diag(pre).astype(complex)
+        h, pin.beta, compose_with_trace(ChannelLayer(), region, g.q), max_degree, prefactor=np.diag(pre)
     )
 
 

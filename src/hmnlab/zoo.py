@@ -71,38 +71,24 @@ def bell_chain(n: int) -> LocalHamiltonian:
     if n < 3:
         raise ValueError("bell chain needs at least 3 sites")
     g = SiteGraph(n, q=4)
-    nq = g.n_qubits
     terms = []
     for i in range(n - 1):
-        qa, qb = 2 * i + 1, 2 * i + 2
         for letter in ("X", "Z"):
-            x = z = 0
-            for q_ in (qa, qb):
-                if letter == "X":
-                    x |= 1 << q_
-                else:
-                    z |= 1 << q_
-            terms.append(HamiltonianTerm((i, i + 1), PauliString(nq, x, z), -1.0))
+            label = ["I"] * g.n_qubits
+            label[2 * i + 1] = label[2 * i + 2] = letter
+            terms.append(HamiltonianTerm((i, i + 1), PauliString.from_label("".join(label)), -1.0))
     return LocalHamiltonian(g, tuple(terms))
 
 
 def cluster_chain(n: int) -> LocalHamiltonian:
     """1D cluster-state Hamiltonian H = -sum_i Z_{i-1} X_i Z_{i+1} (open
     boundaries), whose beta -> inf Gibbs state is the cluster state."""
-    g = SiteGraph(n)
     terms = []
     for i in range(n):
-        x = 1 << i
-        z = 0
-        sup = [i]
-        if i > 0:
-            z |= 1 << (i - 1)
-            sup.insert(0, i - 1)
-        if i < n - 1:
-            z |= 1 << (i + 1)
-            sup.append(i + 1)
-        terms.append(HamiltonianTerm(tuple(sup), PauliString(n, x, z), -1.0))
-    return LocalHamiltonian(g, tuple(terms))
+        sup = tuple(range(max(i - 1, 0), min(i + 2, n)))
+        label = "".join("X" if s == i else "Z" if s in sup else "I" for s in range(n))
+        terms.append(HamiltonianTerm(sup, PauliString.from_label(label), -1.0))
+    return LocalHamiltonian(SiteGraph(n), tuple(terms))
 
 
 def build_model(family: str, n: int, engine: str = "auto") -> LocalHamiltonian:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hmnlab.channels import ChannelLayer, bitflip, compose_with_trace, dephasing, depolarizing
 from hmnlab.combinatorics import Cluster
+from hmnlab.dense import term_matrix
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, build_dual_graph
 from hmnlab.series import (
     TruncatedSeries,
@@ -116,6 +117,37 @@ def brute_apply_layer(m, layer, g):
         ks = [np.kron(np.kron(left, k), right) for k in c.kraus_ops()]
         out = sum(k @ out @ k.conj().T for k in ks)
     return out
+
+
+def commuting_product_gibbs(h, beta):
+    """Oracle: exp(-beta H)/Z of a commuting model at finite beta as the
+    product of per-term exponentials, each from its own eigendecomposition."""
+    g = h.site_graph
+    prod = np.eye(g.dim, dtype=complex)
+    for t in h.terms:
+        tv, tw = np.linalg.eigh(term_matrix(g, t))
+        prod = prod @ ((tw * np.exp(-beta * (tv - tv.min()))) @ tw.conj().T)
+    return prod / np.trace(prod).real
+
+
+def factor_product_series(h, beta, layer, max_degree, prefactor=None):
+    """Oracle: {key: coefficient} of the channelled Gibbs series as the product
+    of one truncated series per term, sum_k (-beta)^k / k! h_a^k lam_a^k,
+    multiplied in term order after the prefactor, then the layer applied to
+    each coefficient."""
+    g = h.site_graph
+    dim = g.dim
+    p0 = np.eye(dim, dtype=complex) if prefactor is None else np.array(prefactor, dtype=complex)
+    s = TruncatedSeries(max_degree, dim, {(): p0})
+    for a, t in enumerate(h.terms):
+        ha = term_matrix(g, t, bare=True)
+        factor = TruncatedSeries(max_degree, dim)
+        power = np.eye(dim, dtype=complex)
+        for k in range(max_degree + 1):
+            factor.coeffs[((a, k),) if k else ()] = ((-beta) ** k / math.factorial(k)) * power
+            power = power @ ha
+        s = s * factor
+    return {k: brute_apply_layer(m, layer, g) for k, m in s.coeffs.items()}
 
 
 def naive_series_product(s1, s2):

@@ -168,3 +168,38 @@ def test_parse_channel():
         parse_channel({"site": 0, "kind": "dephasing", "p": 0.1, "bogus": 1})
     with pytest.raises(ValueError, match="unknown channel kind"):
         parse_channel({"site": 0, "kind": "nope"})
+
+
+def _superop(c):
+    ks = np.array(c.kraus_ops())
+    return np.einsum("aik,ajl->ijkl", ks, ks.conj())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_trace_absorbs_the_site_channel(q):
+    """Tracing a site gives the same channel as composing its channel with
+    the trace, as compose_channels does: transition, Kraus and Pauli-mixture
+    channels, compared as superoperators."""
+    rng = np.random.default_rng(q)
+    cols = rng.uniform(0.05, 1, (q, q))
+    v, _ = np.linalg.qr(rng.normal(size=(3 * q, q)) + 1j * rng.normal(size=(3 * q, q)))
+    chans = [
+        transition_channel(1, cols / cols.sum(axis=0)),
+        SiteChannel(1, kraus=tuple(v[i * q : (i + 1) * q] for i in range(3))),
+    ]
+    if q == 2:
+        chans += [bitflip(1, 0.3), depolarizing(1, 0.4)]
+    if q == 4:
+        chans += [bell_measurement(1), depolarizing(1, 0.4, 4)]
+    for c in chans:
+        if c.transition is not None:
+            trace = transition_channel(1, np.full((q, q), 1 / q))
+        else:
+            trace = complete_depolarization(1, q)
+        keep = transition_channel(0, np.eye(q)) if c.transition is not None else SiteChannel(0, kraus=(np.eye(q),))
+        traced = compose_with_trace(ChannelLayer((c, keep)), {1, 2}, q)
+        assert [d.site for d in traced.channels] == [1, 0, 2]
+        assert traced.channels[1] is keep
+        assert (traced.channels[0].transition is not None) == (c.transition is not None)
+        assert np.max(np.abs(_superop(traced.channels[0]) - _superop(compose_channels(c, trace)))) < 1e-12
+        assert np.max(np.abs(_superop(traced.channels[2]) - _superop(trace))) < 1e-12

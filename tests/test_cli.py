@@ -2,8 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from hmnlab import zoo
 from hmnlab.cli import apply_overrides, fmt, main, validate_config
 
 
@@ -200,6 +202,8 @@ CERT_CFG = {
     "channel": {"kind": "bitflip", "p": 0.2},
     "max_weight": 3,
 }
+CMI_CFG = {"experiment": "cmi", "model": "ising_chain_n6", "engine": "classical", "beta": [0.5]}
+CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta": [0.5], "n": 4}
 
 
 @pytest.mark.parametrize(
@@ -251,6 +255,39 @@ CERT_CFG = {
             dict(DECAY_CFG, model="parity_chain_n5", engine="dense", channel={"p": 0.3}),
             "the parity_chain bulk channel is fixed and takes no p",
         ),
+        (
+            dict(CMI_CFG, engine="pauli", channel=[{"site": 99, "kind": "bitflip", "p": 0.2}]),
+            "channel site 99 is not a site of the model (0..5)",
+        ),
+        (
+            dict(CMI_CFG, engine="dense", channel=[{"site": 99, "kind": "bitflip", "p": 0.2}]),
+            "channel site 99 is not a site of the model (0..5)",
+        ),
+        (
+            dict(CMI_CFG, engine="pauli", channel=[{"site": -1, "kind": "bitflip", "p": 0.2}]),
+            "channel site -1 is not an integer >= 0",
+        ),
+        (
+            dict(CMI_CFG, channel=[{"site": 1, "kind": "transition", "matrix": np.full((3, 3), 1 / 3).tolist()}]),
+            "channel on site 1 acts on dimension 3, not the model's q = 2",
+        ),
+        (dict(CMI_CFG, engine="pauli", channel=[{"kind": "bitflip", "p": 0.2}]), "has no 'site'"),
+        (dict(CMI_CFG, engine="pauli", channel=[{"site": 1, "p": 0.2}]), "has no 'kind'"),
+        (
+            dict(CMI_CFG, engine="pauli", channel=[{"site": 1, "kind": "bitflip", "p": 1.7}]),
+            "channel p 1.7 is not a probability in [0, 1]",
+        ),
+        (dict(CLUSTER_EQ_CFG, n=4.7), "n 4.7 is not an integer >= 1"),
+        (dict(CMI_CFG, beta=0.1), "beta 0.1 is not a list"),
+        (dict(DECAY_CFG, distances=5), "distances 5 is not a list"),
+        (dict(CMI_CFG, beta=["nan"]), "beta 'nan' is not a number or 'inf'"),
+        (
+            dict(CERT_CFG, model="parity_chain_n4", engine="classical", channel={}),
+            "certificates need a unital channel layer",
+        ),
+        (dict(CERT_CFG, beta=["inf"]), "certificate beta inf is not in [0, inf)"),
+        (dict(CERT_CFG, beta=[-0.01]), "certificate beta -0.01 is not in [0, inf)"),
+        (dict(DECAY_CFG, channel={"kind": "bitflip", "p": True}), "channel p True is not a probability"),
     ],
     ids=[
         "pauli_term_cap",
@@ -276,6 +313,21 @@ CERT_CFG = {
         "pauli_engine_transition_channel",
         "bell_chain_takes_no_p",
         "parity_chain_takes_no_p",
+        "channel_site_out_of_range_pauli",
+        "channel_site_out_of_range_dense",
+        "channel_site_negative",
+        "channel_dimension_not_q",
+        "channel_without_site",
+        "channel_without_kind",
+        "channel_p_above_one",
+        "cluster_size_float",
+        "beta_not_a_list",
+        "distances_not_a_list",
+        "beta_nan",
+        "certificates_non_unital_layer",
+        "certificate_beta_inf",
+        "certificate_beta_negative",
+        "p_bool",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):
@@ -317,3 +369,91 @@ def test_certificates_on_3x3_lattice(tmp_path):
     rep = json.loads((tmp_path / "cert.json").read_text())["certificates"][0]
     assert len(rep["clusters"]) == 473
     assert rep["pass"] and all(c["pass"] for c in rep["clusters"])
+
+
+BULK_CHANNEL = {"ising_chain": {"kind": "bitflip", "p": 0.2}, "cluster_chain": {"kind": "dephasing", "p": 0.2}}
+
+
+@pytest.mark.parametrize("engine", ["classical", "dense", "pauli"])
+@pytest.mark.parametrize("experiment", ["decay", "cmi", "certificates", "cluster_equivalence"])
+@pytest.mark.parametrize("family", zoo.FAMILIES)
+def test_validate_versus_run_grid(tmp_path, capsys, family, experiment, engine):
+    """Every builtin family, experiment and engine at n = 4: a config that
+    validate passes runs to a verdict (exit 0 or 2), and one it flags fails
+    in run with exactly those findings."""
+    cfg = {
+        "experiment": experiment,
+        "model": f"{family}_n4",
+        "engine": engine,
+        "beta": [0.5] if experiment != "certificates" else [0.01],
+        "channel": BULK_CHANNEL.get(family, {}),
+        "output": "out",
+    }
+    if experiment == "decay":
+        cfg["distances"] = [2, 3]
+    if experiment == "cluster_equivalence":
+        cfg["n"] = 4
+    findings = validate_config(cfg)
+    rc = main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if findings:
+        assert rc == 1 and err == f"error: {'; '.join(findings)}\n"
+    else:
+        assert rc in (0, 2), err
+
+
+def test_cluster_chain_decay_engines_agree(tmp_path):
+    """cluster_chain decay runs on dense and on pauli and gives the same curve;
+    at beta 0.5 and dephasing 0.2 only d = 2 keeps CMI."""
+    cfg = dict(DECAY_CFG, model="cluster_chain_n4", beta=[0.5], distances=[2, 3, 4, 5],
+               channel={"kind": "dephasing", "p": 0.2})
+    curves = {}
+    for engine in ("dense", "pauli"):
+        out = tmp_path / engine
+        assert main(["run", write_cfg(tmp_path / "c.json", dict(cfg, engine=engine)), "--output-dir", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "decay.csv").read_text().split()[1:]]
+        assert [d for _, d, _ in rows] == ["2", "3", "4", "5"]
+        curves[engine] = np.array([float(v) for _, _, v in rows])
+    assert np.max(np.abs(curves["dense"] - curves["pauli"])) < 1e-9
+    assert curves["pauli"][0] == pytest.approx(0.0562, abs=1e-4)
+    assert np.max(curves["pauli"][1:]) < 1e-9
+
+
+ZZ_CHAIN4 = {"n_sites": 4, "terms": [{"support": [i, i + 1], "pauli": "ZZ", "lambda": -1.0} for i in range(3)]}
+PARTITION3 = {"a": [0], "b": [1], "c": [2]}
+
+
+@pytest.mark.parametrize(
+    "model, partition, message",
+    [
+        ({"n_sites": 4.7, "terms": []}, PARTITION3, "model file invalid: n_sites 4.7 is not an integer >= 1"),
+        (
+            {"n_sites": 4, "terms": [{"support": [0, 2.9], "pauli": "ZZ", "lambda": -1.0}]},
+            PARTITION3,
+            "model file invalid: support entry 2.9 is not an integer >= 0",
+        ),
+        (
+            {"n_sites": 4, "terms": [{"support": [0, 0], "pauli": "XZ", "lambda": -1.0}]},
+            PARTITION3,
+            "model file invalid: term support (0, 0) lists a site twice",
+        ),
+        ({"terms": []}, PARTITION3, "model file invalid: no key 'n_sites'"),
+        (ZZ_CHAIN4, {"a": [0.0], "b": [1], "c": [2]}, "partition site 0.0 is not an integer >= 0"),
+        (ZZ_CHAIN4, {"a": [True], "b": [2], "c": [3]}, "partition site True is not an integer >= 0"),
+    ],
+    ids=["n_sites_float", "support_float", "support_twice", "no_n_sites", "partition_float", "partition_bool"],
+)
+def test_validate_reports_model_file_numbers(tmp_path, capsys, model, partition, message):
+    """Model files and their partitions take ints only, and a missing model
+    key is named."""
+    cfg = {
+        "experiment": "cmi",
+        "model": write_cfg(tmp_path / "model.json", model),
+        "engine": "pauli",
+        "beta": [0.5],
+        "partition": partition,
+    }
+    findings = validate_config(cfg)
+    assert len(findings) == 1 and message in findings[0], findings
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {findings[0]}" in capsys.readouterr().err

@@ -17,9 +17,12 @@ from hmnlab.channels import (
 )
 from hmnlab.experiments import cmi
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph
+from hmnlab.pauli import expand_gibbs
 from tests.conftest import (
     brute_apply_layer,
     brute_gibbs_probs,
+    commuting_product_gibbs,
+    dependent_commuting_models,
     ising_diag_chain,
     ising_pauli_chain,
     random_commuting_pauli_model,
@@ -267,3 +270,23 @@ def test_diagonal_term_matrix_matches_energy_table():
     for idx, cfg in enumerate(itertools.product(range(3), repeat=4)):
         want = sum(t.coefficient * t.operator[tuple(cfg[s] for s in t.support)] for t in terms)
         assert abs(diag[idx] - want) < 1e-15
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dependent_commuting_models())
+def test_gibbs_state_matches_product_and_pauli(model):
+    """On commuting Pauli models with signed dependent terms, the one-eigh
+    Gibbs state is the product of per-term exponentials and the pauli
+    engine's expansion."""
+    h, beta, _ = model
+    rho = dense.gibbs_state(h, beta).entries
+    assert np.max(np.abs(rho - commuting_product_gibbs(h, beta))) < 1e-10
+    assert np.max(np.abs(rho - expand_gibbs(h, beta).to_matrix())) < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(diagonal_models())
+def test_gibbs_state_matches_product_on_diagonal_tables(model):
+    h, beta, _, _ = model
+    rho = dense.gibbs_state(h, beta).entries
+    assert np.max(np.abs(rho - commuting_product_gibbs(h, beta))) < 1e-10

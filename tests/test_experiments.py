@@ -18,6 +18,8 @@ from hmnlab.experiments import (
     theorem3_bound,
     xi_analytic,
 )
+from hmnlab.model import graph_distance
+from hmnlab.zoo import build_model, cluster_chain
 from tests.conftest import ising_diag_chain
 
 
@@ -159,3 +161,23 @@ def test_cmi_policy_clamps_rounding_and_raises_below_tolerance():
     assert cmi(engine(-1e-11), None, p) == 0.0
     with pytest.raises(AssertionError):
         cmi(engine(-1e-9), None, p)
+
+
+@pytest.mark.parametrize(
+    "family, engine",
+    [("ising_chain", "pauli"), ("ising_chain", "classical"), ("parity_chain", "classical"), ("bell_chain", "pauli")],
+)
+def test_chain_distance_is_the_dual_graph_distance(family, engine):
+    """A decay point at distance d is a chain of d+1 sites; for families whose
+    terms cover two sites, d is the dual-graph distance between its ends."""
+    for d in range(1 if family == "ising_chain" else 2, 9):
+        h = build_model(family, d + 1, engine)
+        assert graph_distance(h, boundary_partition(d + 1)) == d
+
+
+def test_cluster_chain_distance_is_the_chain_distance():
+    """The cluster chain's three-site terms join the end sites of a chain of
+    d+1 sites in fewer than d steps; the decay curve keeps d."""
+    assert graph_distance(cluster_chain(6), boundary_partition(6)) == 3
+    curve = decay_curve("cluster_chain", "pauli", 0.5, [2, 3, 4, 5], 0.2)
+    assert [d for d, _ in curve.points] == [2.0, 3.0, 4.0, 5.0]

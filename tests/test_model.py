@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,3 +150,60 @@ def test_entropy_bits_floor():
     assert entropy_bits([0.5, 0.5, 1e-18, -1e-17]) == 1.0
     assert entropy_bits([1.0, 0.0]) == 0.0
     assert entropy_bits([1.0, 1e-16]) == pytest.approx(-1e-16 * math.log2(1e-16), rel=1e-12)
+
+
+def test_parse_model_places_letters_by_site():
+    """q = 4 (two qubits per site) with the support listed in reverse order
+    and not adjacent: each site's pair of letters lands on that site's qubits."""
+    obj = {"n_sites": 3, "q": 4, "terms": [{"support": [2, 0], "pauli": "XZYI", "lambda": 0.5}]}
+    op = parse_model(obj).terms[0].operator
+    assert op.n == 6
+    assert op.label() == "YIIIXZ"
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n_sites": 4.7, "terms": []}, "n_sites 4.7 is not an integer >= 1"),
+        ({"n_sites": True, "terms": []}, "n_sites True is not an integer >= 1"),
+        ({"n_sites": 3, "q": 2.0, "terms": []}, "q 2.0 is not an integer >= 2"),
+        (
+            {"n_sites": 4, "terms": [{"support": [1, 2.9], "pauli": "ZZ", "lambda": 1.0}]},
+            "support entry 2.9 is not an integer >= 0",
+        ),
+        (
+            {"n_sites": 4, "terms": [{"support": [-1, 2], "pauli": "ZZ", "lambda": 1.0}]},
+            "support entry -1 is not an integer >= 0",
+        ),
+        (
+            {"n_sites": 4, "terms": [{"support": [1, 4], "pauli": "ZZ", "lambda": 1.0}]},
+            "outside site graph",
+        ),
+        (
+            {"n_sites": 2, "terms": [{"support": [0, 0], "pauli": "XZ", "lambda": 1.0}]},
+            "lists a site twice",
+        ),
+        (
+            {"n_sites": 2, "terms": [{"support": [1, 1], "diag": [1, 0, 0, 1], "lambda": 1.0}]},
+            "lists a site twice",
+        ),
+        (
+            {"n_sites": 2, "terms": [{"support": [0, 1], "pauli": "ZZ", "lambda": float("nan")}]},
+            "exceeds 1",
+        ),
+    ],
+    ids=[
+        "n_sites_float",
+        "n_sites_bool",
+        "q_float",
+        "support_float",
+        "support_negative",
+        "support_outside",
+        "pauli_site_twice",
+        "diag_site_twice",
+        "lambda_nan",
+    ],
+)
+def test_parse_model_takes_no_coerced_numbers(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_model(obj)

@@ -18,6 +18,7 @@ from hmnlab.combinatorics import (
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, PauliString, SiteGraph, build_dual_graph
 from hmnlab.series import (
     TruncatedSeries,
+    _monomials,
     cluster_derivative,
     cmi_operator_series,
     connected_term_sets,
@@ -35,6 +36,7 @@ from tests.conftest import (
     dense_certificate_norms,
     dense_cmi_series,
     dependent_commuting_models,
+    factor_product_series,
     ising_diag_chain,
     ising_pauli_chain,
     lattice_2x3,
@@ -400,3 +402,38 @@ def test_cmi_series_keeps_no_float_noise(route):
     paths = {((0, 1), (1, 1), (6, 1)), ((2, 1), (3, 1), (4, 1)), ((0, 1), (3, 1), (5, 1))}
     assert set(s.coeffs) == paths
     assert all(spectral_norm(m) > 1e-8 for m in s.coeffs.values())
+
+
+def test_series_matches_factor_product():
+    """Each coefficient, built from its prefix key's, equals the m-fold
+    product of per-term factor series with the layer applied after: diagonal
+    tables under transition channels, a non-commuting model, and a pinning
+    prefactor (diagonal, mean 1 on each traced site) under traced sites."""
+    hd = LocalHamiltonian(
+        SiteGraph(5),
+        tuple(HamiltonianTerm((i, i + 1), np.array([[1.0, -0.6], [-0.6, 0.8]]), -0.8) for i in range(4)),
+    )
+    ld = ChannelLayer(tuple(transition_channel(s, T_085) for s in (1, 2, 3)))
+    hn = LocalHamiltonian(
+        SiteGraph(3),
+        (
+            HamiltonianTerm((0, 1), PauliString.from_label("XXI"), 0.7),
+            HamiltonianTerm((1, 2), PauliString.from_label("IZZ"), -0.5),
+            HamiltonianTerm((2,), PauliString.from_label("IIX"), 0.4),
+        ),
+    )
+    ln = ChannelLayer((bitflip(1, 0.2),))
+    pin = np.ones((2,) * 4)
+    pin = pin * np.array([0.4, 1.6]).reshape(1, 2, 1, 1) * np.array([1.3, 0.7]).reshape(1, 1, 2, 1)
+    lp = compose_with_trace(ChannelLayer(), {1, 2}, 2)
+    cases = [
+        (hd, 0.2, ld, 4, None),
+        (hn, 0.3, ln, 4, None),
+        (ising_diag_chain(4), 0.3, lp, 4, np.diag(pin.ravel())),
+    ]
+    for h, beta, layer, degree, pre in cases:
+        got = series_of_channelled_gibbs(h, beta, layer, degree, prefactor=pre).coeffs
+        want = factor_product_series(h, beta, layer, degree, prefactor=pre)
+        assert set(got) <= set(want) == set(_monomials(len(h.terms), degree))
+        for k in want:
+            assert np.max(np.abs(got.get(k, 0) - want[k])) < 1e-14, k
