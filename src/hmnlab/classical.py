@@ -17,6 +17,13 @@ from .channels import ChannelLayer
 from .model import LocalHamiltonian, Partition, SiteGraph, entropy_bits
 
 MEMORY_CAP = 2**22
+_SLICE_RUN = 8  # runs of at most this many configurations are summed by slice adds
+# A channel with fewer than _KRON_RIGHT configurations right of its site is
+# one 2-D product with kron(T, I): stacked (q, right) products cost more per
+# element there than the right-fold extra flops.  Row blocks keep rows * N * K
+# within _GEMM_MNK, under the size at which BLAS starts threads.
+_KRON_RIGHT = 8
+_GEMM_MNK = 2**17
 
 
 @dataclass
@@ -53,12 +60,30 @@ def check_layer(layer: ChannelLayer) -> None:
 
 
 def energy_table(h: LocalHamiltonian) -> np.ndarray:
-    """Per-configuration energies as a (q,)*n tensor."""
+    """Per-configuration energies as a (q,)*n tensor, grown one site at a
+    time: each term is added, over the sites that exist so far, once its
+    largest site has been appended."""
     check(h)
     g = h.site_graph
-    e = np.zeros((g.q,) * g.n_sites)
+    by_last_site = [[] for _ in range(g.n_sites)]
     for t in h.terms:
-        e += t.coefficient * t.site_table(g)
+        by_last_site[max(t.support, default=0)].append(t)
+    e = np.zeros(())
+    for k, terms in enumerate(by_last_site):
+        e = np.repeat(e[..., None], g.q, axis=-1)
+        grown = SiteGraph(k + 1, g.q)
+        for t in terms:
+            e += t.coefficient * t.site_table(grown)
+    return e
+
+
+def _boltzmann(e: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-scale (e - min e)) normalized to sum 1, computed in place in the
+    flat energy vector ``e``, which is returned."""
+    e -= e.min()
+    e *= -scale
+    np.exp(e, out=e)
+    e /= e.sum()
     return e
 
 
@@ -66,20 +91,40 @@ def gibbs_distribution(h: LocalHamiltonian, beta: float) -> Distribution:
     e = energy_table(h).ravel()
     if math.isinf(beta):
         p = (e <= e.min() + 1e-12).astype(float)
+        p /= p.sum()
     else:
-        p = np.exp(-beta * (e - e.min()))
-    p /= p.sum()
+        p = _boltzmann(e, beta)
     return Distribution(p, h.site_graph)
 
 
 def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
+    """Each site channel is one matmul of T on the (left, q, right) view of
+    the flat vector, or on its last sites row blocks of the (left, q*right)
+    view times kron(T, I_right).T, written into one of two fresh buffers in
+    turn, so ``d.probs`` is never written."""
     check_layer(layer)
-    t = d.tensor()
-    n = d.graph.n_sites
-    for c in layer.channels:
-        t = np.moveaxis(np.tensordot(c.transition, t, axes=([1], [c.site])), 0, c.site)
-    p = t.reshape(-1)
-    return Distribution(p / p.sum(), d.graph)
+    q = d.graph.q
+    p = d.probs
+    bufs = []
+    for i, c in enumerate(layer.channels):
+        if i < 2:
+            bufs.append(np.empty_like(p))
+        out = bufs[i % 2]
+        left = q**c.site
+        right = p.size // (left * q)
+        if right < _KRON_RIGHT:
+            k = np.kron(c.transition, np.eye(right)).T
+            x, y = p.reshape(left, -1), out.reshape(left, -1)
+            step = max(1, _GEMM_MNK // k.size)
+            for a in range(0, left, step):
+                np.matmul(x[a : a + step], k, out=y[a : a + step])
+        else:
+            np.matmul(c.transition, p.reshape(left, q, right), out=out.reshape(left, q, right))
+        p = out
+    if not bufs:
+        return Distribution(p / p.sum(), d.graph)
+    p /= p.sum()
+    return Distribution(p, d.graph)
 
 
 def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> Distribution:
@@ -87,10 +132,33 @@ def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> Distributi
 
 
 def marginal(d: Distribution, region) -> np.ndarray:
-    """Marginal tensor over the (sorted) region sites."""
-    region = sorted(set(region))
-    axes = tuple(s for s in range(d.graph.n_sites) if s not in region)
-    return d.tensor().sum(axis=axes) if axes else d.tensor()
+    """Marginal tensor over the (sorted) region sites.  Each run of adjacent
+    summed sites is reduced once, right to left, on a (left, run, right)
+    view of what is left of the flat vector."""
+    g = d.graph
+    keep = set(region)
+    x = d.probs
+    right = 1  # the configurations of the kept sites right of the run
+    stop = g.n_sites
+    while stop > 0:
+        if stop - 1 in keep:
+            stop -= 1
+            right *= g.q
+            continue
+        start = stop - 1
+        while start > 0 and start - 1 not in keep:
+            start -= 1
+        run = g.q ** (stop - start)
+        x = x.reshape(g.q**start, run, right)
+        if run <= _SLICE_RUN:
+            s = x[:, 0] + x[:, 1]
+            for i in range(2, run):
+                s += x[:, i]
+            x = s
+        else:
+            x = x.sum(axis=1)
+        stop = start
+    return x.reshape((g.q,) * len(keep))
 
 
 def shannon_entropy(d: Distribution, region) -> float:
@@ -151,8 +219,7 @@ class PinnedHamiltonian:
             shape = [1] * g.n_sites
             shape[s] = g.q
             e = e + d.reshape(shape)
-        p = np.exp(-(e - e.min()).ravel())
-        return Distribution(p / p.sum(), g)
+        return Distribution(_boltzmann(e.ravel(), 1.0), g)
 
 
 def pinned_hamiltonian(

@@ -17,17 +17,24 @@ Config schema (JSON object):
                 (cluster_chain); parity_chain and bell_chain take no kind
                 and no p.  Certificates need a unital layer, so not the
                 parity_chain read-out
-    distances:  strictly increasing list of integers >= 1 (decay
-                experiments): the chain distance d, a chain of d+1 sites
-                with A and C its end sites.  It is the dual-graph distance
-                on every family but cluster_chain, whose three-site terms
-                join the ends in fewer steps
-    max_weight: integer from 1 to series.MAX_WEIGHT_CAP (certificates, default 4)
-    n:          integer >= 1, the cluster chain's size (cluster_equivalence,
-                default 6)
-    partition:  {"a": [...], "b": [...], "c": [...]} (required for file models)
+    distances:  decay only: strictly increasing list of integers >= 1, the
+                chain distance d, a chain of d+1 sites with A and C its end
+                sites.  It is the dual-graph distance on every family but
+                cluster_chain, whose three-site terms join the ends in fewer
+                steps
+    max_weight: certificates only: integer from 1 to series.MAX_WEIGHT_CAP
+                (default 4)
+    n:          cluster_equivalence only: integer >= 1, the cluster chain's
+                size (default 6)
+    partition:  cmi and certificates on a model file, where it is required:
+                {"a": [...], "b": [...], "c": [...]}.  Refused on a builtin
+                model id, which uses the boundary partition (A the first
+                site, C the last); cluster_equivalence ignores it, as it does
+                model and channel
     engine:     "classical" | "dense" | "pauli"
     output:     basename for the CSV/JSON artifacts
+
+Another experiment's distances, max_weight or n is a finding, not ignored.
 
 Numbers in outputs are printed with 17 significant digits so re-runs are
 byte-identical.  A run manifest (resolved config + caps + timings) is written
@@ -62,6 +69,8 @@ _CONFIG_KEYS = {
 }
 
 EXPERIMENTS = ("decay", "cmi", "certificates", "cluster_equivalence")
+# keys that only one experiment reads; any other experiment refuses them
+_READ_BY = {"distances": "decay", "max_weight": "certificates", "n": "cluster_equivalence"}
 DEFAULT_DISTANCES = (1, 2, 3, 4, 5, 6)
 
 
@@ -174,6 +183,11 @@ def resolve(cfg: dict) -> SimpleNamespace:
         r.layer = _site_layer(ch or [], r.h.site_graph)
     else:
         r.family, n = zoo.parse_model_id(model)
+        if "partition" in cfg:
+            raise ValueError(
+                f"builtin model {model!r} uses the boundary partition (A = first site, "
+                "C = last site); a partition is read only with a model file"
+            )
         if exp == "decay":
             r.distances = _list(cfg, "distances", DEFAULT_DISTANCES)
             for d in r.distances:
@@ -217,6 +231,12 @@ def _admit(cfg: dict) -> tuple[list, SimpleNamespace | None]:
     exp = cfg.get("experiment")
     if exp not in EXPERIMENTS:
         findings.append(f"unknown experiment {exp!r}")
+    else:
+        findings += [
+            f"{key} is read only by {reader} experiments, not by {exp}"
+            for key, reader in _READ_BY.items()
+            if key in cfg and reader != exp
+        ]
     engine = cfg.get("engine", "classical")
     if engine not in experiments.ENGINES:
         findings.append(f"unknown engine {engine!r}")

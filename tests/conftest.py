@@ -97,6 +97,15 @@ def brute_entropy_bits(probs, g, region):
     return -sum(p * math.log2(p) for p in marg.values() if p > 0)
 
 
+def brute_marginal(probs, g, region):
+    """Oracle: the (q,)*n tensor summed over every site outside ``region``
+    by one multi-axis numpy sum; axes of the region sites in increasing order."""
+    keep = set(region)
+    axes = tuple(s for s in range(g.n_sites) if s not in keep)
+    t = np.asarray(probs).reshape((g.q,) * g.n_sites)
+    return t.sum(axis=axes) if axes else t
+
+
 def brute_cmi_bits(probs, g, part):
     return (
         brute_entropy_bits(probs, g, part.a | part.b)

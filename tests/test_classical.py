@@ -13,6 +13,7 @@ from tests.conftest import (
     brute_cmi_bits,
     brute_entropy_bits,
     brute_gibbs_probs,
+    brute_marginal,
     ising_diag_chain,
 )
 
@@ -50,6 +51,75 @@ def test_unsorted_support_energy():
     h1 = LocalHamiltonian(g, (HamiltonianTerm((0, 1), tbl, 1.0),))
     h2 = LocalHamiltonian(g, (HamiltonianTerm((1, 0), tbl.T, 1.0),))
     assert np.allclose(classical.energy_table(h1), classical.energy_table(h2))
+
+
+def test_energy_table_out_of_order_terms(rng):
+    """Terms listed from the last site down, one on three unsorted sites: the
+    site-grown table equals the per-configuration sum of the terms."""
+    g = SiteGraph(5, q=3)
+    supports = [(3, 4), (4, 1, 2), (2, 3), (0,), (1, 0)]
+    terms = tuple(
+        HamiltonianTerm(sup, rng.uniform(-1, 1, (3,) * len(sup)), float(rng.uniform(-1, 1)))
+        for sup in supports
+    )
+    e = classical.energy_table(LocalHamiltonian(g, terms))
+    assert e.shape == (3,) * 5
+    for cfg in itertools.product(range(3), repeat=5):
+        ref = sum(t.coefficient * t.operator[tuple(cfg[s] for s in t.support)] for t in terms)
+        assert abs(e[cfg] - ref) < 1e-12
+
+
+@pytest.mark.parametrize("n, q", [(7, 2), (4, 4)])
+def test_marginal_every_region(rng, n, q):
+    """Every region, given sorted, reversed or with a site listed twice,
+    marginalizes like one multi-axis numpy sum."""
+    g = SiteGraph(n, q)
+    raw = rng.random(q**n)
+    d = classical.Distribution(raw / raw.sum(), g)
+    for k in range(n + 1):
+        for region in itertools.combinations(range(n), k):
+            ref = brute_marginal(d.probs, g, region)
+            for listed in (region, region[::-1], region + region[:1]):
+                m = classical.marginal(d, listed)
+                assert m.shape == (q,) * k
+                assert np.max(np.abs(m - ref)) <= 1e-15, (region, listed)
+
+
+@pytest.mark.parametrize("n, q", [(5, 2), (3, 4)])
+def test_apply_transitions_edge_sites(rng, n, q):
+    """Non-symmetric transition matrices on site 0 and on the last two sites,
+    alone and together: the brute-force sum, and the input left unwritten."""
+    g = SiteGraph(n, q)
+    raw = rng.random(q**n)
+    d = classical.Distribution(raw / raw.sum(), g)
+    before = d.probs.copy()
+    mats = {}
+    for s in (0, n - 2, n - 1):
+        cols = rng.random((q, q)) + 0.05
+        mats[s] = cols / cols.sum(axis=0)
+    for sites in ((0,), (n - 2,), (n - 1,), (0, n - 2, n - 1)):
+        layer = ChannelLayer(tuple(transition_channel(s, mats[s]) for s in sites))
+        out = classical.apply_transitions(d, layer)
+        oracle = brute_apply_transitions(before, g, {s: mats[s] for s in sites})
+        assert np.max(np.abs(out.probs - oracle)) < 1e-14
+        assert np.array_equal(d.probs, before)
+    empty = classical.apply_transitions(d, ChannelLayer())
+    assert empty.probs is not d.probs and np.array_equal(empty.probs, before / before.sum())
+
+
+def test_apply_transitions_many_row_blocks(rng):
+    """An 18-site state, whose last three sites' channels run in many row
+    blocks, against the tensordot contraction on the site's axis."""
+    n = 18
+    g = SiteGraph(n)
+    raw = rng.random(2**n)
+    d = classical.Distribution(raw / raw.sum(), g)
+    for s in (n - 3, n - 2, n - 1):
+        cols = rng.random((2, 2)) + 0.05
+        t = cols / cols.sum(axis=0)
+        out = classical.apply_transitions(d, ChannelLayer((transition_channel(s, t),)))
+        ref = np.moveaxis(np.tensordot(t, d.tensor(), axes=([1], [s])), 0, s).ravel()
+        assert np.max(np.abs(out.probs - ref / ref.sum())) < 1e-18
 
 
 def test_apply_transitions_identity():

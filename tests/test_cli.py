@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,8 +211,8 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
 @pytest.mark.parametrize(
     "cfg, message",
     [
-        (dict(DECAY_CFG, experiment="cmi", model="ising_chain_n30", engine="pauli"), "29 terms exceed cap 22"),
-        (dict(DECAY_CFG, experiment="cmi", model="ising_chain_n24"), "exceed memory cap"),
+        (dict(CMI_CFG, model="ising_chain_n30", engine="pauli"), "29 terms exceed cap 22"),
+        (dict(CMI_CFG, model="ising_chain_n24"), "exceed memory cap"),
         (dict(DECAY_CFG, channel=[{"site": 1, "kind": "bitflip", "p": 0.2}]), "not a per-site list"),
         (dict(DECAY_CFG, channel={"kind": "bitflip", "p": 1.5}), "p 1.5 is not a probability"),
         (dict(DECAY_CFG, channel={"kind": "bitflip", "p": "abc"}), "p 'abc' is not a probability"),
@@ -235,13 +237,12 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         (dict(DECAY_CFG, channel={"kind": "nonsense", "p": 0.2}), "kind 'nonsense'"),
         (dict(DECAY_CFG, model="bell_chain_n5", engine="pauli"), "kind 'bitflip'"),
         (
-            dict(DECAY_CFG, experiment="cmi", channel=[{"site": 1, "kind": "bitflip", "p": 0.2}]),
+            dict(CMI_CFG, channel=[{"site": 1, "kind": "bitflip", "p": 0.2}]),
             "classical engine accepts transition-matrix channels only",
         ),
         (
             dict(
-                DECAY_CFG,
-                experiment="cmi",
+                CMI_CFG,
                 engine="pauli",
                 channel=[{"site": 1, "kind": "transition", "matrix": [[0.9, 0.1], [0.1, 0.9]]}],
             ),
@@ -288,6 +289,18 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         (dict(CERT_CFG, beta=["inf"]), "certificate beta inf is not in [0, inf)"),
         (dict(CERT_CFG, beta=[-0.01]), "certificate beta -0.01 is not in [0, inf)"),
         (dict(DECAY_CFG, channel={"kind": "bitflip", "p": True}), "channel p True is not a probability"),
+        (
+            dict(CMI_CFG, engine="pauli", channel={"kind": "bitflip", "p": 0.2}, partition={"a": [0], "b": [1], "c": [2]}),
+            "builtin model 'ising_chain_n6' uses the boundary partition",
+        ),
+        (dict(DECAY_CFG, partition={"a": [0], "b": [1], "c": [2]}), "a partition is read only with a model file"),
+        (dict(CMI_CFG, distances=[1, 2]), "distances is read only by decay experiments, not by cmi"),
+        (dict(DECAY_CFG, max_weight=2), "max_weight is read only by certificates experiments, not by decay"),
+        (dict(CERT_CFG, n=4), "n is read only by cluster_equivalence experiments, not by certificates"),
+        (
+            dict(CLUSTER_EQ_CFG, max_weight=2),
+            "max_weight is read only by certificates experiments, not by cluster_equivalence",
+        ),
     ],
     ids=[
         "pauli_term_cap",
@@ -328,6 +341,12 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         "certificate_beta_inf",
         "certificate_beta_negative",
         "p_bool",
+        "partition_on_builtin_cmi",
+        "partition_on_decay",
+        "distances_on_cmi",
+        "max_weight_on_decay",
+        "n_on_certificates",
+        "max_weight_on_cluster_equivalence",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):
@@ -337,6 +356,56 @@ def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):
     assert main(["run", path, "--output-dir", str(tmp_path)]) == 1
     assert f"error: {findings[0]}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "cfg, findings",
+    [
+        (
+            dict(CMI_CFG, distances=[1, 2], max_weight=2, n=4),
+            [
+                "distances is read only by decay experiments, not by cmi",
+                "max_weight is read only by certificates experiments, not by cmi",
+                "n is read only by cluster_equivalence experiments, not by cmi",
+            ],
+        ),
+        (
+            dict(DECAY_CFG, max_weight="x", n="y"),
+            [
+                "max_weight is read only by certificates experiments, not by decay",
+                "n is read only by cluster_equivalence experiments, not by decay",
+            ],
+        ),
+    ],
+    ids=["cmi_with_three_unread_keys", "decay_with_unread_strings"],
+)
+def test_validate_names_every_unread_key(tmp_path, capsys, cfg, findings):
+    """One finding per key the experiment does not read, and run refuses with
+    all of them."""
+    assert validate_config(cfg) == findings
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {'; '.join(findings)}\n"
+
+
+def test_cmi_manifest_rerun_reproduces(tmp_path):
+    """A cmi run on a builtin model reruns from its manifest byte for byte."""
+    cfg = dict(CMI_CFG, engine="pauli", channel={"kind": "bitflip", "p": 0.2}, output="cmi")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(a)]) == 0
+    assert main(["run", str(a / "cmi.manifest.json"), "--output-dir", str(b)]) == 0
+    for ext in (".csv", ".json"):
+        assert (a / f"cmi{ext}").read_bytes() == (b / f"cmi{ext}").read_bytes()
+
+
+def test_readme_configs_validate():
+    """Every fenced json block of README.md that is an experiment config
+    passes validate."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    configs = [b for b in blocks if isinstance(b, dict) and "experiment" in b]
+    assert configs
+    for cfg in configs:
+        assert validate_config(cfg) == [], cfg
 
 
 def test_certificates_take_the_dense_cap():
