@@ -186,28 +186,6 @@ def is_unital(c: SiteChannel) -> bool:
     return bool(np.max(np.abs(s - np.eye(c.dim))) <= 1e-10)
 
 
-def compose_channels(first: SiteChannel, second: SiteChannel) -> SiteChannel:
-    """second after first, on the same site."""
-    if first.site != second.site:
-        raise ValueError("site mismatch")
-    if first.transition is not None and second.transition is not None:
-        return SiteChannel(first.site, transition=second.transition @ first.transition)
-    if first.pauli_mixture is not None and second.pauli_mixture is not None:
-        # conjugation ignores phases, so the composite element is just the
-        # XOR of the symplectic masks
-        acc: dict[tuple[int, int], tuple[PauliString, float]] = {}
-        for p1, w1 in first.pauli_mixture:
-            for p2, w2 in second.pauli_mixture:
-                key = (p1.x ^ p2.x, p1.z ^ p2.z)
-                prev = acc.get(key)
-                prod = prev[0] if prev else PauliString(p1.n, key[0], key[1])
-                acc[key] = (prod, (prev[1] if prev else 0.0) + w1 * w2)
-        return SiteChannel(first.site, pauli_mixture=tuple(acc.values()))
-    k1 = first.kraus_ops()
-    k2 = second.kraus_ops()
-    return SiteChannel(first.site, kraus=tuple(b @ a for a in k1 for b in k2))
-
-
 def compose_with_trace(layer: ChannelLayer, traced_region, q: int = 2) -> ChannelLayer:
     """Realizes a partial trace as a channel: complete depolarization on every
     traced site.  Every site channel is trace-preserving, so the trace absorbs
@@ -379,5 +357,5 @@ def parse_channel(obj: dict, q: int = 2) -> SiteChannel:
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
-def parse_layer(objs, q: int = 2) -> ChannelLayer:
+def parse_layer(objs, q: int) -> ChannelLayer:
     return ChannelLayer(tuple(parse_channel(o, q) for o in objs))

@@ -7,7 +7,8 @@ Exit codes: 0 success, 2 a certificate/bound check failed, 1 tooling error.
 
 Config schema (JSON object):
     experiment: "decay" | "cmi" | "certificates" | "cluster_equivalence"
-    model:      builtin id ("ising_chain_n8", ...) or path to a model file
+    model:      builtin id ("ising_chain_n8", ...) or path to a model file;
+                optional on cluster_equivalence, and there cluster_chain_n<n>
     beta:       list of numbers ("inf" allowed, NaN not); certificates take
                 betas in [0, inf) only
     channel:    list of per-site channel objects, each on a site of the model
@@ -26,15 +27,16 @@ Config schema (JSON object):
                 (default 4)
     n:          cluster_equivalence only: integer >= 1, the cluster chain's
                 size (default 6)
-    partition:  cmi and certificates on a model file, where it is required:
-                {"a": [...], "b": [...], "c": [...]}.  Refused on a builtin
-                model id, which uses the boundary partition (A the first
-                site, C the last); cluster_equivalence ignores it, as it does
-                model and channel
+    partition:  cmi on a model file, where it is required:
+                {"a": [...], "b": [...], "c": [...]}.  Certificates on a
+                model file do not read it, but check one they are given.
+                Refused on a builtin model id, which uses the boundary
+                partition (A the first site, C the last)
     engine:     "classical" | "dense" | "pauli"
     output:     basename for the CSV/JSON artifacts
 
-Another experiment's distances, max_weight or n is a finding, not ignored.
+Another experiment's distances, max_weight or n is a finding, not ignored,
+and so is a channel or a partition on cluster_equivalence.
 
 Numbers in outputs are printed with 17 significant digits so re-runs are
 byte-identical.  A run manifest (resolved config + caps + timings) is written
@@ -69,8 +71,17 @@ _CONFIG_KEYS = {
 }
 
 EXPERIMENTS = ("decay", "cmi", "certificates", "cluster_equivalence")
-# keys that only one experiment reads; any other experiment refuses them
-_READ_BY = {"distances": "decay", "max_weight": "certificates", "n": "cluster_equivalence"}
+# keys that only some experiments read; any other experiment refuses them.
+# Every experiment that takes a model reads its partition key: a builtin
+# model id refuses one in resolve, with its own message
+_MODEL_READERS = ("decay", "cmi", "certificates")
+_READ_BY = {
+    "distances": ("decay",),
+    "max_weight": ("certificates",),
+    "n": ("cluster_equivalence",),
+    "channel": _MODEL_READERS,
+    "partition": _MODEL_READERS,
+}
 DEFAULT_DISTANCES = (1, 2, 3, 4, 5, 6)
 
 
@@ -151,8 +162,13 @@ def resolve(cfg: dict) -> SimpleNamespace:
     if exp == "certificates" or (exp == "cluster_equivalence" and engine == "classical"):
         r.engine = "dense"  # the series are dense; the equivalence has no classical path
     check = experiments.ENGINES[r.engine].check
-    if exp == "cluster_equivalence":  # always the cluster chain; the model is ignored
+    if exp == "cluster_equivalence":  # always the cluster chain of n sites
         r.n = require_int(cfg.get("n", 6), "n", 1)
+        if "model" in cfg and cfg["model"] != f"cluster_chain_n{r.n}":
+            raise ValueError(
+                f"cluster_equivalence runs the cluster chain of n = {r.n} sites; "
+                f"model {cfg['model']!r} is not 'cluster_chain_n{r.n}'"
+            )
         check(zoo.cluster_chain(r.n))
         return r
     model = cfg.get("model", "")
@@ -169,17 +185,19 @@ def resolve(cfg: dict) -> SimpleNamespace:
         except (ValueError, TypeError) as e:
             raise ValueError(f"model file invalid: {e}") from None
         check(r.h)
-        try:
-            praw = cfg["partition"]
-            r.partition = Partition(
-                *(frozenset(require_int(s, "partition site", 0) for s in praw.get(k, ())) for k in "abc")
-            )
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
-            raise ValueError(
-                f"model file needs a partition with nonempty disjoint a and c: {e!r}"
-            ) from None
-        if not r.partition.abc <= set(range(r.h.site_graph.n_sites)):
-            raise ValueError("partition names sites outside the model")
+        # certificates never read a partition, but one they are given is checked
+        if exp == "cmi" or "partition" in cfg:
+            try:
+                praw = cfg["partition"]
+                r.partition = Partition(
+                    *(frozenset(require_int(s, "partition site", 0) for s in praw.get(k, ())) for k in "abc")
+                )
+            except (ValueError, KeyError, TypeError, AttributeError) as e:
+                raise ValueError(
+                    f"model file needs a partition with nonempty disjoint a and c: {e!r}"
+                ) from None
+            if not r.partition.abc <= set(range(r.h.site_graph.n_sites)):
+                raise ValueError("partition names sites outside the model")
         r.layer = _site_layer(ch or [], r.h.site_graph)
     else:
         r.family, n = zoo.parse_model_id(model)
@@ -233,9 +251,9 @@ def _admit(cfg: dict) -> tuple[list, SimpleNamespace | None]:
         findings.append(f"unknown experiment {exp!r}")
     else:
         findings += [
-            f"{key} is read only by {reader} experiments, not by {exp}"
-            for key, reader in _READ_BY.items()
-            if key in cfg and reader != exp
+            f"{key} is read only by {', '.join(readers)} experiments, not by {exp}"
+            for key, readers in _READ_BY.items()
+            if key in cfg and exp not in readers
         ]
     engine = cfg.get("engine", "classical")
     if engine not in experiments.ENGINES:

@@ -1,5 +1,5 @@
 """Graph machinery for the cluster-derivative bounds: cluster keys,
-connected partitions, exact-n proper colorings, spanning-tree counts, and
+connected partitions, chromatic polynomials, spanning-tree counts, and
 the combinatorial estimate chain tying them together.  All counts are exact
 Python integers; the coloring sum, whose terms carry a 1/n, is read off the
 chromatic polynomial as an integer."""
@@ -178,22 +178,6 @@ def _chromatic_poly(n: int, edges: frozenset) -> tuple:
     for i, c in enumerate(p_con):
         out[i] -= c
     return tuple(out)
-
-
-def chromatic_polynomial(g: SimpleGraph, x: int) -> int:
-    coeffs = _chromatic_poly(g.n, g.edges)
-    return sum(c * x**i for i, c in enumerate(coeffs))
-
-
-def chi_star(n: int, g: SimpleGraph) -> int:
-    """Proper colorings using exactly n colors (inclusion-exclusion over
-    the chromatic polynomial)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return sum(
-        (-1) ** (n - j) * math.comb(n, j) * chromatic_polynomial(g, j)
-        for j in range(n + 1)
-    )
 
 
 def spanning_tree_count(g: SimpleGraph) -> int:

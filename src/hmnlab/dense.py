@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelLayer, SiteChannel
-from .model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph, entropy_bits
+from .model import HamiltonianTerm, LocalHamiltonian, SiteGraph, entropy_bits
 
 DENSE_DIM_CAP = 4096
 
@@ -120,29 +120,6 @@ def partial_trace_matrix(m: np.ndarray, keep, graph: SiteGraph) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("keep at least one site (use region_entropy for S=0 cases)")
-    sub = SiteGraph(n_sites=len(keep), q=rho.graph.q)
-    m = partial_trace_matrix(rho.entries, keep, rho.graph)
-    return DensityMatrix(m, sub)
-
-
-def embed_operator(m: np.ndarray, region, graph: SiteGraph) -> np.ndarray:
-    """m on the sorted sites of region, tensored with identity elsewhere,
-    permuted into global site order."""
-    region = sorted(set(region))
-    rest = [s for s in range(graph.n_sites) if s not in region]
-    q, n = graph.q, graph.n_sites
-    big = np.kron(m, np.eye(q ** len(rest), dtype=complex))
-    order = region + rest
-    t = big.reshape((q,) * n * 2)
-    inv = [order.index(s) for s in range(n)]
-    t = t.transpose(inv + [n + i for i in inv])
-    return t.reshape(graph.dim, graph.dim)
-
-
 def von_neumann_entropy(m: np.ndarray) -> float:
     """Entropy (bits) of a unit-trace PSD matrix."""
     vals = np.linalg.eigvalsh(m)
@@ -155,41 +132,3 @@ def region_entropy(rho: DensityMatrix, region) -> float:
     if not region:
         return 0.0
     return von_neumann_entropy(partial_trace_matrix(rho.entries, region, rho.graph))
-
-
-def _psd_log(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    if vals.min() < 1e-12:
-        raise ValueError("temperature too low for operator-log form")
-    return (vecs * np.log(vals)) @ vecs.conj().T
-
-
-@dataclass
-class CmiOperator:
-    matrix: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
-
-
-def cmi_operator(h: LocalHamiltonian, beta: float, layer: ChannelLayer, p: Partition) -> CmiOperator:
-    """log E[rho_AB] + log E[rho_BC] - log E[rho_B] - log E[rho_ABC]
-    with unnormalized rho = exp(-beta H) and each marginal embedded as
-    Tr_Lc(.) (x) I_Lc.  The channel layer must live on B."""
-    g = h.site_graph
-    if not layer.sites <= p.b:
-        raise ValueError("cmi_operator expects the channel layer on B")
-    hm = hamiltonian_matrix(h)
-    vals, vecs = np.linalg.eigh(hm)
-    rho_t = (vecs * np.exp(-beta * vals)) @ vecs.conj().T  # unnormalized
-    noised = apply_layer_to_matrix(rho_t, layer, g)
-    out = np.zeros_like(noised)
-    for region, s in ((p.a | p.b, 1), (p.b | p.c, 1), (p.b, -1), (p.abc, -1)):
-        if region:
-            marg = partial_trace_matrix(noised, region, g)
-            full = embed_operator(marg, region, g)
-        else:
-            full = np.trace(noised).real * np.eye(g.dim, dtype=complex)
-        out = out + s * _psd_log(full)
-    return CmiOperator(out)

@@ -122,7 +122,7 @@ def decay_curve(
     return curve
 
 
-def cluster_gibbs_equivalence(n: int, beta: float, engine: str = "dense") -> dict:
+def cluster_gibbs_equivalence(n: int, beta: float, engine: str) -> dict:
     """Check that the thermal state of the cluster-state Hamiltonian equals
     the zero-temperature cluster state pushed through per-site dephasing of
     strength p = 1/(e^{2 beta}+1)."""

@@ -86,7 +86,7 @@ class PauliString:
             raise ValueError("bit mask exceeds qubit count")
 
     @classmethod
-    def from_label(cls, label: str, sign: int = 1) -> "PauliString":
+    def from_label(cls, label: str) -> "PauliString":
         """Build from a left-to-right label like "XZIY" (qubit 0 first)."""
         x = z = 0
         for j, ch in enumerate(label):
@@ -96,7 +96,7 @@ class PauliString:
                 z |= 1 << j
             if ch not in "IXYZ":
                 raise ValueError(f"bad Pauli letter {ch!r}")
-        return cls(len(label), x, z, sign)
+        return cls(len(label), x, z)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -116,9 +116,6 @@ class PauliString:
     def support(self) -> frozenset[int]:
         m = self.x | self.z
         return frozenset(j for j in range(self.n) if (m >> j) & 1)
-
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
 
     def commutes_with(self, other: "PauliString") -> bool:
         a = bin(self.x & other.z).count("1")

@@ -69,17 +69,6 @@ class PauliExpansion:
     def n(self) -> int:
         return self.graph.n_qubits
 
-    def element(self, v: int) -> PauliString:
-        return group_element(self.generators, v, self.n)
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense state, for cross-validation on small systems."""
-        d = 2**self.n
-        out = np.zeros((d, d), dtype=complex)
-        for v, c in enumerate(self.coeffs):
-            out += c * self.element(v).to_matrix()
-        return out / d
-
 
 def check(h: LocalHamiltonian) -> None:
     """Raise ValueError unless ``h`` is at most TERM_CAP commuting Pauli terms."""

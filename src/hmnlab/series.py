@@ -96,7 +96,7 @@ class TruncatedSeries:
     def get(self, key: tuple) -> np.ndarray:
         return self.coeffs.get(tuple(sorted(key)), self.zeros())
 
-    def add_inplace(self, other: "TruncatedSeries", scale: float = 1.0):
+    def add_inplace(self, other: "TruncatedSeries", scale: float):
         for k, m in other.coeffs.items():
             if k in self.coeffs:
                 self.coeffs[k] = self.coeffs[k] + scale * m
@@ -132,28 +132,13 @@ class TruncatedSeries:
                     out[row[j0 : j0 + b]] += times(m1, block[:b])
         return TruncatedSeries(d, self.dim, dict(zip(slot, out)), self.group)
 
-    def evaluate(self, lam: dict) -> np.ndarray:
-        """Substitute numeric values for the term variables."""
-        out = self.zeros()
-        for k, m in self.coeffs.items():
-            scale = 1.0
-            for a, mu in k:
-                scale *= lam.get(a, 0.0) ** mu
-            if scale:
-                out += scale * m
-        return out
-
-    def prune(self, tol: float = 0.0) -> "TruncatedSeries":
+    def prune(self, tol: float) -> "TruncatedSeries":
         return TruncatedSeries(
             self.max_degree,
             self.dim,
             {k: m for k, m in self.coeffs.items() if np.max(np.abs(m)) > tol},
             self.group,
         )
-
-
-def identity_series(d: int, dim: int) -> TruncatedSeries:
-    return TruncatedSeries(d, dim, {(): np.eye(dim, dtype=complex)})
 
 
 def _monomials(m: int, max_degree: int) -> list:

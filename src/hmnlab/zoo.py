@@ -27,7 +27,7 @@ from .model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph
 FAMILIES = ("ising_chain", "parity_chain", "bell_chain", "cluster_chain")
 
 
-def ising_chain(n: int, kind: str = "pauli") -> LocalHamiltonian:
+def ising_chain(n: int, kind: str) -> LocalHamiltonian:
     """Ferromagnetic ZZ chain, lambda = -1 per bond."""
     g = SiteGraph(n)
     terms = []
@@ -108,9 +108,7 @@ def build_model(family: str, n: int, engine: str = "auto") -> LocalHamiltonian:
 BULK_KIND = {"ising_chain": "bitflip", "cluster_chain": "dephasing"}
 
 
-def default_bulk_channel(
-    family: str, site: int, p: float = 1.0, engine: str = "auto"
-) -> SiteChannel:
+def default_bulk_channel(family: str, site: int, p: float, engine: str) -> SiteChannel:
     """The noise each family is studied under: parity read-out, Bell
     measurement, bit-flip, or dephasing."""
     if family == "parity_chain":

@@ -1,8 +1,12 @@
-"""Shared helpers: independent brute-force oracles and random model factories.
+"""Shared helpers: independent brute-force oracles, exact references and
+random model factories.
 
 The oracles here deliberately avoid the package's engine code paths (direct
 configuration loops, dict-based marginalization) so that engine bugs cannot
-cancel out in the comparisons.
+cancel out in the comparisons.  The exact references (the CMI operator, the
+dense state of a pauli expansion, a series evaluated at numbers, channel
+composition, exact-n colorings) are built from the package's primitives, one
+step at a time, and only the tests call them.
 """
 
 import itertools
@@ -13,10 +17,11 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from hmnlab.channels import ChannelLayer, bitflip, compose_with_trace, dephasing, depolarizing
-from hmnlab.combinatorics import Cluster
-from hmnlab.dense import term_matrix
+from hmnlab.channels import ChannelLayer, SiteChannel, bitflip, compose_with_trace, dephasing, depolarizing
+from hmnlab.combinatorics import Cluster, _chromatic_poly
+from hmnlab.dense import apply_layer_to_matrix, hamiltonian_matrix, partial_trace_matrix, term_matrix
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, build_dual_graph
+from hmnlab.pauli import group_element
 from hmnlab.series import (
     TruncatedSeries,
     cluster_derivative,
@@ -128,6 +133,93 @@ def brute_apply_layer(m, layer, g):
     return out
 
 
+def _psd_log(m: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(m)
+    if vals.min() < 1e-12:
+        raise ValueError("temperature too low for operator-log form")
+    return (vecs * np.log(vals)) @ vecs.conj().T
+
+
+def embed_operator(m: np.ndarray, region, graph: SiteGraph) -> np.ndarray:
+    """m on the sorted sites of region, tensored with identity elsewhere,
+    permuted into global site order."""
+    region = sorted(set(region))
+    rest = [s for s in range(graph.n_sites) if s not in region]
+    q, n = graph.q, graph.n_sites
+    big = np.kron(m, np.eye(q ** len(rest), dtype=complex))
+    order = region + rest
+    t = big.reshape((q,) * n * 2)
+    inv = [order.index(s) for s in range(n)]
+    t = t.transpose(inv + [n + i for i in inv])
+    return t.reshape(graph.dim, graph.dim)
+
+
+def exact_cmi_operator(h, beta, layer, p) -> np.ndarray:
+    """Reference: log E[rho_AB] + log E[rho_BC] - log E[rho_B] - log E[rho_ABC]
+    with unnormalized rho = exp(-beta H) and each marginal embedded as
+    Tr_Lc(.) (x) I_Lc.  The channel layer must live on B."""
+    g = h.site_graph
+    if not layer.sites <= p.b:
+        raise ValueError("exact_cmi_operator expects the channel layer on B")
+    hm = hamiltonian_matrix(h)
+    vals, vecs = np.linalg.eigh(hm)
+    rho_t = (vecs * np.exp(-beta * vals)) @ vecs.conj().T  # unnormalized
+    noised = apply_layer_to_matrix(rho_t, layer, g)
+    out = np.zeros_like(noised)
+    for region, s in ((p.a | p.b, 1), (p.b | p.c, 1), (p.b, -1), (p.abc, -1)):
+        if region:
+            marg = partial_trace_matrix(noised, region, g)
+            full = embed_operator(marg, region, g)
+        else:
+            full = np.trace(noised).real * np.eye(g.dim, dtype=complex)
+        out = out + s * _psd_log(full)
+    return out
+
+
+def expansion_matrix(e) -> np.ndarray:
+    """Reference: the dense state of a pauli expansion, sum_v c_v g_v / 2^n."""
+    d = 2**e.n
+    out = np.zeros((d, d), dtype=complex)
+    for v, c in enumerate(e.coeffs):
+        out += c * group_element(e.generators, v, e.n).to_matrix()
+    return out / d
+
+
+def evaluate_series(s, lam: dict) -> np.ndarray:
+    """Reference: the series with numeric values substituted for the term
+    variables."""
+    out = s.zeros()
+    for k, m in s.coeffs.items():
+        scale = 1.0
+        for a, mu in k:
+            scale *= lam.get(a, 0.0) ** mu
+        if scale:
+            out += scale * m
+    return out
+
+
+def compose_channels(first: SiteChannel, second: SiteChannel) -> SiteChannel:
+    """Reference: second after first, on the same site."""
+    if first.site != second.site:
+        raise ValueError("site mismatch")
+    if first.transition is not None and second.transition is not None:
+        return SiteChannel(first.site, transition=second.transition @ first.transition)
+    if first.pauli_mixture is not None and second.pauli_mixture is not None:
+        # conjugation ignores phases, so the composite element is just the
+        # XOR of the symplectic masks
+        acc: dict[tuple[int, int], tuple[PauliString, float]] = {}
+        for p1, w1 in first.pauli_mixture:
+            for p2, w2 in second.pauli_mixture:
+                key = (p1.x ^ p2.x, p1.z ^ p2.z)
+                prev = acc.get(key)
+                prod = prev[0] if prev else PauliString(p1.n, key[0], key[1])
+                acc[key] = (prod, (prev[1] if prev else 0.0) + w1 * w2)
+        return SiteChannel(first.site, pauli_mixture=tuple(acc.values()))
+    k1 = first.kraus_ops()
+    k2 = second.kraus_ops()
+    return SiteChannel(first.site, kraus=tuple(b @ a for a in k1 for b in k2))
+
+
 def commuting_product_gibbs(h, beta):
     """Oracle: exp(-beta H)/Z of a commuting model at finite beta as the
     product of per-term exponentials, each from its own eigendecomposition."""
@@ -235,6 +327,23 @@ def brute_force_chi_star(n, g):
     return count
 
 
+def chromatic_polynomial(g, x: int) -> int:
+    """P_g(x) from the library's cached coefficients."""
+    coeffs = _chromatic_poly(g.n, g.edges)
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def chi_star(n: int, g) -> int:
+    """Reference: proper colorings using exactly n colors (inclusion-exclusion
+    over the chromatic polynomial)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return sum(
+        (-1) ** (n - j) * math.comb(n, j) * chromatic_polynomial(g, j)
+        for j in range(n + 1)
+    )
+
+
 def random_commuting_pauli_model(rng, n, max_terms=6):
     """Random set of mutually commuting Pauli terms with coefficients in
     [-1, 1]; supports are whole-site (q=2) so any site may be channelled."""
@@ -287,14 +396,14 @@ def dependent_commuting_models(draw, max_qubits=4):
     gens = []
     for x, z in draw(st.lists(st.tuples(bits, bits), min_size=2, max_size=4)):
         p = PauliString(n, x, z)
-        if not p.is_identity() and all(p.commutes_with(g) for g in gens):
+        if p.key != (0, 0) and all(p.commutes_with(g) for g in gens):
             gens.append(p)
     assume(len(gens) >= 2)
     ops = list(gens)
     masks = st.integers(1, 2 ** len(gens) - 1)
     for mask, sign in draw(st.lists(st.tuples(masks, st.sampled_from((1, -1))), min_size=1, max_size=3)):
         p = masked_product(gens, mask, n)
-        if not p.is_identity():
+        if p.key != (0, 0):
             ops.append(PauliString(n, p.x, p.z, sign * p.sign))
     assume(len(ops) > len(gens))
     lams = draw(st.lists(st.floats(-1, 1), min_size=len(ops), max_size=len(ops)))

@@ -20,7 +20,6 @@ from hmnlab.channels import ChannelLayer, bitflip, transition_channel
 from hmnlab.cli import main as cli_main
 from hmnlab.combinatorics import (
     SimpleGraph,
-    chi_star,
     verify_combinatorial_estimate,
 )
 from hmnlab.model import (
@@ -41,6 +40,7 @@ from hmnlab.series import (
 from tests.conftest import (
     brute_cmi_bits,
     brute_force_chi_star,
+    chi_star,
     ising_diag_chain,
     lattice_2x3,
     random_commuting_pauli_model,

@@ -10,7 +10,6 @@ from hmnlab.channels import (
     bell_measurement,
     bitflip,
     complete_depolarization,
-    compose_channels,
     compose_with_trace,
     dephasing,
     depolarizing,
@@ -22,7 +21,7 @@ from hmnlab.channels import (
 )
 from hmnlab.dense import apply_layer_to_matrix, partial_trace_matrix
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph
-from tests.conftest import ising_pauli_chain
+from tests.conftest import compose_channels, ising_pauli_chain
 
 
 def test_dephasing_damping_profile():

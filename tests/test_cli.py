@@ -301,6 +301,21 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
             dict(CLUSTER_EQ_CFG, max_weight=2),
             "max_weight is read only by certificates experiments, not by cluster_equivalence",
         ),
+        (
+            dict(CLUSTER_EQ_CFG, channel="garbage"),
+            "channel is read only by decay, cmi, certificates experiments, not by cluster_equivalence",
+        ),
+        (
+            dict(CLUSTER_EQ_CFG, channel=[{"site": 1, "kind": "bitflip", "p": 0.9}]),
+            "channel is read only by decay, cmi, certificates experiments, not by cluster_equivalence",
+        ),
+        (
+            dict(CLUSTER_EQ_CFG, partition={"a": [0], "b": [1], "c": [2]}),
+            "partition is read only by decay, cmi, certificates experiments, not by cluster_equivalence",
+        ),
+        (dict(CLUSTER_EQ_CFG, model=17), "model 17 is not 'cluster_chain_n4'"),
+        (dict(CLUSTER_EQ_CFG, model="cluster_chain_n5"), "model 'cluster_chain_n5' is not 'cluster_chain_n4'"),
+        (dict(CLUSTER_EQ_CFG, model="ising_chain_n4"), "model 'ising_chain_n4' is not 'cluster_chain_n4'"),
     ],
     ids=[
         "pauli_term_cap",
@@ -347,6 +362,12 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         "max_weight_on_decay",
         "n_on_certificates",
         "max_weight_on_cluster_equivalence",
+        "garbage_channel_on_cluster_equivalence",
+        "bitflip_channel_on_cluster_equivalence",
+        "partition_on_cluster_equivalence",
+        "model_not_an_id_on_cluster_equivalence",
+        "model_of_another_size_on_cluster_equivalence",
+        "model_of_another_family_on_cluster_equivalence",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):
@@ -376,8 +397,31 @@ def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):
                 "n is read only by cluster_equivalence experiments, not by decay",
             ],
         ),
+        (
+            dict(CLUSTER_EQ_CFG, channel="garbage", model=17),
+            [
+                "channel is read only by decay, cmi, certificates experiments, not by cluster_equivalence",
+                "cluster_equivalence runs the cluster chain of n = 4 sites; model 17 is not 'cluster_chain_n4'",
+            ],
+        ),
+        (
+            dict(
+                CLUSTER_EQ_CFG,
+                channel=[{"site": 1, "kind": "bitflip", "p": 0.9}],
+                partition={"a": [0], "b": [1], "c": [2]},
+            ),
+            [
+                "channel is read only by decay, cmi, certificates experiments, not by cluster_equivalence",
+                "partition is read only by decay, cmi, certificates experiments, not by cluster_equivalence",
+            ],
+        ),
     ],
-    ids=["cmi_with_three_unread_keys", "decay_with_unread_strings"],
+    ids=[
+        "cmi_with_three_unread_keys",
+        "decay_with_unread_strings",
+        "cluster_equivalence_with_garbage_channel_and_model",
+        "cluster_equivalence_with_channel_and_partition",
+    ],
 )
 def test_validate_names_every_unread_key(tmp_path, capsys, cfg, findings):
     """One finding per key the experiment does not read, and run refuses with
@@ -406,6 +450,39 @@ def test_readme_configs_validate():
     assert configs
     for cfg in configs:
         assert validate_config(cfg) == [], cfg
+
+
+def test_cluster_equivalence_takes_its_own_chain_id():
+    """A model on cluster_equivalence names the chain the run builds: the
+    cluster chain of n sites (n = 6 when not given)."""
+    assert validate_config(dict(CLUSTER_EQ_CFG, model="cluster_chain_n4")) == []
+    assert validate_config(dict(CLUSTER_EQ_CFG, model="cluster_chain_n3", n=3)) == []
+    no_n = {k: v for k, v in CLUSTER_EQ_CFG.items() if k != "n"}
+    assert validate_config(dict(no_n, model="cluster_chain_n6")) == []
+
+
+def test_certificates_on_a_model_file_need_no_partition(tmp_path):
+    """Certificates never read a partition: a model-file certificate config
+    without one is valid and runs to a verdict, while a partition it is
+    given is still checked."""
+    model = write_cfg(
+        tmp_path / "model.json",
+        {"n_sites": 3, "terms": [{"support": [i, i + 1], "pauli": "ZZ", "lambda": -1.0} for i in range(2)]},
+    )
+    cfg = {
+        "experiment": "certificates",
+        "model": model,
+        "engine": "pauli",
+        "beta": [0.01],
+        "channel": [{"site": 1, "kind": "bitflip", "p": 0.2}],
+        "max_weight": 3,
+        "output": "cert",
+    }
+    assert validate_config(cfg) == []
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path / "out")]) in (0, 2)
+    assert validate_config(dict(cfg, partition={"a": [0], "b": [1], "c": [2]})) == []
+    outside = dict(cfg, partition={"a": [0], "b": [1], "c": [5]})
+    assert validate_config(outside) == ["partition names sites outside the model"]
 
 
 def test_certificates_take_the_dense_cap():

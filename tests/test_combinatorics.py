@@ -4,8 +4,6 @@ from fractions import Fraction
 from hmnlab.combinatorics import (
     Cluster,
     SimpleGraph,
-    chi_star,
-    chromatic_polynomial,
     coloring_weight,
     enumerate_connected_partitions,
     enumerate_set_partitions,
@@ -17,7 +15,7 @@ from hmnlab.combinatorics import (
 )
 from hmnlab.model import build_dual_graph
 from hmnlab.series import enumerate_connected_clusters
-from tests.conftest import brute_force_chi_star, ising_pauli_chain
+from tests.conftest import brute_force_chi_star, chi_star, chromatic_polynomial, ising_pauli_chain
 
 
 def path(n):

@@ -1,0 +1,119 @@
+"""The library holds what runs.
+
+Every public top-level function and class in ``src/hmnlab``, and every public
+method of such a class, must be reached from somewhere other than the tests:
+its name is referenced in ``src/hmnlab`` outside its own definition (as a
+name, an attribute or an import), or it appears in ``perfbench/*.py``, or it
+is one of the paper studies in ``PAPER_STUDIES``.  References that only the
+tests call belong in ``tests/conftest.py``.
+
+The check goes by spelling, so a name shadowed by a used name of the same
+spelling is not caught: a test-only ``to_matrix`` method on one class passes
+because ``PauliString.to_matrix`` is called.
+
+The last test imports every module in a fresh interpreter and checks that
+neither test dependency is loaded, since ``numpy`` is the only runtime
+dependency.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hmnlab"
+
+# studies of the paper's statements that only tests run today; each stays in
+# the library as the computation the statement describes
+PAPER_STUDIES = {
+    "low_temperature_chain_demo": "the long-range parity and Bell chain curves at low temperature",
+    "theorem3_bound": "the CMI lower bound across a noisy logical interface",
+    "xi_analytic": "the decay length the convergence threshold implies",
+    "binary_entropy": "the Fannes-Audenaert helper of the lower bound",
+    "post_select_decompose": "the post-selection decomposition of a channelled distribution",
+    "pinned_hamiltonian": "the pinning construction: pinned Hamiltonians",
+    "pinned_conditional": "the pinning construction: conditionals of the pinned state",
+    "pinned_series_check": "the pinning construction: the pinned series' vanishing and beta-power checks",
+    "is_commutation_preserving": "the commutation-preservation property the decay theorems assume",
+}
+
+
+def public_definitions():
+    """(module file, name, first line, last line) of every public top-level
+    function and class and every public method of a public class."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            out.append((path, node.name, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                out += [
+                    (path, m.name, m.lineno, m.end_lineno)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+    return out
+
+
+def references():
+    """{module file: [(name, line)]} of every name, attribute and imported
+    name in the library's code (docstrings and comments are not code)."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        refs = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, node.lineno))
+            elif isinstance(node, ast.alias):
+                refs.append((node.name, node.lineno))
+        out[path] = refs
+    return out
+
+
+def unreached():
+    """{qualified name: name} of the public definitions that neither the
+    library (outside the definition itself) nor perfbench refers to."""
+    refs = references()
+    perfbench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    out = {}
+    for path, name, first, last in public_definitions():
+        in_src = any(
+            ref == name and (other != path or not first <= line <= last)
+            for other, found in refs.items()
+            for ref, line in found
+        )
+        if not (in_src or re.search(rf"\b{name}\b", perfbench)):
+            out[f"{path.stem}.{name}"] = name
+    return out
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    names = sorted(q for q, name in unreached().items() if name not in PAPER_STUDIES)
+    assert names == [], f"only tests reach {names}; move them to tests/conftest.py or delete them"
+
+
+def test_every_paper_study_is_otherwise_unreached():
+    """An allowlisted name that the library or perfbench reaches, or that is
+    gone, is a stale entry."""
+    assert set(PAPER_STUDIES) <= set(unreached().values())
+
+
+def test_runtime_imports_need_only_numpy():
+    """Importing every hmnlab module in a fresh interpreter loads neither
+    pytest nor hypothesis."""
+    modules = ["hmnlab"] + [f"hmnlab.{p.stem}" for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    code = (
+        "import importlib, sys\n"
+        f"for m in {modules!r}:\n"
+        "    importlib.import_module(m)\n"
+        "print(sorted(m for m in ('pytest', 'hypothesis') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout + done.stderr
