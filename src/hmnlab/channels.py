@@ -49,19 +49,27 @@ class SiteChannel:
             raise ValueError("exactly one channel representation must be given")
         if self.transition is not None:
             t = np.asarray(self.transition, dtype=float)
+            if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
+                raise ValueError(f"transition matrix of shape {t.shape} is not square")
+            if not np.all(np.isfinite(t)):
+                raise ValueError("transition matrix has a non-finite entry")
             if np.any(t < -_TOL) or np.max(np.abs(t.sum(axis=0) - 1)) > 1e-10:
                 raise ValueError("transition matrix must be column-stochastic")
             object.__setattr__(self, "transition", t)
         if self.kraus is not None:
             ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-            d = ks[0].shape[0]
+            d = ks[0].shape[0] if ks else 0
+            if d == 0 or any(k.shape != (d, d) for k in ks):
+                raise ValueError("Kraus operators must be square matrices of one size")
+            if not all(np.all(np.isfinite(k)) for k in ks):
+                raise ValueError("Kraus operator has a non-finite entry")
             s = sum(k.conj().T @ k for k in ks)
             if np.max(np.abs(s - np.eye(d))) > 1e-10:
                 raise ValueError("Kraus operators are not trace-preserving")
             object.__setattr__(self, "kraus", ks)
         if self.pauli_mixture is not None:
             probs = [p for _, p in self.pauli_mixture]
-            if any(p < -_TOL for p in probs) or abs(sum(probs) - 1) > 1e-10:
+            if not (all(p >= -_TOL for p in probs) and abs(sum(probs) - 1) <= 1e-10):  # NaN fails too
                 raise ValueError("Pauli mixture probabilities must sum to 1")
 
     @property

@@ -1,6 +1,8 @@
-"""Exact classical engine: Gibbs distributions of diagonal Hamiltonians,
-transition-matrix channels, Shannon entropies, post-selection, and the
-pinned-Hamiltonian construction for conditioning on channel outcomes.
+"""Exact classical engine: Gibbs distributions of diagonal Hamiltonians
+under transition-matrix channels, built site by site as the forward
+algorithm of a hidden Markov model does, Shannon entropies,
+post-selection, and the pinned-Hamiltonian construction for conditioning on
+channel outcomes.
 
 Distributions are stored as flat probability vectors of length q^n in
 lexicographic order with site 0 most significant.
@@ -24,6 +26,11 @@ _SLICE_RUN = 8  # runs of at most this many configurations are summed by slice a
 # within _GEMM_MNK, under the size at which BLAS starts threads.
 _KRON_RIGHT = 8
 _GEMM_MNK = 2**17
+# prepare's site-grown sweep multiplies Boltzmann factors whose product is at
+# least exp(-|beta| sum_a ptp(lambda_a h_a)); it runs only while that bound
+# stays a factor 1/eps above the smallest normal float64 (about e^-672), so
+# that no weight underflows and a weight times an entry >= eps stays normal
+_SWEEP_LOG_RANGE = -math.log(np.finfo(float).tiny / np.finfo(float).eps)
 
 
 @dataclass
@@ -35,7 +42,7 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if p.size != self.graph.dim:
             raise ValueError("probability vector has wrong length")
-        if p.min() < -1e-12 or abs(p.sum() - 1) > 1e-12:
+        if not (p.min() >= -1e-12 and abs(p.sum() - 1) <= 1e-12):  # NaN fails too
             raise ValueError("not a probability distribution")
         self.probs = p
 
@@ -87,7 +94,9 @@ def _boltzmann(e: np.ndarray, scale: float) -> np.ndarray:
     return e
 
 
-def gibbs_distribution(h: LocalHamiltonian, beta: float) -> Distribution:
+def _energy_gibbs(h: LocalHamiltonian, beta: float) -> Distribution:
+    """Gibbs weights from the full energy table: the Boltzmann weights, or at
+    beta = inf the uniform distribution on the ground states."""
     e = energy_table(h).ravel()
     if math.isinf(beta):
         p = (e <= e.min() + 1e-12).astype(float)
@@ -97,11 +106,30 @@ def gibbs_distribution(h: LocalHamiltonian, beta: float) -> Distribution:
     return Distribution(p, h.site_graph)
 
 
+def gibbs_distribution(h: LocalHamiltonian, beta: float) -> Distribution:
+    return prepare(h, beta, ChannelLayer())
+
+
+def _transition(t: np.ndarray, p: np.ndarray, left: int, out: np.ndarray) -> None:
+    """out = T applied to the site after the first ``left`` configurations of
+    the flat vector ``p``: one matmul of T on the (left, q, right) view, or,
+    with fewer than _KRON_RIGHT configurations right of the site, row blocks
+    of the (left, q*right) view times kron(T, I_right).T."""
+    q = t.shape[0]
+    right = p.size // (left * q)
+    if right < _KRON_RIGHT:
+        k = np.kron(t, np.eye(right)).T
+        x, y = p.reshape(left, -1), out.reshape(left, -1)
+        step = max(1, _GEMM_MNK // k.size)
+        for a in range(0, left, step):
+            np.matmul(x[a : a + step], k, out=y[a : a + step])
+    else:
+        np.matmul(t, p.reshape(left, q, right), out=out.reshape(left, q, right))
+
+
 def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
-    """Each site channel is one matmul of T on the (left, q, right) view of
-    the flat vector, or on its last sites row blocks of the (left, q*right)
-    view times kron(T, I_right).T, written into one of two fresh buffers in
-    turn, so ``d.probs`` is never written."""
+    """Each site channel is one ``_transition`` of the flat vector, written
+    into one of two fresh buffers in turn, so ``d.probs`` is never written."""
     check_layer(layer)
     q = d.graph.q
     p = d.probs
@@ -110,16 +138,7 @@ def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
         if i < 2:
             bufs.append(np.empty_like(p))
         out = bufs[i % 2]
-        left = q**c.site
-        right = p.size // (left * q)
-        if right < _KRON_RIGHT:
-            k = np.kron(c.transition, np.eye(right)).T
-            x, y = p.reshape(left, -1), out.reshape(left, -1)
-            step = max(1, _GEMM_MNK // k.size)
-            for a in range(0, left, step):
-                np.matmul(x[a : a + step], k, out=y[a : a + step])
-        else:
-            np.matmul(c.transition, p.reshape(left, q, right), out=out.reshape(left, q, right))
+        _transition(c.transition, p, q**c.site, out)
         p = out
     if not bufs:
         return Distribution(p / p.sum(), d.graph)
@@ -127,8 +146,67 @@ def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
     return Distribution(p, d.graph)
 
 
+def _sweep(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> np.ndarray:
+    """The normalized channelled Gibbs vector, grown from the last site down
+    to site 0, each new site the leading axis.  Step k multiplies in the
+    factor exp(-beta sum_a (lambda_a h_a - min lambda_a h_a)) of the terms
+    whose smallest site is k, one broadcast table over sites k..(their
+    largest site), and then applies the channel of every site that no term
+    with a smaller site touches.  The vector lives in a prefix of one of two
+    q^n buffers."""
+    g = h.site_graph
+    n, q = g.n_sites, g.q
+    by_first = [[] for _ in range(n)]
+    reach = list(range(n))  # the smallest site of a term on each site, or the site
+    for t in h.terms:
+        if not t.support:
+            continue  # a constant energy cancels
+        lo = min(t.support)
+        by_first[lo].append(t)
+        for s in t.support:
+            reach[s] = min(reach[s], lo)
+    channels_at = [[] for _ in range(n)]
+    for c in layer.channels:
+        channels_at[reach[c.site]].append(c)
+    bufs = (np.empty(g.dim), np.empty(g.dim))
+    cur = 0
+    x = bufs[cur][:1]
+    x[0] = 1.0
+    for k in range(n - 1, -1, -1):
+        span = max((max(t.support) for t in by_first[k]), default=k) - k + 1
+        grown = SiteGraph(k + span, q)
+        e = np.zeros((q,) * span)
+        for t in by_first[k]:
+            a = t.coefficient * t.site_table(grown)[(0,) * k]
+            e += a - a.min()
+        e *= -beta
+        inner = q ** (span - 1)
+        cur = 1 - cur
+        out = bufs[cur][: q * x.size]
+        np.multiply(np.exp(e).reshape(q, inner, 1), x.reshape(1, inner, -1), out=out.reshape(q, inner, -1))
+        x = out
+        for c in channels_at[k]:
+            cur = 1 - cur
+            out = bufs[cur][: x.size]
+            _transition(c.transition, x, q ** (c.site - k), out)
+            x = out
+    x /= x.sum()
+    return x
+
+
 def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> Distribution:
-    return apply_transitions(gibbs_distribution(h, beta), layer)
+    """The Gibbs distribution at ``beta`` under the transition ``layer``.
+    Every term's factor exp(-beta (lambda_a h_a - min lambda_a h_a)) lies
+    between 1 and exp(-beta ptp(lambda_a h_a)), so while |beta| times the sum
+    of the ptp stays within _SWEEP_LOG_RANGE no weight can underflow or
+    overflow and ``_sweep`` computes the state; otherwise, and at
+    beta = inf, the energy table does."""
+    check(h)
+    check_layer(layer)
+    spread = sum(float(np.ptp(t.coefficient * t.operator)) for t in h.terms)
+    if math.isfinite(beta) and abs(beta) * spread <= _SWEEP_LOG_RANGE:
+        return Distribution(_sweep(h, beta, layer), h.site_graph)
+    return apply_transitions(_energy_gibbs(h, beta), layer)
 
 
 def marginal(d: Distribution, region) -> np.ndarray:

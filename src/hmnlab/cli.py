@@ -298,6 +298,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
                         "xi": fmt(f.xi),
                         "intercept": fmt(f.intercept),
                         "r_squared": fmt(f.r_squared),
+                        "slope_stderr": fmt(f.slope_stderr),
                         "used_points": f.used_points,
                         "diverged": f.diverged,
                     }

@@ -80,6 +80,7 @@ class MarkovLengthFit:
     xi: float
     intercept: float
     r_squared: float
+    slope_stderr: float
     used_points: int
     censored_points: int
     diverged: bool
@@ -87,7 +88,8 @@ class MarkovLengthFit:
 
 def fit_markov_length(curve: DecayCurve) -> MarkovLengthFit:
     """Least squares on (d, ln cmi); slope >= -1e-3 flags divergence
-    (no decay / long-range CMI)."""
+    (no decay / long-range CMI).  The slope's standard error is
+    sqrt(SSR / (N - 2) / sum (x - mean x)^2) over the N used points."""
     usable = [(d, v) for d, v in curve.points if v > CMI_FLOOR and math.isfinite(d)]
     censored = len(curve.points) - len(usable)
     if len(usable) < 3:
@@ -96,11 +98,13 @@ def fit_markov_length(curve: DecayCurve) -> MarkovLengthFit:
     y = np.log([v for _, v in usable])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
+    ssr = float((resid**2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float((resid**2).sum()) / ss_tot
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ssr / ss_tot
+    stderr = math.sqrt(ssr / (len(usable) - 2) / float(((x - x.mean()) ** 2).sum()))
     diverged = bool(slope >= -1e-3)
     xi = math.inf if diverged else float(-1.0 / slope)
-    return MarkovLengthFit(xi, float(intercept), r2, len(usable), censored, diverged)
+    return MarkovLengthFit(xi, float(intercept), r2, stderr, len(usable), censored, diverged)
 
 
 def decay_curve(

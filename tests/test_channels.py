@@ -59,6 +59,25 @@ def test_transition_must_be_column_stochastic():
         transition_channel(0, [[0.5, 0.5], [0.4, 0.5]])
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"transition": [[math.nan, 0.5], [0.5, 0.5]]}, "non-finite entry"),
+        ({"transition": [[math.inf, 0.0], [-math.inf, 1.0]]}, "non-finite entry"),
+        ({"transition": [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]}, "not square"),
+        ({"transition": [1.0]}, "not square"),
+        ({"kraus": (np.array([[math.nan, 0], [0, 1]]),)}, "non-finite entry"),
+        ({"kraus": (np.eye(2), np.eye(3))}, "square matrices of one size"),
+        ({"kraus": ()}, "square matrices of one size"),
+        ({"pauli_mixture": ((PauliString.identity(1), math.nan),)}, "sum to 1"),
+    ],
+)
+def test_channel_entries_refused(kwargs, message):
+    """NaN fails every comparison, so each check is one NaN cannot pass."""
+    with pytest.raises(ValueError, match=message):
+        SiteChannel(0, **kwargs)
+
+
 def test_compose_transition():
     a = transition_channel(0, [[0.9, 0.1], [0.1, 0.9]])
     c = compose_channels(a, a)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmnlab import classical
 from hmnlab.channels import ChannelLayer, transition_channel
@@ -15,6 +17,7 @@ from tests.conftest import (
     brute_gibbs_probs,
     brute_marginal,
     ising_diag_chain,
+    ising_pauli_chain,
 )
 
 
@@ -285,3 +288,114 @@ def test_memory_cap():
     h = LocalHamiltonian(g, (HamiltonianTerm((0,), np.array([0.5, -0.5]), 1.0),))
     with pytest.raises(ValueError, match="memory cap"):
         classical.gibbs_distribution(h, 0.1)
+    with pytest.raises(ValueError, match="memory cap"):
+        classical.prepare(h, 0.1, ChannelLayer())
+
+
+def test_prepare_refuses_pauli_terms():
+    with pytest.raises(ValueError, match="requires diagonal terms"):
+        classical.prepare(ising_pauli_chain(3), 0.5, ChannelLayer())
+
+
+@pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, math.nan], [math.inf, 0.0], [1.5, -0.5]])
+def test_distribution_refuses_nan_and_negative(probs):
+    with pytest.raises(ValueError, match="not a probability distribution"):
+        classical.Distribution(np.array(probs), SiteGraph(1))
+
+
+@st.composite
+def sweep_models(draw):
+    """Diagonal models on 1-6 sites (q = 2) or 1-5 sites (q = 3): terms of
+    one to three sites listed in any order, often with gaps, a term joining
+    the first and the last site, and transition channels on a random subset
+    of the sites, which may include sites no term touches and the last."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 6 if q == 2 else 5))
+    sites = st.integers(0, n - 1)
+    supports = draw(st.lists(st.lists(sites, min_size=1, max_size=min(3, n), unique=True), max_size=4))
+    if n > 1 and draw(st.booleans()):
+        supports.append([n - 1, 0])
+    terms = []
+    for sup in supports:
+        table = draw(st.lists(st.floats(-1, 1), min_size=q ** len(sup), max_size=q ** len(sup)))
+        terms.append(HamiltonianTerm(tuple(sup), np.reshape(table, (q,) * len(sup)), draw(st.floats(-1, 1))))
+    mats = {}
+    for site in draw(st.lists(sites, unique=True, max_size=n)):
+        cols = np.reshape(draw(st.lists(st.floats(0.01, 1), min_size=q * q, max_size=q * q)), (q, q))
+        mats[site] = cols / cols.sum(axis=0)
+    h = LocalHamiltonian(SiteGraph(n, q), tuple(terms))
+    return h, draw(st.floats(0, 2)), mats
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sweep_models())
+def test_sweep_matches_brute_force(model):
+    """The site-grown sweep is the brute-force Boltzmann vector pushed
+    through the brute-force transition sum."""
+    h, beta, mats = model
+    layer = ChannelLayer(tuple(transition_channel(s, t) for s, t in mats.items()))
+    got = classical.prepare(h, beta, layer)
+    want = brute_apply_transitions(brute_gibbs_probs(h, beta), h.site_graph, mats)
+    assert np.max(np.abs(got.probs - want)) < 1e-14
+
+
+def _frustrated_triangle():
+    """Antiferromagnetic bonds on a triangle: six ground states, each with
+    one unsatisfied bond; sum_a ptp(lambda_a h_a) = 6."""
+    tbl = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return LocalHamiltonian(SiteGraph(3), tuple(HamiltonianTerm(s, tbl, 1.0) for s in ((0, 1), (1, 2), (2, 0))))
+
+
+def _energy_route(h, beta, layer):
+    return classical.apply_transitions(classical._energy_gibbs(h, beta), layer)
+
+
+@pytest.mark.parametrize("beta, swept", [(50.0, True), (400.0, False), (1000.0, False), (math.inf, False)])
+def test_underflow_guard(monkeypatch, beta, swept):
+    """The sweep runs while beta * 6 stays within the float64 range and the
+    energy table beyond it (the unguarded sweep reads 0/0 there); both agree
+    with the energy route, and at beta >= 400 they are that route's bits.
+    RuntimeWarnings are errors in this suite, so none fires either."""
+    h = _frustrated_triangle()
+    layer = ChannelLayer((transition_channel(2, [[0.9, 0.2], [0.1, 0.8]]),))
+    calls = []
+    sweep = classical._sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(classical, "_sweep", counted)
+    for lay in (ChannelLayer(), layer):
+        got = classical.prepare(h, beta, lay).probs
+        want = _energy_route(h, beta, lay).probs
+        if swept:
+            assert np.max(np.abs(got - want)) < 1e-14
+        else:
+            assert np.array_equal(got, want)
+    assert len(calls) == (2 if swept else 0)
+    ground = classical.prepare(h, beta, ChannelLayer()).probs
+    assert np.max(np.abs(ground - np.array([0, 1, 1, 1, 1, 1, 1, 0]) / 6)) < 1e-14
+
+
+def test_negative_beta_and_constant_term():
+    """A negative beta (factors >= 1) and a term on no site (a constant
+    energy, which cancels) against the brute-force Boltzmann vector."""
+    h = _frustrated_triangle()
+    h = LocalHamiltonian(h.site_graph, h.terms + (HamiltonianTerm((), np.array(0.7), -1.0),))
+    for beta in (-0.8, 0.0, 0.8):
+        got = classical.prepare(h, beta, ChannelLayer()).probs
+        assert np.max(np.abs(got - brute_gibbs_probs(h, beta))) < 1e-14
+
+
+def test_prepare_leaves_its_input_unwritten():
+    """A prepared vector that apply_transitions takes is not written, and two
+    prepare calls share no buffer."""
+    h = ising_diag_chain(6)
+    t = [[0.7, 0.4], [0.3, 0.6]]
+    d = classical.prepare(h, 0.4, ChannelLayer((transition_channel(5, t),)))
+    before = d.probs.copy()
+    out = classical.apply_transitions(d, ChannelLayer((transition_channel(0, t), transition_channel(5, t))))
+    assert np.array_equal(d.probs, before) and not np.shares_memory(out.probs, d.probs)
+    again = classical.prepare(h, 0.4, ChannelLayer((transition_channel(5, t),)))
+    assert not np.shares_memory(again.probs, d.probs) and np.array_equal(again.probs, before)

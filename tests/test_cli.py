@@ -58,6 +58,7 @@ def test_run_decay_writes_artifacts(tmp_path):
     assert len(lines) == 1 + 2 * 4
     res = json.loads((tmp_path / "decay.json").read_text())
     assert len(res["fits"]) == 2
+    assert all(float(f["slope_stderr"]) >= 0 for f in res["fits"])
     man = json.loads((tmp_path / "decay.manifest.json").read_text())
     assert man["config"]["model"] == "ising_chain_n6"
     assert "caps" in man and "wall_clock_s" in man
@@ -316,6 +317,23 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         (dict(CLUSTER_EQ_CFG, model=17), "model 17 is not 'cluster_chain_n4'"),
         (dict(CLUSTER_EQ_CFG, model="cluster_chain_n5"), "model 'cluster_chain_n5' is not 'cluster_chain_n4'"),
         (dict(CLUSTER_EQ_CFG, model="ising_chain_n4"), "model 'ising_chain_n4' is not 'cluster_chain_n4'"),
+        (
+            dict(CMI_CFG, model="ising_chain_n5", channel=[{"site": 2, "kind": "transition", "matrix": [[math.nan, 0.5], [0.5, 0.5]]}]),
+            "transition matrix has a non-finite entry",
+        ),
+        (
+            dict(
+                CMI_CFG,
+                model="ising_chain_n5",
+                engine="dense",
+                channel=[{"site": 2, "kind": "kraus", "kraus": [[[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]]}],
+            ),
+            "Kraus operator has a non-finite entry",
+        ),
+        (
+            dict(CMI_CFG, model="ising_chain_n5", channel=[{"site": 2, "kind": "transition", "matrix": [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]}]),
+            "transition matrix of shape (2, 3) is not square",
+        ),
     ],
     ids=[
         "pauli_term_cap",
@@ -368,6 +386,9 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         "model_not_an_id_on_cluster_equivalence",
         "model_of_another_size_on_cluster_equivalence",
         "model_of_another_family_on_cluster_equivalence",
+        "transition_nan_entry",
+        "kraus_nan_entry",
+        "transition_not_square",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):

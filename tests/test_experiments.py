@@ -59,7 +59,22 @@ def test_fit_markov_length_exact_exponential():
     fit = fit_markov_length(curve)
     assert fit.xi == pytest.approx(xi, rel=1e-12)
     assert fit.r_squared == pytest.approx(1.0)
+    assert fit.slope_stderr == pytest.approx(0.0, abs=1e-15)
     assert not fit.diverged
+
+
+def test_fit_slope_stderr_by_hand():
+    """ln cmi = 0, -1, -1, -3 at d = 1..4: slope -0.9, intercept 1, residuals
+    -0.1, -0.2, 0.7, -0.4, so SSR = 0.7, sum (d - 2.5)^2 = 5 and the slope's
+    standard error is sqrt(0.7 / 2 / 5) = sqrt(0.07)."""
+    curve = DecayCurve(0.1, "synthetic", "none")
+    for d, y in zip(range(1, 5), (0.0, -1.0, -1.0, -3.0)):
+        curve.add(float(d), math.exp(y))
+    fit = fit_markov_length(curve)
+    assert fit.xi == pytest.approx(1 / 0.9, rel=1e-12)
+    assert fit.intercept == pytest.approx(1.0, rel=1e-12)
+    assert fit.r_squared == pytest.approx(1 - 0.7 / 4.75, rel=1e-12)
+    assert fit.slope_stderr == pytest.approx(math.sqrt(0.07), rel=1e-12)
 
 
 def test_fit_flags_divergence_and_censors():
