@@ -112,7 +112,7 @@ def bitflip(site: int, p: float) -> SiteChannel:
     return SiteChannel(site, pauli_mixture=((i, 1 - p), (x, p)))
 
 
-def depolarizing(site: int, p: float, q: int = 2) -> SiteChannel:
+def depolarizing(site: int, p: float, q: int) -> SiteChannel:
     """rho -> (1-p) rho + p I/q as a uniform Pauli conjugation mixture."""
     nq = q.bit_length() - 1
     if 2**nq != q:
@@ -125,7 +125,7 @@ def depolarizing(site: int, p: float, q: int = 2) -> SiteChannel:
     return SiteChannel(site, pauli_mixture=tuple(mix))
 
 
-def complete_depolarization(site: int, q: int = 2) -> SiteChannel:
+def complete_depolarization(site: int, q: int) -> SiteChannel:
     if 2 ** (q.bit_length() - 1) == q:
         return depolarizing(site, 1.0, q)
     ks = []
@@ -137,23 +137,13 @@ def complete_depolarization(site: int, q: int = 2) -> SiteChannel:
     return SiteChannel(site, kraus=tuple(ks))
 
 
-def stabilizer_measurement(site: int, generators: list[PauliString]) -> SiteChannel:
-    """Dephasing onto the joint eigenbasis of commuting Pauli generators
-    (uniform conjugation mixture over the group they generate)."""
-    group = {PauliString.identity(generators[0].n).key: PauliString.identity(generators[0].n)}
-    for g in generators:
-        for el in list(group.values()):
-            prod = el * g
-            group.setdefault(prod.key, prod)
-    p = 1 / len(group)
-    return SiteChannel(site, pauli_mixture=tuple((g, p) for g in group.values()))
-
-
 def bell_measurement(site: int) -> SiteChannel:
-    """Measurement of the XX and ZZ stabilizers on a two-qubit site."""
-    return stabilizer_measurement(
-        site, [PauliString.from_label("XX"), PauliString.from_label("ZZ")]
-    )
+    """Measurement of the XX and ZZ stabilizers on a two-qubit site: the
+    uniform conjugation mixture over the group they generate, II, XX, ZZ and
+    XX ZZ = -YY, each with weight 1/4."""
+    ii, xx, zz = (PauliString.from_label(lab) for lab in ("II", "XX", "ZZ"))
+    minus_yy = PauliString(2, 0b11, 0b11, -1)
+    return SiteChannel(site, pauli_mixture=tuple((g, 0.25) for g in (ii, xx, zz, minus_yy)))
 
 
 def transition_channel(site: int, matrix) -> SiteChannel:
@@ -194,22 +184,13 @@ def is_unital(c: SiteChannel) -> bool:
     return bool(np.max(np.abs(s - np.eye(c.dim))) <= 1e-10)
 
 
-def compose_with_trace(layer: ChannelLayer, traced_region, q: int = 2) -> ChannelLayer:
+def compose_with_trace(layer: ChannelLayer, traced_region, q: int) -> ChannelLayer:
     """Realizes a partial trace as a channel: complete depolarization on every
     traced site.  Every site channel is trace-preserving, so the trace absorbs
-    the site's own channel.  It is the uniform transition matrix on a site
-    whose channel is one, and on a traced site without a channel when the
-    layer's first channel is one."""
+    the site's own channel."""
     traced = frozenset(traced_region)
-
-    def trace(site: int, like: SiteChannel | None) -> SiteChannel:
-        if like is not None and like.transition is not None:
-            return transition_channel(site, np.full((q, q), 1 / q))
-        return complete_depolarization(site, q)
-
-    out = [trace(c.site, c) if c.site in traced else c for c in layer.channels]
-    first = layer.channels[0] if layer.channels else None
-    return ChannelLayer(tuple(out + [trace(s, first) for s in sorted(traced - layer.sites)]))
+    out = [complete_depolarization(c.site, q) if c.site in traced else c for c in layer.channels]
+    return ChannelLayer(tuple(out + [complete_depolarization(s, q) for s in sorted(traced - layer.sites)]))
 
 
 def pauli_damping_profile(c: SiteChannel) -> dict[tuple[int, int], float]:
@@ -258,7 +239,7 @@ class CommutationCheck(enum.Enum):
 def is_commutation_preserving(
     layer: ChannelLayer,
     h: LocalHamiltonian,
-    budget: int = 200_000,
+    budget: int,
 ) -> CommutationCheck:
     """Brute-force falsifier for the commutation-preserving property.
 
@@ -282,7 +263,7 @@ def is_commutation_preserving(
     products: list[np.ndarray] = []
     combos = itertools.product(*(range(c + 1) for c in caps))
     # products of bare h_a (coefficient-free), which is what must stay commuting
-    bare = [term_matrix(g, t, bare=True) for t in h.terms]
+    bare = [term_matrix(g, t) for t in h.terms]
     truncated = False
     for mu in combos:
         if len(products) > 64:
@@ -333,7 +314,7 @@ def parse_probability(p) -> float:
     return v
 
 
-def parse_channel(obj: dict, q: int = 2) -> SiteChannel:
+def parse_channel(obj: dict, q: int) -> SiteChannel:
     """One per-site channel object; the site must be an int >= 0 (whether it
     is in the model is the caller's check), and a missing key is named."""
     if not isinstance(obj, dict):

@@ -8,9 +8,10 @@ Exit codes: 0 success, 2 a certificate/bound check failed, 1 tooling error.
 Config schema (JSON object):
     experiment: "decay" | "cmi" | "certificates" | "cluster_equivalence"
     model:      builtin id ("ising_chain_n8", ...) or path to a model file;
-                optional on cluster_equivalence, and there cluster_chain_n<n>
-    beta:       list of numbers ("inf" allowed, NaN not); certificates take
-                betas in [0, inf) only
+                optional on cluster_equivalence, and there cluster_chain_n<n>;
+                certificates need a model whose terms commute
+    beta:       list of numbers >= 0 ("inf" allowed, NaN not); certificates
+                take betas in [0, inf) only
     channel:    list of per-site channel objects, each on a site of the model
                 and of its dimension q, or on a builtin model its family's
                 bulk channel {"kind": ..., "p": ...}, the only form decay
@@ -93,13 +94,19 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _parse_beta(b) -> float:
+def _parse_beta(b, exp: str) -> float:
+    """A beta >= 0, where the paper's statements hold, or "inf" except on
+    certificates: their bound (2e(d+1) beta)^{|W|+1} is finite only below it."""
     try:
         v = float(b)  # also reads "inf" and "Infinity"
     except (TypeError, ValueError):
         v = math.nan
     if math.isnan(v):
         raise ValueError(f"beta {b!r} is not a number or 'inf'")
+    finite = exp == "certificates"
+    if v < 0 or (finite and math.isinf(v)):
+        what, top = ("certificate beta", "inf)") if finite else ("beta", "inf]")
+        raise ValueError(f"{what} {fmt(v)} is not in [0, {top}")
     return v
 
 
@@ -158,7 +165,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
     checked too.  ``validate`` reports whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
-    r = SimpleNamespace(betas=[_parse_beta(b) for b in _list(cfg, "beta", [0.1])], engine=engine)
+    r = SimpleNamespace(betas=[_parse_beta(b, exp) for b in _list(cfg, "beta", [0.1])], engine=engine)
     if exp == "certificates" or (exp == "cluster_equivalence" and engine == "classical"):
         r.engine = "dense"  # the series are dense; the equivalence has no classical path
     check = experiments.ENGINES[r.engine].check
@@ -230,12 +237,9 @@ def resolve(cfg: dict) -> SimpleNamespace:
     if exp == "certificates":
         r.max_weight = cfg.get("max_weight", 4)
         series.check_weight(r.max_weight)
-        # the bound (2e(d+1) beta)^{|W|+1} is finite and nonnegative only here
-        for b in r.betas:
-            if not 0.0 <= b < math.inf:
-                raise ValueError(f"certificate beta {fmt(b)} is not in [0, inf)")
         if not r.layer.is_unital():
             raise ValueError("certificates need a unital channel layer (E[I] = I), which this one is not")
+        series.check_commuting(r.h)
     return r
 
 

@@ -29,20 +29,18 @@ def check_layer(layer: ChannelLayer) -> None:
     """Every site channel has a Kraus form, so the dense engine takes any layer."""
 
 
-def term_matrix(graph: SiteGraph, term: HamiltonianTerm, bare: bool = False) -> np.ndarray:
-    """Full-space matrix of lambda_a h_a (or bare h_a)."""
+def term_matrix(graph: SiteGraph, term: HamiltonianTerm) -> np.ndarray:
+    """Full-space matrix of the bare term h_a (without lambda_a)."""
     if term.is_pauli:
-        m = term.operator.to_matrix()
-    else:
-        diag = np.broadcast_to(term.site_table(graph), (graph.q,) * graph.n_sites)
-        m = np.diag(diag.ravel()).astype(complex)
-    return m if bare else term.coefficient * m
+        return term.operator.to_matrix()
+    diag = np.broadcast_to(term.site_table(graph), (graph.q,) * graph.n_sites)
+    return np.diag(diag.ravel()).astype(complex)
 
 
 def hamiltonian_matrix(h: LocalHamiltonian) -> np.ndarray:
     m = np.zeros((h.site_graph.dim, h.site_graph.dim), dtype=complex)
     for t in h.terms:
-        m += term_matrix(h.site_graph, t)
+        m += t.coefficient * term_matrix(h.site_graph, t)
     return m
 
 

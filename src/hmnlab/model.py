@@ -102,21 +102,6 @@ class PauliString:
     def identity(cls, n: int) -> "PauliString":
         return cls(n, 0, 0, 1)
 
-    def label(self) -> str:
-        out = []
-        for j in range(self.n):
-            xb, zb = (self.x >> j) & 1, (self.z >> j) & 1
-            out.append("IXZY"[xb + 2 * zb])
-        return "".join(out)
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.x, self.z)
-
-    def support(self) -> frozenset[int]:
-        m = self.x | self.z
-        return frozenset(j for j in range(self.n) if (m >> j) & 1)
-
     def commutes_with(self, other: "PauliString") -> bool:
         a = bin(self.x & other.z).count("1")
         b = bin(self.z & other.x).count("1")
@@ -307,8 +292,8 @@ def graph_distance(h: LocalHamiltonian, p: Partition) -> float:
 
 
 def verify_commuting(h: LocalHamiltonian) -> bool:
-    """True iff every pair of terms commutes (symplectic check for Pauli pairs,
-    dense commutator on the joint support otherwise)."""
+    """True iff every pair of bare terms h_a commutes (symplectic check for
+    Pauli pairs, dense commutator otherwise)."""
     from .dense import term_matrix  # local import to avoid a cycle
 
     for i in range(len(h.terms)):

@@ -11,9 +11,10 @@ Coefficients live in one of two algebras, and one product, log and norm
 serve both:
 
 * (dim, dim) matrices, multiplied by matmul: the general case, and the only
-  one for diagonal tables, non-commuting terms, transition or Kraus
-  channels that are not Pauli-diagonal, and pinned prefactors.  This is
-  what ``series_of_channelled_gibbs`` builds.
+  one for diagonal tables, transition or Kraus channels that are not
+  Pauli-diagonal, and pinned prefactors.  This is what
+  ``series_of_channelled_gibbs`` builds, for non-commuting terms too; the
+  certificates and the CMI-operator series refuse those.
 * Character vectors over the abelian group g_v that commuting Pauli terms
   generate (``pauli.term_group``), when the pauli engine admits the model
   and the layer: a Pauli-diagonal channel damps each g_v, so every
@@ -52,6 +53,17 @@ _BLOCK_BYTES = 1 << 20
 
 def _block_len(coeff_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // coeff_bytes)
+
+
+def check_commuting(h: LocalHamiltonian) -> None:
+    """Certificates and the CMI-operator series expand E[Pi_a e^{-beta lam_a h_a}],
+    which is the channelled Gibbs state only when the terms commute.  Terms
+    that are not all Pauli are compared as dense matrices, and go the matrix
+    route anyway, so the dense cap applies first."""
+    if not h.all_pauli:
+        dense.check(h)
+    if not h.commuting:
+        raise ValueError("certificates need commuting terms, and this model's terms do not all commute")
 
 
 def check_weight(max_weight) -> None:
@@ -168,7 +180,7 @@ def series_of_channelled_gibbs(
     g, dim = h.site_graph, h.site_graph.dim
     factors = []  # factors[a][mu] = (-beta)^mu/mu! h_a^mu
     for t in h.terms:
-        ha, powers = term_matrix(g, t, bare=True), [np.eye(dim, dtype=complex)]
+        ha, powers = term_matrix(g, t), [np.eye(dim, dtype=complex)]
         for _ in range(max_degree):
             powers.append(powers[-1] @ ha)
         factors.append([((-beta) ** mu / math.factorial(mu)) * m for mu, m in enumerate(powers)])
@@ -265,18 +277,14 @@ def cluster_derivative(s: TruncatedSeries, w: Cluster) -> np.ndarray:
     return w.factorial * s.get(w.multiplicities)
 
 
-def connected_term_sets(g: DualInteractionGraph, max_size: int, anchor) -> list:
+def connected_term_sets(g: DualInteractionGraph, max_size: int) -> list:
     """Sorted tuples of distinct terms that induce connected subgraphs of the
     dual graph, at most ``max_size`` terms each, ordered by size and then
-    lexicographically: all of them when ``anchor`` is None, else those with
-    a term whose support meets ``anchor`` (a site set).
+    lexicographically.
 
     Grown level by level: a connected set of size k+1 is a connected set of
-    size k plus one of its neighbours (drop a leaf of a spanning tree).
-    Rooting that tree at a term that meets the anchor keeps the term, so the
-    anchored terms are the only seeds."""
-    anchor = frozenset(anchor) if anchor is not None else None
-    level = [(a,) for a in range(g.n_terms) if anchor is None or g.supports[a] & anchor]
+    size k plus one of its neighbours (drop a leaf of a spanning tree)."""
+    level = [(a,) for a in range(g.n_terms)]
     out = list(level)
     for _ in range(max_size - 1):
         grown = set()
@@ -290,16 +298,13 @@ def connected_term_sets(g: DualInteractionGraph, max_size: int, anchor) -> list:
     return out
 
 
-def enumerate_connected_clusters(
-    g: DualInteractionGraph, max_weight: int, anchor=None
-) -> list:
-    """All connected clusters (multisets of terms) of weight <= max_weight,
-    optionally only those containing a term whose support meets ``anchor``
-    (a site set).  A multiset is connected iff its set of distinct terms
-    induces a connected subgraph of the dual graph."""
+def enumerate_connected_clusters(g: DualInteractionGraph, max_weight: int) -> list:
+    """All connected clusters (multisets of terms) of weight <= max_weight.
+    A multiset is connected iff its set of distinct terms induces a connected
+    subgraph of the dual graph."""
     check_weight(max_weight)
     out = []
-    for subset in connected_term_sets(g, max_weight, anchor):
+    for subset in connected_term_sets(g, max_weight):
         size = len(subset)
         # distribute total weight w >= size over the subset, each term >= 1
         for w in range(size, max_weight + 1):
@@ -335,6 +340,7 @@ def cmi_operator_series(
     each marginal realized by composing complete depolarization over the
     complement with the B-supported layer (so all four stay full-dimension)."""
     dense.check(h)
+    check_commuting(h)
     g = h.site_graph
     all_sites = set(range(g.n_sites))
     # tracing keeps a Pauli-diagonal layer Pauli-diagonal: all four logs
@@ -358,6 +364,7 @@ def derivative_norm_certificate(
     where the pauli engine admits the model and the layer."""
     from .model import build_dual_graph
 
+    check_commuting(h)
     g = build_dual_graph(h)
     # the weight cap raises before any coefficient is built
     clusters = enumerate_connected_clusters(g, max_weight)
@@ -390,17 +397,12 @@ def derivative_norm_certificate(
     }
 
 
-def pinned_traced_series(
-    pin: PinnedHamiltonian, layer_region, max_degree: int
-) -> TruncatedSeries:
+def pinned_traced_series(pin: PinnedHamiltonian, max_degree: int) -> TruncatedSeries:
     """Series of E_Gamma^Tr[rho_pinned] where rho_pinned = exp(-(beta H + sum d_i))
-    normalized by q^{|Y|}/Z_0; Gamma = layer_region must contain the pinned
-    sites.  The pinning factors enter as a fixed (unexpanded) prefactor."""
+    normalized by q^{|Y|}/Z_0, traced over the pinned sites Gamma.  The
+    pinning factors enter as a fixed (unexpanded) prefactor."""
     h = pin.h
     g = h.site_graph
-    region = set(layer_region)
-    if not set(pin.pinning) <= region:
-        raise ValueError("traced region must contain every pinned site")
     pre = np.ones(g.dim)
     for site, d in pin.pinning.items():
         shape = [1] * g.n_sites
@@ -408,7 +410,7 @@ def pinned_traced_series(
         factor = (g.q / np.exp(-d).sum()) * np.exp(-d)
         pre = pre * np.broadcast_to(factor.reshape(shape), (g.q,) * g.n_sites).ravel()
     return series_of_channelled_gibbs(
-        h, pin.beta, compose_with_trace(ChannelLayer(), region, g.q), max_degree, prefactor=np.diag(pre)
+        h, pin.beta, compose_with_trace(ChannelLayer(), pin.pinning, g.q), max_degree, prefactor=np.diag(pre)
     )
 
 
@@ -420,10 +422,10 @@ def pinned_series_check(pin: PinnedHamiltonian, max_degree: int) -> dict:
 
     h = pin.h
     g = build_dual_graph(h)
-    s = pinned_traced_series(pin, set(pin.pinning), max_degree)
+    s = pinned_traced_series(pin, max_degree)
     d0_ok = bool(np.max(np.abs(s.get(()) - np.eye(s.dim))) <= 1e-10)
     ls = log_series(s)
-    connected = set(connected_term_sets(g, max_degree, None))
+    connected = set(connected_term_sets(g, max_degree))
     max_disc = 0.0
     for key, m in ls.coeffs.items():
         if key and tuple(a for a, _ in key) not in connected:

@@ -91,7 +91,7 @@ def cluster_chain(n: int) -> LocalHamiltonian:
     return LocalHamiltonian(SiteGraph(n), tuple(terms))
 
 
-def build_model(family: str, n: int, engine: str = "auto") -> LocalHamiltonian:
+def build_model(family: str, n: int, engine: str) -> LocalHamiltonian:
     if family == "ising_chain":
         return ising_chain(n, "diag" if engine == "classical" else "pauli")
     if family == "parity_chain":
@@ -124,7 +124,7 @@ def default_bulk_channel(family: str, site: int, p: float, engine: str) -> SiteC
     raise ValueError(f"unknown model family {family!r}")
 
 
-def bulk_layer(family: str, n: int, p: float = 1.0, engine: str = "auto") -> ChannelLayer:
+def bulk_layer(family: str, n: int, p: float, engine: str) -> ChannelLayer:
     return ChannelLayer(
         tuple(default_bulk_channel(family, s, p, engine) for s in range(1, n - 1))
     )

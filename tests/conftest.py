@@ -226,7 +226,7 @@ def commuting_product_gibbs(h, beta):
     g = h.site_graph
     prod = np.eye(g.dim, dtype=complex)
     for t in h.terms:
-        tv, tw = np.linalg.eigh(term_matrix(g, t))
+        tv, tw = np.linalg.eigh(t.coefficient * term_matrix(g, t))
         prod = prod @ ((tw * np.exp(-beta * (tv - tv.min()))) @ tw.conj().T)
     return prod / np.trace(prod).real
 
@@ -241,7 +241,7 @@ def factor_product_series(h, beta, layer, max_degree, prefactor=None):
     p0 = np.eye(dim, dtype=complex) if prefactor is None else np.array(prefactor, dtype=complex)
     s = TruncatedSeries(max_degree, dim, {(): p0})
     for a, t in enumerate(h.terms):
-        ha = term_matrix(g, t, bare=True)
+        ha = term_matrix(g, t)
         factor = TruncatedSeries(max_degree, dim)
         power = np.eye(dim, dtype=complex)
         for k in range(max_degree + 1):
@@ -315,6 +315,14 @@ def brute_connected_clusters(g, max_weight, anchor=None):
     return out
 
 
+def anchored_clusters(g, max_weight, anchor):
+    """The connected clusters of weight <= max_weight with a term whose
+    support meets the site set ``anchor``, in the library's order: the full
+    list, filtered."""
+    anchor = set(anchor)
+    return [w for w in enumerate_connected_clusters(g, max_weight) if any(g.supports[a] & anchor for a in w.support)]
+
+
 def brute_force_chi_star(n, g):
     """Oracle: count colorings of V with colors 0..n-1 that use every color
     and make adjacent nodes differ."""
@@ -358,7 +366,7 @@ def random_commuting_pauli_model(rng, n, max_terms=6):
             continue
         p = PauliString(n, x, z)
         if all(p.commutes_with(t.operator) for t in terms):
-            sup = tuple(sorted(p.support()))
+            sup = tuple(sorted(pauli_support(p)))
             lam = float(rng.uniform(-1, 1))
             terms.append(HamiltonianTerm(sup, p, lam))
     return LocalHamiltonian(g, tuple(terms))
@@ -375,8 +383,19 @@ def random_pauli_diagonal_layer(rng, n, max_sites=3):
         elif kind == 1:
             chans.append(bitflip(int(s), p))
         else:
-            chans.append(depolarizing(int(s), p))
+            chans.append(depolarizing(int(s), p, 2))
     return ChannelLayer(tuple(chans))
+
+
+def pauli_label(p: PauliString) -> str:
+    """Left-to-right label like "XZIY" (qubit 0 first), the inverse of
+    ``PauliString.from_label`` up to the sign."""
+    return "".join("IXZY"[((p.x >> j) & 1) + 2 * ((p.z >> j) & 1)] for j in range(p.n))
+
+
+def pauli_support(p: PauliString) -> frozenset:
+    """The qubits on which ``p`` is not the identity."""
+    return frozenset(j for j in range(p.n) if ((p.x | p.z) >> j) & 1)
 
 
 def masked_product(ops, mask, n):
@@ -396,22 +415,22 @@ def dependent_commuting_models(draw, max_qubits=4):
     gens = []
     for x, z in draw(st.lists(st.tuples(bits, bits), min_size=2, max_size=4)):
         p = PauliString(n, x, z)
-        if p.key != (0, 0) and all(p.commutes_with(g) for g in gens):
+        if (p.x, p.z) != (0, 0) and all(p.commutes_with(g) for g in gens):
             gens.append(p)
     assume(len(gens) >= 2)
     ops = list(gens)
     masks = st.integers(1, 2 ** len(gens) - 1)
     for mask, sign in draw(st.lists(st.tuples(masks, st.sampled_from((1, -1))), min_size=1, max_size=3)):
         p = masked_product(gens, mask, n)
-        if p.key != (0, 0):
+        if (p.x, p.z) != (0, 0):
             ops.append(PauliString(n, p.x, p.z, sign * p.sign))
     assume(len(ops) > len(gens))
     lams = draw(st.lists(st.floats(-1, 1), min_size=len(ops), max_size=len(ops)))
     h = LocalHamiltonian(
         SiteGraph(n),
-        tuple(HamiltonianTerm(tuple(sorted(p.support())), p, lam) for p, lam in zip(ops, lams)),
+        tuple(HamiltonianTerm(tuple(sorted(pauli_support(p))), p, lam) for p, lam in zip(ops, lams)),
     )
-    kinds = {"dephasing": dephasing, "bitflip": bitflip, "depolarizing": depolarizing}
+    kinds = {"dephasing": dephasing, "bitflip": bitflip, "depolarizing": lambda s, p: depolarizing(s, p, 2)}
     noise = draw(
         st.dictionaries(st.integers(0, n - 1), st.tuples(st.sampled_from(sorted(kinds)), st.floats(0, 1)))
     )

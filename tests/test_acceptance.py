@@ -38,6 +38,7 @@ from hmnlab.series import (
     spectral_norm,
 )
 from tests.conftest import (
+    anchored_clusters,
     brute_cmi_bits,
     brute_force_chi_star,
     chi_star,
@@ -54,7 +55,7 @@ def test_parity_chain_one_bit_all_lengths():
     for bulk in range(3, 9):
         n = bulk + 2
         h = zoo.parity_chain(n)
-        layer = zoo.bulk_layer("parity_chain", n)
+        layer = zoo.bulk_layer("parity_chain", n, 1.0, "classical")
         val = experiments.evaluate_cmi(
             h, math.inf, layer, experiments.boundary_partition(n), "classical"
         )
@@ -67,7 +68,7 @@ def test_bell_chain_two_bits_both_engines():
     vals = {}
     for n, engine in ((4, "dense"), (5, "dense"), (6, "pauli"), (8, "pauli")):
         h = zoo.bell_chain(n)
-        layer = zoo.bulk_layer("bell_chain", n)
+        layer = zoo.bulk_layer("bell_chain", n, 1.0, engine)
         vals[(n, engine)] = experiments.evaluate_cmi(
             h, math.inf, layer, experiments.boundary_partition(n), engine
         )
@@ -140,7 +141,7 @@ def test_vanishing_lemmas_chain_and_lattice():
     cases.append((h_lat, lat_layer, p_lat))
     for h, layer, p in cases:
         g = build_dual_graph(h)
-        connected = set(connected_term_sets(g, 5, None))
+        connected = set(connected_term_sets(g, 5))
         beta = 0.2
         ls = log_series(series.series_of_channelled_gibbs(h, beta, layer, 5))
         for key, m in ls.coeffs.items():
@@ -175,7 +176,7 @@ def test_derivative_norm_certificates():
     for beta in betas:
         for y1, y2 in itertools.product(range(2), repeat=2):
             pin = classical.pinned_hamiltonian(hd, beta, lyr, {1: y1, 2: y2})
-            ls = log_series(pinned_traced_series(pin, {1, 2}, 4))
+            ls = log_series(pinned_traced_series(pin, 4))
             for w in enumerate_connected_clusters(g, 4):
                 norm = spectral_norm(series.cluster_derivative(ls, w)) / w.factorial
                 bound = (2 * math.e * (g.degree + 1) * beta) ** (w.weight + 1)
@@ -190,7 +191,7 @@ def test_anchored_cluster_counts():
         d = g.degree
         for site in range(h.site_graph.n_sites):
             counts = {}
-            for w in enumerate_connected_clusters(g, 6, anchor={site}):
+            for w in anchored_clusters(g, 6, {site}):
                 counts[w.weight] = counts.get(w.weight, 0) + 1
             for weight, count in counts.items():
                 bound = math.e * d * (1 + math.e * (d - 1)) ** (weight - 1)

@@ -33,11 +33,11 @@ def test_dephasing_damping_profile():
 
 
 def test_depolarizing_profile():
-    prof = pauli_damping_profile(depolarizing(0, 0.8))
+    prof = pauli_damping_profile(depolarizing(0, 0.8, 2))
     for key in ((1, 0), (0, 1), (1, 1)):
         assert abs(prof[key] - 0.2) < 1e-14
     # p = 1 kills everything but identity
-    prof = pauli_damping_profile(complete_depolarization(0))
+    prof = pauli_damping_profile(complete_depolarization(0, 2))
     assert prof[(0, 0)] == 1.0
     assert all(abs(prof[k]) < 1e-14 for k in prof if k != (0, 0))
 
@@ -99,7 +99,7 @@ def test_trace_as_depolarization():
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    layer = ChannelLayer((complete_depolarization(1),))
+    layer = ChannelLayer((complete_depolarization(1, 2),))
     out = apply_layer_to_matrix(rho, layer, g)
     marg = partial_trace_matrix(rho, [0, 2], g)
     # direct index construction: site order 0,1,2 with I/2 at site 1
@@ -118,7 +118,7 @@ def test_trace_as_depolarization():
 
 def test_compose_with_trace_adds_depolarization():
     layer = ChannelLayer((bitflip(1, 0.2),))
-    traced = compose_with_trace(layer, {1, 2})
+    traced = compose_with_trace(layer, {1, 2}, 2)
     assert traced.sites == {1, 2}
     for c in traced.channels:
         prof = pauli_damping_profile(c)
@@ -127,7 +127,7 @@ def test_compose_with_trace_adds_depolarization():
 
 def test_bell_measurement_mixture():
     c = bell_measurement(0)
-    keys = {p.key for p, w in c.pauli_mixture}
+    keys = {(p.x, p.z) for p, w in c.pauli_mixture}
     assert keys == {(0, 0), (3, 0), (0, 3), (3, 3)}  # II, XX, ZZ, YY
     assert all(abs(w - 0.25) < 1e-15 for _, w in c.pauli_mixture)
 
@@ -135,7 +135,7 @@ def test_bell_measurement_mixture():
 def test_commutation_preserving_checker():
     h = ising_pauli_chain(3)
     good = ChannelLayer((bitflip(1, 0.3),))
-    assert is_commutation_preserving(good, h) == CommutationCheck.PRESERVED
+    assert is_commutation_preserving(good, h, 200_000) == CommutationCheck.PRESERVED
     tiny = is_commutation_preserving(good, h, budget=3)
     assert tiny == CommutationCheck.INCONCLUSIVE
 
@@ -153,7 +153,7 @@ def test_commutation_check_inconclusive_past_product_cut():
         ),
     )
     layer = ChannelLayer((bitflip(1, 0.3),))
-    assert is_commutation_preserving(layer, h) == CommutationCheck.INCONCLUSIVE
+    assert is_commutation_preserving(layer, h, 200_000) == CommutationCheck.INCONCLUSIVE
 
 
 def test_commutation_violating_channel():
@@ -174,18 +174,18 @@ def test_commutation_violating_channel():
         0, kraus=(math.sqrt(0.5) * np.eye(2, dtype=complex), math.sqrt(0.5) * had)
     )
     layer = ChannelLayer((mix,))
-    assert is_commutation_preserving(layer, h) == CommutationCheck.VIOLATED
+    assert is_commutation_preserving(layer, h, 200_000) == CommutationCheck.VIOLATED
 
 
 def test_parse_channel():
-    c = parse_channel({"site": 1, "kind": "dephasing", "p": 0.2})
+    c = parse_channel({"site": 1, "kind": "dephasing", "p": 0.2}, 2)
     assert c.site == 1 and c.pauli_mixture is not None
-    c = parse_channel({"site": 0, "kind": "transition", "matrix": [[1, 0], [0, 1]]})
+    c = parse_channel({"site": 0, "kind": "transition", "matrix": [[1, 0], [0, 1]]}, 2)
     assert np.allclose(c.transition, np.eye(2))
     with pytest.raises(ValueError, match="unknown channel keys"):
-        parse_channel({"site": 0, "kind": "dephasing", "p": 0.1, "bogus": 1})
+        parse_channel({"site": 0, "kind": "dephasing", "p": 0.1, "bogus": 1}, 2)
     with pytest.raises(ValueError, match="unknown channel kind"):
-        parse_channel({"site": 0, "kind": "nope"})
+        parse_channel({"site": 0, "kind": "nope"}, 2)
 
 
 def _superop(c):
@@ -206,7 +206,7 @@ def test_trace_absorbs_the_site_channel(q):
         SiteChannel(1, kraus=tuple(v[i * q : (i + 1) * q] for i in range(3))),
     ]
     if q == 2:
-        chans += [bitflip(1, 0.3), depolarizing(1, 0.4)]
+        chans += [bitflip(1, 0.3), depolarizing(1, 0.4, 2)]
     if q == 4:
         chans += [bell_measurement(1), depolarizing(1, 0.4, 4)]
     for c in chans:
@@ -218,6 +218,5 @@ def test_trace_absorbs_the_site_channel(q):
         traced = compose_with_trace(ChannelLayer((c, keep)), {1, 2}, q)
         assert [d.site for d in traced.channels] == [1, 0, 2]
         assert traced.channels[1] is keep
-        assert (traced.channels[0].transition is not None) == (c.transition is not None)
         assert np.max(np.abs(_superop(traced.channels[0]) - _superop(compose_channels(c, trace)))) < 1e-12
         assert np.max(np.abs(_superop(traced.channels[2]) - _superop(trace))) < 1e-12

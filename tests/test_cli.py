@@ -334,6 +334,11 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
             dict(CMI_CFG, model="ising_chain_n5", channel=[{"site": 2, "kind": "transition", "matrix": [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]}]),
             "transition matrix of shape (2, 3) is not square",
         ),
+        (dict(CMI_CFG, beta=[-400, -0.5]), "beta -400 is not in [0, inf]"),
+        (dict(CMI_CFG, engine="dense", beta=[-400, -0.5]), "beta -400 is not in [0, inf]"),
+        (dict(CMI_CFG, engine="pauli", beta=[-400, -0.5]), "beta -400 is not in [0, inf]"),
+        (dict(DECAY_CFG, beta=[0.1, -0.5]), "beta -0.5 is not in [0, inf]"),
+        (dict(CLUSTER_EQ_CFG, beta=["inf", -0.5]), "beta -0.5 is not in [0, inf]"),
     ],
     ids=[
         "pauli_term_cap",
@@ -389,6 +394,11 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         "transition_nan_entry",
         "kraus_nan_entry",
         "transition_not_square",
+        "cmi_beta_negative_classical",
+        "cmi_beta_negative_dense",
+        "cmi_beta_negative_pauli",
+        "decay_beta_negative",
+        "cluster_equivalence_beta_negative",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):
@@ -504,6 +514,26 @@ def test_certificates_on_a_model_file_need_no_partition(tmp_path):
     assert validate_config(dict(cfg, partition={"a": [0], "b": [1], "c": [2]})) == []
     outside = dict(cfg, partition={"a": [0], "b": [1], "c": [5]})
     assert validate_config(outside) == ["partition names sites outside the model"]
+
+
+def test_certificates_refuse_non_commuting_terms(tmp_path, capsys):
+    """X on 0, ZZ on (0, 1) and X on 1: the series would expand
+    E[Pi_a e^{-beta lam_a h_a}], which is not the Gibbs state of
+    non-commuting terms, so validate reports the model and run refuses it."""
+    terms = [("X", [0]), ("ZZ", [0, 1]), ("X", [1])]
+    model = {"n_sites": 2, "terms": [{"support": s, "pauli": lab, "lambda": -0.9} for lab, s in terms]}
+    cfg = {
+        "experiment": "certificates",
+        "model": write_cfg(tmp_path / "model.json", model),
+        "engine": "dense",
+        "beta": [0.05],
+        "max_weight": 3,
+    }
+    message = "certificates need commuting terms, and this model's terms do not all commute"
+    assert validate_config(cfg) == [message]
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_certificates_take_the_dense_cap():

@@ -41,8 +41,7 @@ def boundary(n):
 def test_term_matrix_pauli():
     h = ising_pauli_chain(2)
     z = np.diag([1.0, -1.0])
-    assert np.allclose(dense.term_matrix(h.site_graph, h.terms[0], bare=True), np.kron(z, z))
-    assert np.allclose(dense.term_matrix(h.site_graph, h.terms[0]), -np.kron(z, z))
+    assert np.allclose(dense.term_matrix(h.site_graph, h.terms[0]), np.kron(z, z))
 
 
 def test_term_matrix_diag_embedding():

@@ -17,12 +17,12 @@ from hmnlab.model import (
     parse_model,
     verify_commuting,
 )
-from tests.conftest import ising_pauli_chain
+from tests.conftest import ising_pauli_chain, pauli_label
 
 
 def test_pauli_label_roundtrip():
     for lbl in ("XZIY", "IIII", "YYXZ"):
-        assert PauliString.from_label(lbl).label() == lbl
+        assert pauli_label(PauliString.from_label(lbl)) == lbl
 
 
 def test_pauli_product_matches_dense():
@@ -133,7 +133,7 @@ def test_parse_model_pauli_and_diag():
     }
     h = parse_model(obj)
     assert h.terms[0].is_pauli and h.terms[1].is_diagonal
-    assert h.terms[0].operator.label() == "ZZI"
+    assert pauli_label(h.terms[0].operator) == "ZZI"
 
 
 def test_parse_model_roundtrips_json():
@@ -158,7 +158,7 @@ def test_parse_model_places_letters_by_site():
     obj = {"n_sites": 3, "q": 4, "terms": [{"support": [2, 0], "pauli": "XZYI", "lambda": 0.5}]}
     op = parse_model(obj).terms[0].operator
     assert op.n == 6
-    assert op.label() == "YIIIXZ"
+    assert pauli_label(op) == "YIIIXZ"
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from tests.conftest import (
     expansion_matrix,
     ising_pauli_chain,
     masked_product,
+    pauli_support,
     random_commuting_pauli_model,
     random_pauli_diagonal_layer,
 )
@@ -32,7 +33,7 @@ def coeff(e, x, z):
     """Coefficient of the canonical Hermitian Pauli (x, z) in the expansion."""
     for v, c in enumerate(e.coeffs):
         g = pauli.group_element(e.generators, v, e.n)
-        if g.key == (x, z):
+        if (g.x, g.z) == (x, z):
             return c * g.sign
     return 0.0
 
@@ -82,7 +83,7 @@ def test_apply_layer_damps_coefficients():
 
 def test_apply_layer_matches_dense():
     h = ising_pauli_chain(4)
-    layer = ChannelLayer((bitflip(1, 0.3), depolarizing(2, 0.4)))
+    layer = ChannelLayer((bitflip(1, 0.3), depolarizing(2, 0.4, 2)))
     e = pauli.apply_pauli_layer(pauli.expand_gibbs(h, 0.7), layer)
     rho = dense.apply_layer(dense.gibbs_state(h, 0.7), layer)
     assert np.max(np.abs(expansion_matrix(e) - rho.entries)) < 1e-12
@@ -232,8 +233,8 @@ def test_cluster_chain_with_product_terms_at_zero_temperature(n, masks):
     extra = []
     for mask in masks:
         p = masked_product(ops, mask % 2**n, n)
-        if p.key != (0, 0):
-            extra.append(HamiltonianTerm(tuple(sorted(p.support())), p, -1.0))
+        if (p.x, p.z) != (0, 0):
+            extra.append(HamiltonianTerm(tuple(sorted(pauli_support(p))), p, -1.0))
     h = LocalHamiltonian(base.site_graph, base.terms + tuple(extra))
     assert_entropies_match_dense(h, math.inf, ChannelLayer((dephasing(n // 2, 0.3),)))
 

@@ -32,6 +32,7 @@ from hmnlab.series import (
     spectral_norm,
 )
 from tests.conftest import (
+    anchored_clusters,
     brute_connected_clusters,
     dense_certificate_norms,
     dense_cmi_series,
@@ -147,7 +148,7 @@ def test_weight_one_log_derivative():
     layer = ChannelLayer((bitflip(1, 0.3),))
     ls = log_series(series_of_channelled_gibbs(h, beta, layer, 3))
     for a, t in enumerate(h.terms):
-        ha = dense.term_matrix(h.site_graph, t, bare=True)
+        ha = dense.term_matrix(h.site_graph, t)
         expect = -beta * dense.apply_layer_to_matrix(ha.astype(complex), layer, h.site_graph)
         got = cluster_derivative(ls, Cluster(((a, 1),)))
         assert np.max(np.abs(got - expect)) < 1e-12
@@ -167,7 +168,7 @@ def test_enumerate_connected_clusters_chain():
     keys = {w.multiplicities for w in ws}
     assert ((0, 1),) in keys and ((0, 2),) in keys and ((0, 1), (1, 1)) in keys
     assert ((0, 1), (2, 1)) not in keys  # disconnected pair excluded
-    anchored = enumerate_connected_clusters(g, 2, anchor={0})
+    anchored = anchored_clusters(g, 2, {0})
     assert all(0 in [a for a, _ in w.multiplicities] for w in anchored)
 
 
@@ -260,7 +261,7 @@ def test_pinned_series_degree0():
     h = ising_diag_chain(3)
     t = np.array([[0.8, 0.2], [0.2, 0.8]])
     pin = pinned_hamiltonian(h, 0.4, ChannelLayer((transition_channel(1, t),)), {1: 0})
-    s = pinned_traced_series(pin, {1}, 2)
+    s = pinned_traced_series(pin, 2)
     assert np.max(np.abs(s.get(()) - np.eye(s.dim))) < 1e-10
 
 
@@ -284,7 +285,7 @@ def random_dual_graphs(draw):
 @given(random_dual_graphs(), st.integers(1, 5), st.none() | st.sets(st.integers(0, 7), max_size=3))
 def test_cluster_growth_matches_subset_scan(g, max_weight, anchor):
     """Grown clusters equal the scan over every term subset, order included."""
-    got = enumerate_connected_clusters(g, max_weight, anchor)
+    got = enumerate_connected_clusters(g, max_weight) if anchor is None else anchored_clusters(g, max_weight, anchor)
     assert got == brute_connected_clusters(g, max_weight, anchor)
 
 
@@ -294,10 +295,10 @@ def test_cluster_budget(monkeypatch):
     its clusters."""
     monkeypatch.setattr(series, "CLUSTER_COUNT_CAP", 10)
     with pytest.raises(ValueError, match="cluster enumeration budget exceeded"):
-        connected_term_sets(build_dual_graph(lattice_2x3()), 4, None)
+        connected_term_sets(build_dual_graph(lattice_2x3()), 4)
     monkeypatch.setattr(series, "CLUSTER_COUNT_CAP", 6)
     chain = build_dual_graph(ising_pauli_chain(4))
-    assert len(connected_term_sets(chain, 4, None)) == 6
+    assert len(connected_term_sets(chain, 4)) == 6
     with pytest.raises(ValueError, match="cluster enumeration budget exceeded"):
         enumerate_connected_clusters(chain, 4)
 
@@ -311,7 +312,7 @@ def admitted_cases(draw):
     h, beta, layer = draw(dependent_commuting_models(max_qubits=6))
     beta = draw(st.sampled_from((beta, beta / 1000)))
     n = h.site_graph.n_sites
-    layer = compose_with_trace(layer, draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    layer = compose_with_trace(layer, draw(st.sets(st.integers(0, n - 1), max_size=n - 1)), 2)
     a, c, *rest = draw(st.permutations(range(n)))
     roles = {a: "a", c: "c"} | dict(zip(rest, draw(st.lists(st.sampled_from("abc-"), min_size=len(rest), max_size=len(rest)))))
     a, b, c = (frozenset(s for s, x in roles.items() if x == r) for r in "abc")
@@ -338,6 +339,18 @@ def test_character_basis_matches_dense(case):
         assert np.max(np.abs(got.get(k, 0) - want.get(k, 0))) < 1e-12, k
 
 
+def test_series_refuse_non_commuting_terms():
+    """X on 0, ZZ on (0, 1) and X on 1 do not commute: the certificate and the
+    CMI-operator series refuse the model for library callers too."""
+    ops = (("XI", (0,)), ("ZZ", (0, 1)), ("IX", (1,)))
+    h = LocalHamiltonian(SiteGraph(2), tuple(HamiltonianTerm(s, PauliString.from_label(lab), -0.9) for lab, s in ops))
+    with pytest.raises(ValueError, match="certificates need commuting terms"):
+        derivative_norm_certificate(h, 0.05, ChannelLayer(), 3)
+    p = Partition(frozenset({0}), frozenset(), frozenset({1}))
+    with pytest.raises(ValueError, match="certificates need commuting terms"):
+        cmi_operator_series(h, 0.05, ChannelLayer(), p, 3)
+
+
 # (1/W!) ||D_W log E[rho]|| per cluster at beta = 0.3, weight 3, as the dense
 # path computes them
 T_085 = np.array([[0.85, 0.15], [0.15, 0.85]])
@@ -351,7 +364,8 @@ def test_dense_route_cases_keep_their_values():
     """Diagonal tables under transition channels and a non-commuting model
     are not admitted to the character basis, and the pinned traced series
     always has matrix coefficients; their values stay those of the dense
-    path."""
+    path.  The non-commuting model's norms are read off its series, since
+    its certificate is refused."""
     hd = ising_diag_chain(4)
     ld = ChannelLayer((transition_channel(1, T_085), transition_channel(2, T_085)))
     hn = LocalHamiltonian(
@@ -363,11 +377,15 @@ def test_dense_route_cases_keep_their_values():
         ),
     )
     ln = ChannelLayer((bitflip(1, 0.2),))
-    for h, layer, norms in ((hd, ld, DIAG_NORMS), (hn, ln, NONCOMMUTING_NORMS)):
+    for h, layer in ((hd, ld), (hn, ln)):
         assert series._series_builder(h, layer) is series_of_channelled_gibbs
-        rep = derivative_norm_certificate(h, 0.3, layer, 3)
-        assert rep["pass"]
-        assert np.max(np.abs(np.array([e["norm"] for e in rep["clusters"]]) - norms)) < 1e-12
+    rep = derivative_norm_certificate(hd, 0.3, ld, 3)
+    assert rep["pass"]
+    assert np.max(np.abs(np.array([e["norm"] for e in rep["clusters"]]) - DIAG_NORMS)) < 1e-12
+    got = list(dense_certificate_norms(hn, 0.3, ln, 3).values())
+    assert np.max(np.abs(np.array(got) - NONCOMMUTING_NORMS)) < 1e-12
+    with pytest.raises(ValueError, match="certificates need commuting terms"):
+        derivative_norm_certificate(hn, 0.3, ln, 3)
     cs = cmi_operator_series(hd, 0.3, ld, boundary(4), 4)
     big = {k: spectral_norm(m) for k, m in cs.coeffs.items() if spectral_norm(m) > 1e-12}
     want = {
@@ -379,7 +397,7 @@ def test_dense_route_cases_keep_their_values():
     assert set(big) == set(want)
     assert all(abs(big[k] - v) < 1e-12 for k, v in want.items())
     pin = pinned_hamiltonian(hd, 0.3, ld, {1: 0, 2: 1})
-    ls = log_series(pinned_traced_series(pin, {1, 2}, 3))
+    ls = log_series(pinned_traced_series(pin, 3))
     assert ls.group is None
     got = [spectral_norm(cluster_derivative(ls, w)) / w.factorial
            for w in enumerate_connected_clusters(build_dual_graph(hd), 3)]

@@ -6,6 +6,7 @@ import pytest
 from hmnlab import classical, dense, zoo
 from hmnlab.experiments import boundary_partition, evaluate_cmi
 from hmnlab.model import verify_commuting
+from tests.conftest import pauli_label
 
 
 def test_parse_model_id():
@@ -19,7 +20,7 @@ def test_parse_model_id():
 
 def test_families_commute():
     for fam in zoo.FAMILIES:
-        assert verify_commuting(zoo.build_model(fam, 4))
+        assert verify_commuting(zoo.build_model(fam, 4, "dense"))
 
 
 def test_parity_chain_ground_states():
@@ -47,7 +48,7 @@ def test_parity_chain_long_range_cmi():
     length; the channelled bulk parity equals |bulk| mod 2."""
     for n in (3, 4, 5):
         h = zoo.parity_chain(n)
-        layer = zoo.bulk_layer("parity_chain", n)
+        layer = zoo.bulk_layer("parity_chain", n, 1.0, "classical")
         val = evaluate_cmi(h, math.inf, layer, boundary_partition(n), "classical")
         assert val == pytest.approx(1.0, abs=1e-10)
 
@@ -58,7 +59,7 @@ def test_parity_value_tracks_bulk_size():
     It ties A to C through B, which is why the CMI is exactly one bit."""
     for n in (3, 4, 5, 6):
         h = zoo.parity_chain(n)
-        layer = zoo.bulk_layer("parity_chain", n)
+        layer = zoo.bulk_layer("parity_chain", n, 1.0, "classical")
         d = classical.apply_transitions(
             classical.gibbs_distribution(h, math.inf), layer
         )
@@ -76,12 +77,12 @@ def test_parity_value_tracks_bulk_size():
 
 def test_bell_chain_long_range_cmi():
     h = zoo.bell_chain(4)
-    layer = zoo.bulk_layer("bell_chain", 4)
+    layer = zoo.bulk_layer("bell_chain", 4, 1.0, "dense")
     val = evaluate_cmi(h, math.inf, layer, boundary_partition(4), "dense")
     assert val == pytest.approx(2.0, abs=1e-9)
     # pauli engine scales further
     h6 = zoo.bell_chain(6)
-    layer6 = zoo.bulk_layer("bell_chain", 6)
+    layer6 = zoo.bulk_layer("bell_chain", 6, 1.0, "pauli")
     val6 = evaluate_cmi(h6, math.inf, layer6, boundary_partition(6), "pauli")
     assert val6 == pytest.approx(2.0, abs=1e-9)
 
@@ -98,8 +99,8 @@ def test_bell_chain_end_sites_maximally_mixed():
 def test_cluster_chain_terms():
     h = zoo.cluster_chain(4)
     assert len(h.terms) == 4
-    assert h.terms[0].operator.label() == "XZII"
-    assert h.terms[1].operator.label() == "ZXZI"
+    assert pauli_label(h.terms[0].operator) == "XZII"
+    assert pauli_label(h.terms[1].operator) == "ZXZI"
     assert verify_commuting(h)
 
 
