@@ -34,7 +34,8 @@ Config schema (JSON object):
                 Refused on a builtin model id, which uses the boundary
                 partition (A the first site, C the last)
     engine:     "classical" | "dense" | "pauli"
-    output:     basename for the CSV/JSON artifacts
+    output:     file name stem for the CSV/JSON artifacts: a non-empty
+                string with no path separator or NUL, and not "." or ".."
 
 Another experiment's distances, max_weight or n is a finding, not ignored,
 and so is a channel or a partition on cluster_equivalence.
@@ -58,19 +59,6 @@ from . import __version__, classical, dense, experiments, pauli, series, zoo
 from .channels import ChannelLayer, parse_layer, parse_probability
 from .model import Partition, graph_distance, load_model, require_int
 
-_CONFIG_KEYS = {
-    "experiment",
-    "model",
-    "beta",
-    "channel",
-    "distances",
-    "partition",
-    "engine",
-    "output",
-    "max_weight",
-    "n",
-}
-
 EXPERIMENTS = ("decay", "cmi", "certificates", "cluster_equivalence")
 # keys that only some experiments read; any other experiment refuses them.
 # Every experiment that takes a model reads its partition key: a builtin
@@ -83,6 +71,7 @@ _READ_BY = {
     "channel": _MODEL_READERS,
     "partition": _MODEL_READERS,
 }
+_CONFIG_KEYS = {"experiment", "model", "beta", "engine", "output", *_READ_BY}
 DEFAULT_DISTANCES = (1, 2, 3, 4, 5, 6)
 
 
@@ -120,14 +109,18 @@ def _list(cfg: dict, key: str, default) -> list:
 def load_config(path: str) -> dict:
     with open(path) as f:
         obj = json.load(f)
-    if "config" in obj and "artifact_version" in obj:
+    if isinstance(obj, dict) and "config" in obj and "artifact_version" in obj:
         obj = obj["config"]  # a manifest was passed; rerun its resolved config
+    if not isinstance(obj, dict):
+        raise ValueError(f"config in {path} is not a JSON object")
     return obj
 
 
 def _bulk_p(family: str, ch) -> float:
     """The p of a builtin family's bulk channel config {"kind", "p"}."""
-    ch = ch or {}
+    ch = {} if ch is None else ch
+    if not isinstance(ch, dict):
+        raise ValueError(f"channel {ch!r} is not a bulk channel object {{kind, p}}")
     unknown = set(ch) - {"kind", "p"}
     if unknown:
         raise ValueError(f"unknown bulk channel keys: {sorted(unknown)}")
@@ -166,6 +159,10 @@ def resolve(cfg: dict) -> SimpleNamespace:
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
     r = SimpleNamespace(betas=[_parse_beta(b, exp) for b in _list(cfg, "beta", [0.1])], engine=engine)
+    output = cfg.get("output", exp)
+    named = isinstance(output, str) and output not in ("", ".", "..") and "\0" not in output
+    if not named or output != os.path.basename(output):
+        raise ValueError(f"output {output!r} is not a file name (non-empty, no path separator or NUL, not . or ..)")
     if exp == "certificates" or (exp == "cluster_equivalence" and engine == "classical"):
         r.engine = "dense"  # the series are dense; the equivalence has no classical path
     check = experiments.ENGINES[r.engine].check

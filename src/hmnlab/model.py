@@ -291,11 +291,26 @@ def graph_distance(h: LocalHamiltonian, p: Partition) -> float:
     return INF_DISTANCE
 
 
-def verify_commuting(h: LocalHamiltonian) -> bool:
-    """True iff every pair of bare terms h_a commutes (symplectic check for
-    Pauli pairs, dense commutator otherwise)."""
-    from .dense import term_matrix  # local import to avoid a cycle
+def _flip_invariant(term: HamiltonianTerm, p: PauliString, graph: SiteGraph) -> bool:
+    """Whether a diagonal table D commutes with the Pauli string P.  P maps
+    |a> to a unit-modulus phase times |a xor m>, m its X bits, so the
+    commutator's entries are those phases times D(a xor m) - D(a), and only
+    m on D's support matters."""
+    if p.n != graph.n_qubits:
+        raise ValueError(f"Pauli string on {p.n} qubits in a model of {graph.n_qubits}")
+    k = graph.qubits_per_site
+    flipped = term.operator
+    for axis, s in enumerate(term.support):
+        # qubit s*k is the most significant bit of site s's value
+        m = sum(((p.x >> (s * k + j)) & 1) << (k - 1 - j) for j in range(k))
+        flipped = np.take(flipped, np.arange(graph.q) ^ m, axis=axis)
+    return bool(np.max(np.abs(flipped - term.operator)) <= 1e-12)
 
+
+def verify_commuting(h: LocalHamiltonian) -> bool:
+    """True iff every pair of bare terms h_a commutes: symplectic check for
+    Pauli pairs, the diagonal table against the Pauli string's flips for
+    mixed pairs; diagonal pairs always commute."""
     for i in range(len(h.terms)):
         for j in range(i + 1, len(h.terms)):
             ti, tj = h.terms[i], h.terms[j]
@@ -305,9 +320,8 @@ def verify_commuting(h: LocalHamiltonian) -> bool:
                 if not ti.operator.commutes_with(tj.operator):
                     return False
                 continue
-            mi = term_matrix(h.site_graph, ti)
-            mj = term_matrix(h.site_graph, tj)
-            if np.max(np.abs(mi @ mj - mj @ mi)) > 1e-12:
+            diag, p = (ti, tj.operator) if ti.is_diagonal else (tj, ti.operator)
+            if not _flip_invariant(diag, p, h.site_graph):
                 return False
     return True
 

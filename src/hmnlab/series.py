@@ -21,8 +21,11 @@ serve both:
   coefficient stays in the group algebra.  There a coefficient is its 2^r
   character values, products are pointwise, and the spectral norm is the
   largest |character value|.  Certificates and the CMI-operator series use
-  this basis when it applies; ``cmi_operator_series`` converts its sum
-  back to matrices once.
+  this basis when it applies, and ``cmi_operator_series`` returns its sum
+  in it.
+
+A series carries its unit coefficient, the identity matrix or the all-ones
+character vector, which fixes its basis.
 """
 
 from __future__ import annotations
@@ -57,11 +60,7 @@ def _block_len(coeff_bytes: int) -> int:
 
 def check_commuting(h: LocalHamiltonian) -> None:
     """Certificates and the CMI-operator series expand E[Pi_a e^{-beta lam_a h_a}],
-    which is the channelled Gibbs state only when the terms commute.  Terms
-    that are not all Pauli are compared as dense matrices, and go the matrix
-    route anyway, so the dense cap applies first."""
-    if not h.all_pauli:
-        dense.check(h)
+    which is the channelled Gibbs state only when the terms commute."""
     if not h.commuting:
         raise ValueError("certificates need commuting terms, and this model's terms do not all commute")
 
@@ -85,25 +84,19 @@ def spectral_norm(m: np.ndarray) -> float:
 
 @dataclass
 class TruncatedSeries:
-    """``group`` is None for (dim, dim) matrix coefficients, or the r
-    generators of a commuting Pauli group whose 2^r character values each
-    coefficient holds; ``dim`` is the Hilbert dimension either way."""
+    """``unit`` is the coefficient of the identity: np.eye(dim) for (dim, dim)
+    matrix coefficients, or np.ones(2^r) for the character values of a
+    commuting Pauli group with r generators."""
 
     max_degree: int
-    dim: int
+    unit: np.ndarray
     coeffs: dict = field(default_factory=dict)  # exponent key -> ndarray
-    group: tuple | None = None
 
     def zeros(self, *lead: int) -> np.ndarray:
-        if self.group is None:
-            return np.zeros(lead + (self.dim, self.dim), dtype=complex)
-        return np.zeros(lead + (2 ** len(self.group),))
-
-    def unit(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex) if self.group is None else np.ones(2 ** len(self.group))
+        return np.zeros(lead + self.unit.shape, self.unit.dtype)
 
     def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.max_degree, self.dim, dict(self.coeffs), self.group)
+        return TruncatedSeries(self.max_degree, self.unit, dict(self.coeffs))
 
     def get(self, key: tuple) -> np.ndarray:
         return self.coeffs.get(tuple(sorted(key)), self.zeros())
@@ -132,7 +125,7 @@ class TruncatedSeries:
             for k1, n in zip(self.coeffs, prefix)
         ]
         out = self.zeros(len(slot))
-        times = np.matmul if self.group is None else np.multiply
+        times = np.matmul if self.unit.ndim == 2 else np.multiply
         step = _block_len(self.zeros().nbytes)
         for j0 in range(0, max(prefix, default=0), step):
             # a block of partners, which each k1 multiplies in one call as far
@@ -142,14 +135,13 @@ class TruncatedSeries:
                 b = min(n - j0, len(block))
                 if b > 0:
                     out[row[j0 : j0 + b]] += times(m1, block[:b])
-        return TruncatedSeries(d, self.dim, dict(zip(slot, out)), self.group)
+        return TruncatedSeries(d, self.unit, dict(zip(slot, out)))
 
     def prune(self, tol: float) -> "TruncatedSeries":
         return TruncatedSeries(
             self.max_degree,
-            self.dim,
+            self.unit,
             {k: m for k, m in self.coeffs.items() if np.max(np.abs(m)) > tol},
-            self.group,
         )
 
 
@@ -196,7 +188,7 @@ def series_of_channelled_gibbs(
     if np.max(np.abs(stack[0] - np.eye(dim))) > 1e-10:
         raise ValueError("degree-0 coefficient is not identity (non-unital layer?)")
     stack[0] = np.eye(dim)
-    return TruncatedSeries(max_degree, dim, dict(zip(keys, stack))).prune(SERIES_FLOOR)
+    return TruncatedSeries(max_degree, np.eye(dim, dtype=complex), dict(zip(keys, stack))).prune(SERIES_FLOOR)
 
 
 def _character_series(
@@ -222,9 +214,7 @@ def _character_series(
     stack[np.arange(len(keys)), elements] = scales
     chars = pauli.walsh_hadamard(stack)
     chars[0] = 1.0  # the empty key: an admitted layer is unital, f_0 = 1
-    return TruncatedSeries(max_degree, h.site_graph.dim, dict(zip(keys, chars)), gens).prune(
-        SERIES_FLOOR
-    )
+    return TruncatedSeries(max_degree, np.ones(f.size), dict(zip(keys, chars))).prune(SERIES_FLOOR)
 
 
 def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
@@ -238,25 +228,13 @@ def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
     return _character_series
 
 
-def _to_matrices(s: TruncatedSeries) -> TruncatedSeries:
-    """A character-basis series with (dim, dim) coefficients: back to group
-    coefficients c_v by the inverse transform, then summed against g_v."""
-    keys = list(s.coeffs)
-    r, n = len(s.group), s.dim.bit_length() - 1
-    c = pauli.walsh_hadamard(np.array([s.coeffs[k] for k in keys]).reshape(-1, 2**r)) / 2**r
-    out = np.zeros((len(keys), s.dim, s.dim), dtype=complex)
-    for v in np.flatnonzero(np.any(c != 0, axis=0)):
-        out += c[:, v, None, None] * pauli.group_element(s.group, int(v), n).to_matrix()
-    return TruncatedSeries(s.max_degree, s.dim, dict(zip(keys, out)))
-
-
 def log_series(s: TruncatedSeries) -> TruncatedSeries:
     """log(I + A) = sum_n (-1)^{n-1}/n A^n with A = s - I, truncated."""
-    if np.max(np.abs(s.get(()) - s.unit())) > 1e-12:
+    if np.max(np.abs(s.get(()) - s.unit)) > 1e-12:
         raise ValueError("log series needs degree-0 coefficient = I")
     a = s.copy()
     a.coeffs.pop((), None)
-    out = TruncatedSeries(s.max_degree, s.dim, group=s.group)
+    out = TruncatedSeries(s.max_degree, s.unit)
     power = a.copy()
     for n in range(1, s.max_degree + 1):
         out.add_inplace(power, (-1.0) ** (n - 1) / n)
@@ -264,7 +242,7 @@ def log_series(s: TruncatedSeries) -> TruncatedSeries:
             # every key of A has weight >= 1: keys of full degree have no
             # partner, so they are dropped before the product
             low = {k: m for k, m in power.coeffs.items() if key_weight(k) < s.max_degree}
-            power = TruncatedSeries(s.max_degree, s.dim, low, s.group)
+            power = TruncatedSeries(s.max_degree, s.unit, low)
             power = power * a
     return out.prune(SERIES_FLOOR)
 
@@ -338,7 +316,9 @@ def cmi_operator_series(
 ) -> TruncatedSeries:
     """Series of log E[rho_AB] + log E[rho_BC] - log E[rho_B] - log E[rho_ABC],
     each marginal realized by composing complete depolarization over the
-    complement with the B-supported layer (so all four stay full-dimension)."""
+    complement with the B-supported layer (so all four stay full-dimension).
+    The sum is in the basis the series were built in: character vectors
+    where the pauli engine admits the model and the layer, else matrices."""
     dense.check(h)
     check_commuting(h)
     g = h.site_graph
@@ -346,14 +326,14 @@ def cmi_operator_series(
     # tracing keeps a Pauli-diagonal layer Pauli-diagonal: all four logs
     # share one basis
     build = _series_builder(h, layer)
-    out = TruncatedSeries(max_degree, g.dim)
+    out = None
     for region, sgn in ((p.a | p.b, 1), (p.b | p.c, 1), (p.b, -1), (p.abc, -1)):
         lyr = compose_with_trace(layer, all_sites - region, g.q)
         ls = log_series(build(h, beta, lyr, max_degree))
-        out.group = ls.group
+        if out is None:
+            out = TruncatedSeries(max_degree, ls.unit)
         out.add_inplace(ls, sgn)
-    out = out.prune(SERIES_FLOOR)
-    return out if out.group is None else _to_matrices(out)
+    return out.prune(SERIES_FLOOR)
 
 
 def derivative_norm_certificate(
@@ -423,7 +403,7 @@ def pinned_series_check(pin: PinnedHamiltonian, max_degree: int) -> dict:
     h = pin.h
     g = build_dual_graph(h)
     s = pinned_traced_series(pin, max_degree)
-    d0_ok = bool(np.max(np.abs(s.get(()) - np.eye(s.dim))) <= 1e-10)
+    d0_ok = bool(np.max(np.abs(s.get(()) - s.unit)) <= 1e-10)
     ls = log_series(s)
     connected = set(connected_term_sets(g, max_degree))
     max_disc = 0.0

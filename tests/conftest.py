@@ -21,7 +21,7 @@ from hmnlab.channels import ChannelLayer, SiteChannel, bitflip, compose_with_tra
 from hmnlab.combinatorics import Cluster, _chromatic_poly
 from hmnlab.dense import apply_layer_to_matrix, hamiltonian_matrix, partial_trace_matrix, term_matrix
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, build_dual_graph
-from hmnlab.pauli import group_element
+from hmnlab.pauli import group_element, term_group, walsh_hadamard
 from hmnlab.series import (
     TruncatedSeries,
     cluster_derivative,
@@ -185,6 +185,19 @@ def expansion_matrix(e) -> np.ndarray:
     return out / d
 
 
+def character_matrices(s, h):
+    """Reference: a character-basis series of the model h with (dim, dim)
+    coefficients: back to group coefficients c_v by the inverse transform,
+    then summed against g_v, the group of ``term_group(h)``."""
+    gens = term_group(h)[0]
+    keys, r, dim = list(s.coeffs), len(gens), h.site_graph.dim
+    c = walsh_hadamard(np.array([s.coeffs[k] for k in keys]).reshape(-1, 2**r)) / 2**r
+    out = np.zeros((len(keys), dim, dim), dtype=complex)
+    for v in np.flatnonzero(np.any(c != 0, axis=0)):
+        out += c[:, v, None, None] * group_element(gens, int(v), h.site_graph.n_qubits).to_matrix()
+    return TruncatedSeries(s.max_degree, np.eye(dim, dtype=complex), dict(zip(keys, out)))
+
+
 def evaluate_series(s, lam: dict) -> np.ndarray:
     """Reference: the series with numeric values substituted for the term
     variables."""
@@ -239,10 +252,10 @@ def factor_product_series(h, beta, layer, max_degree, prefactor=None):
     g = h.site_graph
     dim = g.dim
     p0 = np.eye(dim, dtype=complex) if prefactor is None else np.array(prefactor, dtype=complex)
-    s = TruncatedSeries(max_degree, dim, {(): p0})
+    s = TruncatedSeries(max_degree, np.eye(dim, dtype=complex), {(): p0})
     for a, t in enumerate(h.terms):
         ha = term_matrix(g, t)
-        factor = TruncatedSeries(max_degree, dim)
+        factor = TruncatedSeries(max_degree, np.eye(dim, dtype=complex))
         power = np.eye(dim, dtype=complex)
         for k in range(max_degree + 1):
             factor.coeffs[((a, k),) if k else ()] = ((-beta) ** k / math.factorial(k)) * power
@@ -281,7 +294,7 @@ def dense_cmi_series(h, beta, layer, p, max_degree):
     """Reference: {key: coefficient} of the four-log CMI-operator series, each
     marginal's log from the public dense series of the layer composed with
     complete depolarization off the region."""
-    out = TruncatedSeries(max_degree, h.site_graph.dim)
+    out = TruncatedSeries(max_degree, np.eye(h.site_graph.dim, dtype=complex))
     every = set(range(h.site_graph.n_sites))
     for region, sgn in ((p.a | p.b, 1), (p.b | p.c, 1), (p.b, -1), (p.abc, -1)):
         lyr = compose_with_trace(layer, every - region, h.site_graph.q)

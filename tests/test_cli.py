@@ -339,6 +339,14 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         (dict(CMI_CFG, engine="pauli", beta=[-400, -0.5]), "beta -400 is not in [0, inf]"),
         (dict(DECAY_CFG, beta=[0.1, -0.5]), "beta -0.5 is not in [0, inf]"),
         (dict(CLUSTER_EQ_CFG, beta=["inf", -0.5]), "beta -0.5 is not in [0, inf]"),
+        (dict(DECAY_CFG, channel=0.1), "channel 0.1 is not a bulk channel object {kind, p}"),
+        (dict(DECAY_CFG, channel="bitflip"), "channel 'bitflip' is not a bulk channel object {kind, p}"),
+        (dict(CMI_CFG, channel="bitflip"), "channel 'bitflip' is not a bulk channel object {kind, p}"),
+        (dict(DECAY_CFG, output=5), "output 5 is not a file name"),
+        (dict(DECAY_CFG, output="sub/dir/x"), "output 'sub/dir/x' is not a file name"),
+        (dict(DECAY_CFG, output=""), "output '' is not a file name"),
+        (dict(CLUSTER_EQ_CFG, output=".."), "output '..' is not a file name"),
+        (dict(CMI_CFG, output="a\0b"), "output 'a\\x00b' is not a file name"),
     ],
     ids=[
         "pauli_term_cap",
@@ -399,6 +407,14 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         "cmi_beta_negative_pauli",
         "decay_beta_negative",
         "cluster_equivalence_beta_negative",
+        "decay_channel_a_number",
+        "decay_channel_a_string",
+        "cmi_channel_a_string",
+        "output_not_a_string",
+        "output_a_path",
+        "output_empty",
+        "output_parent_directory",
+        "output_nul_byte",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):
@@ -460,6 +476,18 @@ def test_validate_names_every_unread_key(tmp_path, capsys, cfg, findings):
     assert validate_config(cfg) == findings
     assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {'; '.join(findings)}\n"
+
+
+def test_config_not_an_object(tmp_path, capsys):
+    """A config file holding a JSON list: validate and run exit 1 with the
+    same one-line message and write nothing."""
+    path = write_cfg(tmp_path / "c.json", [1, 2])
+    errors = []
+    for argv in (["validate", path], ["run", path, "--output-dir", str(tmp_path)]):
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: config in {path} is not a JSON object\n"
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_cmi_manifest_rerun_reproduces(tmp_path):

@@ -1,10 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmnlab.dense import term_matrix
 from hmnlab.model import (
     HamiltonianTerm,
     LocalHamiltonian,
@@ -109,6 +116,62 @@ def test_verify_commuting():
         ),
     )
     assert not verify_commuting(bad)
+
+
+@st.composite
+def mixed_pairs(draw):
+    """A diagonal term on sites listed in any order and a Pauli term, on q = 2
+    or q = 4 sites, in either order; the string's X bits fall on and off the
+    table's sites.  Half the tables are averaged with their image under the
+    string, taken from the dense matrices (diag of P D P^dagger is D(a xor x)),
+    so that they commute."""
+    q = draw(st.sampled_from((2, 4)))
+    g = SiteGraph(draw(st.integers(1, 4 if q == 2 else 3)), q)
+    n = g.n_sites
+    support = tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])
+    values = st.sampled_from((-0.5, 0.0, 0.25, 1.0))
+    table = np.array(draw(st.lists(values, min_size=q ** len(support), max_size=q ** len(support))))
+    diag = HamiltonianTerm(support, table.reshape((q,) * len(support)), 0.8)
+    bits = st.integers(0, 2**g.n_qubits - 1)
+    p = PauliString(g.n_qubits, draw(bits), draw(bits))
+    if draw(st.booleans()):
+        d = term_matrix(g, diag)
+        pm = p.to_matrix()
+        full = ((d + pm @ d @ pm.conj().T).diagonal().real / 2).reshape((q,) * n)
+        full = full[tuple(slice(None) if s in support else 0 for s in range(n))]
+        order = sorted(support)
+        diag = HamiltonianTerm(support, np.transpose(full, [order.index(s) for s in support]), 0.8)
+    pair = (diag, HamiltonianTerm(tuple(range(n)), p, -0.6))
+    return LocalHamiltonian(g, pair if draw(st.booleans()) else pair[::-1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mixed_pairs())
+def test_verify_commuting_matches_dense_commutator(h):
+    """A diagonal-Pauli pair commutes exactly when the dense commutator of the
+    two full-space matrices is within 1e-12 of zero."""
+    a, b = (term_matrix(h.site_graph, t) for t in h.terms)
+    assert verify_commuting(h) == bool(np.max(np.abs(a @ b - b @ a)) <= 1e-12)
+
+
+def test_verify_commuting_without_full_space_matrices():
+    """20 sites, a diagonal field on site 3 followed by a ZZ chain: the
+    verdict is read off the field's table, so no q^n x q^n matrix is built
+    (one would hold 2^40 entries).  An X field on site 3 breaks it."""
+    chain = ising_pauli_chain(20)
+    field = HamiltonianTerm((3,), np.array([0.5, -0.3]), 0.7)
+    assert LocalHamiltonian(chain.site_graph, (field,) + chain.terms).commuting
+    flip = HamiltonianTerm((3,), PauliString.from_label("IIIX" + "I" * 16), 0.4)
+    assert not LocalHamiltonian(chain.site_graph, (field,) + chain.terms + (flip,)).commuting
+
+
+def test_model_imports_no_dense_engine():
+    """Importing hmnlab.model in a fresh interpreter does not load hmnlab.dense."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hmnlab.model; print('hmnlab.dense' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False", done.stdout + done.stderr
 
 
 def test_parse_model_rejects_unknown_keys():

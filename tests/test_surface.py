@@ -62,7 +62,6 @@ SETTABLE = {
     "model.entropy_bits.degeneracy": "1 for classical and dense spectra, each value's multiplicity on pauli",
     "pauli._xor_span.dtype": "int64 group indices, the smallest type for the damping tables' indices",
     "series.TruncatedSeries.coeffs": "a log or CMI-operator sum starts empty and add_inplace fills it",
-    "series.TruncatedSeries.group": "None for matrix coefficients, the term group for character vectors",
     "series.series_of_channelled_gibbs.prefactor": "None (the identity) but for the pinned series' pinning factors",
 }
 
