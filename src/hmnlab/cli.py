@@ -202,7 +202,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
                 ) from None
             if not r.partition.abc <= set(range(r.h.site_graph.n_sites)):
                 raise ValueError("partition names sites outside the model")
-        r.layer = _site_layer(ch or [], r.h.site_graph)
+        r.layer = _site_layer([] if ch is None else ch, r.h.site_graph)
     else:
         r.family, n = zoo.parse_model_id(model)
         if "partition" in cfg:

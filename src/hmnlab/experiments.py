@@ -117,11 +117,15 @@ def decay_curve(
     """CMI against the chain distance d: a chain of d+1 sites, A and C its end
     sites, the family's bulk channel on B.  d is the dual-graph distance on
     every family but ``cluster_chain``, whose terms cover three sites."""
+    distances = list(distances)
     curve = DecayCurve(beta, family, engine)
+    # each bulk channel depends on its site alone, so the (d+1)-site chain's
+    # layer on sites 1..d-1 is the first d-1 channels of the longest chain's
+    bulk = zoo.bulk_layer(family, int(max(distances, default=0)) + 1, channel_p, engine)
     for d in distances:
         n = int(d) + 1
         h = zoo.build_model(family, n, engine)
-        layer = zoo.bulk_layer(family, n, channel_p, engine)
+        layer = ChannelLayer(bulk.channels[: n - 2])
         curve.add(float(d), evaluate_cmi(h, beta, layer, boundary_partition(n), engine))
     return curve
 

@@ -218,13 +218,24 @@ class Partition:
         return self.a | self.b | self.c
 
 
+# values per chunk of entropy_bits: a 64 KB temporary is reused from the heap,
+# where one the size of a 2^19-value input is a fresh, page-faulting mmap
+_ENTROPY_BLOCK = 1 << 13
+
+
 def entropy_bits(values, degeneracy: int = 1) -> float:
     """Entropy in bits of a probability vector or spectrum whose every value
-    occurs ``degeneracy`` times.  Values <= 1e-18 count as zero; none is
-    raised to a floor."""
+    occurs ``degeneracy`` times.  Values <= 1e-18 (and NaN) count as zero;
+    none is raised to a floor.  Summed in chunks of ``_ENTROPY_BLOCK``
+    values, whose sums are added exactly (no rounding from the chunking)."""
     v = np.ravel(values)
-    v = v[v > 1e-18]
-    return float(-degeneracy * (v * np.log(v)).sum() / math.log(2.0))
+    parts = []
+    for i in range(0, v.size, _ENTROPY_BLOCK):
+        c = v[i : i + _ENTROPY_BLOCK]
+        if not c.min() > 1e-18:
+            c = c[c > 1e-18]
+        parts.append(float(np.dot(c, np.log(c))))
+    return float(-degeneracy * math.fsum(parts) / math.log(2.0))
 
 
 def neighbor_sets(n: int, edges) -> tuple[frozenset[int], ...]:

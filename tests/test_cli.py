@@ -207,6 +207,11 @@ CERT_CFG = {
 }
 CMI_CFG = {"experiment": "cmi", "model": "ising_chain_n6", "engine": "classical", "beta": [0.5]}
 CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta": [0.5], "n": 4}
+# the test writes this model outside its tmp_path, which must end up
+# holding only the config
+ZZ_CHAIN3_FILE = "<3-site ZZ chain model file>"
+ZZ_CHAIN3 = {"n_sites": 3, "terms": [{"support": [i, i + 1], "pauli": "ZZ", "lambda": -1.0} for i in range(2)]}
+FILE_CMI_CFG = dict(CMI_CFG, model=ZZ_CHAIN3_FILE, engine="pauli", partition={"a": [0], "b": [1], "c": [2]})
 
 
 @pytest.mark.parametrize(
@@ -347,6 +352,9 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         (dict(DECAY_CFG, output=""), "output '' is not a file name"),
         (dict(CLUSTER_EQ_CFG, output=".."), "output '..' is not a file name"),
         (dict(CMI_CFG, output="a\0b"), "output 'a\\x00b' is not a file name"),
+        (dict(FILE_CMI_CFG, channel=0), "channel 0 is not a list of per-site channels"),
+        (dict(FILE_CMI_CFG, channel=False), "channel False is not a list of per-site channels"),
+        (dict(FILE_CMI_CFG, channel=""), "channel '' is not a list of per-site channels"),
     ],
     ids=[
         "pauli_term_cap",
@@ -415,9 +423,14 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
         "output_empty",
         "output_parent_directory",
         "output_nul_byte",
+        "model_file_channel_zero",
+        "model_file_channel_false",
+        "model_file_channel_empty_string",
     ],
 )
-def test_validate_reports_what_run_rejects(tmp_path, capsys, cfg, message):
+def test_validate_reports_what_run_rejects(tmp_path_factory, tmp_path, capsys, cfg, message):
+    if cfg.get("model") == ZZ_CHAIN3_FILE:
+        cfg = dict(cfg, model=write_cfg(tmp_path_factory.mktemp("model") / "zz3.json", ZZ_CHAIN3))
     findings = validate_config(cfg)
     assert len(findings) == 1 and message in findings[0], findings
     path = write_cfg(tmp_path / "c.json", cfg)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hmnlab import experiments
+from hmnlab import experiments, zoo
 from hmnlab.experiments import (
     DecayCurve,
     beta_critical,
@@ -101,6 +101,52 @@ def test_decay_curve_classical_ising():
     assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
     fit = fit_markov_length(curve)
     assert not fit.diverged and fit.r_squared > 0.98
+
+
+def _channel_fields(c):
+    """A site channel as plain values, so that two channels compare exactly."""
+    return (
+        c.site,
+        None if c.transition is None else c.transition.tolist(),
+        None if c.kraus is None else [k.tolist() for k in c.kraus],
+        c.pauli_mixture,
+    )
+
+
+@pytest.mark.parametrize(
+    "family, engine, beta, p",
+    [
+        ("ising_chain", "classical", 0.3, 0.1),
+        ("ising_chain", "dense", 0.3, 0.1),
+        ("ising_chain", "pauli", 0.3, 0.1),
+        ("parity_chain", "classical", 1.0, 1.0),
+        ("bell_chain", "pauli", 1.0, 1.0),
+        ("cluster_chain", "pauli", 0.5, 0.2),
+    ],
+)
+def test_decay_curve_layers_are_bulk_layer_prefixes(monkeypatch, family, engine, beta, p):
+    """A curve builds one bulk layer: each distance's layer, a prefix of it,
+    equals the (d+1)-site chain's own bulk layer channel by channel, and the
+    points are those of one evaluate_cmi call per distance."""
+    distances = range(2, 6)
+    layers = []
+    evaluate = experiments.evaluate_cmi
+
+    def spy(h, beta, layer, part, engine):
+        layers.append(layer)
+        return evaluate(h, beta, layer, part, engine)
+
+    monkeypatch.setattr(experiments, "evaluate_cmi", spy)
+    curve = decay_curve(family, engine, beta, distances, p)
+    assert len(layers) == len(distances)
+    expect = []
+    for d, layer in zip(distances, layers):
+        own = zoo.bulk_layer(family, d + 1, p, engine)
+        assert [_channel_fields(c) for c in layer.channels] == [_channel_fields(c) for c in own.channels]
+        h = zoo.build_model(family, d + 1, engine)
+        expect.append((float(d), evaluate(h, beta, own, boundary_partition(d + 1), engine)))
+    assert curve.points == expect
+    assert decay_curve(family, engine, beta, [], p).points == []
 
 
 def test_markov_length_grows_with_beta():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from hmnlab.dense import term_matrix
 from hmnlab.model import (
+    _ENTROPY_BLOCK,
     HamiltonianTerm,
     LocalHamiltonian,
     Partition,
@@ -24,7 +26,7 @@ from hmnlab.model import (
     parse_model,
     verify_commuting,
 )
-from tests.conftest import ising_pauli_chain, pauli_label
+from tests.conftest import entropy_bits_reference, ising_pauli_chain, pauli_label
 
 
 def test_pauli_label_roundtrip():
@@ -213,6 +215,58 @@ def test_entropy_bits_floor():
     assert entropy_bits([0.5, 0.5, 1e-18, -1e-17]) == 1.0
     assert entropy_bits([1.0, 0.0]) == 0.0
     assert entropy_bits([1.0, 1e-16]) == pytest.approx(-1e-16 * math.log2(1e-16), rel=1e-12)
+
+
+B = _ENTROPY_BLOCK
+# chunk edges of a 3B + 5 vector: first and last value of each chunk
+EDGES = [0, B - 1, B, 2 * B - 1, 2 * B, 3 * B - 1, 3 * B, 3 * B + 4]
+
+
+@pytest.mark.parametrize("degeneracy", [1, 4])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5])
+def test_entropy_bits_matches_reference_across_blocks(n, degeneracy):
+    v = np.random.default_rng(n).random(n)
+    v /= v.sum()
+    expect = entropy_bits_reference(v, degeneracy)
+    assert entropy_bits(v, degeneracy) == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("degeneracy", [1, 4])
+@pytest.mark.parametrize("value", [0.0, 1e-18, -1e-17, math.nan], ids=["zero", "floor", "negative", "nan"])
+@pytest.mark.parametrize(
+    "at",
+    [EDGES, slice(B - 3, B + 3), slice(2 * B - 1, 2 * B + 1), slice(B, 2 * B), slice(3 * B, 3 * B + 5)],
+    ids=["on_edges", "across_first_edge", "across_second_edge", "whole_chunk", "whole_tail"],
+)
+def test_entropy_bits_drops_floor_values_at_block_edges(at, value, degeneracy):
+    """Values <= 1e-18 and NaN count as zero wherever they fall: on a chunk's
+    first or last value, straddling two chunks, filling a chunk."""
+    v = np.random.default_rng(7).random(3 * B + 5)
+    v /= v.sum()
+    v[at] = value
+    expect = entropy_bits_reference(v, degeneracy)
+    assert math.isfinite(expect)
+    assert entropy_bits(v, degeneracy) == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["all_positive", "with_zeros"])
+def test_entropy_bits_allocates_no_full_size_temporary(zeros):
+    """numpy reports its buffers to tracemalloc: on 2^18 values (2 MB) the
+    traced peak stays below an eighth of the input, with or without values
+    to drop."""
+    v = np.random.default_rng(3).random(2**18)
+    v /= v.sum()
+    if zeros:
+        v[::5] = 0.0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        entropy_bits(v)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nbytes / 8, peak
 
 
 def test_parse_model_places_letters_by_site():
