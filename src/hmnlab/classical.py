@@ -31,6 +31,11 @@ _GEMM_MNK = 2**17
 # stays a factor 1/eps above the smallest normal float64 (about e^-672), so
 # that no weight underflows and a weight times an entry >= eps stays normal
 _SWEEP_LOG_RANGE = -math.log(np.finfo(float).tiny / np.finfo(float).eps)
+# A sweep step whose (q^span, q^(span-1)) step matrix has at most this many
+# entries is one matmul of it, which costs q^(span-1) flops per output; a
+# wider step (a ring's closing term, say) broadcasts its factor in and then
+# applies each channel, one pass apiece
+_STEP_MATRIX_MAX = 2**11
 
 
 @dataclass
@@ -78,9 +83,8 @@ def energy_table(h: LocalHamiltonian) -> np.ndarray:
     e = np.zeros(())
     for k, terms in enumerate(by_last_site):
         e = np.repeat(e[..., None], g.q, axis=-1)
-        grown = SiteGraph(k + 1, g.q)
         for t in terms:
-            e += t.coefficient * t.site_table(grown)
+            e += t.coefficient * t.site_table(g.q, range(k + 1))
     return e
 
 
@@ -148,12 +152,17 @@ def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
 
 def _sweep(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> np.ndarray:
     """The normalized channelled Gibbs vector, grown from the last site down
-    to site 0, each new site the leading axis.  Step k multiplies in the
-    factor exp(-beta sum_a (lambda_a h_a - min lambda_a h_a)) of the terms
-    whose smallest site is k, one broadcast table over sites k..(their
-    largest site), and then applies the channel of every site that no term
-    with a smaller site touches.  The vector lives in a prefix of one of two
-    q^n buffers."""
+    to site 0, each new site the leading axis.  Step k takes the terms whose
+    smallest site is k, over the span of sites k..(their largest site), and
+    the channels of the sites that no term with a smaller site touches.  It
+    is one linear map from the span's last span-1 axes to all span axes: the
+    diagonal embedding of w = exp(-beta sum_a (lambda_a h_a - min lambda_a
+    h_a)) with each channel multiplied on from the left, a (q^span,
+    q^(span-1)) step matrix.  A step whose matrix has at most
+    _STEP_MATRIX_MAX entries is one matmul of it; a wider one multiplies w
+    in by broadcasting and then applies each channel.  Every step writes a
+    prefix of one of two buffers in turn, each sized to the last (largest)
+    write that lands in it: on a chain q^n and q^(n-1) floats."""
     g = h.site_graph
     n, q = g.n_sites, g.q
     by_first = [[] for _ in range(n)]
@@ -168,26 +177,39 @@ def _sweep(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> np.ndarray:
     channels_at = [[] for _ in range(n)]
     for c in layer.channels:
         channels_at[reach[c.site]].append(c)
-    bufs = (np.empty(g.dim), np.empty(g.dim))
-    cur = 0
-    x = bufs[cur][:1]
-    x[0] = 1.0
+    steps = []  # (k, step matrix or w, the channels a wide step applies after w)
     for k in range(n - 1, -1, -1):
         span = max((max(t.support) for t in by_first[k]), default=k) - k + 1
-        grown = SiteGraph(k + span, q)
         e = np.zeros((q,) * span)
         for t in by_first[k]:
-            a = t.coefficient * t.site_table(grown)[(0,) * k]
+            a = t.coefficient * t.site_table(q, range(k, k + span))
             e += a - a.min()
         e *= -beta
         inner = q ** (span - 1)
-        cur = 1 - cur
-        out = bufs[cur][: q * x.size]
-        np.multiply(np.exp(e).reshape(q, inner, 1), x.reshape(1, inner, -1), out=out.reshape(q, inner, -1))
-        x = out
+        w = np.exp(e).reshape(q, inner)
+        if q * inner * inner > _STEP_MATRIX_MAX:
+            steps.append((k, w, channels_at[k]))
+            continue
+        m = np.zeros((q * inner, inner))
+        m.reshape(q, -1)[:, :: inner + 1] = w  # the diagonal of each (inner, inner) block
         for c in channels_at[k]:
-            cur = 1 - cur
-            out = bufs[cur][: x.size]
+            m = np.matmul(c.transition, m.reshape(q ** (c.site - k), q, -1)).reshape(q * inner, inner)
+        steps.append((k, m, None))
+    sizes = [q ** (n - k) for k, _, chs in steps for _ in range(1 + len(chs or ()))]
+    bufs = [np.empty(max(sizes[j::2], default=0)) for j in (0, 1)]
+    x = np.ones(1)
+    i = 0
+    for k, m, chs in steps:
+        out = bufs[i % 2][: q * x.size]
+        i += 1
+        if chs is None:
+            np.matmul(m, x.reshape(m.shape[1], -1), out=out.reshape(m.shape[0], -1))
+        else:
+            np.multiply(m[:, :, None], x.reshape(1, m.shape[1], -1), out=out.reshape(q, m.shape[1], -1))
+        x = out
+        for c in chs or ():
+            out = bufs[i % 2][: x.size]
+            i += 1
             _transition(c.transition, x, q ** (c.site - k), out)
             x = out
     x /= x.sum()

@@ -33,7 +33,7 @@ def term_matrix(graph: SiteGraph, term: HamiltonianTerm) -> np.ndarray:
     """Full-space matrix of the bare term h_a (without lambda_a)."""
     if term.is_pauli:
         return term.operator.to_matrix()
-    diag = np.broadcast_to(term.site_table(graph), (graph.q,) * graph.n_sites)
+    diag = np.broadcast_to(term.site_table(graph.q, range(graph.n_sites)), (graph.q,) * graph.n_sites)
     return np.diag(diag.ravel()).astype(complex)
 
 

@@ -181,6 +181,7 @@ def low_temperature_chain_demo(distances, betas) -> dict:
     """Parity chain (classical) and Bell chain (quantum) CMI against distance
     for each beta; at beta = inf the curves sit at the long-range values 1
     and 2, at finite beta they decay with a finite fitted length."""
+    distances = list(distances)  # each beta reads it twice
     out = {"parity_chain": [], "bell_chain": []}
     for beta in betas:
         c = decay_curve("parity_chain", "classical", beta, distances)

@@ -23,14 +23,6 @@ import numpy as np
 
 INF_DISTANCE = math.inf
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 @dataclass(frozen=True)
 class SiteGraph:
     """Collection of n sites with local dimension q.  Distances come from
@@ -122,11 +114,19 @@ class PauliString:
         return PauliString(self.n, x3, z3, sign)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix with qubit 0 as the most significant tensor factor."""
-        out = np.array([[self.sign]], dtype=complex)
-        for j in range(self.n):
-            xb, zb = (self.x >> j) & 1, (self.z >> j) & 1
-            out = np.kron(out, _PAULI_MATS["IXZY"[xb + 2 * zb]])
+        """Dense matrix with qubit 0 as the most significant tensor factor:
+        sign * i^popcount(x & z) * X^x Z^z, one entry per column.  Column c
+        (qubit j at bit n-1-j) goes to row c ^ X and carries the sign
+        (-1)^popcount(c & Z), X and Z being the masks in that bit order."""
+        dim = 1 << self.n
+        xm, zm = (int(f"{m:0{self.n}b}"[::-1], 2) for m in (self.x, self.z))
+        c = np.arange(dim)
+        parity = c & zm  # xor-folded to its popcount parity (no np.bitwise_count before numpy 2)
+        for shift in (32, 16, 8, 4, 2, 1):
+            parity ^= parity >> shift
+        phase = self.sign * (1, 1j, -1, -1j)[bin(self.x & self.z).count("1") % 4]
+        out = np.zeros((dim, dim), dtype=complex)
+        out[c ^ xm, c] = phase * (1 - 2 * (parity & 1))
         return out
 
 
@@ -162,11 +162,12 @@ class HamiltonianTerm:
     def is_pauli(self) -> bool:
         return isinstance(self.operator, PauliString)
 
-    def site_table(self, graph: SiteGraph) -> np.ndarray:
+    def site_table(self, q: int, sites: range) -> np.ndarray:
         """A diagonal term's table with its axes in increasing site order,
-        shaped to broadcast against the (q,)*n configuration tensor."""
-        table = np.transpose(self.operator, np.argsort(self.support))
-        return table.reshape([graph.q if s in self.support else 1 for s in range(graph.n_sites)])
+        shaped to broadcast against the (q,)*len(sites) configuration tensor
+        of the consecutive ``sites``, which hold the support."""
+        order = sorted(range(len(self.support)), key=self.support.__getitem__)
+        return self.operator.transpose(order).reshape([q if s in self.support else 1 for s in sites])
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,24 @@ def lattice_2x3(lam=-0.9):
     return LocalHamiltonian(g, tuple(terms))
 
 
+_PAULI_MATS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_pauli_matrix(p: PauliString) -> np.ndarray:
+    """Oracle: the string's matrix as a kron chain of its one-qubit Paulis,
+    qubit 0 the most significant factor."""
+    out = np.array([[p.sign]], dtype=complex)
+    for j in range(p.n):
+        xb, zb = (p.x >> j) & 1, (p.z >> j) & 1
+        out = np.kron(out, _PAULI_MATS["IXZY"[xb + 2 * zb]])
+    return out
+
+
 def brute_gibbs_probs(h, beta):
     """Oracle: per-configuration exp(-beta E) by direct loops."""
     g = h.site_graph

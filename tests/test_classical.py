@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmnlab import classical
+from hmnlab import classical, zoo
 from hmnlab.channels import ChannelLayer, transition_channel
 from hmnlab.experiments import cmi
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph
@@ -337,6 +338,65 @@ def test_sweep_matches_brute_force(model):
     got = classical.prepare(h, beta, layer)
     want = brute_apply_transitions(brute_gibbs_probs(h, beta), h.site_graph, mats)
     assert np.max(np.abs(got.probs - want)) < 1e-14
+
+
+def _zz_ring(n):
+    """ZZ bonds around a ring: the closing bond (n-1, 0) makes step 0 of the
+    sweep span every site, a 2^(2n-1)-entry step matrix."""
+    tbl = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return LocalHamiltonian(SiteGraph(n), tuple(HamiltonianTerm((i, (i + 1) % n), tbl, -0.9) for i in range(n)))
+
+
+_FLIP = np.array([[0.9, 0.2], [0.1, 0.8]])
+STEP_RULE_MODELS = {
+    # model, beta, site -> T, _transition calls of the wide steps at the default rule
+    "ising_chain": (ising_diag_chain(8), 0.7, {s: _FLIP for s in range(1, 7)}, 0),
+    "parity_chain": (zoo.parity_chain(4), 0.5, {s: zoo.parity_channel(s).transition for s in (1, 2)}, 0),
+    # sites 0, 1 and 9 close at the wide step 0, site 5 at the fused step 4
+    "zz_ring": (_zz_ring(10), 0.4, {s: _FLIP for s in (0, 1, 5, 9)}, 3),
+}
+
+
+@pytest.mark.parametrize("name", STEP_RULE_MODELS)
+def test_sweep_step_rule_matches_brute_force(monkeypatch, name):
+    """Each step is one matmul of its step matrix or, past _STEP_MATRIX_MAX
+    entries, the broadcast factor then one _transition per channel: both
+    sides of that rule, and every step on either side, give the brute-force
+    vector pushed through the brute-force transition sum."""
+    h, beta, mats, wide_transitions = STEP_RULE_MODELS[name]
+    layer = ChannelLayer(tuple(transition_channel(s, t) for s, t in mats.items()))
+    want = brute_apply_transitions(brute_gibbs_probs(h, beta), h.site_graph, mats)
+    calls = []
+    transition = classical._transition
+
+    def counted(*args):
+        calls.append(args)
+        return transition(*args)
+
+    monkeypatch.setattr(classical, "_transition", counted)
+    # the default rule, every step wide, every step fused
+    for limit, transitions in ((classical._STEP_MATRIX_MAX, wide_transitions), (0, len(mats)), (2**20, 0)):
+        monkeypatch.setattr(classical, "_STEP_MATRIX_MAX", limit)
+        got = classical.prepare(h, beta, layer).probs
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert len(calls) == transitions
+        calls.clear()
+
+
+def test_sweep_buffers_on_a_chain():
+    """On a chain every step writes once, so the sweep holds the q^n vector
+    prepare returns and one q^(n-1) buffer, not two of q^n."""
+    n = 16
+    h = ising_diag_chain(n)
+    layer = ChannelLayer(tuple(transition_channel(s, _FLIP) for s in range(1, n - 1)))
+    classical.prepare(h, 0.3, layer)
+    tracemalloc.start()
+    try:
+        classical.prepare(h, 0.3, layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2**n + 2 ** (n - 1)) * 8 + 64 * 1024
 
 
 def _frustrated_triangle():

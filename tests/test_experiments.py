@@ -210,6 +210,13 @@ def test_low_temperature_demo_shapes():
         assert len(curves) == 1 and len(curves[0].points) == 3
 
 
+def test_low_temperature_demo_takes_a_generator():
+    """A one-shot iterable of distances serves every curve of every beta."""
+    out = experiments.low_temperature_chain_demo((d for d in range(2, 5)), [1.0, 2.0])
+    for curves in out.values():
+        assert [len(c.points) for c in curves] == [3, 3]
+
+
 def test_cmi_policy_clamps_rounding_and_raises_below_tolerance():
     """One negative-CMI policy for every engine: raw values down to -1e-10
     read 0, lower ones raise."""

@@ -26,7 +26,7 @@ from hmnlab.model import (
     parse_model,
     verify_commuting,
 )
-from tests.conftest import entropy_bits_reference, ising_pauli_chain, pauli_label
+from tests.conftest import entropy_bits_reference, ising_pauli_chain, kron_pauli_matrix, pauli_label
 
 
 def test_pauli_label_roundtrip():
@@ -62,6 +62,26 @@ def test_pauli_strings_hermitian():
         for z in range(4):
             m = PauliString(2, x, z).to_matrix()
             assert np.allclose(m, m.conj().T)
+
+
+def test_to_matrix_matches_kron_chain():
+    """The one-scatter matrix is the kron chain's, entry for entry: every
+    string on 1-3 qubits with both signs, and random strings on up to 8."""
+    strings = [
+        PauliString(n, x, z, sign)
+        for n in (1, 2, 3)
+        for x in range(2**n)
+        for z in range(2**n)
+        for sign in (1, -1)
+    ]
+    rng = np.random.default_rng(5)
+    for n in rng.integers(4, 9, size=40):
+        n = int(n)
+        x, z = (int(v) for v in rng.integers(0, 2**n, size=2))
+        strings.append(PauliString(n, x, z, int(rng.choice((1, -1)))))
+    for p in strings:
+        got = p.to_matrix()
+        assert got.dtype == complex and np.array_equal(got, kron_pauli_matrix(p))
 
 
 def test_coefficient_cap():
