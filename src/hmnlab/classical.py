@@ -225,7 +225,7 @@ def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> Distributi
     beta = inf, the energy table does."""
     check(h)
     check_layer(layer)
-    spread = sum(float(np.ptp(t.coefficient * t.operator)) for t in h.terms)
+    spread = sum(float(a.max() - a.min()) for a in (t.coefficient * t.operator for t in h.terms))
     if math.isfinite(beta) and abs(beta) * spread <= _SWEEP_LOG_RANGE:
         return Distribution(_sweep(h, beta, layer), h.site_graph)
     return apply_transitions(_energy_gibbs(h, beta), layer)

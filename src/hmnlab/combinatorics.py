@@ -223,6 +223,24 @@ def coloring_weight(g: SimpleGraph) -> int:
     return _chromatic_poly(g.n, g.edges)[1]
 
 
+@lru_cache(maxsize=None)
+def _graph_chain(n: int, edges: frozenset) -> tuple:
+    """(left, tau, degree product) of the estimate chain on one labelled
+    interaction graph: exact integers that depend on the graph alone, so one
+    computation serves every cluster with that graph.  The degree product
+    takes max(deg, 1) so the single-node graph (tau = 1) does not break the
+    chain."""
+    graph = SimpleGraph(n, edges)
+    left = sum(
+        abs(coloring_weight(quotient_graph(graph, blocks)))
+        for blocks in enumerate_connected_partitions(graph)
+    )
+    degprod = 1
+    for nbrs in graph.neighbors:
+        degprod *= max(len(nbrs), 1)
+    return left, spanning_tree_count(graph), degprod
+
+
 def estimate_chain(w: Cluster, g: DualInteractionGraph) -> dict:
     """The combinatorial estimate chain for one cluster:
 
@@ -231,22 +249,15 @@ def estimate_chain(w: Cluster, g: DualInteractionGraph) -> dict:
             <= 2^{|W|-1} prod_a max(deg a, 1)
             <= W! (2e(1+d))^{|W|+1}
 
-    Left and middle quantities are exact integers; the final comparison is
-    float.  The degree product gets max(.,1) so the single-node graph
-    (tau = 1) does not break the chain.
+    Left and middle quantities are exact integers, read off the interaction
+    graph by ``_graph_chain``; the final comparison is float and depends on
+    the cluster's W! and the dual graph's degree d.
     """
     if w.weight > ESTIMATE_WEIGHT_CAP:
         raise ValueError(f"weight {w.weight} exceeds cap {ESTIMATE_WEIGHT_CAP}")
     graph = interaction_graph_of_cluster(w, g)
-    left = sum(
-        abs(coloring_weight(quotient_graph(graph, blocks)))
-        for blocks in enumerate_connected_partitions(graph)
-    )
-    tau = spanning_tree_count(graph)
+    left, tau, degprod = _graph_chain(graph.n, graph.edges)
     mid1 = 2 ** (w.weight - 1) * tau
-    degprod = 1
-    for nbrs in graph.neighbors:
-        degprod *= max(len(nbrs), 1)
     mid2 = 2 ** (w.weight - 1) * degprod
     right = w.factorial * (2 * math.e * (1 + g.degree)) ** (w.weight + 1)
     return {

@@ -5,8 +5,9 @@ The oracles here deliberately avoid the package's engine code paths (direct
 configuration loops, dict-based marginalization) so that engine bugs cannot
 cancel out in the comparisons.  The exact references (the CMI operator, the
 dense state of a pauli expansion, a series evaluated at numbers, channel
-composition, exact-n colorings) are built from the package's primitives, one
-step at a time, and only the tests call them.
+composition, exact-n colorings, the estimate chain with no memo) are built
+from the package's primitives, one step at a time, and only the tests call
+them.
 """
 
 import itertools
@@ -18,7 +19,15 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from hmnlab.channels import ChannelLayer, SiteChannel, bitflip, compose_with_trace, dephasing, depolarizing
-from hmnlab.combinatorics import Cluster, _chromatic_poly
+from hmnlab.combinatorics import (
+    Cluster,
+    _chromatic_poly,
+    coloring_weight,
+    enumerate_connected_partitions,
+    interaction_graph_of_cluster,
+    quotient_graph,
+    spanning_tree_count,
+)
 from hmnlab.dense import apply_layer_to_matrix, hamiltonian_matrix, partial_trace_matrix, term_matrix
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, build_dual_graph
 from hmnlab.pauli import group_element, term_group, walsh_hadamard
@@ -389,6 +398,31 @@ def chi_star(n: int, g) -> int:
         (-1) ** (n - j) * math.comb(n, j) * chromatic_polynomial(g, j)
         for j in range(n + 1)
     )
+
+
+def estimate_chain_reference(w, g):
+    """Reference: the estimate chain of one cluster computed afresh, with no
+    memo."""
+    graph = interaction_graph_of_cluster(w, g)
+    left = sum(
+        abs(coloring_weight(quotient_graph(graph, blocks)))
+        for blocks in enumerate_connected_partitions(graph)
+    )
+    tau = spanning_tree_count(graph)
+    mid1 = 2 ** (w.weight - 1) * tau
+    degprod = 1
+    for nbrs in graph.neighbors:
+        degprod *= max(len(nbrs), 1)
+    mid2 = 2 ** (w.weight - 1) * degprod
+    right = w.factorial * (2 * math.e * (1 + g.degree)) ** (w.weight + 1)
+    return {
+        "weight": w.weight,
+        "left": left,
+        "tree_bound": mid1,
+        "degree_bound": mid2,
+        "final_bound": right,
+        "ok": left <= mid1 <= mid2 and float(mid2) <= right,
+    }
 
 
 def random_commuting_pauli_model(rng, n, max_terms=6):

@@ -438,6 +438,27 @@ def test_underflow_guard(monkeypatch, beta, swept):
     assert np.max(np.abs(ground - np.array([0, 1, 1, 1, 1, 1, 1, 0]) / 6)) < 1e-14
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sweep_models())
+def test_route_is_chosen_by_each_terms_ptp_summed_in_order(model):
+    """prepare sweeps exactly while |beta| sum_a ptp(lambda_a h_a), each
+    term's np.ptp summed over the terms in order, a term on no site (ptp 0)
+    included, stays within _SWEEP_LOG_RANGE: at the limit and one float on
+    either side of it."""
+    h = model[0]
+    h = LocalHamiltonian(h.site_graph, (HamiltonianTerm((), np.array(0.7), -1.0),) + h.terms)
+    spread = sum(float(np.ptp(t.coefficient * t.operator)) for t in h.terms)
+    limit = classical._SWEEP_LOG_RANGE / spread if spread else 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_sweep", lambda *args: "sweep")
+        mp.setattr(classical, "_energy_gibbs", lambda *args: None)
+        mp.setattr(classical, "apply_transitions", lambda *args: "energy")
+        mp.setattr(classical, "Distribution", lambda x, graph: x)
+        for beta in (float(np.nextafter(limit, 0)), limit, float(np.nextafter(limit, math.inf))):
+            want = "sweep" if beta * spread <= classical._SWEEP_LOG_RANGE else "energy"
+            assert classical.prepare(h, beta, ChannelLayer()) == want
+
+
 def test_negative_beta_and_constant_term():
     """A negative beta (factors >= 1) and a term on no site (a constant
     energy, which cancels) against the brute-force Boltzmann vector."""

@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from hmnlab.combinatorics import (
     Cluster,
     SimpleGraph,
@@ -13,9 +15,16 @@ from hmnlab.combinatorics import (
     spanning_tree_count,
     verify_combinatorial_estimate,
 )
-from hmnlab.model import build_dual_graph
+from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, build_dual_graph
 from hmnlab.series import enumerate_connected_clusters
-from tests.conftest import brute_force_chi_star, chi_star, chromatic_polynomial, ising_pauli_chain
+from tests.conftest import (
+    brute_force_chi_star,
+    chi_star,
+    chromatic_polynomial,
+    estimate_chain_reference,
+    ising_pauli_chain,
+    lattice_2x3,
+)
 
 
 def path(n):
@@ -164,3 +173,57 @@ def test_estimate_chain_weight_one():
     rep = estimate_chain(Cluster(((0, 1),)), g)
     assert rep["left"] == 1.0
     assert rep["ok"]
+
+
+def zz_grid(rows, cols):
+    """ZZ bonds on a rows x cols grid, rows first, then columns."""
+    n = rows * cols
+    bonds = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    bonds += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    terms = [HamiltonianTerm((a, b), PauliString(n, 0, (1 << a) | (1 << b)), -0.9) for a, b in bonds]
+    return LocalHamiltonian(SiteGraph(n), tuple(terms))
+
+
+@pytest.mark.parametrize("h, max_weight", [(lattice_2x3(), 5), (zz_grid(3, 3), 4)], ids=["2x3_w5", "3x3_w4"])
+def test_estimate_chain_matches_the_unmemoized_chain(h, max_weight):
+    """Every connected cluster gets the same report, exactly, as the chain
+    computed afresh with no memo; the clusters share far fewer interaction
+    graphs than there are clusters, so most reports are read from the
+    per-graph memo."""
+    g = build_dual_graph(h)
+    clusters = enumerate_connected_clusters(g, max_weight)
+    graphs = {(ig.n, ig.edges) for ig in (interaction_graph_of_cluster(w, g) for w in clusters)}
+    assert len(graphs) < len(clusters) / 3
+    for w in clusters:
+        rep, want = estimate_chain(w, g), estimate_chain_reference(w, g)
+        assert rep == want, w
+        assert all(type(rep[k]) is type(v) for k, v in want.items()), w
+
+
+def test_estimate_chain_final_bound_follows_the_dual_graph():
+    """Two adjacent bonds have the one-edge interaction graph on a chain
+    (dual degree 2) and on the 2x3 lattice (dual degree 4): the graph's
+    exact counts are shared, the final bound is each dual graph's own."""
+    chain, lattice = build_dual_graph(ising_pauli_chain(4)), build_dual_graph(lattice_2x3())
+    w = Cluster(((0, 1), (1, 1)))
+    assert interaction_graph_of_cluster(w, chain) == interaction_graph_of_cluster(w, lattice)
+    assert chain.degree != lattice.degree
+    reps = [estimate_chain(w, g) for g in (chain, lattice)]
+    assert [r["left"] for r in reps] == [2, 2]
+    assert reps[0]["final_bound"] != reps[1]["final_bound"]
+    for rep, g in zip(reps, (chain, lattice)):
+        assert rep == estimate_chain_reference(w, g)
+
+
+def test_verify_estimate_reports_are_per_cluster():
+    """Clusters {0, 1} and {1, 2} of a chain share their interaction graph;
+    each report lists its own terms, and the second call leaves the first
+    report as it was."""
+    g = build_dual_graph(ising_pauli_chain(5))
+    first = verify_combinatorial_estimate(Cluster(((0, 1), (1, 1))), g)
+    second = verify_combinatorial_estimate(Cluster(((1, 1), (2, 2))), g)
+    third = verify_combinatorial_estimate(Cluster(((1, 1), (2, 1))), g)
+    assert (first["terms"], first["multiplicities"]) == ([0, 1], [1, 1])
+    assert (second["terms"], second["multiplicities"]) == ([1, 2], [1, 2])
+    assert (third["terms"], third["multiplicities"]) == ([1, 2], [1, 1])
+    assert first["left"] == third["left"] and first is not third
