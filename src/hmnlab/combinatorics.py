@@ -66,14 +66,6 @@ def key_factorial(key: tuple) -> int:
     return out
 
 
-def merge_keys(k1: tuple, k2: tuple) -> tuple:
-    """The key of the product of two monomials."""
-    acc = dict(k1)
-    for a, m in k2:
-        acc[a] = acc.get(a, 0) + m
-    return tuple(sorted(acc.items()))
-
-
 @dataclass(frozen=True)
 class Cluster:
     """Multiset of Hamiltonian-term indices; ``multiplicities`` is also the

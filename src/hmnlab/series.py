@@ -1,11 +1,11 @@
 """Truncated multivariate series of channelled Gibbs states and their
 logarithms, cluster derivatives, and the derivative-norm certificates.
 
-A series is a map {exponent multiset over term indices} -> coefficient,
-truncated at total degree D, expanded around lambda = 0 (so the degree-0
-coefficient of a channelled Gibbs series is the identity whenever the
-channels are unital).  The term coefficients lambda_a are the expansion
-variables; beta is a fixed prefactor.
+A series in m term variables truncated at total degree D is one stack with a
+row per key of ``_monomials(m, D)``, exponent multisets over term indices (a
+zero row is an absent key), expanded around lambda = 0: the term coefficients
+lambda_a are the variables, beta a fixed prefactor, and a channelled Gibbs
+series has the identity at degree 0 whenever the channels are unital.
 
 Coefficients live in one of two algebras, and one product, log and norm
 serve both:
@@ -30,28 +30,31 @@ character vector, which fixes its basis.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import dense, pauli
 from .channels import ChannelLayer, compose_with_trace
 from .classical import PinnedHamiltonian
-from .combinatorics import Cluster, key_factorial, key_weight, merge_keys
+from .combinatorics import Cluster, key_factorial, key_weight
 from .dense import apply_layer_to_matrix, term_matrix
-from .model import DualInteractionGraph, LocalHamiltonian, Partition, require_int
+from .model import DualInteractionGraph, LocalHamiltonian, Partition, build_dual_graph, require_int
 
 MAX_WEIGHT_CAP = 8
 CLUSTER_COUNT_CAP = 2_000_000
 # coefficients no larger than this (largest |entry| or |character value|)
-# are dropped from built series and logs
+# are zeroed in built series and logs
 SERIES_FLOOR = 1e-16
 # bytes of coefficients handled per batched step (series products, channel
 # layer): bounds the temporaries whatever the number of keys
 _BLOCK_BYTES = 1 << 20
+# key codes are taken modulo this prime, so that two codes' sum fits int64
+_CODE_PRIME = (1 << 61) - 1
 
 
 def _block_len(coeff_bytes: int) -> int:
@@ -82,74 +85,91 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-@dataclass
-class TruncatedSeries:
-    """``unit`` is the coefficient of the identity: np.eye(dim) for (dim, dim)
-    matrix coefficients, or np.ones(2^r) for the character values of a
-    commuting Pauli group with r generators."""
-
-    max_degree: int
-    unit: np.ndarray
-    coeffs: dict = field(default_factory=dict)  # exponent key -> ndarray
-
-    def zeros(self, *lead: int) -> np.ndarray:
-        return np.zeros(lead + self.unit.shape, self.unit.dtype)
-
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.max_degree, self.unit, dict(self.coeffs))
-
-    def get(self, key: tuple) -> np.ndarray:
-        return self.coeffs.get(tuple(sorted(key)), self.zeros())
-
-    def add_inplace(self, other: "TruncatedSeries", scale: float):
-        for k, m in other.coeffs.items():
-            if k in self.coeffs:
-                self.coeffs[k] = self.coeffs[k] + scale * m
-            else:
-                self.coeffs[k] = scale * m
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        d = self.max_degree
-        # other's keys by weight: the partners k2 with w1 + w2 <= d of any k1
-        # are a prefix of this order
-        ranked = sorted((key_weight(k), k) for k in other.coeffs)
-        w2 = [w for w, _ in ranked]
-        keys2 = [k for _, k in ranked]
-        prefix = [bisect.bisect_right(w2, d - key_weight(k)) for k in self.coeffs]
-        # the merged-key index, built once: slot[k] is k's place in out, and
-        # rows[i] holds the slots of the i-th k1's partners (distinct, since
-        # k2 -> k1 + k2 is one-to-one)
-        slot: dict = {}
-        rows = [
-            np.array([slot.setdefault(merge_keys(k1, k2), len(slot)) for k2 in keys2[:n]], dtype=np.intp)
-            for k1, n in zip(self.coeffs, prefix)
-        ]
-        out = self.zeros(len(slot))
-        times = np.matmul if self.unit.ndim == 2 else np.multiply
-        step = _block_len(self.zeros().nbytes)
-        for j0 in range(0, max(prefix, default=0), step):
-            # a block of partners, which each k1 multiplies in one call as far
-            # as it admits them
-            block = np.stack([other.coeffs[k] for k in keys2[j0 : j0 + step]])
-            for m1, n, row in zip(self.coeffs.values(), prefix, rows):
-                b = min(n - j0, len(block))
-                if b > 0:
-                    out[row[j0 : j0 + b]] += times(m1, block[:b])
-        return TruncatedSeries(d, self.unit, dict(zip(slot, out)))
-
-    def prune(self, tol: float) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.max_degree,
-            self.unit,
-            {k: m for k, m in self.coeffs.items() if np.max(np.abs(m)) > tol},
-        )
-
-
 def _monomials(m: int, max_degree: int) -> list:
     """The keys of a series in m term variables up to ``max_degree``, by
     degree and then lexicographically: tuples of runs (a, mu)."""
     combos = (c for w in range(max_degree + 1) for c in itertools.combinations_with_replacement(range(m), w))
     return [tuple((a, len(list(run))) for a, run in itertools.groupby(c)) for c in combos]
+
+
+_KeyIndex = namedtuple("_KeyIndex", "keys row lens prod")
+
+
+@lru_cache(maxsize=None)
+def _key_index(m: int, max_degree: int) -> _KeyIndex:
+    """What every series in m variables up to degree D shares: the keys, a
+    key -> row dict, and prod[i][j], the row of key i times key j for each of
+    key i's lens[i] partners, the rows j of degree <= D - degree(i) (rows go
+    by degree, so they are a prefix).  A key's code is its exponent vector in
+    base D + 1 (exact while (D + 1)^m < ``_CODE_PRIME``, and checked
+    distinct), so a product's code is its factors' sum, with no carry."""
+    keys = _monomials(m, max_degree)
+    base = [pow(max_degree + 1, a, _CODE_PRIME) for a in range(m)]
+    codes = np.array([sum(mu * base[a] for a, mu in k) % _CODE_PRIME for k in keys], dtype=np.int64)
+    order = np.argsort(codes)
+    ranked = codes[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise ValueError(f"series keys of {m} terms up to degree {max_degree} share a code")
+    degree = np.array([key_weight(k) for k in keys])
+    lens = np.searchsorted(degree, max_degree - degree, side="right")
+    starts = np.cumsum(lens) - lens  # the (i, j) pairs, i-major
+    j = np.arange(lens.sum()) - np.repeat(starts, lens)
+    rows = order[np.searchsorted(ranked, (np.repeat(codes, lens) + codes[j]) % _CODE_PRIME)]
+    return _KeyIndex(keys, {k: i for i, k in enumerate(keys)}, lens, np.split(rows, starts[1:]))
+
+
+def _nonzero_rows(stack: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.any(stack.reshape(len(stack), -1), axis=1))
+
+
+@dataclass
+class TruncatedSeries:
+    """``stack[i]`` is the coefficient of the i-th key of ``_monomials`` and
+    ``unit`` that of the identity: np.eye(dim) for (dim, dim) matrices, or
+    np.ones(2^r) for the character values of a Pauli group of rank r."""
+
+    n_terms: int
+    max_degree: int
+    unit: np.ndarray
+    stack: np.ndarray
+
+    def zeros(self, *lead: int) -> np.ndarray:
+        return np.zeros(lead + self.unit.shape, self.unit.dtype)
+
+    @property
+    def coeffs(self) -> dict:
+        """{key: coefficient} of the nonzero rows, a new dict on each read."""
+        keys = _key_index(self.n_terms, self.max_degree).keys
+        return {keys[i]: self.stack[i] for i in _nonzero_rows(self.stack)}
+
+    def get(self, key: tuple) -> np.ndarray:
+        i = _key_index(self.n_terms, self.max_degree).row.get(tuple(sorted(key)))
+        return self.zeros() if i is None else self.stack[i]
+
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        idx = _key_index(self.n_terms, self.max_degree)
+        out = self.zeros(len(idx.keys))
+        left, right = _nonzero_rows(self.stack), _nonzero_rows(other.stack)
+        if not (left.size and right.size):
+            return replace(self, stack=out)
+        # each left row's partner prefix, cut after the right factor's last
+        # nonzero row; rows go by degree, so the prefixes shrink
+        stop = np.minimum(idx.lens[left], right[-1] + 1).tolist()
+        times = np.matmul if self.unit.ndim == 2 else np.multiply
+        step = _block_len(self.zeros().nbytes)
+        for j0 in range(right[0], stop[0], step):
+            # a block of partners: each left row multiplies those it admits
+            for i, n in zip(left.tolist(), stop):
+                if n <= j0:
+                    break
+                j1 = min(n, j0 + step)
+                out[idx.prod[i][j0:j1]] += times(self.stack[i], other.stack[j0:j1])
+        return replace(self, stack=out)
+
+    def prune(self, tol: float) -> "TruncatedSeries":
+        """Zeroes, in place, every row of largest |entry| <= tol; returns self."""
+        self.stack[np.abs(self.stack).reshape(len(self.stack), -1).max(axis=1) <= tol] = 0
+        return self
 
 
 def series_of_channelled_gibbs(
@@ -176,19 +196,18 @@ def series_of_channelled_gibbs(
         for _ in range(max_degree):
             powers.append(powers[-1] @ ha)
         factors.append([((-beta) ** mu / math.factorial(mu)) * m for mu, m in enumerate(powers)])
-    keys = _monomials(len(h.terms), max_degree)
-    row = {k: i for i, k in enumerate(keys)}
-    stack = np.empty((len(keys), dim, dim), dtype=complex)
+    idx = _key_index(len(h.terms), max_degree)
+    stack = np.empty((len(idx.keys), dim, dim), dtype=complex)
     stack[0] = np.eye(dim) if prefactor is None else prefactor
-    for i, k in enumerate(keys[1:], 1):
-        stack[i] = stack[row[k[:-1]]] @ factors[k[-1][0]][k[-1][1]]
+    for i, k in enumerate(idx.keys[1:], 1):
+        stack[i] = stack[idx.row[k[:-1]]] @ factors[k[-1][0]][k[-1][1]]
     step = _block_len(stack[0].nbytes)
-    for i in range(0, len(keys), step):
+    for i in range(0, len(stack), step):
         stack[i : i + step] = apply_layer_to_matrix(stack[i : i + step], layer, g)
     if np.max(np.abs(stack[0] - np.eye(dim))) > 1e-10:
         raise ValueError("degree-0 coefficient is not identity (non-unital layer?)")
     stack[0] = np.eye(dim)
-    return TruncatedSeries(max_degree, np.eye(dim, dtype=complex), dict(zip(keys, stack))).prune(SERIES_FLOOR)
+    return TruncatedSeries(len(h.terms), max_degree, np.eye(dim, dtype=complex), stack).prune(SERIES_FLOOR)
 
 
 def _character_series(
@@ -201,7 +220,7 @@ def _character_series(
     the stack gives the character values."""
     gens, coords, signs = pauli.term_group(h)
     f = pauli.damp(np.ones(2 ** len(gens)), h.site_graph, gens, layer)
-    keys = _monomials(len(h.terms), max_degree)
+    keys = _key_index(len(h.terms), max_degree).keys
     elements, scales = [], []
     for key in keys:
         c, v = 1.0, 0
@@ -214,7 +233,7 @@ def _character_series(
     stack[np.arange(len(keys)), elements] = scales
     chars = pauli.walsh_hadamard(stack)
     chars[0] = 1.0  # the empty key: an admitted layer is unital, f_0 = 1
-    return TruncatedSeries(max_degree, np.ones(f.size), dict(zip(keys, chars))).prune(SERIES_FLOOR)
+    return TruncatedSeries(len(h.terms), max_degree, np.ones(f.size), chars).prune(SERIES_FLOOR)
 
 
 def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
@@ -232,19 +251,14 @@ def log_series(s: TruncatedSeries) -> TruncatedSeries:
     """log(I + A) = sum_n (-1)^{n-1}/n A^n with A = s - I, truncated."""
     if np.max(np.abs(s.get(()) - s.unit)) > 1e-12:
         raise ValueError("log series needs degree-0 coefficient = I")
-    a = s.copy()
-    a.coeffs.pop((), None)
-    out = TruncatedSeries(s.max_degree, s.unit)
-    power = a.copy()
-    for n in range(1, s.max_degree + 1):
-        out.add_inplace(power, (-1.0) ** (n - 1) / n)
-        if n < s.max_degree:
-            # every key of A has weight >= 1: keys of full degree have no
-            # partner, so they are dropped before the product
-            low = {k: m for k, m in power.coeffs.items() if key_weight(k) < s.max_degree}
-            power = TruncatedSeries(s.max_degree, s.unit, low)
-            power = power * a
-    return out.prune(SERIES_FLOOR)
+    a = replace(s, stack=np.concatenate((s.zeros(1), s.stack[1:])))
+    out, power = a.stack.copy(), a
+    step = _block_len(s.unit.nbytes)
+    for n in range(2, s.max_degree + 1):
+        power = power * a
+        for i in range(0, len(out), step):  # blocks that stay in cache
+            out[i : i + step] += (-1.0) ** (n - 1) / n * power.stack[i : i + step]
+    return replace(s, stack=out).prune(SERIES_FLOOR)
 
 
 def cluster_derivative(s: TruncatedSeries, w: Cluster) -> np.ndarray:
@@ -326,14 +340,11 @@ def cmi_operator_series(
     # tracing keeps a Pauli-diagonal layer Pauli-diagonal: all four logs
     # share one basis
     build = _series_builder(h, layer)
-    out = None
-    for region, sgn in ((p.a | p.b, 1), (p.b | p.c, 1), (p.b, -1), (p.abc, -1)):
-        lyr = compose_with_trace(layer, all_sites - region, g.q)
-        ls = log_series(build(h, beta, lyr, max_degree))
-        if out is None:
-            out = TruncatedSeries(max_degree, ls.unit)
-        out.add_inplace(ls, sgn)
-    return out.prune(SERIES_FLOOR)
+    ab, bc, b, abc = (
+        log_series(build(h, beta, compose_with_trace(layer, all_sites - region, g.q), max_degree))
+        for region in (p.a | p.b, p.b | p.c, p.b, p.abc)
+    )
+    return replace(ab, stack=ab.stack + bc.stack - b.stack - abc.stack).prune(SERIES_FLOOR)
 
 
 def derivative_norm_certificate(
@@ -342,8 +353,6 @@ def derivative_norm_certificate(
     """Per-cluster check of (1/W!) ||D_W log E[rho]|| <= (2e(d+1) beta)^{|W|+1}
     over all connected clusters up to max_weight, in the character basis
     where the pauli engine admits the model and the layer."""
-    from .model import build_dual_graph
-
     check_commuting(h)
     g = build_dual_graph(h)
     # the weight cap raises before any coefficient is built
@@ -398,8 +407,6 @@ def pinned_series_check(pin: PinnedHamiltonian, max_degree: int) -> dict:
     """Verifies for the pinned traced series: (i) degree-0 coefficient = I,
     (ii) disconnected-cluster log-derivatives vanish, (iii) connected-cluster
     derivatives of the state series obey ||D_V E[rho]|| <= beta^{|V|}."""
-    from .model import build_dual_graph
-
     h = pin.h
     g = build_dual_graph(h)
     s = pinned_traced_series(pin, max_degree)

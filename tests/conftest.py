@@ -33,6 +33,7 @@ from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGra
 from hmnlab.pauli import group_element, term_group, walsh_hadamard
 from hmnlab.series import (
     TruncatedSeries,
+    _key_index,
     cluster_derivative,
     enumerate_connected_clusters,
     log_series,
@@ -220,17 +221,27 @@ def expansion_matrix(e) -> np.ndarray:
     return out / d
 
 
+def series_from_dict(n_terms, max_degree, unit, coeffs: dict) -> TruncatedSeries:
+    """A series in ``n_terms`` variables from {key: coefficient}; every key
+    it leaves out is a zero row."""
+    index = _key_index(n_terms, max_degree)
+    stack = np.zeros((len(index.keys),) + unit.shape, unit.dtype)
+    for k, m in coeffs.items():
+        stack[index.row[k]] = m
+    return TruncatedSeries(n_terms, max_degree, unit, stack)
+
+
 def character_matrices(s, h):
     """Reference: a character-basis series of the model h with (dim, dim)
     coefficients: back to group coefficients c_v by the inverse transform,
     then summed against g_v, the group of ``term_group(h)``."""
     gens = term_group(h)[0]
-    keys, r, dim = list(s.coeffs), len(gens), h.site_graph.dim
-    c = walsh_hadamard(np.array([s.coeffs[k] for k in keys]).reshape(-1, 2**r)) / 2**r
-    out = np.zeros((len(keys), dim, dim), dtype=complex)
+    r, dim = len(gens), h.site_graph.dim
+    c = walsh_hadamard(s.stack) / 2**r
+    out = np.zeros((len(c), dim, dim), dtype=complex)
     for v in np.flatnonzero(np.any(c != 0, axis=0)):
         out += c[:, v, None, None] * group_element(gens, int(v), h.site_graph.n_qubits).to_matrix()
-    return TruncatedSeries(s.max_degree, np.eye(dim, dtype=complex), dict(zip(keys, out)))
+    return TruncatedSeries(s.n_terms, s.max_degree, np.eye(dim, dtype=complex), out)
 
 
 def evaluate_series(s, lam: dict) -> np.ndarray:
@@ -285,23 +296,25 @@ def factor_product_series(h, beta, layer, max_degree, prefactor=None):
     multiplied in term order after the prefactor, then the layer applied to
     each coefficient."""
     g = h.site_graph
-    dim = g.dim
-    p0 = np.eye(dim, dtype=complex) if prefactor is None else np.array(prefactor, dtype=complex)
-    s = TruncatedSeries(max_degree, np.eye(dim, dtype=complex), {(): p0})
+    n_terms, eye = len(h.terms), np.eye(g.dim, dtype=complex)
+    p0 = eye if prefactor is None else np.array(prefactor, dtype=complex)
+    s = series_from_dict(n_terms, max_degree, eye, {(): p0})
     for a, t in enumerate(h.terms):
         ha = term_matrix(g, t)
-        factor = TruncatedSeries(max_degree, np.eye(dim, dtype=complex))
-        power = np.eye(dim, dtype=complex)
+        factor = {}
+        power = eye
         for k in range(max_degree + 1):
-            factor.coeffs[((a, k),) if k else ()] = ((-beta) ** k / math.factorial(k)) * power
+            factor[((a, k),) if k else ()] = ((-beta) ** k / math.factorial(k)) * power
             power = power @ ha
-        s = s * factor
+        s = s * series_from_dict(n_terms, max_degree, eye, factor)
     return {k: brute_apply_layer(m, layer, g) for k, m in s.coeffs.items()}
 
 
 def naive_series_product(s1, s2):
     """Oracle: {key: coefficient} of s1 * s2 by the double loop over both
-    series' keys, one matrix product per pair within the truncation degree."""
+    series' keys, one product per pair within the truncation degree: matmul
+    for a matrix unit, elementwise for a character vector."""
+    times = np.matmul if s1.unit.ndim == 2 else np.multiply
     out = {}
     for k1, m1 in s1.coeffs.items():
         for k2, m2 in s2.coeffs.items():
@@ -311,7 +324,7 @@ def naive_series_product(s1, s2):
             for a, m in k2:
                 acc[a] = acc.get(a, 0) + m
             k = tuple(sorted(acc.items()))
-            out[k] = out.get(k, 0) + m1 @ m2
+            out[k] = out.get(k, 0) + times(m1, m2)
     return out
 
 
@@ -329,11 +342,11 @@ def dense_cmi_series(h, beta, layer, p, max_degree):
     """Reference: {key: coefficient} of the four-log CMI-operator series, each
     marginal's log from the public dense series of the layer composed with
     complete depolarization off the region."""
-    out = TruncatedSeries(max_degree, np.eye(h.site_graph.dim, dtype=complex))
+    out = series_from_dict(len(h.terms), max_degree, np.eye(h.site_graph.dim, dtype=complex), {})
     every = set(range(h.site_graph.n_sites))
     for region, sgn in ((p.a | p.b, 1), (p.b | p.c, 1), (p.b, -1), (p.abc, -1)):
         lyr = compose_with_trace(layer, every - region, h.site_graph.q)
-        out.add_inplace(log_series(series_of_channelled_gibbs(h, beta, lyr, max_degree)), sgn)
+        out.stack += sgn * log_series(series_of_channelled_gibbs(h, beta, lyr, max_degree)).stack
     return out.coeffs
 
 

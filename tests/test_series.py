@@ -17,7 +17,6 @@ from hmnlab.combinatorics import (
 )
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, PauliString, SiteGraph, build_dual_graph
 from hmnlab.series import (
-    TruncatedSeries,
     _monomials,
     cluster_derivative,
     cmi_operator_series,
@@ -45,6 +44,7 @@ from tests.conftest import (
     ising_pauli_chain,
     lattice_2x3,
     naive_series_product,
+    series_from_dict,
 )
 
 
@@ -54,8 +54,8 @@ def boundary(n):
 
 def test_series_product_collects_cross_terms():
     eye = np.eye(2, dtype=complex)
-    a = TruncatedSeries(3, eye, {(): eye, ((0, 1),): 2 * eye})
-    b = TruncatedSeries(3, eye, {(): eye, ((1, 1),): 3 * eye})
+    a = series_from_dict(2, 3, eye, {(): eye, ((0, 1),): 2 * eye})
+    b = series_from_dict(2, 3, eye, {(): eye, ((1, 1),): 3 * eye})
     c = a * b
     assert np.allclose(c.get(((0, 1), (1, 1))), 6 * eye)
     assert np.allclose(c.get(((0, 1),)), 2 * eye)
@@ -63,47 +63,81 @@ def test_series_product_collects_cross_terms():
 
 def test_series_truncation_drops_high_degree():
     eye = np.eye(2, dtype=complex)
-    a = TruncatedSeries(1, eye, {(): eye, ((0, 1),): eye})
+    a = series_from_dict(1, 1, eye, {(): eye, ((0, 1),): eye})
     c = a * a
     assert c.get(((0, 2),)).max() == 0.0
 
 
-def random_series(rng, n_vars, max_degree, dim, n_keys):
-    """A series with n_keys random complex coefficients at random exponent
-    keys of weight <= max_degree (the empty key included)."""
-    keys = {()}
+def random_series(rng, n_vars, max_degree, unit, n_keys, empty_key=True):
+    """A series with n_keys random coefficients at random exponent keys of
+    weight <= max_degree (the empty key included if ``empty_key``): complex
+    (dim, dim) matrices for a matrix unit, real character values for a
+    vector one."""
+    keys = {()} if empty_key else set()
     while len(keys) < n_keys:
         acc = {}
         for _ in range(int(rng.integers(1, max_degree + 1))):
             a = int(rng.integers(n_vars))
             acc[a] = acc.get(a, 0) + 1
         keys.add(tuple(sorted(acc.items())))
-    return TruncatedSeries(
-        max_degree,
-        np.eye(dim, dtype=complex),
-        {k: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for k in keys},
-    )
+
+    def draw():
+        x = rng.normal(size=unit.shape)
+        return x + 1j * rng.normal(size=unit.shape) if unit.ndim == 2 else x
+
+    return series_from_dict(n_vars, max_degree, unit, {k: draw() for k in keys})
 
 
-@pytest.mark.parametrize(
-    "block_bytes", [None, 3 * 16 * 4 * 4], ids=["default_blocks", "blocks_of_three"]
-)
-def test_series_product_matches_naive_pairs(monkeypatch, block_bytes):
-    """Random series whose key pairs partly exceed the truncation degree;
-    the second case splits the partners into blocks of three."""
-    if block_bytes:
-        monkeypatch.setattr(series, "_BLOCK_BYTES", block_bytes)
+def assert_product_matches_naive(a, b):
+    got = a * b
+    want = naive_series_product(a, b)
+    assert set(got.coeffs) == set(want)
+    for k, m in want.items():
+        assert np.max(np.abs(got.coeffs[k] - m)) < 1e-12
+
+
+@pytest.mark.parametrize("blocks_of", [None, 3], ids=["default_blocks", "blocks_of_three"])
+def test_series_product_matches_naive_pairs(monkeypatch, blocks_of):
+    """Random series whose key pairs partly exceed the truncation degree, with
+    4x4 matrix coefficients (matmul) and with 2^3 character values
+    (elementwise, the product the character route runs); the second case
+    splits the partners into blocks of three.  A last case has no empty key
+    and zero rows between its nonzero ones, inside every partner prefix."""
     rng = np.random.default_rng(7)
-    for max_degree, n_keys in ((2, 6), (3, 12), (4, 20)):
-        a = random_series(rng, 4, max_degree, 4, n_keys)
-        b = random_series(rng, 4, max_degree, 4, n_keys)
-        weights = [sum(m for _, m in k1 + k2) for k1 in a.coeffs for k2 in b.coeffs]
-        assert max(weights) > max_degree  # some pairs fall to the truncation
-        got = a * b
-        want = naive_series_product(a, b)
-        assert set(got.coeffs) == set(want)
-        for k, m in want.items():
-            assert np.max(np.abs(got.coeffs[k] - m)) < 1e-12
+    for unit in (np.eye(4, dtype=complex), np.ones(8)):
+        if blocks_of:
+            monkeypatch.setattr(series, "_BLOCK_BYTES", blocks_of * unit.nbytes)
+        for max_degree, n_keys in ((2, 6), (3, 12), (4, 20)):
+            a = random_series(rng, 4, max_degree, unit, n_keys)
+            b = random_series(rng, 4, max_degree, unit, n_keys)
+            weights = [sum(m for _, m in k1 + k2) for k1 in a.coeffs for k2 in b.coeffs]
+            assert max(weights) > max_degree  # some pairs fall to the truncation
+            assert_product_matches_naive(a, b)
+        a = random_series(rng, 4, 3, unit, 12)
+        b = random_series(rng, 4, 3, unit, 8, empty_key=False)
+        b.stack[_monomials(4, 3).index(((1, 1),))] = 0
+        rows = np.flatnonzero(np.any(b.stack.reshape(len(b.stack), -1) != 0, axis=1))
+        assert rows[0] > 0 and len(rows) < rows[-1] - rows[0] + 1  # zero rows between
+        assert_product_matches_naive(a, b)
+
+
+def test_series_product_past_exact_key_codes():
+    """40 variables at degree 2: 3^40 exceeds the code prime, so the key codes
+    are reduced, and the product still matches the naive pairs."""
+    assert 3**40 > series._CODE_PRIME
+    rng = np.random.default_rng(11)
+    unit = np.ones(4)
+    a = random_series(rng, 40, 2, unit, 30)
+    b = random_series(rng, 40, 2, unit, 30)
+    assert_product_matches_naive(a, b)
+
+
+def test_key_codes_that_collide_are_refused(monkeypatch):
+    """A code prime too small for the keys makes two codes equal: the index
+    is refused rather than built with a wrong product row."""
+    monkeypatch.setattr(series, "_CODE_PRIME", 7)
+    with pytest.raises(ValueError, match="share a code"):
+        series._key_index.__wrapped__(3, 2)
 
 
 def test_series_evaluation_converges_to_state():
@@ -133,10 +167,10 @@ def test_log_series_inverts_exp():
     s = series_of_channelled_gibbs(h, 0.4, layer, 3)
     ls = log_series(s)
     # exp(L) = I + L + L^2/2 + L^3/6
-    rebuilt = TruncatedSeries(3, s.unit, {(): s.unit})
-    power = ls.copy()
+    rebuilt = series_from_dict(s.n_terms, 3, s.unit, {(): s.unit})
+    power = ls
     for n in range(1, 4):
-        rebuilt.add_inplace(power, 1.0 / math.factorial(n))
+        rebuilt.stack += (1.0 / math.factorial(n)) * power.stack
         power = power * ls
     for k, m in s.coeffs.items():
         assert np.max(np.abs(rebuilt.get(k) - m)) < 1e-12

@@ -61,7 +61,6 @@ SETTABLE = {
     "model.PauliString.sign": "+1 from a label; products and the Bell measurement's -YY carry -1",
     "model.entropy_bits.degeneracy": "1 for classical and dense spectra, each value's multiplicity on pauli",
     "pauli._xor_span.dtype": "int64 group indices, the smallest type for the damping tables' indices",
-    "series.TruncatedSeries.coeffs": "a log or CMI-operator sum starts empty and add_inplace fills it",
     "series.series_of_channelled_gibbs.prefactor": "None (the identity) but for the pinned series' pinning factors",
 }
 
