@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LocalHamiltonian, PauliString, require_int
+from .model import LocalHamiltonian, PauliString, as_float, require_array, require_int
 
 _TOL = 1e-12
 
@@ -305,10 +305,7 @@ _CHANNEL_KEYS = {"site", "kind", "p", "matrix", "kraus"}
 
 def parse_probability(p) -> float:
     """A channel's ``p``: a number (not a bool) in [0, 1]."""
-    try:
-        v = math.nan if isinstance(p, bool) else float(p)
-    except (TypeError, ValueError):
-        v = math.nan
+    v = as_float(p)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"channel p {p!r} is not a probability in [0, 1]")
     return v
@@ -337,12 +334,13 @@ def parse_channel(obj: dict, q: int) -> SiteChannel:
     if kind == "depolarizing":
         return depolarizing(site, parse_probability(field("p")), q)
     if kind == "transition":
-        return transition_channel(site, field("matrix"))
+        return transition_channel(site, require_array(field("matrix"), "channel matrix", "a matrix of numbers"))
     if kind == "kraus":
-        ks = tuple(
-            np.array([[complex(re, im) for re, im in row] for row in k]) for k in field("kraus")
-        )
-        return SiteChannel(site, kraus=ks)
+        form = "a list of matrices of [re, im] pairs"
+        k = require_array(field("kraus"), "channel kraus", form)
+        if k.ndim != 4 or k.shape[-1] != 2:
+            raise ValueError(f"channel kraus {obj['kraus']!r} is not {form}")
+        return SiteChannel(site, kraus=tuple(k[..., 0] + 1j * k[..., 1]))
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

@@ -57,7 +57,7 @@ from types import SimpleNamespace
 
 from . import __version__, classical, dense, experiments, pauli, series, zoo
 from .channels import ChannelLayer, parse_layer, parse_probability
-from .model import Partition, graph_distance, load_model, require_int
+from .model import Partition, as_float, build_dual_graph, graph_distance, load_model, require_int, require_list
 
 EXPERIMENTS = ("decay", "cmi", "certificates", "cluster_equivalence")
 # keys that only some experiments read; any other experiment refuses them.
@@ -86,10 +86,7 @@ def fmt(x) -> str:
 def _parse_beta(b, exp: str) -> float:
     """A beta >= 0, where the paper's statements hold, or "inf" except on
     certificates: their bound (2e(d+1) beta)^{|W|+1} is finite only below it."""
-    try:
-        v = float(b)  # also reads "inf" and "Infinity"
-    except (TypeError, ValueError):
-        v = math.nan
+    v = as_float(b)  # also reads "inf" and "Infinity"
     if math.isnan(v):
         raise ValueError(f"beta {b!r} is not a number or 'inf'")
     finite = exp == "certificates"
@@ -97,13 +94,6 @@ def _parse_beta(b, exp: str) -> float:
         what, top = ("certificate beta", "inf)") if finite else ("beta", "inf]")
         raise ValueError(f"{what} {fmt(v)} is not in [0, {top}")
     return v
-
-
-def _list(cfg: dict, key: str, default) -> list:
-    value = cfg.get(key, default)
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} {value!r} is not a list")
-    return value
 
 
 def load_config(path: str) -> dict:
@@ -158,7 +148,8 @@ def resolve(cfg: dict) -> SimpleNamespace:
     checked too.  ``validate`` reports whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
-    r = SimpleNamespace(betas=[_parse_beta(b, exp) for b in _list(cfg, "beta", [0.1])], engine=engine)
+    betas = require_list(cfg.get("beta", [0.1]), "beta")
+    r = SimpleNamespace(betas=[_parse_beta(b, exp) for b in betas], engine=engine)
     output = cfg.get("output", exp)
     named = isinstance(output, str) and output not in ("", ".", "..") and "\0" not in output
     if not named or output != os.path.basename(output):
@@ -211,7 +202,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
                 "C = last site); a partition is read only with a model file"
             )
         if exp == "decay":
-            r.distances = _list(cfg, "distances", DEFAULT_DISTANCES)
+            r.distances = require_list(cfg.get("distances", DEFAULT_DISTANCES), "distances")
             for d in r.distances:
                 require_int(d, "distance", 1)
             if any(b <= a for a, b in zip(r.distances, r.distances[1:])):
@@ -285,27 +276,29 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
     rows = []  # (beta, distance, cmi bits) for the CSV of decay and cmi runs
 
     if exp == "decay":
+        # the regime the decay proof covers, at the degree of the largest chain
+        degree = build_dual_graph(r.h).degree
+        beta_c = fmt(experiments.beta_critical(degree))
         fits = []
         for beta in r.betas:
             t0 = time.perf_counter()
             curve = experiments.decay_curve(r.family, r.engine, beta, r.distances, r.p_noise)
             timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
             rows += [(beta, d, v) for d, v in curve.points]
+            fit = {"beta": fmt(beta), "beta_c": beta_c, "xi_analytic": fmt(experiments.xi_analytic(beta, degree))}
             try:
                 f = experiments.fit_markov_length(curve)
-                fits.append(
-                    {
-                        "beta": fmt(beta),
-                        "xi": fmt(f.xi),
-                        "intercept": fmt(f.intercept),
-                        "r_squared": fmt(f.r_squared),
-                        "slope_stderr": fmt(f.slope_stderr),
-                        "used_points": f.used_points,
-                        "diverged": f.diverged,
-                    }
+                fit.update(
+                    xi=fmt(f.xi),
+                    intercept=fmt(f.intercept),
+                    r_squared=fmt(f.r_squared),
+                    slope_stderr=fmt(f.slope_stderr),
+                    used_points=f.used_points,
+                    diverged=f.diverged,
                 )
             except ValueError as e:
-                fits.append({"beta": fmt(beta), "error": str(e)})
+                fit["error"] = str(e)
+            fits.append(fit)
         results["fits"] = fits
     elif exp == "cmi":
         d_ac = graph_distance(r.h, r.partition)

@@ -1,6 +1,7 @@
-"""End-to-end studies: CMI decay curves, Markov-length fits, the long-range
-chain demonstrations, the dephased-cluster-state equivalence, and the
-low-temperature CMI lower-bound calculator."""
+"""The engine seam and the studies ``hmnlab run`` computes: CMI decay curves,
+Markov-length fits with the regime the decay proof covers (its convergence
+threshold beta_c and the decay length it implies), and the
+dephased-cluster-state equivalence."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import classical, dense, pauli, zoo
 from .channels import ChannelLayer, dephasing
-from .model import LocalHamiltonian, Partition, entropy_bits
+from .model import LocalHamiltonian, Partition
 
 CMI_FLOOR = 1e-12
 
@@ -29,11 +30,12 @@ def beta_critical(degree: int) -> float:
 
 
 def xi_analytic(beta: float, degree: int) -> float:
-    """Decay length implied by the leading-order (beta/beta_c)^{d} scaling."""
+    """Decay length implied by the leading-order (beta/beta_c)^{d} scaling:
+    inf from beta_c up, 0 at beta = 0."""
     bc = beta_critical(degree)
     if beta >= bc:
         return math.inf
-    return 1.0 / math.log(bc / beta)
+    return 1.0 / math.log(bc / beta) if beta > 0 else 0.0
 
 
 def boundary_partition(n: int) -> Partition:
@@ -155,37 +157,3 @@ def cluster_gibbs_equivalence(n: int, beta: float, engine: str) -> dict:
         "distance": dist,
         "pass": dist <= 1e-10,
     }
-
-
-def binary_entropy(d: float) -> float:
-    """H(D) = -D log2 D - (1-D) log2 (1-D), the Fannes-Audenaert helper."""
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("argument must lie in [0, 1]")
-    return entropy_bits([d, 1 - d])
-
-
-def theorem3_bound(k: int, q: float) -> float:
-    """Proof-constant lower bound on the CMI retained across a noisy logical
-    interface: 2k minus the trace-distance (Fannes-Audenaert) term 4k sqrt(q)
-    minus the measurement-entropy term 3 (3/2)^{2/3} q^{1/6}; floored at 0.
-    This uses the explicit proof constants and is not claimed tight."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    val = 2 * k - 4 * k * math.sqrt(q) - 3 * (1.5) ** (2 / 3) * q ** (1 / 6)
-    return max(val, 0.0)
-
-
-def low_temperature_chain_demo(distances, betas) -> dict:
-    """Parity chain (classical) and Bell chain (quantum) CMI against distance
-    for each beta; at beta = inf the curves sit at the long-range values 1
-    and 2, at finite beta they decay with a finite fitted length."""
-    distances = list(distances)  # each beta reads it twice
-    out = {"parity_chain": [], "bell_chain": []}
-    for beta in betas:
-        c = decay_curve("parity_chain", "classical", beta, distances)
-        out["parity_chain"].append(c)
-        q = decay_curve("bell_chain", "pauli", beta, distances)
-        out["bell_chain"].append(q)
-    return out

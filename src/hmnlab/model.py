@@ -226,14 +226,18 @@ _ENTROPY_BLOCK = 1 << 13
 
 def entropy_bits(values, degeneracy: int = 1) -> float:
     """Entropy in bits of a probability vector or spectrum whose every value
-    occurs ``degeneracy`` times.  Values <= 1e-18 (and NaN) count as zero;
-    none is raised to a floor.  Summed in chunks of ``_ENTROPY_BLOCK``
-    values, whose sums are added exactly (no rounding from the chunking)."""
+    occurs ``degeneracy`` times.  A value below -1e-10 raises, on every
+    engine; values <= 1e-18 (and NaN) count as zero, and none is raised to a
+    floor.  Summed in chunks of ``_ENTROPY_BLOCK`` values, whose sums are
+    added exactly (no rounding from the chunking)."""
     v = np.ravel(values)
     parts = []
     for i in range(0, v.size, _ENTROPY_BLOCK):
         c = v[i : i + _ENTROPY_BLOCK]
-        if not c.min() > 1e-18:
+        if not c.min() > 1e-18:  # a value to drop, or a NaN
+            low = np.fmin.reduce(c)  # skips NaN, which min returns over any value
+            if low < -1e-10:
+                raise ValueError(f"entropy input has a value {low} < -1e-10")
             c = c[c > 1e-18]
         parts.append(float(np.dot(c, np.log(c))))
     return float(-degeneracy * math.fsum(parts) / math.log(2.0))
@@ -350,43 +354,71 @@ def require_int(value, what: str, least: int) -> int:
     return value
 
 
+def require_list(value, what: str) -> list:
+    """``value`` if it is a list (or tuple)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} {value!r} is not a list")
+    return value
+
+
+def as_float(value) -> float:
+    """``value`` as a float, or NaN for a bool and for what float() refuses."""
+    try:
+        return math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def require_array(value, what: str, form: str) -> np.ndarray:
+    """``value`` as a float array; ``form`` says what else it should be."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} {value!r} is not {form}") from None
+
+
 def parse_model(obj: dict) -> LocalHamiltonian:
-    """Parse the JSON model format; unknown keys are rejected, and ``n_sites``,
-    ``q`` and every support entry must be ints."""
+    """Parse the JSON model format; unknown keys are rejected, ``n_sites``,
+    ``q`` and every support entry must be ints, and every lambda an int or a
+    float (not a bool or a string)."""
     unknown = set(obj) - _MODEL_KEYS
     if unknown:
         raise ValueError(f"unknown model keys: {sorted(unknown)}")
     graph = SiteGraph(require_int(obj["n_sites"], "n_sites", 1), require_int(obj.get("q", 2), "q", 2))
     terms = []
-    for raw in obj["terms"]:
+    for raw in require_list(obj["terms"], "terms"):
+        if not isinstance(raw, dict):
+            raise ValueError(f"term {raw!r} is not an object")
         unknown = set(raw) - _TERM_KEYS
         if unknown:
             raise ValueError(f"unknown term keys: {sorted(unknown)}")
-        support = tuple(require_int(s, "support entry", 0) for s in raw["support"])
+        support = tuple(require_int(s, "support entry", 0) for s in require_list(raw["support"], "term support"))
         if any(s >= graph.n_sites for s in support):
             raise ValueError(f"term support {support} outside site graph")
-        lam = float(raw["lambda"])
+        lam = raw["lambda"]
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+            raise ValueError(f"term lambda {lam!r} is not a number")
         if "pauli" in raw and "diag" in raw:
             raise ValueError("term cannot be both pauli and diag")
         if "pauli" in raw:
             label = raw["pauli"]
             k = graph.qubits_per_site
-            if len(label) != len(support) * k:
-                raise ValueError("pauli label length must cover the support qubits")
+            if not isinstance(label, str) or len(label) != len(support) * k:
+                raise ValueError(f"pauli label {label!r} is not a string of log2 q = {k} letters per support site")
             # the support's letters, placed on a label of the whole register
             letters = ["I"] * graph.n_qubits
             for idx, ch in enumerate(label):
                 letters[support[idx // k] * k + idx % k] = ch
             op = PauliString.from_label("".join(letters))
         elif "diag" in raw:
-            vals = np.asarray(raw["diag"], dtype=float)
+            vals = require_array(raw["diag"], "diag table", "a table of numbers")
             shape = (graph.q,) * len(support)
             if vals.size != graph.q ** len(support):
                 raise ValueError("diag table has wrong size for the support")
             op = vals.reshape(shape)
         else:
             raise ValueError("term needs either 'pauli' or 'diag'")
-        terms.append(HamiltonianTerm(support, op, lam))
+        terms.append(HamiltonianTerm(support, op, float(lam)))
     return LocalHamiltonian(graph, tuple(terms))
 
 

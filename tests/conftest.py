@@ -7,7 +7,8 @@ cancel out in the comparisons.  The exact references (the CMI operator, the
 dense state of a pauli expansion, a series evaluated at numbers, channel
 composition, exact-n colorings, the estimate chain with no memo) are built
 from the package's primitives, one step at a time, and only the tests call
-them.
+them; so does the closed-form noisy-interface bound ``theorem3_bound``, which
+no run computes.
 """
 
 import itertools
@@ -436,6 +437,19 @@ def estimate_chain_reference(w, g):
         "final_bound": right,
         "ok": left <= mid1 <= mid2 and float(mid2) <= right,
     }
+
+
+def theorem3_bound(k: int, q: float) -> float:
+    """Proof-constant lower bound on the CMI retained across a noisy logical
+    interface: 2k minus the trace-distance (Fannes-Audenaert) term 4k sqrt(q)
+    minus the measurement-entropy term 3 (3/2)^{2/3} q^{1/6}; floored at 0.
+    This uses the explicit proof constants and is not claimed tight."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    val = 2 * k - 4 * k * math.sqrt(q) - 3 * (1.5) ** (2 / 3) * q ** (1 / 6)
+    return max(val, 0.0)
 
 
 def random_commuting_pauli_model(rng, n, max_terms=6):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,37 @@ def test_channel_entries_refused(kwargs, message):
     """NaN fails every comparison, so each check is one NaN cannot pass."""
     with pytest.raises(ValueError, match=message):
         SiteChannel(0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"kind": "kraus", "kraus": [[1, 0], [0, 1]]}, "channel kraus [[1, 0], [0, 1]] is not a list of matrices"),
+        ({"kind": "kraus", "kraus": 5}, "channel kraus 5 is not a list of matrices of [re, im] pairs"),
+        ({"kind": "kraus", "kraus": [[[1, 0], [0, 1]]]}, "channel kraus [[[1, 0], [0, 1]]] is not a list of matrices"),
+        ({"kind": "kraus", "kraus": [[[[1, 0, 0]]]]}, "is not a list of matrices of [re, im] pairs"),
+        ({"kind": "kraus", "kraus": [[[[1, 0]]], [[[1, 0], [0, 0]]]]}, "is not a list of matrices of [re, im] pairs"),
+        (
+            {"kind": "transition", "matrix": [[0.9, "a"], [0.1, 0.9]]},
+            "channel matrix [[0.9, 'a'], [0.1, 0.9]] is not a matrix of numbers",
+        ),
+        ({"kind": "transition", "matrix": [[1.0], [0.0, 1.0]]}, "is not a matrix of numbers"),
+    ],
+    ids=[
+        "kraus_real_matrix",
+        "kraus_a_number",
+        "kraus_without_pairs",
+        "kraus_triples",
+        "kraus_ragged",
+        "transition_string_entry",
+        "transition_ragged",
+    ],
+)
+def test_parse_channel_names_malformed_entries(obj, message):
+    """A Kraus list or transition matrix of the wrong form is refused with
+    its key and the form it needs, not with the converter's own text."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_channel(dict(obj, site=0), 2)
 
 
 def test_compose_transition():
@@ -182,6 +214,12 @@ def test_parse_channel():
     assert c.site == 1 and c.pauli_mixture is not None
     c = parse_channel({"site": 0, "kind": "transition", "matrix": [[1, 0], [0, 1]]}, 2)
     assert np.allclose(c.transition, np.eye(2))
+    # [re, im] pairs give the complex Kraus operators entry by entry
+    s = math.sqrt(0.5)
+    pairs = [[[[s, 0], [0, 0]], [[0, 0], [0, s]]], [[[0, 0], [0, s]], [[0, -s], [0, 0]]]]
+    c = parse_channel({"site": 0, "kind": "kraus", "kraus": pairs}, 2)
+    assert np.array_equal(c.kraus[0], np.array([[s, 0], [0, 1j * s]]))
+    assert np.array_equal(c.kraus[1], np.array([[0, 1j * s], [-1j * s, 0]]))
     with pytest.raises(ValueError, match="unknown channel keys"):
         parse_channel({"site": 0, "kind": "dephasing", "p": 0.1, "bogus": 1}, 2)
     with pytest.raises(ValueError, match="unknown channel kind"):

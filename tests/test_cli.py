@@ -355,6 +355,23 @@ FILE_CMI_CFG = dict(CMI_CFG, model=ZZ_CHAIN3_FILE, engine="pauli", partition={"a
         (dict(FILE_CMI_CFG, channel=0), "channel 0 is not a list of per-site channels"),
         (dict(FILE_CMI_CFG, channel=False), "channel False is not a list of per-site channels"),
         (dict(FILE_CMI_CFG, channel=""), "channel '' is not a list of per-site channels"),
+        (dict(CMI_CFG, engine="pauli", beta=[True, False]), "beta True is not a number or 'inf'"),
+        (
+            dict(CMI_CFG, engine="dense", channel=[{"site": 1, "kind": "kraus", "kraus": [[1, 0], [0, 1]]}]),
+            "channel kraus [[1, 0], [0, 1]] is not a list of matrices of [re, im] pairs",
+        ),
+        (
+            dict(CMI_CFG, engine="dense", channel=[{"site": 1, "kind": "kraus", "kraus": 5}]),
+            "channel kraus 5 is not a list of matrices of [re, im] pairs",
+        ),
+        (
+            dict(CMI_CFG, engine="dense", channel=[{"site": 1, "kind": "kraus", "kraus": [[[1, 0], [0, 1]]]}]),
+            "channel kraus [[[1, 0], [0, 1]]] is not a list of matrices of [re, im] pairs",
+        ),
+        (
+            dict(CMI_CFG, channel=[{"site": 1, "kind": "transition", "matrix": [[0.9, "a"], [0.1, 0.9]]}]),
+            "channel matrix [[0.9, 'a'], [0.1, 0.9]] is not a matrix of numbers",
+        ),
     ],
     ids=[
         "pauli_term_cap",
@@ -426,6 +443,11 @@ FILE_CMI_CFG = dict(CMI_CFG, model=ZZ_CHAIN3_FILE, engine="pauli", partition={"a
         "model_file_channel_zero",
         "model_file_channel_false",
         "model_file_channel_empty_string",
+        "beta_bool",
+        "kraus_real_matrix",
+        "kraus_a_number",
+        "kraus_without_pairs",
+        "transition_string_entry",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path_factory, tmp_path, capsys, cfg, message):
@@ -678,8 +700,41 @@ PARTITION3 = {"a": [0], "b": [1], "c": [2]}
         ({"terms": []}, PARTITION3, "model file invalid: no key 'n_sites'"),
         (ZZ_CHAIN4, {"a": [0.0], "b": [1], "c": [2]}, "partition site 0.0 is not an integer >= 0"),
         (ZZ_CHAIN4, {"a": [True], "b": [2], "c": [3]}, "partition site True is not an integer >= 0"),
+        ({"n_sites": 4, "terms": 7}, PARTITION3, "model file invalid: terms 7 is not a list"),
+        (
+            {"n_sites": 4, "terms": [{"support": 5, "pauli": "Z", "lambda": -1.0}]},
+            PARTITION3,
+            "model file invalid: term support 5 is not a list",
+        ),
+        (
+            {"n_sites": 4, "terms": [{"support": [0, 1], "pauli": 5, "lambda": -1.0}]},
+            PARTITION3,
+            "model file invalid: pauli label 5 is not a string of log2 q = 1 letters per support site",
+        ),
+        (
+            {"n_sites": 4, "terms": [{"support": [0, 1], "pauli": "ZZ", "lambda": "x"}]},
+            PARTITION3,
+            "model file invalid: term lambda 'x' is not a number",
+        ),
+        (
+            {"n_sites": 4, "terms": [{"support": [0, 1], "pauli": "ZZ", "lambda": True}]},
+            PARTITION3,
+            "model file invalid: term lambda True is not a number",
+        ),
     ],
-    ids=["n_sites_float", "support_float", "support_twice", "no_n_sites", "partition_float", "partition_bool"],
+    ids=[
+        "n_sites_float",
+        "support_float",
+        "support_twice",
+        "no_n_sites",
+        "partition_float",
+        "partition_bool",
+        "terms_a_number",
+        "support_a_number",
+        "pauli_a_number",
+        "lambda_a_string",
+        "lambda_bool",
+    ],
 )
 def test_validate_reports_model_file_numbers(tmp_path, capsys, model, partition, message):
     """Model files and their partitions take ints only, and a missing model
@@ -695,3 +750,48 @@ def test_validate_reports_model_file_numbers(tmp_path, capsys, model, partition,
     assert len(findings) == 1 and message in findings[0], findings
     assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path / "out")]) == 1
     assert f"error: {findings[0]}" in capsys.readouterr().err
+
+
+def test_decay_at_beta_zero_reports_the_proved_regime(tmp_path):
+    """At beta = 0 every CMI is 0, so the fit is an error entry; it still
+    carries the chain's beta_c and the analytic decay length 0."""
+    cfg = write_cfg(tmp_path / "c.json", dict(DECAY_CFG, beta=[0.0, 0.2]))
+    assert main(["run", cfg, "--output-dir", str(tmp_path)]) == 0
+    zero, warm = json.loads((tmp_path / "decay.json").read_text())["fits"]
+    assert zero == {
+        "beta": "0",
+        "beta_c": "0.016489669966907868",
+        "error": "only 0 points above floor; need >= 3",
+        "xi_analytic": "0",
+    }
+    assert warm["beta_c"] == "0.016489669966907868" and warm["xi_analytic"] == "inf"
+    assert set(warm) == {"beta", "beta_c", "xi_analytic", "xi", "intercept", "r_squared", "slope_stderr",
+                         "used_points", "diverged"}
+
+
+def test_decay_fit_beta_c_follows_the_dual_graph_degree(tmp_path):
+    """The Bell chain's XX and ZZ terms meet four to a site: degree 4; below
+    its beta_c the analytic length is 1 / ln(beta_c / beta)."""
+    cfg = dict(DECAY_CFG, model="bell_chain_n4", engine="pauli", beta=[0.001], distances=[2, 3], channel={})
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 0
+    (fit,) = json.loads((tmp_path / "decay.json").read_text())["fits"]
+    beta_c = 1 / (2 * math.e * 5 * (1 + 3 * math.e))
+    assert fit["beta_c"] == fmt(beta_c) == "0.0040184123452334537"
+    assert fit["xi_analytic"] == fmt(1 / math.log(beta_c / 0.001))
+
+
+def test_readme_converse_example(tmp_path):
+    """The README's converse example: at beta = inf the parity chain keeps 1
+    bit at every distance and its fit diverges, outside the proved regime;
+    at beta = 1 the CMI decays."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    (cfg,) = [b for b in blocks if isinstance(b, dict) and b.get("output") == "converse"]
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "converse.csv").read_text().split()[1:]]
+    assert [v for b, _, v in rows if b == "inf"] == ["1"] * 5
+    cold = [float(v) for b, _, v in rows if b == "1"]
+    assert all(a > b for a, b in zip(cold, cold[1:]))
+    fits = {f["beta"]: f for f in json.loads((tmp_path / "converse.json").read_text())["fits"]}
+    assert fits["inf"]["diverged"] is True and fits["inf"]["xi"] == "inf" and fits["inf"]["xi_analytic"] == "inf"
+    assert fits["1"]["diverged"] is False and fits["1"]["xi_analytic"] == "inf"

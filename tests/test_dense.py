@@ -163,6 +163,16 @@ def test_entropy_values():
     assert dense.von_neumann_entropy(np.diag([p, 1 - p])) == pytest.approx(hb)
 
 
+def test_region_entropy_refuses_a_negative_spectrum():
+    """A spectrum value below -1e-10 raises (the rule lives in entropy_bits,
+    shared by every engine); one of -1e-11 is rounding and drops."""
+    rho = dense.DensityMatrix(np.diag([1 + 1e-9, -1e-9]), SiteGraph(1))
+    with pytest.raises(ValueError, match="value -1e-09 < -1e-10"):
+        dense.region_entropy(rho, {0})
+    rho = dense.DensityMatrix(np.diag([1 + 1e-11, -1e-11]), SiteGraph(1))
+    assert dense.region_entropy(rho, {0}) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_cmi_matches_classical_engine():
     h = ising_diag_chain(5)
     layer = ChannelLayer((transition_channel(2, [[0.8, 0.2], [0.2, 0.8]]),))

@@ -8,19 +8,17 @@ from hmnlab import experiments, zoo
 from hmnlab.experiments import (
     DecayCurve,
     beta_critical,
-    binary_entropy,
     boundary_partition,
     cluster_gibbs_equivalence,
     cmi,
     decay_curve,
     evaluate_cmi,
     fit_markov_length,
-    theorem3_bound,
     xi_analytic,
 )
 from hmnlab.model import graph_distance
 from hmnlab.zoo import build_model, cluster_chain
-from tests.conftest import ising_diag_chain
+from tests.conftest import ising_diag_chain, theorem3_bound
 
 
 def test_beta_critical_value():
@@ -32,9 +30,11 @@ def test_beta_critical_value():
 
 
 def test_xi_analytic_monotone_and_divergent():
-    xs = [xi_analytic(b, 2) for b in (0.001, 0.005, 0.01, 0.016)]
+    xs = [xi_analytic(b, 2) for b in (0.0, 0.001, 0.005, 0.01, 0.016)]
+    assert xs[0] == 0.0
     assert all(a < b for a, b in zip(xs, xs[1:]))
     assert xi_analytic(beta_critical(2), 2) == math.inf
+    assert xi_analytic(math.inf, 2) == math.inf
 
 
 def test_engines_agree_on_shared_model():
@@ -178,13 +178,6 @@ def test_cluster_gibbs_equivalence_both_engines():
         assert rep["p"] == pytest.approx(1 / (math.exp(1.6) + 1))
 
 
-def test_binary_entropy():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
-    with pytest.raises(ValueError):
-        binary_entropy(1.5)
-
-
 def test_theorem3_bound_closed_form():
     assert theorem3_bound(1, 0.0) == 2.0
     assert theorem3_bound(3, 0.0) == 6.0
@@ -195,7 +188,7 @@ def test_theorem3_bound_closed_form():
 
 
 def test_theorem3_bound_monotone_and_floored():
-    qs = np.logspace(-12, -2, 30)
+    qs = np.logspace(-12, -2, 50)
     vals = [theorem3_bound(2, float(q)) for q in qs]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert theorem3_bound(1, 0.9) == 0.0  # floored
@@ -204,17 +197,19 @@ def test_theorem3_bound_monotone_and_floored():
 
 
 def test_low_temperature_demo_shapes():
-    out = experiments.low_temperature_chain_demo(range(2, 5), [math.inf])
-    assert set(out) == {"parity_chain", "bell_chain"}
-    for fam, curves in out.items():
-        assert len(curves) == 1 and len(curves[0].points) == 3
+    """At beta = inf the long-range chains keep their CMI at every distance:
+    1 bit on the parity chain (classical), 2 bits on the Bell chain (pauli)."""
+    for family, engine, bits in (("parity_chain", "classical", 1.0), ("bell_chain", "pauli", 2.0)):
+        curve = decay_curve(family, engine, math.inf, range(2, 5))
+        assert [d for d, _ in curve.points] == [2.0, 3.0, 4.0]
+        assert [v for _, v in curve.points] == pytest.approx([bits] * 3, abs=1e-9)
 
 
 def test_low_temperature_demo_takes_a_generator():
-    """A one-shot iterable of distances serves every curve of every beta."""
-    out = experiments.low_temperature_chain_demo((d for d in range(2, 5)), [1.0, 2.0])
-    for curves in out.values():
-        assert [len(c.points) for c in curves] == [3, 3]
+    """A one-shot generator of distances serves a whole curve."""
+    for family, engine in (("parity_chain", "classical"), ("bell_chain", "pauli")):
+        curve = decay_curve(family, engine, 1.0, (d for d in range(2, 5)))
+        assert [d for d, _ in curve.points] == [2.0, 3.0, 4.0]
 
 
 def test_cmi_policy_clamps_rounding_and_raises_below_tolerance():

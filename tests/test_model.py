@@ -234,10 +234,27 @@ def test_entropy_bits_floor():
     assert entropy_bits([0.25, 0.25], degeneracy=2) == 2.0
     assert entropy_bits([0.5, 0.5, 1e-18, -1e-17]) == 1.0
     assert entropy_bits([1.0, 0.0]) == 0.0
+    assert entropy_bits([0.0, 1.0]) == 0.0
     assert entropy_bits([1.0, 1e-16]) == pytest.approx(-1e-16 * math.log2(1e-16), rel=1e-12)
 
 
 B = _ENTROPY_BLOCK
+
+
+@pytest.mark.parametrize("at", [0, B - 1, B, 2 * B + 7])
+def test_entropy_bits_refuses_values_below_tolerance(at):
+    """One rule for every engine's spectra: a value below -1e-10 raises in
+    whichever chunk it lands, also next to a NaN; one down to -1e-10 is
+    rounding and drops, as the NaN does."""
+    v = np.full(3 * B, 1.0 / (3 * B))
+    v[at + 1] = math.nan
+    v[at] = -1e-9
+    with pytest.raises(ValueError, match="value -1e-09 < -1e-10"):
+        entropy_bits(v)
+    v[at] = -1e-10
+    assert entropy_bits(v) == pytest.approx(entropy_bits_reference(v), rel=1e-13)
+
+
 # chunk edges of a 3B + 5 vector: first and last value of each chunk
 EDGES = [0, B - 1, B, 2 * B - 1, 2 * B, 3 * B - 1, 3 * B, 3 * B + 4]
 
@@ -328,6 +345,29 @@ def test_parse_model_places_letters_by_site():
             {"n_sites": 2, "terms": [{"support": [0, 1], "pauli": "ZZ", "lambda": float("nan")}]},
             "exceeds 1",
         ),
+        (
+            {"n_sites": 2, "terms": [{"support": [0, 1], "pauli": "ZZ", "lambda": True}]},
+            "term lambda True is not a number",
+        ),
+        (
+            {"n_sites": 2, "terms": [{"support": [0, 1], "pauli": "ZZ", "lambda": "x"}]},
+            "term lambda 'x' is not a number",
+        ),
+        ({"n_sites": 2, "terms": 7}, "terms 7 is not a list"),
+        ({"n_sites": 2, "terms": [7]}, "term 7 is not an object"),
+        ({"n_sites": 2, "terms": [{"support": 5, "pauli": "Z", "lambda": 1.0}]}, "term support 5 is not a list"),
+        (
+            {"n_sites": 2, "terms": [{"support": [0, 1], "pauli": 5, "lambda": 1.0}]},
+            "pauli label 5 is not a string of log2 q = 1 letters per support site",
+        ),
+        (
+            {"n_sites": 2, "terms": [{"support": [0, 1], "pauli": "ZZZ", "lambda": 1.0}]},
+            "pauli label 'ZZZ' is not a string of log2 q = 1 letters per support site",
+        ),
+        (
+            {"n_sites": 2, "terms": [{"support": [0, 1], "diag": [1, "a", 0, 1], "lambda": 1.0}]},
+            "diag table [1, 'a', 0, 1] is not a table of numbers",
+        ),
     ],
     ids=[
         "n_sites_float",
@@ -339,6 +379,14 @@ def test_parse_model_places_letters_by_site():
         "pauli_site_twice",
         "diag_site_twice",
         "lambda_nan",
+        "lambda_bool",
+        "lambda_string",
+        "terms_a_number",
+        "term_a_number",
+        "support_a_number",
+        "pauli_a_number",
+        "pauli_too_long",
+        "diag_a_string_entry",
     ],
 )
 def test_parse_model_takes_no_coerced_numbers(obj, message):

@@ -131,6 +131,16 @@ def test_marginal_spectrum_uniformity():
     assert mult == 8 and np.allclose(spec, 1 / 8)
 
 
+def test_region_entropy_refuses_a_negative_spectrum():
+    """(I + c Z)/2 with c = 1 + 2e-9 has unit trace and the eigenvalue
+    -1e-9, below the -1e-10 that entropy_bits allows on every engine."""
+    z = PauliString.from_label("Z")
+    e = pauli.PauliExpansion(SiteGraph(1), (z,), np.array([1.0, 1 + 2e-9]))
+    assert pauli.marginal_spectrum(e, {0})[0] == pytest.approx([1 + 1e-9, -1e-9], abs=1e-15)
+    with pytest.raises(ValueError, match="< -1e-10"):
+        pauli.region_entropy(e, {0})
+
+
 def test_marginal_entropy_matches_dense():
     h = ising_pauli_chain(5)
     layer = ChannelLayer((bitflip(2, 0.2),))

@@ -35,10 +35,6 @@ SRC = ROOT / "src" / "hmnlab"
 # studies of the paper's statements that only tests run today; each stays in
 # the library as the computation the statement describes
 PAPER_STUDIES = {
-    "low_temperature_chain_demo": "the long-range parity and Bell chain curves at low temperature",
-    "theorem3_bound": "the CMI lower bound across a noisy logical interface",
-    "xi_analytic": "the decay length the convergence threshold implies",
-    "binary_entropy": "the Fannes-Audenaert helper of the lower bound",
     "post_select_decompose": "the post-selection decomposition of a channelled distribution",
     "pinned_hamiltonian": "the pinning construction: pinned Hamiltonians",
     "pinned_conditional": "the pinning construction: conditionals of the pinned state",
