@@ -46,6 +46,7 @@ from tests.conftest import (
     lattice_2x3,
     random_commuting_pauli_model,
     random_pauli_diagonal_layer,
+    theorem3_bound,
 )
 
 
@@ -296,6 +297,18 @@ def test_engine_cross_validation(rng):
                 a = pauli.marginal_entropy(e, set(region))
                 b = dense.region_entropy(rho, set(region))
                 assert abs(a - b) <= 1e-10, (n, region, a, b)
+
+
+def test_interface_bound_calculator():
+    """Closed-form checks and monotonicity of the noisy-interface CMI lower
+    bound 2k - 4k sqrt(q) - 3 (3/2)^{2/3} q^{1/6}."""
+    assert theorem3_bound(1, 0.0) == 2.0
+    q = 1e-12
+    expect = 2 - 4e-6 - 3 * 1.5 ** (2 / 3) * 1e-2
+    assert theorem3_bound(1, q) == pytest.approx(expect, rel=1e-12)
+    grid = np.logspace(-12, -2, 50)
+    vals = [theorem3_bound(2, float(x)) for x in grid]
+    assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_manifest_rerun_byte_identical(tmp_path):
