@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LocalHamiltonian, PauliString, as_float, require_array, require_int
+from .model import LocalHamiltonian, PauliString, is_number, require_array, require_int
 
 _TOL = 1e-12
 
@@ -193,41 +193,35 @@ def compose_with_trace(layer: ChannelLayer, traced_region, q: int) -> ChannelLay
     return ChannelLayer(tuple(out + [complete_depolarization(s, q) for s in sorted(traced - layer.sites)]))
 
 
-def pauli_damping_profile(c: SiteChannel) -> dict[tuple[int, int], float]:
-    """Factors f with E[P] = f(P) P for every Pauli P on the site.
+def pauli_damping_profile(c: SiteChannel) -> np.ndarray:
+    """Factors f with E[P] = f[(x << nq) | z] P for every Pauli P with X bits
+    x and Z bits z on the site's nq qubits, as one table of 4^nq floats.
 
     Works for conjugation mixtures directly; for Kraus channels the action
     is checked to be Pauli-diagonal first.
     """
-    if c.pauli_mixture is not None:
-        nq = c.pauli_mixture[0][0].n
-        prof = {}
-        for x in range(2**nq):
-            for z in range(2**nq):
-                p = PauliString(nq, x, z)
+    if c.transition is not None:
+        raise ValueError("transition matrices have no Pauli damping profile; use the dense engine")
+    d = c.dim
+    nq = d.bit_length() - 1
+    if 2**nq != d:
+        raise ValueError("channel dimension is not a qubit register")
+    table = np.empty(d * d)
+    for x in range(d):
+        for z in range(d):
+            p = PauliString(nq, x, z)
+            if c.pauli_mixture is not None:
                 f = 0.0
                 for g, w in c.pauli_mixture:
                     f += w if p.commutes_with(g) else -w
-                prof[(x, z)] = f
-        return prof
-    if c.kraus is not None:
-        d = c.dim
-        nq = d.bit_length() - 1
-        if 2**nq != d:
-            raise ValueError("channel dimension is not a qubit register")
-        prof = {}
-        for x in range(2**nq):
-            for z in range(2**nq):
-                p = PauliString(nq, x, z).to_matrix()
-                img = sum(k @ p @ k.conj().T for k in c.kraus)
-                f = np.trace(img @ p).real / d
-                if np.max(np.abs(img - f * p)) > 1e-10:
-                    raise ValueError(
-                        "channel is not diagonal in the Pauli basis; use the dense engine"
-                    )
-                prof[(x, z)] = float(f)
-        return prof
-    raise ValueError("transition matrices have no Pauli damping profile; use the dense engine")
+            else:
+                pm = p.to_matrix()
+                img = sum(k @ pm @ k.conj().T for k in c.kraus)
+                f = np.trace(img @ pm).real / d
+                if np.max(np.abs(img - f * pm)) > 1e-10:
+                    raise ValueError("channel is not diagonal in the Pauli basis; use the dense engine")
+            table[(x << nq) | z] = f
+    return table
 
 
 class CommutationCheck(enum.Enum):
@@ -304,11 +298,10 @@ _CHANNEL_KEYS = {"site", "kind", "p", "matrix", "kraus"}
 
 
 def parse_probability(p) -> float:
-    """A channel's ``p``: a number (not a bool) in [0, 1]."""
-    v = as_float(p)
-    if not 0.0 <= v <= 1.0:
+    """A channel's ``p``: a number (not a bool or a string) in [0, 1]."""
+    if not (is_number(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"channel p {p!r} is not a probability in [0, 1]")
-    return v
+    return float(p)
 
 
 def parse_channel(obj: dict, q: int) -> SiteChannel:

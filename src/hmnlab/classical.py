@@ -98,7 +98,7 @@ def _boltzmann(e: np.ndarray, scale: float) -> np.ndarray:
     return e
 
 
-def _energy_gibbs(h: LocalHamiltonian, beta: float) -> Distribution:
+def gibbs_distribution(h: LocalHamiltonian, beta: float) -> Distribution:
     """Gibbs weights from the full energy table: the Boltzmann weights, or at
     beta = inf the uniform distribution on the ground states."""
     e = energy_table(h).ravel()
@@ -108,10 +108,6 @@ def _energy_gibbs(h: LocalHamiltonian, beta: float) -> Distribution:
     else:
         p = _boltzmann(e, beta)
     return Distribution(p, h.site_graph)
-
-
-def gibbs_distribution(h: LocalHamiltonian, beta: float) -> Distribution:
-    return prepare(h, beta, ChannelLayer())
 
 
 def _transition(t: np.ndarray, p: np.ndarray, left: int, out: np.ndarray) -> None:
@@ -222,13 +218,13 @@ def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> Distributi
     between 1 and exp(-beta ptp(lambda_a h_a)), so while |beta| times the sum
     of the ptp stays within _SWEEP_LOG_RANGE no weight can underflow or
     overflow and ``_sweep`` computes the state; otherwise, and at
-    beta = inf, the energy table does."""
+    beta = inf, ``gibbs_distribution`` does from the energy table."""
     check(h)
     check_layer(layer)
     spread = sum(float(a.max() - a.min()) for a in (t.coefficient * t.operator for t in h.terms))
     if math.isfinite(beta) and abs(beta) * spread <= _SWEEP_LOG_RANGE:
         return Distribution(_sweep(h, beta, layer), h.site_graph)
-    return apply_transitions(_energy_gibbs(h, beta), layer)
+    return apply_transitions(gibbs_distribution(h, beta), layer)
 
 
 def marginal(d: Distribution, region) -> np.ndarray:

@@ -10,8 +10,9 @@ Config schema (JSON object):
     model:      builtin id ("ising_chain_n8", ...) or path to a model file;
                 optional on cluster_equivalence, and there cluster_chain_n<n>;
                 certificates need a model whose terms commute
-    beta:       list of numbers >= 0 ("inf" allowed, NaN not); certificates
-                take betas in [0, inf) only
+    beta:       list of numbers >= 0 (the string "inf" allowed, no other
+                string, no bool, no NaN); certificates take betas in
+                [0, inf) only
     channel:    list of per-site channel objects, each on a site of the model
                 and of its dimension q, or on a builtin model its family's
                 bulk channel {"kind": ..., "p": ...}, the only form decay
@@ -29,7 +30,8 @@ Config schema (JSON object):
     n:          cluster_equivalence only: integer >= 1, the cluster chain's
                 size (default 6)
     partition:  cmi on a model file, where it is required:
-                {"a": [...], "b": [...], "c": [...]}.  Certificates on a
+                {"a": [...], "b": [...], "c": [...]}, no other key, each
+                a list of site ints (a missing one is empty).  Certificates on a
                 model file do not read it, but check one they are given.
                 Refused on a builtin model id, which uses the boundary
                 partition (A the first site, C the last)
@@ -57,7 +59,7 @@ from types import SimpleNamespace
 
 from . import __version__, classical, dense, experiments, pauli, series, zoo
 from .channels import ChannelLayer, parse_layer, parse_probability
-from .model import Partition, as_float, build_dual_graph, graph_distance, load_model, require_int, require_list
+from .model import Partition, build_dual_graph, graph_distance, is_number, load_model, require_int, require_list
 
 EXPERIMENTS = ("decay", "cmi", "certificates", "cluster_equivalence")
 # keys that only some experiments read; any other experiment refuses them.
@@ -84,9 +86,10 @@ def fmt(x) -> str:
 
 
 def _parse_beta(b, exp: str) -> float:
-    """A beta >= 0, where the paper's statements hold, or "inf" except on
-    certificates: their bound (2e(d+1) beta)^{|W|+1} is finite only below it."""
-    v = as_float(b)  # also reads "inf" and "Infinity"
+    """A beta >= 0, where the paper's statements hold, as a number (not a bool
+    or a string) or as "inf", except on certificates: their bound
+    (2e(d+1) beta)^{|W|+1} is finite only below inf."""
+    v = math.inf if b == "inf" else float(b) if is_number(b) else math.nan
     if math.isnan(v):
         raise ValueError(f"beta {b!r} is not a number or 'inf'")
     finite = exp == "certificates"
@@ -139,6 +142,27 @@ def _site_layer(ch, graph) -> ChannelLayer:
     return layer
 
 
+def _partition(praw, n_sites: int) -> Partition:
+    """A model file's partition: an object with no key but a, b and c, each a
+    list of site ints on the model, a and c nonempty and all three disjoint."""
+    if not isinstance(praw, dict):
+        raise ValueError(f'a model file needs a partition {{"a": [...], "b": [...], "c": [...]}}, not {praw!r}')
+    unknown = set(praw) - set("abc")
+    if unknown:
+        raise ValueError(f"unknown partition keys: {sorted(unknown)}")
+    regions = [
+        frozenset(require_int(s, "partition site", 0) for s in require_list(praw.get(k, []), f"partition {k}"))
+        for k in "abc"
+    ]
+    try:
+        p = Partition(*regions)
+    except ValueError as e:
+        raise ValueError(f"partition {praw!r}: {e}") from None
+    if not p.abc <= set(range(n_sites)):
+        raise ValueError("partition names sites outside the model")
+    return p
+
+
 def resolve(cfg: dict) -> SimpleNamespace:
     """Everything ``run`` takes from a config whose experiment and engine are
     known: betas, the engine that runs, model, channel layer and partition.
@@ -182,17 +206,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
         check(r.h)
         # certificates never read a partition, but one they are given is checked
         if exp == "cmi" or "partition" in cfg:
-            try:
-                praw = cfg["partition"]
-                r.partition = Partition(
-                    *(frozenset(require_int(s, "partition site", 0) for s in praw.get(k, ())) for k in "abc")
-                )
-            except (ValueError, KeyError, TypeError, AttributeError) as e:
-                raise ValueError(
-                    f"model file needs a partition with nonempty disjoint a and c: {e!r}"
-                ) from None
-            if not r.partition.abc <= set(range(r.h.site_graph.n_sites)):
-                raise ValueError("partition names sites outside the model")
+            r.partition = _partition(cfg.get("partition"), r.h.site_graph.n_sites)
         r.layer = _site_layer([] if ch is None else ch, r.h.site_graph)
     else:
         r.family, n = zoo.parse_model_id(model)
@@ -338,7 +352,6 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             "dense_dim": dense.DENSE_DIM_CAP,
             "classical_memory": classical.MEMORY_CAP,
             "pauli_terms": pauli.TERM_CAP,
-            "pauli_rank": pauli.RANK_CAP,
             "series_weight": series.MAX_WEIGHT_CAP,
         },
         "wall_clock_s": {k: round(v, 6) for k, v in timings.items()},

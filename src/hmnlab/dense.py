@@ -103,19 +103,14 @@ def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> DensityMat
 
 
 def partial_trace_matrix(m: np.ndarray, keep, graph: SiteGraph) -> np.ndarray:
-    """Trace out every site not in ``keep``; kept sites stay in global order."""
+    """Trace out every site not in ``keep``; kept sites stay in global order.
+    One contraction: a traced site's ket and bra axes share one subscript, so
+    only the entries that are summed are read."""
     keep = sorted(set(keep))
     n, q = graph.n_sites, graph.q
-    t = m.reshape((q,) * n * 2)
-    traced = 0
-    for s in range(n):
-        if s not in keep:
-            ax = s - traced
-            live = n - traced
-            t = np.trace(t, axis1=ax, axis2=ax + live)
-            traced += 1
+    bra = [n + s if s in keep else s for s in range(n)]
     d = q ** len(keep)
-    return t.reshape(d, d)
+    return np.einsum(m.reshape((q,) * n * 2), [*range(n), *bra], [*keep, *(n + s for s in keep)]).reshape(d, d)
 
 
 def von_neumann_entropy(m: np.ndarray) -> float:

@@ -361,20 +361,25 @@ def require_list(value, what: str) -> list:
     return value
 
 
-def as_float(value) -> float:
-    """``value`` as a float, or NaN for a bool and for what float() refuses."""
-    try:
-        return math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
+def is_number(value) -> bool:
+    """Whether ``value`` is an int or a float: not a bool, not a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    return all(map(_numbers, value)) if isinstance(value, list) else is_number(value)
 
 
 def require_array(value, what: str, form: str) -> np.ndarray:
-    """``value`` as a float array; ``form`` says what else it should be."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} {value!r} is not {form}") from None
+    """``value`` as a float array if it is nested lists whose every leaf is a
+    number: numpy would read [1, true] as ints and "0.5" as 0.5, so the
+    leaves are checked, not the dtype.  ``form`` says what else it should be."""
+    if _numbers(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or an int past the float range
+            pass
+    raise ValueError(f"{what} {value!r} is not {form}")
 
 
 def parse_model(obj: dict) -> LocalHamiltonian:
@@ -396,7 +401,7 @@ def parse_model(obj: dict) -> LocalHamiltonian:
         if any(s >= graph.n_sites for s in support):
             raise ValueError(f"term support {support} outside site graph")
         lam = raw["lambda"]
-        if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+        if not is_number(lam):
             raise ValueError(f"term lambda {lam!r} is not a number")
         if "pauli" in raw and "diag" in raw:
             raise ValueError("term cannot be both pauli and diag")

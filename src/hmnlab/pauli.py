@@ -27,7 +27,6 @@ from .channels import ChannelLayer, pauli_damping_profile
 from .model import LocalHamiltonian, PauliString, SiteGraph, entropy_bits
 
 TERM_CAP = 22
-RANK_CAP = 24
 PRUNE = 1e-18
 
 
@@ -127,9 +126,7 @@ def damp(c: np.ndarray, graph: SiteGraph, generators, layer: ChannelLayer) -> np
     k = graph.qubits_per_site
     mask = (1 << k) - 1
     for ch in layer.channels:
-        table = np.empty(4**k)
-        for (x, z), fx in pauli_damping_profile(ch).items():
-            table[(x << k) | z] = fx
+        table = pauli_damping_profile(ch)
         # local (x, z) bits of g_v at this site, as a table index
         rows = [
             (((g.x >> ch.site * k) & mask) << k) | ((g.z >> ch.site * k) & mask)
@@ -177,8 +174,6 @@ def restricted_group(e: PauliExpansion, region) -> RestrictedGroup:
         gens, elements = kernel, d  # every coefficient is nonzero: the whole kernel
     else:
         gens, elements = _nonzero_span(members, d)
-    if len(gens) > RANK_CAP:
-        raise ValueError(f"restricted-group rank exceeds cap {RANK_CAP}")
     return RestrictedGroup(qs, gens, elements)
 
 

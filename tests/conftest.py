@@ -170,6 +170,29 @@ def brute_apply_layer(m, layer, g):
     return out
 
 
+def brute_partial_trace(m, keep, g):
+    """Oracle: out[i, j] = sum_t m[(i, t), (j, t)], an explicit loop over the
+    kept ket and bra configurations i and j and the traced configurations t.
+    Each configuration's place in the full index is the sum of its sites'
+    digits times q^(n-1-site), so the kept and traced parts add."""
+    keep = sorted(set(keep))
+    rest = [s for s in range(g.n_sites) if s not in keep]
+
+    def offsets(sites):
+        return [
+            sum(v * g.q ** (g.n_sites - 1 - s) for s, v in zip(sites, config))
+            for config in itertools.product(range(g.q), repeat=len(sites))
+        ]
+
+    kept, traced = offsets(keep), offsets(rest)
+    out = np.zeros((len(kept), len(kept)), dtype=complex)
+    for a, i in enumerate(kept):
+        for b, j in enumerate(kept):
+            for t in traced:
+                out[a, b] += m[i + t, j + t]
+    return out
+
+
 def _psd_log(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
     if vals.min() < 1e-12:

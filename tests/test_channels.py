@@ -26,21 +26,21 @@ from tests.conftest import compose_channels, ising_pauli_chain
 
 
 def test_dephasing_damping_profile():
-    prof = pauli_damping_profile(dephasing(0, 0.3))
-    assert prof[(0, 0)] == 1.0
-    assert prof[(0, 1)] == 1.0  # Z commutes
-    assert abs(prof[(1, 0)] - 0.4) < 1e-14  # X damped by 1-2p
-    assert abs(prof[(1, 1)] - 0.4) < 1e-14
+    prof = pauli_damping_profile(dephasing(0, 0.3))  # indexed (x << 1) | z
+    assert prof[0b00] == 1.0
+    assert prof[0b01] == 1.0  # Z commutes
+    assert abs(prof[0b10] - 0.4) < 1e-14  # X damped by 1-2p
+    assert abs(prof[0b11] - 0.4) < 1e-14
 
 
 def test_depolarizing_profile():
     prof = pauli_damping_profile(depolarizing(0, 0.8, 2))
-    for key in ((1, 0), (0, 1), (1, 1)):
+    for key in (0b10, 0b01, 0b11):
         assert abs(prof[key] - 0.2) < 1e-14
     # p = 1 kills everything but identity
     prof = pauli_damping_profile(complete_depolarization(0, 2))
-    assert prof[(0, 0)] == 1.0
-    assert all(abs(prof[k]) < 1e-14 for k in prof if k != (0, 0))
+    assert prof[0b00] == 1.0
+    assert all(abs(f) < 1e-14 for f in prof[1:])
 
 
 def test_profile_matches_kraus_action():
@@ -92,6 +92,15 @@ def test_channel_entries_refused(kwargs, message):
             "channel matrix [[0.9, 'a'], [0.1, 0.9]] is not a matrix of numbers",
         ),
         ({"kind": "transition", "matrix": [[1.0], [0.0, 1.0]]}, "is not a matrix of numbers"),
+        (
+            {"kind": "transition", "matrix": [[True, False], [False, True]]},
+            "channel matrix [[True, False], [False, True]] is not a matrix of numbers",
+        ),
+        (
+            {"kind": "transition", "matrix": [[0.9, "0.1"], [0.1, 0.9]]},
+            "channel matrix [[0.9, '0.1'], [0.1, 0.9]] is not a matrix of numbers",
+        ),
+        ({"kind": "kraus", "kraus": [[[[1, 0], [0, "0"]], [[0, 0], [True, 0]]]]}, "is not a list of matrices of [re, im] pairs"),
     ],
     ids=[
         "kraus_real_matrix",
@@ -101,6 +110,9 @@ def test_channel_entries_refused(kwargs, message):
         "kraus_ragged",
         "transition_string_entry",
         "transition_ragged",
+        "transition_bools",
+        "transition_numeric_string",
+        "kraus_bool_and_string_leaves",
     ],
 )
 def test_parse_channel_names_malformed_entries(obj, message):
@@ -120,7 +132,7 @@ def test_compose_transition():
 def test_compose_pauli_mixtures():
     c = compose_channels(bitflip(0, 0.3), bitflip(0, 0.3))
     prof = pauli_damping_profile(c)
-    assert abs(prof[(0, 1)] - 0.4**2) < 1e-14  # Z damped twice
+    assert abs(prof[0b01] - 0.4**2) < 1e-14  # Z damped twice
 
 
 def test_trace_as_depolarization():
@@ -154,7 +166,7 @@ def test_compose_with_trace_adds_depolarization():
     assert traced.sites == {1, 2}
     for c in traced.channels:
         prof = pauli_damping_profile(c)
-        assert all(abs(prof[k]) < 1e-13 for k in prof if k != (0, 0))
+        assert all(abs(f) < 1e-13 for f in prof[1:])
 
 
 def test_bell_measurement_mixture():

@@ -407,7 +407,7 @@ def _frustrated_triangle():
 
 
 def _energy_route(h, beta, layer):
-    return classical.apply_transitions(classical._energy_gibbs(h, beta), layer)
+    return classical.apply_transitions(classical.gibbs_distribution(h, beta), layer)
 
 
 @pytest.mark.parametrize("beta, swept", [(50.0, True), (400.0, False), (1000.0, False), (math.inf, False)])
@@ -451,7 +451,7 @@ def test_route_is_chosen_by_each_terms_ptp_summed_in_order(model):
     limit = classical._SWEEP_LOG_RANGE / spread if spread else 1.0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classical, "_sweep", lambda *args: "sweep")
-        mp.setattr(classical, "_energy_gibbs", lambda *args: None)
+        mp.setattr(classical, "gibbs_distribution", lambda *args: None)
         mp.setattr(classical, "apply_transitions", lambda *args: "energy")
         mp.setattr(classical, "Distribution", lambda x, graph: x)
         for beta in (float(np.nextafter(limit, 0)), limit, float(np.nextafter(limit, math.inf))):

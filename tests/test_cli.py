@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmnlab import zoo
+from hmnlab import series, zoo
 from hmnlab.cli import apply_overrides, fmt, main, validate_config
 
 
@@ -372,6 +372,49 @@ FILE_CMI_CFG = dict(CMI_CFG, model=ZZ_CHAIN3_FILE, engine="pauli", partition={"a
             dict(CMI_CFG, channel=[{"site": 1, "kind": "transition", "matrix": [[0.9, "a"], [0.1, 0.9]]}]),
             "channel matrix [[0.9, 'a'], [0.1, 0.9]] is not a matrix of numbers",
         ),
+        (dict(FILE_CMI_CFG, partition={"a": [0], "B": [1], "c": [2]}), "unknown partition keys: ['B']"),
+        (
+            {k: v for k, v in FILE_CMI_CFG.items() if k != "partition"},
+            'a model file needs a partition {"a": [...], "b": [...], "c": [...]}, not None',
+        ),
+        (
+            dict(FILE_CMI_CFG, partition=[0, 1]),
+            'a model file needs a partition {"a": [...], "b": [...], "c": [...]}, not [0, 1]',
+        ),
+        (dict(FILE_CMI_CFG, partition={"a": 5, "b": [1], "c": [2]}), "partition a 5 is not a list"),
+        (
+            dict(FILE_CMI_CFG, partition={"a": [0], "b": [0], "c": [2]}),
+            "partition {'a': [0], 'b': [0], 'c': [2]}: regions must be pairwise disjoint",
+        ),
+        (
+            dict(FILE_CMI_CFG, partition={"a": [], "b": [1], "c": [2]}),
+            "partition {'a': [], 'b': [1], 'c': [2]}: A and C must be nonempty",
+        ),
+        (
+            dict(CERT_CFG, model=ZZ_CHAIN3_FILE, channel=[{"site": 1, "kind": "bitflip", "p": 0.2}],
+                 partition={"a": [0], "B": [1], "c": [2]}),
+            "unknown partition keys: ['B']",
+        ),
+        (
+            dict(CMI_CFG, channel=[{"site": 1, "kind": "transition", "matrix": [[True, False], [False, True]]}]),
+            "channel matrix [[True, False], [False, True]] is not a matrix of numbers",
+        ),
+        (
+            dict(CMI_CFG, channel=[{"site": 1, "kind": "transition", "matrix": [[0.9, "0.1"], [0.1, 0.9]]}]),
+            "channel matrix [[0.9, '0.1'], [0.1, 0.9]] is not a matrix of numbers",
+        ),
+        (
+            dict(CMI_CFG, engine="dense", channel=[{"site": 1, "kind": "kraus", "kraus": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]}]),
+            "channel kraus [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]] is not a list of matrices of [re, im] pairs",
+        ),
+        (dict(DECAY_CFG, channel={"kind": "bitflip", "p": "0.3"}), "channel p '0.3' is not a probability in [0, 1]"),
+        (
+            dict(CMI_CFG, engine="pauli", channel=[{"site": 1, "kind": "bitflip", "p": "0.3"}]),
+            "channel p '0.3' is not a probability in [0, 1]",
+        ),
+        (dict(CMI_CFG, beta=["0.5"]), "beta '0.5' is not a number or 'inf'"),
+        (dict(CMI_CFG, beta=["Infinity"]), "beta 'Infinity' is not a number or 'inf'"),
+        (dict(CMI_CFG, beta=["1e999"]), "beta '1e999' is not a number or 'inf'"),
     ],
     ids=[
         "pauli_term_cap",
@@ -448,6 +491,21 @@ FILE_CMI_CFG = dict(CMI_CFG, model=ZZ_CHAIN3_FILE, engine="pauli", partition={"a
         "kraus_a_number",
         "kraus_without_pairs",
         "transition_string_entry",
+        "partition_key_typo",
+        "partition_missing",
+        "partition_a_list",
+        "partition_region_a_number",
+        "partition_regions_overlap",
+        "partition_a_empty",
+        "certificates_partition_key_typo",
+        "transition_bool_entries",
+        "transition_numeric_string",
+        "kraus_bool_leaf",
+        "p_numeric_string",
+        "channel_p_numeric_string",
+        "beta_numeric_string",
+        "beta_infinity_string",
+        "beta_overflow_string",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path_factory, tmp_path, capsys, cfg, message):
@@ -599,6 +657,44 @@ def test_certificates_refuse_non_commuting_terms(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_failing_certificate_exits_2_and_writes_its_report(tmp_path, monkeypatch):
+    """One cluster made to fail, whatever bound the certificate computes:
+    run exits 2, the status of a failed check, and still writes the report."""
+    real = series.derivative_norm_certificate
+
+    def one_fails(*args):
+        rep = real(*args)
+        rep["clusters"][0]["pass"] = False
+        rep["violations"], rep["pass"] = 1, False
+        return rep
+
+    monkeypatch.setattr(series, "derivative_norm_certificate", one_fails)
+    cfg = write_cfg(tmp_path / "c.json", dict(CERT_CFG, output="cert"))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    (rep,) = json.loads((tmp_path / "out" / "cert.json").read_text())["certificates"]
+    assert rep["pass"] is False and rep["violations"] == 1 and rep["clusters"][0]["pass"] is False
+    assert (tmp_path / "out" / "cert.manifest.json").exists()
+
+
+def _kraus_pairs(ops):
+    return [[[[float(z.real), float(z.imag)] for z in row] for row in k] for k in ops]
+
+
+def test_certificates_read_unitality_off_kraus_operators():
+    """A Kraus layer is unital when sum K K^+ = I: amplitude damping is not,
+    so certificates refuse it; dephasing written as Kraus operators is."""
+    damping = [np.diag([1.0, math.sqrt(0.7)]), np.array([[0.0, math.sqrt(0.3)], [0.0, 0.0]])]
+    dephasing = [math.sqrt(0.8) * np.eye(2), math.sqrt(0.2) * np.diag([1.0, -1.0])]
+
+    def cfg(ops):
+        return dict(CERT_CFG, channel=[{"site": 2, "kind": "kraus", "kraus": _kraus_pairs(ops)}])
+
+    assert validate_config(cfg(damping)) == [
+        "certificates need a unital channel layer (E[I] = I), which this one is not"
+    ]
+    assert validate_config(cfg(dephasing)) == []
+
+
 def test_certificates_take_the_dense_cap():
     """Certificates build dense series whatever the engine.  A 14-qubit chain
     would need a 16384 x 16384 matrix per series coefficient, so this is
@@ -721,6 +817,11 @@ PARTITION3 = {"a": [0], "b": [1], "c": [2]}
             PARTITION3,
             "model file invalid: term lambda True is not a number",
         ),
+        (
+            {"n_sites": 4, "terms": [{"support": [0, 1], "diag": [1, True, 0, 1], "lambda": -1.0}]},
+            PARTITION3,
+            "model file invalid: diag table [1, True, 0, 1] is not a table of numbers",
+        ),
     ],
     ids=[
         "n_sites_float",
@@ -734,6 +835,7 @@ PARTITION3 = {"a": [0], "b": [1], "c": [2]}
         "pauli_a_number",
         "lambda_a_string",
         "lambda_bool",
+        "diag_bool_entry",
     ],
 )
 def test_validate_reports_model_file_numbers(tmp_path, capsys, model, partition, message):

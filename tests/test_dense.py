@@ -22,6 +22,7 @@ from hmnlab.series import spectral_norm
 from tests.conftest import (
     brute_apply_layer,
     brute_gibbs_probs,
+    brute_partial_trace,
     commuting_product_gibbs,
     dependent_commuting_models,
     embed_operator,
@@ -142,6 +143,31 @@ def test_partial_trace_keeps_order():
     step = dense.partial_trace_matrix(outer, [1], SiteGraph(2))
     once = dense.partial_trace_matrix(rho.entries, [2], rho.graph)
     assert np.allclose(step, once)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_partial_trace_matches_index_loop_on_every_region(q):
+    """Every region of a 4-site graph, the empty and the full one included,
+    on a matrix that is not Hermitian, so a ket and bra swap shows."""
+    rng = np.random.default_rng(q)
+    g = SiteGraph(4, q)
+    m = (rng.normal(size=(g.dim, g.dim)) + 1j * rng.normal(size=(g.dim, g.dim))) / g.dim
+    for k in range(5):
+        for region in itertools.combinations(range(4), k):
+            got = dense.partial_trace_matrix(m, region, g)
+            assert np.max(np.abs(got - brute_partial_trace(m, region, g))) < 1e-14, region
+
+
+def test_partial_trace_matches_index_loop_at_the_dense_cap():
+    """12 qubits, 24 subscripts in the contraction: the largest matrix
+    DENSE_DIM_CAP admits, traced down to regions of one to five sites."""
+    rng = np.random.default_rng(12)
+    g = SiteGraph(12)
+    assert g.dim == dense.DENSE_DIM_CAP
+    m = (rng.normal(size=(g.dim, g.dim)) + 1j * rng.normal(size=(g.dim, g.dim))) / g.dim
+    for region in ([0], [0, 11], [5, 6], [1, 4, 10], [2, 3, 7, 8, 9]):
+        got = dense.partial_trace_matrix(m, region, g)
+        assert np.max(np.abs(got - brute_partial_trace(m, region, g))) < 1e-14, region
 
 
 def test_embed_operator_roundtrip():

@@ -368,6 +368,14 @@ def test_parse_model_places_letters_by_site():
             {"n_sites": 2, "terms": [{"support": [0, 1], "diag": [1, "a", 0, 1], "lambda": 1.0}]},
             "diag table [1, 'a', 0, 1] is not a table of numbers",
         ),
+        (
+            {"n_sites": 2, "terms": [{"support": [0, 1], "diag": [1, True, 0, 1], "lambda": 1.0}]},
+            "diag table [1, True, 0, 1] is not a table of numbers",
+        ),
+        (
+            {"n_sites": 2, "terms": [{"support": [0, 1], "diag": [[1, "0"], [0, 1]], "lambda": 1.0}]},
+            "diag table [[1, '0'], [0, 1]] is not a table of numbers",
+        ),
     ],
     ids=[
         "n_sites_float",
@@ -387,6 +395,8 @@ def test_parse_model_places_letters_by_site():
         "pauli_a_number",
         "pauli_too_long",
         "diag_a_string_entry",
+        "diag_a_bool_entry",
+        "diag_a_numeric_string_entry",
     ],
 )
 def test_parse_model_takes_no_coerced_numbers(obj, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -290,6 +291,29 @@ def test_pinned_series_checks():
             pin = pinned_hamiltonian(h, 0.3, layer, {1: y1, 2: y2})
             rep = pinned_series_check(pin, 3)
             assert rep["pass"], rep
+
+
+def test_pinned_series_check_reports_violations(monkeypatch):
+    """Every coefficient but the identity's scaled by 50: the series no
+    longer factorizes over the disconnected bonds (0, 1) and (2, 3), and its
+    connected derivatives exceed beta^|V|, so the check fails on both."""
+    h = ising_diag_chain(4)
+    t = np.array([[0.9, 0.1], [0.1, 0.9]])
+    pin = pinned_hamiltonian(h, 0.3, ChannelLayer((transition_channel(1, t), transition_channel(2, t))), {1: 0, 2: 1})
+    real = series.pinned_traced_series
+
+    def scaled(pin, max_degree):
+        s = real(pin, max_degree)
+        stack = 50 * s.stack
+        stack[0] = s.stack[0]  # rows go by degree: row 0 is the key (), which stays I
+        return dataclasses.replace(s, stack=stack)
+
+    monkeypatch.setattr(series, "pinned_traced_series", scaled)
+    rep = pinned_series_check(pin, 3)
+    assert rep["degree0_identity"] is True
+    assert rep["disconnected_ok"] is False and rep["max_disconnected_log_norm"] > 1e-9
+    assert rep["beta_power_violations"]
+    assert rep["pass"] is False
 
 
 def test_pinned_series_degree0():
