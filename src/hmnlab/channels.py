@@ -1,4 +1,4 @@
-"""Per-site channels / transition matrices and the channel-class checks.
+"""Per-site channels and the channel-class checks.
 
 A "site" is the q-dimensional cell of the site graph, so a channel on a
 q=4 site may touch two qubits while still being single-site in the sense
@@ -6,7 +6,10 @@ of the decay theorems.
 
 Conventions (fixed repo-wide):
 
-* transition matrices are column-stochastic, ``T[out, in]``;
+* a channel is its superoperator S[i, j, k, l], which sends the site's
+  ket-bra entry (k, l) to (i, j);
+* transition matrices are column-stochastic, ``T[out, in]``, the channel
+  on diagonal states: T[i, k] = S[i, i, k, k];
 * depolarizing: rho -> (1-p) rho + p I/q, so p=1 is the complete
   depolarization that realizes a partial trace;
 * dephasing(p): rho -> (1-p) rho + p Z rho Z; bitflip likewise with X.
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,126 +31,114 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class SiteChannel:
-    """Channel acting on one site.
-
-    Exactly one of the representations is set:
-
-    * ``transition`` -- q x q column-stochastic matrix (classical engine);
-    * ``kraus`` -- list of q x q complex Kraus operators (dense engine);
-    * ``pauli_mixture`` -- list of (PauliString on the site's qubits, prob)
-      conjugation mixture (Pauli engine; also convertible to Kraus).
-    """
+    """Channel acting on one site as its superoperator: ``superop[i, j, k,
+    l]`` sends the site's ket-bra entry (k, l) to (i, j).  The dense engine
+    contracts it as it is; the classical and pauli engines read their forms
+    off it, once per channel, and take the channel exactly when that form
+    exists."""
 
     site: int
-    transition: np.ndarray | None = None
-    kraus: tuple[np.ndarray, ...] | None = None
-    pauli_mixture: tuple[tuple[PauliString, float], ...] | None = None
-
-    def __post_init__(self):
-        reps = [r is not None for r in (self.transition, self.kraus, self.pauli_mixture)]
-        if sum(reps) != 1:
-            raise ValueError("exactly one channel representation must be given")
-        if self.transition is not None:
-            t = np.asarray(self.transition, dtype=float)
-            if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
-                raise ValueError(f"transition matrix of shape {t.shape} is not square")
-            if not np.all(np.isfinite(t)):
-                raise ValueError("transition matrix has a non-finite entry")
-            if np.any(t < -_TOL) or np.max(np.abs(t.sum(axis=0) - 1)) > 1e-10:
-                raise ValueError("transition matrix must be column-stochastic")
-            object.__setattr__(self, "transition", t)
-        if self.kraus is not None:
-            ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-            d = ks[0].shape[0] if ks else 0
-            if d == 0 or any(k.shape != (d, d) for k in ks):
-                raise ValueError("Kraus operators must be square matrices of one size")
-            if not all(np.all(np.isfinite(k)) for k in ks):
-                raise ValueError("Kraus operator has a non-finite entry")
-            s = sum(k.conj().T @ k for k in ks)
-            if np.max(np.abs(s - np.eye(d))) > 1e-10:
-                raise ValueError("Kraus operators are not trace-preserving")
-            object.__setattr__(self, "kraus", ks)
-        if self.pauli_mixture is not None:
-            probs = [p for _, p in self.pauli_mixture]
-            if not (all(p >= -_TOL for p in probs) and abs(sum(probs) - 1) <= 1e-10):  # NaN fails too
-                raise ValueError("Pauli mixture probabilities must sum to 1")
+    superop: np.ndarray
 
     @property
     def dim(self) -> int:
-        if self.transition is not None:
-            return self.transition.shape[0]
-        if self.kraus is not None:
-            return self.kraus[0].shape[0]
-        return 2 ** self.pauli_mixture[0][0].n
+        return self.superop.shape[0]
 
-    def kraus_ops(self) -> tuple[np.ndarray, ...]:
-        """Kraus representation usable by the dense engine."""
-        if self.kraus is not None:
-            return self.kraus
-        if self.pauli_mixture is not None:
-            return tuple(
-                math.sqrt(p) * ps.to_matrix() for ps, p in self.pauli_mixture if p > 0
-            )
-        # column-stochastic T as a channel on diagonal states
-        q = self.transition.shape[0]
-        ops = []
-        for i in range(q):
-            for j in range(q):
-                if self.transition[i, j] > 0:
-                    k = np.zeros((q, q), dtype=complex)
-                    k[i, j] = math.sqrt(self.transition[i, j])
-                    ops.append(k)
-        return tuple(ops)
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """T[i, k] = S[i, i, k, k], the classical engine's form: the channel
+        on diagonal states, which it must keep diagonal."""
+        q = self.dim
+        # images[i * q + j, k] = S[i, j, k, k], entry (i, j) of the image of |k><k|
+        images = self.superop.reshape(q * q, q * q)[:, :: q + 1]
+        off = np.abs(images)
+        off[:: q + 1] = 0
+        if off.max() > _TOL:
+            raise ValueError("classical engine needs channels that keep diagonal states diagonal")
+        return np.ascontiguousarray(images[:: q + 1].real)
+
+    @cached_property
+    def pauli_table(self) -> np.ndarray:
+        """The pauli engine's form, ``pauli_damping_profile`` of the channel."""
+        return pauli_damping_profile(self)
+
+
+@lru_cache(maxsize=None)
+def _paulis(nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4^nq Pauli matrices on nq qubits, indexed (x << nq) | z, and their
+    superoperators P (x) conj(P), each flattened to one row."""
+    ps = np.array([PauliString(nq, v >> nq, v & ((1 << nq) - 1)).to_matrix() for v in range(4**nq)])
+    return ps, np.einsum("pik,pjl->pijkl", ps, ps.conj()).reshape(4**nq, -1)
+
+
+def pauli_mixture(site: int, weights) -> SiteChannel:
+    """rho -> sum_P w_P P rho P over the Pauli strings P on the site's nq
+    qubits, from their 4^nq weights indexed (x << nq) | z."""
+    w = np.asarray(weights, dtype=float)
+    if not (w.min() >= -_TOL and abs(w.sum() - 1) <= 1e-10):  # NaN fails too
+        raise ValueError("Pauli mixture probabilities must sum to 1")
+    nq = (w.size.bit_length() - 1) // 2
+    return SiteChannel(site, (w @ _paulis(nq)[1]).reshape((2**nq,) * 4))
 
 
 def dephasing(site: int, p: float) -> SiteChannel:
-    z = PauliString.from_label("Z")
-    i = PauliString.identity(1)
-    return SiteChannel(site, pauli_mixture=((i, 1 - p), (z, p)))
+    return pauli_mixture(site, (1 - p, p, 0.0, 0.0))
 
 
 def bitflip(site: int, p: float) -> SiteChannel:
-    x = PauliString.from_label("X")
-    i = PauliString.identity(1)
-    return SiteChannel(site, pauli_mixture=((i, 1 - p), (x, p)))
+    return pauli_mixture(site, (1 - p, 0.0, p, 0.0))
 
 
 def depolarizing(site: int, p: float, q: int) -> SiteChannel:
-    """rho -> (1-p) rho + p I/q as a uniform Pauli conjugation mixture."""
-    nq = q.bit_length() - 1
-    if 2**nq != q:
-        raise ValueError("depolarizing channel needs q a power of two")
-    mix = [(PauliString.identity(nq), 1 - p + p / q**2)]
-    for x in range(2**nq):
-        for z in range(2**nq):
-            if (x, z) != (0, 0):
-                mix.append((PauliString(nq, x, z), p / q**2))
-    return SiteChannel(site, pauli_mixture=tuple(mix))
+    """rho -> (1-p) rho + p Tr(rho) I/q on a site of any dimension q."""
+    eye = np.eye(q, dtype=complex)
+    keep, replace = np.einsum("ik,jl->ijkl", eye, eye), np.einsum("ij,kl->ijkl", eye, eye)
+    return SiteChannel(site, (1 - p) * keep + (p / q) * replace)
 
 
 def complete_depolarization(site: int, q: int) -> SiteChannel:
-    if 2 ** (q.bit_length() - 1) == q:
-        return depolarizing(site, 1.0, q)
-    ks = []
-    for i in range(q):
-        for j in range(q):
-            k = np.zeros((q, q), dtype=complex)
-            k[i, j] = 1 / math.sqrt(q)
-            ks.append(k)
-    return SiteChannel(site, kraus=tuple(ks))
+    return depolarizing(site, 1.0, q)
 
 
 def bell_measurement(site: int) -> SiteChannel:
     """Measurement of the XX and ZZ stabilizers on a two-qubit site: the
     uniform conjugation mixture over the group they generate, II, XX, ZZ and
     XX ZZ = -YY, each with weight 1/4."""
-    ii, xx, zz = (PauliString.from_label(lab) for lab in ("II", "XX", "ZZ"))
-    minus_yy = PauliString(2, 0b11, 0b11, -1)
-    return SiteChannel(site, pauli_mixture=tuple((g, 0.25) for g in (ii, xx, zz, minus_yy)))
+    w = np.zeros(16)
+    w[[0b0000, 0b1100, 0b0011, 0b1111]] = 0.25  # (x << 2) | z of II, XX, ZZ, YY
+    return pauli_mixture(site, w)
 
 
 def transition_channel(site: int, matrix) -> SiteChannel:
-    return SiteChannel(site, transition=np.asarray(matrix, dtype=float))
+    """A column-stochastic T[out, in] as the channel that sends |k><k| to
+    sum_i T[i, k] |i><i| and every off-diagonal entry to 0."""
+    t = np.asarray(matrix, dtype=float)
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
+        raise ValueError(f"transition matrix of shape {t.shape} is not square")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("transition matrix has a non-finite entry")
+    if np.any(t < -_TOL) or np.max(np.abs(t.sum(axis=0) - 1)) > 1e-10:
+        raise ValueError("transition matrix must be column-stochastic")
+    r = np.arange(t.shape[0])
+    s = np.zeros(t.shape * 2, dtype=complex)
+    s[r[:, None], r[:, None], r, r] = t
+    return SiteChannel(site, s)
+
+
+def kraus_channel(site: int, ops) -> SiteChannel:
+    """rho -> sum_K K rho K^+ for trace-preserving Kraus operators K:
+    S = sum_K K (x) conj(K)."""
+    ks = [np.asarray(k, dtype=complex) for k in ops]
+    d = ks[0].shape[0] if ks else 0
+    if d == 0 or any(k.shape != (d, d) for k in ks):
+        raise ValueError("Kraus operators must be square matrices of one size")
+    ks = np.array(ks)
+    if not np.all(np.isfinite(ks)):
+        raise ValueError("Kraus operator has a non-finite entry")
+    s = np.einsum("aik,ajl->ijkl", ks, ks.conj())
+    if np.max(np.abs(np.einsum("iikl->kl", s) - np.eye(d))) > 1e-10:
+        raise ValueError("Kraus operators are not trace-preserving")
+    return SiteChannel(site, s)
 
 
 @dataclass(frozen=True)
@@ -169,19 +160,10 @@ class ChannelLayer:
     def is_unital(self) -> bool:
         return all(is_unital(c) for c in self.channels)
 
-    def all_classical(self) -> bool:
-        return all(c.transition is not None for c in self.channels)
-
 
 def is_unital(c: SiteChannel) -> bool:
-    """E[I] = I: doubly stochastic transition, sum K K+ = I for Kraus,
-    always true for conjugation mixtures."""
-    if c.pauli_mixture is not None:
-        return True
-    if c.transition is not None:
-        return bool(np.max(np.abs(c.transition.sum(axis=1) - 1)) <= 1e-10)
-    s = sum(k @ k.conj().T for k in c.kraus)
-    return bool(np.max(np.abs(s - np.eye(c.dim))) <= 1e-10)
+    """E[I] = I: sum_k S[i, j, k, k] = delta_ij."""
+    return bool(np.max(np.abs(np.einsum("ijkk->ij", c.superop) - np.eye(c.dim))) <= 1e-10)
 
 
 def compose_with_trace(layer: ChannelLayer, traced_region, q: int) -> ChannelLayer:
@@ -197,30 +179,19 @@ def pauli_damping_profile(c: SiteChannel) -> np.ndarray:
     """Factors f with E[P] = f[(x << nq) | z] P for every Pauli P with X bits
     x and Z bits z on the site's nq qubits, as one table of 4^nq floats.
 
-    Works for conjugation mixtures directly; for Kraus channels the action
-    is checked to be Pauli-diagonal first.
+    The images of all 4^nq Paulis are one contraction with the
+    superoperator; each factor is read at the one nonzero entry of P's row
+    0, an exact product, once every image is checked to be f P.
     """
-    if c.transition is not None:
-        raise ValueError("transition matrices have no Pauli damping profile; use the dense engine")
     d = c.dim
     nq = d.bit_length() - 1
     if 2**nq != d:
         raise ValueError("channel dimension is not a qubit register")
-    table = np.empty(d * d)
-    for x in range(d):
-        for z in range(d):
-            p = PauliString(nq, x, z)
-            if c.pauli_mixture is not None:
-                f = 0.0
-                for g, w in c.pauli_mixture:
-                    f += w if p.commutes_with(g) else -w
-            else:
-                pm = p.to_matrix()
-                img = sum(k @ pm @ k.conj().T for k in c.kraus)
-                f = np.trace(img @ pm).real / d
-                if np.max(np.abs(img - f * pm)) > 1e-10:
-                    raise ValueError("channel is not diagonal in the Pauli basis; use the dense engine")
-            table[(x << nq) | z] = f
+    paulis = _paulis(nq)[0]
+    images = np.tensordot(paulis, c.superop, ([1, 2], [2, 3]))
+    table = (paulis[:, 0].conj() * images[:, 0]).sum(axis=1).real
+    if np.max(np.abs(images - table[:, None, None] * paulis)) > 1e-10:
+        raise ValueError("channel is not diagonal in the Pauli basis; use the dense engine")
     return table
 
 
@@ -294,7 +265,9 @@ def is_commutation_preserving(
     return CommutationCheck.INCONCLUSIVE if truncated else CommutationCheck.PRESERVED
 
 
-_CHANNEL_KEYS = {"site", "kind", "p", "matrix", "kraus"}
+# the key each channel kind reads besides site and kind
+_READS = {"dephasing": "p", "bitflip": "p", "depolarizing": "p", "transition": "matrix", "kraus": "kraus"}
+_CHANNEL_KEYS = {"site", "kind", *_READS.values()}
 
 
 def parse_probability(p) -> float:
@@ -320,12 +293,11 @@ def parse_channel(obj: dict, q: int) -> SiteChannel:
 
     site = require_int(field("site"), "channel site", 0)
     kind = field("kind")
-    if kind == "dephasing":
-        return dephasing(site, parse_probability(field("p")))
-    if kind == "bitflip":
-        return bitflip(site, parse_probability(field("p")))
-    if kind == "depolarizing":
-        return depolarizing(site, parse_probability(field("p")), q)
+    if not isinstance(kind, str) or kind not in _READS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    unread = sorted(set(obj) - {"site", "kind", _READS[kind]})
+    if unread:
+        raise ValueError(f"channel kind {kind!r} does not read {unread}")
     if kind == "transition":
         return transition_channel(site, require_array(field("matrix"), "channel matrix", "a matrix of numbers"))
     if kind == "kraus":
@@ -333,8 +305,11 @@ def parse_channel(obj: dict, q: int) -> SiteChannel:
         k = require_array(field("kraus"), "channel kraus", form)
         if k.ndim != 4 or k.shape[-1] != 2:
             raise ValueError(f"channel kraus {obj['kraus']!r} is not {form}")
-        return SiteChannel(site, kraus=tuple(k[..., 0] + 1j * k[..., 1]))
-    raise ValueError(f"unknown channel kind {kind!r}")
+        return kraus_channel(site, k[..., 0] + 1j * k[..., 1])
+    p = parse_probability(field("p"))
+    if kind == "depolarizing":
+        return depolarizing(site, p, q)
+    return dephasing(site, p) if kind == "dephasing" else bitflip(site, p)
 
 
 def parse_layer(objs, q: int) -> ChannelLayer:

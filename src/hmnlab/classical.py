@@ -1,8 +1,8 @@
 """Exact classical engine: Gibbs distributions of diagonal Hamiltonians
-under transition-matrix channels, built site by site as the forward
-algorithm of a hidden Markov model does, Shannon entropies,
-post-selection, and the pinned-Hamiltonian construction for conditioning on
-channel outcomes.
+under channels that keep diagonal states diagonal (their transition
+matrices), built site by site as the forward algorithm of a hidden Markov
+model does, Shannon entropies, post-selection, and the pinned-Hamiltonian
+construction for conditioning on channel outcomes.
 
 Distributions are stored as flat probability vectors of length q^n in
 lexicographic order with site 0 most significant.
@@ -66,9 +66,10 @@ def check(h: LocalHamiltonian) -> None:
 
 
 def check_layer(layer: ChannelLayer) -> None:
-    """Raise ValueError unless every site channel is a transition matrix."""
-    if not layer.all_classical():
-        raise ValueError("classical engine accepts transition-matrix channels only")
+    """Raise ValueError unless every site channel keeps diagonal states
+    diagonal, so that it has a transition matrix."""
+    for c in layer.channels:
+        c.transition
 
 
 def energy_table(h: LocalHamiltonian) -> np.ndarray:
@@ -326,8 +327,6 @@ def pinned_hamiltonian(
     over the channelled sites reproduces the post-selected conditional."""
     pinning = {}
     for c in layer.channels:
-        if c.transition is None:
-            raise ValueError("pinning requires transition-matrix channels")
         if c.site not in y:
             raise ValueError(f"no outcome given for site {c.site}")
         col = c.transition[y[c.site], :]

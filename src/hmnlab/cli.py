@@ -10,11 +10,17 @@ Config schema (JSON object):
     model:      builtin id ("ising_chain_n8", ...) or path to a model file;
                 optional on cluster_equivalence, and there cluster_chain_n<n>;
                 certificates need a model whose terms commute
-    beta:       list of numbers >= 0 (the string "inf" allowed, no other
-                string, no bool, no NaN); certificates take betas in
-                [0, inf) only
+    beta:       nonempty list of distinct numbers >= 0 (the string "inf"
+                allowed, no other string, no bool, no NaN); certificates take
+                betas in [0, inf) only
     channel:    list of per-site channel objects, each on a site of the model
-                and of its dimension q, or on a builtin model its family's
+                and of its dimension q: {"site", "kind", and the one key the
+                kind reads}, "p" for "dephasing", "bitflip" and
+                "depolarizing", "matrix" for "transition" (column-stochastic
+                T[out, in]) and "kraus" for "kraus".  Each engine takes a
+                channel by what it does: classical one that keeps diagonal
+                states diagonal, pauli one that is diagonal in the Pauli basis
+                on a qubit-register site, dense any.  On a builtin model its family's
                 bulk channel {"kind": ..., "p": ...}, the only form decay
                 takes: kind "bitflip" (ising_chain) or "dephasing"
                 (cluster_chain); parity_chain and bell_chain take no kind
@@ -174,6 +180,8 @@ def resolve(cfg: dict) -> SimpleNamespace:
     engine = cfg.get("engine", "classical")
     betas = require_list(cfg.get("beta", [0.1]), "beta")
     r = SimpleNamespace(betas=[_parse_beta(b, exp) for b in betas], engine=engine)
+    if not r.betas or len(set(r.betas)) < len(r.betas):  # each beta is one result and one timing key
+        raise ValueError(f"beta {betas!r} is not a nonempty list of distinct values")
     output = cfg.get("output", exp)
     named = isinstance(output, str) and output not in ("", ".", "..") and "\0" not in output
     if not named or output != os.path.basename(output):
@@ -231,7 +239,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
             r.layer = _site_layer(ch, r.h.site_graph)
         else:
             r.p_noise = _bulk_p(r.family, ch)
-            r.layer = zoo.bulk_layer(r.family, n, r.p_noise, engine)
+            r.layer = zoo.bulk_layer(r.family, n, r.p_noise)
         r.partition = experiments.boundary_partition(n)
         if exp == "decay" and r.distances:  # and the smallest chain it builds
             check(zoo.build_model(r.family, r.distances[0] + 1, engine))

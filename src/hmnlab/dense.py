@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelLayer, SiteChannel
+from .channels import ChannelLayer
 from .model import HamiltonianTerm, LocalHamiltonian, SiteGraph, entropy_bits
 
 DENSE_DIM_CAP = 4096
@@ -26,7 +26,8 @@ def check(h: LocalHamiltonian) -> None:
 
 
 def check_layer(layer: ChannelLayer) -> None:
-    """Every site channel has a Kraus form, so the dense engine takes any layer."""
+    """The dense engine contracts every site channel's superoperator as it
+    is, so it takes any layer."""
 
 
 def term_matrix(graph: SiteGraph, term: HamiltonianTerm) -> np.ndarray:
@@ -73,13 +74,6 @@ def gibbs_state(h: LocalHamiltonian, beta: float) -> DensityMatrix:
     return DensityMatrix((vecs * w) @ vecs.conj().T, h.site_graph)
 
 
-def _superoperator(c: SiteChannel) -> np.ndarray:
-    """S[i, j, k, l] = sum_K K[i, k] conj(K[j, l]): the channel sends the
-    site's ket-bra entry (k, l) to (i, j)."""
-    ks = np.array(c.kraus_ops())
-    return np.einsum("aik,ajl->ijkl", ks, ks.conj())
-
-
 def apply_layer_to_matrix(m: np.ndarray, layer: ChannelLayer, graph: SiteGraph) -> np.ndarray:
     """The layer applied to one matrix or to a stack (..., dim, dim).  Each
     site channel is its q^2 x q^2 superoperator contracted on that site's ket
@@ -89,7 +83,7 @@ def apply_layer_to_matrix(m: np.ndarray, layer: ChannelLayer, graph: SiteGraph) 
     t = m.reshape(lead + (q,) * (2 * n))
     for c in layer.channels:
         ket, bra = len(lead) + c.site, len(lead) + n + c.site
-        t = np.tensordot(_superoperator(c), t, axes=([2, 3], [ket, bra]))
+        t = np.tensordot(c.superop, t, axes=([2, 3], [ket, bra]))
         t = np.moveaxis(t, (0, 1), (ket, bra))
     return t.reshape(m.shape)
 

@@ -123,7 +123,7 @@ def decay_curve(
     curve = DecayCurve(beta, family, engine)
     # each bulk channel depends on its site alone, so the (d+1)-site chain's
     # layer on sites 1..d-1 is the first d-1 channels of the longest chain's
-    bulk = zoo.bulk_layer(family, int(max(distances, default=0)) + 1, channel_p, engine)
+    bulk = zoo.bulk_layer(family, int(max(distances, default=0)) + 1, channel_p)
     for d in distances:
         n = int(d) + 1
         h = zoo.build_model(family, n, engine)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelLayer, pauli_damping_profile
+from .channels import ChannelLayer
 from .model import LocalHamiltonian, PauliString, SiteGraph, entropy_bits
 
 TERM_CAP = 22
@@ -82,7 +82,7 @@ def check(h: LocalHamiltonian) -> None:
 def check_layer(layer: ChannelLayer) -> None:
     """Raise ValueError unless every site channel has a Pauli damping profile."""
     for ch in layer.channels:
-        pauli_damping_profile(ch)
+        ch.pauli_table
 
 
 def term_group(h: LocalHamiltonian) -> tuple[tuple, list, list]:
@@ -126,7 +126,7 @@ def damp(c: np.ndarray, graph: SiteGraph, generators, layer: ChannelLayer) -> np
     k = graph.qubits_per_site
     mask = (1 << k) - 1
     for ch in layer.channels:
-        table = pauli_damping_profile(ch)
+        table = ch.pauli_table
         # local (x, z) bits of g_v at this site, as a table index
         rows = [
             (((g.x >> ch.site * k) & mask) << k) | ((g.z >> ch.site * k) & mask)

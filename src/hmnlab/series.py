@@ -11,8 +11,8 @@ Coefficients live in one of two algebras, and one product, log and norm
 serve both:
 
 * (dim, dim) matrices, multiplied by matmul: the general case, and the only
-  one for diagonal tables, transition or Kraus channels that are not
-  Pauli-diagonal, and pinned prefactors.  This is what
+  one for diagonal tables, channels that are not Pauli-diagonal, and
+  pinned prefactors.  This is what
   ``series_of_channelled_gibbs`` builds, for non-commuting terms too; the
   certificates and the CMI-operator series refuse those.
 * Character vectors over the abelian group g_v that commuting Pauli terms

@@ -108,7 +108,7 @@ def build_model(family: str, n: int, engine: str) -> LocalHamiltonian:
 BULK_KIND = {"ising_chain": "bitflip", "cluster_chain": "dephasing"}
 
 
-def default_bulk_channel(family: str, site: int, p: float, engine: str) -> SiteChannel:
+def default_bulk_channel(family: str, site: int, p: float) -> SiteChannel:
     """The noise each family is studied under: parity read-out, Bell
     measurement, bit-flip, or dephasing."""
     if family == "parity_chain":
@@ -116,18 +116,14 @@ def default_bulk_channel(family: str, site: int, p: float, engine: str) -> SiteC
     if family == "bell_chain":
         return bell_measurement(site)
     if family == "ising_chain":
-        if engine == "classical":
-            return transition_channel(site, [[1 - p, p], [p, 1 - p]])
         return bitflip(site, p)
     if family == "cluster_chain":
         return dephasing(site, p)
     raise ValueError(f"unknown model family {family!r}")
 
 
-def bulk_layer(family: str, n: int, p: float, engine: str) -> ChannelLayer:
-    return ChannelLayer(
-        tuple(default_bulk_channel(family, s, p, engine) for s in range(1, n - 1))
-    )
+def bulk_layer(family: str, n: int, p: float) -> ChannelLayer:
+    return ChannelLayer(tuple(default_bulk_channel(family, s, p) for s in range(1, n - 1)))
 
 
 _ID_RE = re.compile(r"^([a-z_]+)_n(\d+)$")

@@ -157,15 +157,26 @@ def brute_cmi_bits(probs, g, part):
     )
 
 
+def choi_kraus(c: SiteChannel) -> list:
+    """Oracle: Kraus operators of a site channel from the eigendecomposition
+    of its Choi matrix C[(i, k), (j, l)] = S[i, j, k, l] = sum_K K[i, k]
+    conj(K[j, l]): each eigenvector of eigenvalue w > 1e-15, reshaped to
+    (q, q) and scaled by sqrt(w)."""
+    q = c.dim
+    w, v = np.linalg.eigh(c.superop.transpose(0, 2, 1, 3).reshape(q * q, q * q))
+    return [math.sqrt(x) * v[:, a].reshape(q, q) for a, x in enumerate(w) if x > 1e-15]
+
+
 def brute_apply_layer(m, layer, g):
-    """Oracle: every site channel's Kraus operators as full-space matrices
-    I (x) K (x) I, applied as sum_K K m K^+ one channel after another (also
-    to a stack of matrices, through matmul broadcasting)."""
+    """Oracle: every site channel's Choi-matrix Kraus operators as
+    full-space matrices I (x) K (x) I, applied as sum_K K m K^+ one channel
+    after another (also to a stack of matrices, through matmul
+    broadcasting)."""
     out = m
     for c in layer.channels:
         left = np.eye(g.q**c.site, dtype=complex)
         right = np.eye(g.q ** (g.n_sites - c.site - 1), dtype=complex)
-        ks = [np.kron(np.kron(left, k), right) for k in c.kraus_ops()]
+        ks = [np.kron(np.kron(left, k), right) for k in choi_kraus(c)]
         out = sum(k @ out @ k.conj().T for k in ks)
     return out
 
@@ -282,25 +293,11 @@ def evaluate_series(s, lam: dict) -> np.ndarray:
 
 
 def compose_channels(first: SiteChannel, second: SiteChannel) -> SiteChannel:
-    """Reference: second after first, on the same site."""
+    """Reference: second after first, on the same site, as the contraction
+    of the two superoperators."""
     if first.site != second.site:
         raise ValueError("site mismatch")
-    if first.transition is not None and second.transition is not None:
-        return SiteChannel(first.site, transition=second.transition @ first.transition)
-    if first.pauli_mixture is not None and second.pauli_mixture is not None:
-        # conjugation ignores phases, so the composite element is just the
-        # XOR of the symplectic masks
-        acc: dict[tuple[int, int], tuple[PauliString, float]] = {}
-        for p1, w1 in first.pauli_mixture:
-            for p2, w2 in second.pauli_mixture:
-                key = (p1.x ^ p2.x, p1.z ^ p2.z)
-                prev = acc.get(key)
-                prod = prev[0] if prev else PauliString(p1.n, key[0], key[1])
-                acc[key] = (prod, (prev[1] if prev else 0.0) + w1 * w2)
-        return SiteChannel(first.site, pauli_mixture=tuple(acc.values()))
-    k1 = first.kraus_ops()
-    k2 = second.kraus_ops()
-    return SiteChannel(first.site, kraus=tuple(b @ a for a in k1 for b in k2))
+    return SiteChannel(first.site, np.einsum("ijmn,mnkl->ijkl", second.superop, first.superop))
 
 
 def commuting_product_gibbs(h, beta):

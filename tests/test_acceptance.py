@@ -56,7 +56,7 @@ def test_parity_chain_one_bit_all_lengths():
     for bulk in range(3, 9):
         n = bulk + 2
         h = zoo.parity_chain(n)
-        layer = zoo.bulk_layer("parity_chain", n, 1.0, "classical")
+        layer = zoo.bulk_layer("parity_chain", n, 1.0)
         val = experiments.evaluate_cmi(
             h, math.inf, layer, experiments.boundary_partition(n), "classical"
         )
@@ -69,7 +69,7 @@ def test_bell_chain_two_bits_both_engines():
     vals = {}
     for n, engine in ((4, "dense"), (5, "dense"), (6, "pauli"), (8, "pauli")):
         h = zoo.bell_chain(n)
-        layer = zoo.bulk_layer("bell_chain", n, 1.0, engine)
+        layer = zoo.bulk_layer("bell_chain", n, 1.0)
         vals[(n, engine)] = experiments.evaluate_cmi(
             h, math.inf, layer, experiments.boundary_partition(n), engine
         )
@@ -95,7 +95,7 @@ def test_classical_chain_markov_length():
         for d, v in curve.points:
             n = int(d) + 1
             h = zoo.build_model("ising_chain", n, "classical")
-            layer = zoo.bulk_layer("ising_chain", n, 0.2, "classical")
+            layer = zoo.bulk_layer("ising_chain", n, 0.2)
             dist = classical.apply_transitions(classical.gibbs_distribution(h, beta), layer)
             oracle = brute_cmi_bits(dist.probs, h.site_graph, experiments.boundary_partition(n))
             assert abs(v - oracle) <= 1e-10
@@ -119,7 +119,7 @@ def test_quantum_chain_decay_with_self_check():
     # unchanged, so the CMI must agree to numerical precision
     n = 5
     h = zoo.build_model("ising_chain", n, "dense")
-    layer = zoo.bulk_layer("ising_chain", n, p_noise, "dense")
+    layer = zoo.bulk_layer("ising_chain", n, p_noise)
     fwd = experiments.evaluate_cmi(h, beta, layer, experiments.boundary_partition(n), "dense")
     rev_p = Partition(frozenset({n - 1}), frozenset(range(1, n - 1)), frozenset({0}))
     rev = experiments.evaluate_cmi(h, beta, layer, rev_p, "dense")

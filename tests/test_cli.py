@@ -212,6 +212,10 @@ CLUSTER_EQ_CFG = {"experiment": "cluster_equivalence", "engine": "pauli", "beta"
 ZZ_CHAIN3_FILE = "<3-site ZZ chain model file>"
 ZZ_CHAIN3 = {"n_sites": 3, "terms": [{"support": [i, i + 1], "pauli": "ZZ", "lambda": -1.0} for i in range(2)]}
 FILE_CMI_CFG = dict(CMI_CFG, model=ZZ_CHAIN3_FILE, engine="pauli", partition={"a": [0], "b": [1], "c": [2]})
+# the Hadamard gate as one Kraus operator of [re, im] pairs: neither
+# diagonal-keeping nor Pauli-diagonal
+H = 1 / math.sqrt(2)
+HADAMARD_PAIRS = [[[[H, 0], [H, 0]], [[H, 0], [-H, 0]]]]
 
 
 @pytest.mark.parametrize(
@@ -243,16 +247,16 @@ FILE_CMI_CFG = dict(CMI_CFG, model=ZZ_CHAIN3_FILE, engine="pauli", partition={"a
         (dict(DECAY_CFG, channel={"kind": "nonsense", "p": 0.2}), "kind 'nonsense'"),
         (dict(DECAY_CFG, model="bell_chain_n5", engine="pauli"), "kind 'bitflip'"),
         (
-            dict(CMI_CFG, channel=[{"site": 1, "kind": "bitflip", "p": 0.2}]),
-            "classical engine accepts transition-matrix channels only",
+            dict(CMI_CFG, channel=[{"site": 1, "kind": "kraus", "kraus": HADAMARD_PAIRS}]),
+            "classical engine needs channels that keep diagonal states diagonal",
         ),
         (
             dict(
                 CMI_CFG,
                 engine="pauli",
-                channel=[{"site": 1, "kind": "transition", "matrix": [[0.9, 0.1], [0.1, 0.9]]}],
+                channel=[{"site": 1, "kind": "transition", "matrix": [[1.0, 0.6], [0.0, 0.4]]}],
             ),
-            "transition matrices have no Pauli damping profile",
+            "channel is not diagonal in the Pauli basis",
         ),
         (
             dict(DECAY_CFG, model="bell_chain_n5", engine="dense", channel={"p": 0.3}),
@@ -415,6 +419,22 @@ FILE_CMI_CFG = dict(CMI_CFG, model=ZZ_CHAIN3_FILE, engine="pauli", partition={"a
         (dict(CMI_CFG, beta=["0.5"]), "beta '0.5' is not a number or 'inf'"),
         (dict(CMI_CFG, beta=["Infinity"]), "beta 'Infinity' is not a number or 'inf'"),
         (dict(CMI_CFG, beta=["1e999"]), "beta '1e999' is not a number or 'inf'"),
+        (
+            dict(CMI_CFG, engine="pauli", channel=[{"site": 1, "kind": "bitflip", "p": 0.1, "matrix": [[1, 0], [0, 1]]}]),
+            "channel kind 'bitflip' does not read ['matrix']",
+        ),
+        (
+            dict(CMI_CFG, channel=[{"site": 1, "kind": "transition", "matrix": [[0.9, 0.1], [0.1, 0.9]], "p": 0.7}]),
+            "channel kind 'transition' does not read ['p']",
+        ),
+        (
+            dict(CMI_CFG, engine="dense", channel=[{"site": 1, "kind": "kraus", "kraus": HADAMARD_PAIRS, "p": 0.2}]),
+            "channel kind 'kraus' does not read ['p']",
+        ),
+        (dict(CERT_CFG, beta=[]), "beta [] is not a nonempty list of distinct values"),
+        (dict(CMI_CFG, beta=[0.3, 0.3]), "beta [0.3, 0.3] is not a nonempty list of distinct values"),
+        (dict(DECAY_CFG, beta=["inf", 1, "inf"]), "beta ['inf', 1, 'inf'] is not a nonempty list of distinct values"),
+        (dict(CLUSTER_EQ_CFG, beta=[1, 1.0]), "beta [1, 1.0] is not a nonempty list of distinct values"),
     ],
     ids=[
         "pauli_term_cap",
@@ -506,6 +526,13 @@ FILE_CMI_CFG = dict(CMI_CFG, model=ZZ_CHAIN3_FILE, engine="pauli", partition={"a
         "beta_numeric_string",
         "beta_infinity_string",
         "beta_overflow_string",
+        "bitflip_with_a_matrix",
+        "transition_with_a_p",
+        "kraus_with_a_p",
+        "certificates_beta_empty",
+        "cmi_beta_repeated",
+        "decay_beta_inf_repeated",
+        "cluster_equivalence_beta_int_and_float",
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path_factory, tmp_path, capsys, cfg, message):
@@ -569,6 +596,28 @@ def test_validate_names_every_unread_key(tmp_path, capsys, cfg, findings):
     assert validate_config(cfg) == findings
     assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {'; '.join(findings)}\n"
+
+
+def _cmi_csv(tmp_path, name, cfg):
+    assert validate_config(cfg) == []
+    assert main(["run", write_cfg(tmp_path / f"{name}.json", cfg), "--output-dir", str(tmp_path / name)]) == 0
+    return (tmp_path / name / "cmi.csv").read_text()
+
+
+def test_engines_take_a_channel_by_what_it_does(tmp_path):
+    """The classical engine takes a bit-flip written as a Pauli mixture and
+    writes the bytes of the same channel written as a transition matrix; the
+    pauli engine takes that symmetric transition, which is Pauli-diagonal,
+    and agrees with the classical engine."""
+    flip = [[0.9, 0.1], [0.1, 0.9]]
+    base = dict(CMI_CFG, beta=[0.3, 1.0, "inf"], output="cmi")
+    as_matrix = [{"site": s, "kind": "transition", "matrix": flip} for s in (1, 2, 3, 4)]
+    as_bitflip = [{"site": s, "kind": "bitflip", "p": 0.1} for s in (1, 2, 3, 4)]
+    classical = _cmi_csv(tmp_path, "matrix", dict(base, channel=as_matrix))
+    assert _cmi_csv(tmp_path, "bitflip", dict(base, channel=as_bitflip)) == classical
+    on_pauli = _cmi_csv(tmp_path, "pauli", dict(base, engine="pauli", channel=as_matrix))
+    for row, ref in zip(on_pauli.splitlines()[1:], classical.splitlines()[1:]):
+        assert float(row.split(",")[2]) == pytest.approx(float(ref.split(",")[2]), abs=1e-10)
 
 
 def test_config_not_an_object(tmp_path, capsys):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from hmnlab import classical, dense
 from hmnlab.channels import (
     ChannelLayer,
-    SiteChannel,
     bitflip,
     dephasing,
     depolarizing,
+    kraus_channel,
     transition_channel,
 )
 from hmnlab.experiments import cmi
@@ -93,7 +93,7 @@ def random_channels(rng, q, site):
     v, _ = np.linalg.qr(rng.normal(size=(3 * q, q)) + 1j * rng.normal(size=(3 * q, q)))
     out = [
         transition_channel(site, t / t.sum(axis=0)),
-        SiteChannel(site, kraus=tuple(v[i * q : (i + 1) * q] for i in range(3))),
+        kraus_channel(site, [v[i * q : (i + 1) * q] for i in range(3)]),
     ]
     if q in (2, 4):
         out.append(depolarizing(site, float(rng.uniform(0, 1)), q))

@@ -46,9 +46,6 @@ PAPER_STUDIES = {
 # every parameter default and dataclass field default in the library, with
 # the reason callers leave it unset; a new default fails until it is listed
 SETTABLE = {
-    "channels.SiteChannel.transition": "one of the three representations is given; the other two stay None",
-    "channels.SiteChannel.kraus": "one of the three representations is given; the other two stay None",
-    "channels.SiteChannel.pauli_mixture": "one of the three representations is given; the other two stay None",
     "channels.ChannelLayer.channels": "the empty layer of the thermal state and of the pinned traced series",
     "cli.main.argv": "None reads sys.argv, as the console entry point does",
     "experiments.DecayCurve.points": "a curve starts empty and add fills it",

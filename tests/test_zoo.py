@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hmnlab import classical, dense, zoo
+from hmnlab import classical, dense, pauli, zoo
+from hmnlab.channels import bitflip
 from hmnlab.experiments import boundary_partition, evaluate_cmi
 from hmnlab.model import verify_commuting
 from tests.conftest import pauli_label
@@ -48,7 +49,7 @@ def test_parity_chain_long_range_cmi():
     length; the channelled bulk parity equals |bulk| mod 2."""
     for n in (3, 4, 5):
         h = zoo.parity_chain(n)
-        layer = zoo.bulk_layer("parity_chain", n, 1.0, "classical")
+        layer = zoo.bulk_layer("parity_chain", n, 1.0)
         val = evaluate_cmi(h, math.inf, layer, boundary_partition(n), "classical")
         assert val == pytest.approx(1.0, abs=1e-10)
 
@@ -59,7 +60,7 @@ def test_parity_value_tracks_bulk_size():
     It ties A to C through B, which is why the CMI is exactly one bit."""
     for n in (3, 4, 5, 6):
         h = zoo.parity_chain(n)
-        layer = zoo.bulk_layer("parity_chain", n, 1.0, "classical")
+        layer = zoo.bulk_layer("parity_chain", n, 1.0)
         d = classical.apply_transitions(
             classical.gibbs_distribution(h, math.inf), layer
         )
@@ -77,12 +78,12 @@ def test_parity_value_tracks_bulk_size():
 
 def test_bell_chain_long_range_cmi():
     h = zoo.bell_chain(4)
-    layer = zoo.bulk_layer("bell_chain", 4, 1.0, "dense")
+    layer = zoo.bulk_layer("bell_chain", 4, 1.0)
     val = evaluate_cmi(h, math.inf, layer, boundary_partition(4), "dense")
     assert val == pytest.approx(2.0, abs=1e-9)
     # pauli engine scales further
     h6 = zoo.bell_chain(6)
-    layer6 = zoo.bulk_layer("bell_chain", 6, 1.0, "pauli")
+    layer6 = zoo.bulk_layer("bell_chain", 6, 1.0)
     val6 = evaluate_cmi(h6, math.inf, layer6, boundary_partition(6), "pauli")
     assert val6 == pytest.approx(2.0, abs=1e-9)
 
@@ -110,9 +111,14 @@ def test_ising_kind_dispatch():
     assert hc.all_diagonal and hq.all_pauli
 
 
-def test_bulk_layer_engine_dispatch():
-    lc = zoo.bulk_layer("ising_chain", 4, 0.2, "classical")
-    assert all(c.transition is not None for c in lc.channels)
-    lq = zoo.bulk_layer("ising_chain", 4, 0.2, "pauli")
-    assert all(c.pauli_mixture is not None for c in lq.channels)
-    assert lc.sites == lq.sites == {1, 2}
+def test_ising_bulk_layer_serves_every_engine():
+    """One bit-flip layer: the classical engine reads [[1-p, p], [p, 1-p]]
+    off it bit for bit, and the pauli engine (1 - p) - p for Z and Y."""
+    layer = zoo.bulk_layer("ising_chain", 4, 0.2)
+    assert layer.sites == {1, 2}
+    for c in layer.channels:
+        assert np.array_equal(c.superop, bitflip(c.site, 0.2).superop)
+        assert np.array_equal(c.transition, [[1 - 0.2, 0.2], [0.2, 1 - 0.2]])
+        assert c.pauli_table.tolist() == [1 - 0.2 + 0.2, 1 - 0.2 - 0.2, 1 - 0.2 + 0.2, 1 - 0.2 - 0.2]
+    classical.check_layer(layer)
+    pauli.check_layer(layer)
