@@ -8,12 +8,16 @@ exactly, and each term is h_a = sigma_a g_{b_a}.  The state is one vector
 
     rho = 2^{-n} sum_v c_v g_v,      c_0 = 1,
 
-built from exp(-b l h) = cosh(b l) (I - tanh(b l) h) as m vectorized updates
-c <- c - t_a sigma_a c[v xor b_a].  A channel multiplies c by per-site
-damping tables read at the local bits of g_v, which are linear in v.  A
+a (2,)*r tensor with generator i on axis r-1-i, built from
+exp(-b l h) = cosh(b l) (I - tanh(b l) h) term by term.  A term that
+introduces generator i doubles c to [c, -t_a sigma_a c]; a term inside the
+group (b_a among the existing generators) updates c <- c - t_a sigma_a
+c[v xor b_a]; a constant term (b_a = 0) cancels in the normalization.  A
+channel multiplies c by a damping table over the generators that touch its
+site, broadcast along their axes: g_v's local bits are linear in v.  A
 region's marginal lives on the subgroup supported there (the kernel of the
 generators' outside bits) and diagonalizes over its characters, so an
-entropy costs one Walsh-Hadamard transform of 2^rank values.
+entropy costs one in-place Walsh-Hadamard transform of 2^rank values.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ PRUNE = 1e-18
 
 def _xor_span(rows, dtype=np.int64) -> np.ndarray:
     """out[v] = XOR of rows[i] over the set bits i of v, by doubling."""
-    out = np.zeros(1, dtype)
-    for row in rows:
-        out = np.concatenate((out, out ^ row))
+    out = np.empty(2 ** len(rows), dtype)
+    out[0] = 0
+    for i, row in enumerate(rows):
+        np.bitwise_xor(out[: 1 << i], row, out=out[1 << i : 2 << i])
     return out
 
 
@@ -108,13 +113,19 @@ def expand_gibbs(h: LocalHamiltonian, beta: float) -> PauliExpansion:
     check(h)
     gens, coords, signs = term_group(h)
     # work with factors I - t_a h_a, t_a = tanh(beta lambda_a); the dropped
-    # cosh prefactors cancel in the final normalization
-    c = np.zeros(2 ** len(gens))
-    c[0] = 1.0
+    # cosh prefactors cancel in the final normalization, and so does a
+    # constant term (b_a = 0), which is skipped: its factor
+    # (1 - t_a sigma_a) I is exactly 0 once t_a sigma_a rounds to 1
+    c = np.ones(1)
     for t, b, sigma in zip(h.terms, coords, signs):
         lam = t.coefficient
         ta = math.tanh(beta * lam) if not math.isinf(beta) else float(np.sign(lam))
-        c = c - ta * sigma * c[np.arange(c.size) ^ b]
+        if b == c.size:
+            # b_a introduces the next generator, and c is 0 on the new half;
+            # 0.0 - x, not -x, keeps -0.0 out as the gather update does
+            c = np.concatenate((c, 0.0 - ta * sigma * c))
+        elif b:
+            c = c - ta * sigma * c[np.arange(c.size) ^ b]
     if abs(c[0]) < 1e-14:
         raise ValueError("expansion has zero trace (frustrated zero-temperature state)")
     return PauliExpansion(h.site_graph, gens, c / c[0])
@@ -122,18 +133,22 @@ def expand_gibbs(h: LocalHamiltonian, beta: float) -> PauliExpansion:
 
 def damp(c: np.ndarray, graph: SiteGraph, generators, layer: ChannelLayer) -> np.ndarray:
     """c_v f_v, with E[g_v] = f_v g_v: c times the per-site damping tables
-    read at the local bits of g_v."""
+    read at the local bits of g_v, broadcast over the generators' axes."""
     k = graph.qubits_per_site
     mask = (1 << k) - 1
     for ch in layer.channels:
-        table = ch.pauli_table
-        # local (x, z) bits of g_v at this site, as a table index
+        # local (x, z) bits of each generator at this site, as a table index
         rows = [
             (((g.x >> ch.site * k) & mask) << k) | ((g.z >> ch.site * k) & mask)
             for g in generators
         ]
         if any(rows):
-            c = c * table[_xor_span(rows, np.min_scalar_type(4**k - 1))]
+            # the factor varies only along the axes (r-1-i) of the generators
+            # that touch the site: a table over their span, broadcast; an
+            # admitted model has r <= TERM_CAP axes, inside numpy 1.x's 32
+            f = ch.pauli_table[_xor_span([row for row in rows if row], np.min_scalar_type(4**k - 1))]
+            shape = [2 if row else 1 for row in reversed(rows)]
+            c = (c.reshape((2,) * len(rows)) * f.reshape(shape)).reshape(-1)
     return c
 
 
@@ -199,14 +214,19 @@ def _nonzero_span(members: np.ndarray, d: np.ndarray) -> tuple[list, np.ndarray]
 def walsh_hadamard(x: np.ndarray) -> np.ndarray:
     """y_s = sum_v x_v (-1)^{s.v} along the last axis (length 2^r): the
     character values of the group element with coefficients x; each
-    butterfly pairs index i with i + h."""
+    butterfly pairs index i with i + h, in place on one float copy of x."""
     lead, size = x.shape[:-1], x.shape[-1]
+    y = np.array(x, dtype=float)
+    scratch = np.empty(y.size // 2)
     h = 1
     while h < size:
-        x = x.reshape(lead + (size // (2 * h), 2, h))
-        x = np.stack((x[..., 0, :] + x[..., 1, :], x[..., 0, :] - x[..., 1, :]), axis=-2)
+        pairs = y.reshape(lead + (size // (2 * h), 2, h))
+        a, b = pairs[..., 0, :], pairs[..., 1, :]
+        t = np.subtract(a, b, out=scratch.reshape(a.shape))
+        a += b
+        b[...] = t
         h *= 2
-    return x.reshape(lead + (size,))
+    return y
 
 
 def marginal_spectrum(e: PauliExpansion, region) -> tuple[np.ndarray, int]:

@@ -8,7 +8,9 @@ dense state of a pauli expansion, a series evaluated at numbers, channel
 composition, exact-n colorings, the estimate chain with no memo) are built
 from the package's primitives, one step at a time, and only the tests call
 them; so does the closed-form noisy-interface bound ``theorem3_bound``, which
-no run computes.
+no run computes.  The pauli kernels' full-length forms (one gather update per
+term, one damping gather per channel, a stacked transform, a concatenating
+span) are kept here as bit-exact references for the in-place kernels.
 """
 
 import itertools
@@ -254,6 +256,55 @@ def expansion_matrix(e) -> np.ndarray:
     for v, c in enumerate(e.coeffs):
         out += c * group_element(e.generators, v, e.n).to_matrix()
     return out / d
+
+
+def gather_expansion(h, beta) -> np.ndarray:
+    """Reference: the expansion's coefficients by one update
+    c <- c - t_a sigma_a c[v xor b_a] per term over all 2^r group elements."""
+    gens, coords, signs = term_group(h)
+    c = np.zeros(2 ** len(gens))
+    c[0] = 1.0
+    for t, b, sigma in zip(h.terms, coords, signs):
+        lam = t.coefficient
+        ta = math.tanh(beta * lam) if not math.isinf(beta) else float(np.sign(lam))
+        c = c - ta * sigma * c[np.arange(c.size) ^ b]
+    return c / c[0]
+
+
+def concatenated_xor_span(rows, dtype=np.int64) -> np.ndarray:
+    """Reference: out[v] = XOR of rows[i] over the set bits i of v, the span
+    grown by one concatenation per row."""
+    out = np.zeros(1, dtype)
+    for row in rows:
+        out = np.concatenate((out, out ^ row))
+    return out
+
+
+def gather_damp(c, graph, generators, layer) -> np.ndarray:
+    """Reference: c times each channel's damping table read at the local bits
+    of every g_v, one full-length table index per channel."""
+    k = graph.qubits_per_site
+    mask = (1 << k) - 1
+    for ch in layer.channels:
+        rows = [
+            (((g.x >> ch.site * k) & mask) << k) | ((g.z >> ch.site * k) & mask)
+            for g in generators
+        ]
+        if any(rows):
+            c = c * ch.pauli_table[concatenated_xor_span(rows, np.min_scalar_type(4**k - 1))]
+    return c
+
+
+def stacked_walsh_hadamard(x) -> np.ndarray:
+    """Reference: the Walsh-Hadamard transform along the last axis, each
+    level's sums and differences stacked into a new array."""
+    lead, size = x.shape[:-1], x.shape[-1]
+    h = 1
+    while h < size:
+        x = x.reshape(lead + (size // (2 * h), 2, h))
+        x = np.stack((x[..., 0, :] + x[..., 1, :], x[..., 0, :] - x[..., 1, :]), axis=-2)
+        h *= 2
+    return x.reshape(lead + (size,))
 
 
 def series_from_dict(n_terms, max_degree, unit, coeffs: dict) -> TruncatedSeries:

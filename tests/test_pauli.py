@@ -19,13 +19,17 @@ from hmnlab.model import (
     SiteGraph,
 )
 from tests.conftest import (
+    concatenated_xor_span,
     dependent_commuting_models,
     expansion_matrix,
+    gather_damp,
+    gather_expansion,
     ising_pauli_chain,
     masked_product,
     pauli_support,
     random_commuting_pauli_model,
     random_pauli_diagonal_layer,
+    stacked_walsh_hadamard,
 )
 
 
@@ -274,3 +278,124 @@ def test_more_than_64_qubits_matches_short_chain(tmp_path):
         csv.append(float(row.split(",")[2]))
     assert csv[0] > 1e-6
     assert csv[0] == pytest.approx(csv[1], abs=1e-12)
+
+
+def zz_ring(n):
+    """ZZ bonds around a ring, lambda = -1: the closing bond is the product
+    of the others, a term inside the group."""
+    terms = []
+    for i in range(n):
+        label = ["I"] * n
+        label[i] = label[(i + 1) % n] = "Z"
+        terms.append(HamiltonianTerm(tuple(sorted((i, (i + 1) % n))), PauliString.from_label("".join(label)), -1.0))
+    return LocalHamiltonian(SiteGraph(n), tuple(terms))
+
+
+def mixed_sign_model():
+    """Seven qubits: ZZ bonds of both signs on 0-3 with the dependent Z0Z2, a
+    field on 3, no term on 4, and XX, ZZ, YY on 5-6 (YY = -XX ZZ enters with
+    sigma = -1); the signs agree at beta = inf."""
+    labelled = (
+        ("ZZIIIII", -0.7), ("IZZIIII", 0.4), ("ZIZIIII", 0.3), ("IIZZIII", -1.0),
+        ("IIIZIII", 0.8), ("IIIIIXX", 0.6), ("IIIIIZZ", -0.2), ("IIIIIYY", -0.5),
+    )
+    terms = []
+    for label, lam in labelled:
+        p = PauliString.from_label(label)
+        terms.append(HamiltonianTerm(tuple(sorted(pauli_support(p))), p, lam))
+    return LocalHamiltonian(SiteGraph(7), tuple(terms))
+
+
+ORACLE_CASES = {
+    "zz_ring_n5": (zz_ring(5), ChannelLayer((bitflip(1, 0.2), dephasing(3, 0.1)))),
+    "zz_ring_n6": (zz_ring(6), ChannelLayer(tuple(bitflip(s, 0.15) for s in range(6)))),
+    "bell_chain_n5": (zoo.bell_chain(5), zoo.bulk_layer("bell_chain", 5, 0.0)),
+    "cluster_chain_n7": (zoo.cluster_chain(7), zoo.bulk_layer("cluster_chain", 7, 0.2)),
+    "mixed_signs": (
+        mixed_sign_model(),
+        ChannelLayer((bitflip(1, 0.3), dephasing(4, 0.2), depolarizing(5, 0.4, 2), bitflip(6, 0.1))),
+    ),
+}
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4, math.inf])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_kernels_match_full_length_references_bit_for_bit(case, beta):
+    """Expansion by doubling and damping broadcast over the touched
+    generators give the bits of one gather per term and one per channel;
+    site 4 of the mixed model has no term, so its channel damps nothing."""
+    h, layer = ORACLE_CASES[case]
+    e = pauli.expand_gibbs(h, beta)
+    assert_same_bits(e.coeffs, gather_expansion(h, beta))
+    damped = pauli.apply_pauli_layer(e, layer).coeffs
+    assert_same_bits(damped, gather_damp(e.coeffs, h.site_graph, e.generators, layer))
+
+
+@pytest.mark.parametrize("r", range(13))
+def test_walsh_hadamard_in_place_matches_stacked_reference(r, rng):
+    """The same sums on one float copy: the input is left as it was."""
+    for x in (rng.standard_normal(2**r), rng.standard_normal((3, 2**r))):
+        before = x.copy()
+        assert_same_bits(pauli.walsh_hadamard(x), stacked_walsh_hadamard(x))
+        assert_same_bits(x, before)
+
+
+def test_xor_span_matches_concatenation(rng):
+    for k in range(17):
+        rows = [int(v) for v in rng.integers(1, 1 << 40, k)]
+        assert_same_bits(pauli._xor_span(rows), concatenated_xor_span(rows))
+        local = [v & 15 for v in rows]
+        assert_same_bits(pauli._xor_span(local, np.uint8), concatenated_xor_span(local, np.uint8))
+
+
+def chain_with_constant_term(lam):
+    chain = ising_pauli_chain(3)
+    constant = HamiltonianTerm((1,), PauliString.from_label("III"), lam)
+    return LocalHamiltonian(chain.site_graph, chain.terms + (constant,))
+
+
+@pytest.mark.parametrize("lam", [0.5, -0.5])
+def test_constant_term_matches_dense(lam):
+    """A term lam I only shifts the energy.  Its factor I - tanh(beta lam) I
+    is exactly 0 once tanh rounds to 1, so the expansion skips it; the
+    normalization cancels it at every beta."""
+    h = chain_with_constant_term(lam)
+    layer = ChannelLayer((bitflip(1, 0.1),))
+    p = Partition(frozenset({0}), frozenset({1}), frozenset({2}))
+    for beta in (0.0, 1.0, 40.0, math.inf):
+        e = pauli.prepare(h, beta, layer)
+        rho = dense.apply_layer(dense.gibbs_state(h, beta), layer)
+        assert np.max(np.abs(expansion_matrix(e) - rho.entries)) < 1e-12
+        assert cmi(pauli, e, p) == pytest.approx(cmi(dense, rho, p), abs=1e-10)
+
+
+def test_cli_runs_a_constant_term_on_pauli(tmp_path, capsys):
+    """The model file validate passes runs on pauli and writes dense's CMI."""
+    terms = [{"support": [i, i + 1], "pauli": "ZZ", "lambda": -1.0} for i in range(2)]
+    terms.append({"support": [1], "pauli": "I", "lambda": 0.5})
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"n_sites": 3, "terms": terms}))
+    cmi_bits = {}
+    for engine in ("pauli", "dense"):
+        cfg = tmp_path / f"{engine}.json"
+        cfg.write_text(json.dumps({
+            "experiment": "cmi",
+            "model": str(model),
+            "engine": engine,
+            "beta": ["inf", 40.0, 1.0],
+            "partition": {"a": [0], "b": [1], "c": [2]},
+            "channel": [{"site": 1, "kind": "bitflip", "p": 0.1}],
+            "output": engine,
+        }))
+        assert main(["validate", str(cfg)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / f"{engine}.csv").read_text().strip().split("\n")[1:]
+        cmi_bits[engine] = [float(row.split(",")[2]) for row in rows]
+    assert cmi_bits["pauli"][0] > 0.4
+    assert cmi_bits["pauli"] == pytest.approx(cmi_bits["dense"], abs=1e-12)
