@@ -65,9 +65,9 @@ def check(h: LocalHamiltonian) -> None:
         raise ValueError("classical engine requires diagonal terms; got non-diagonal terms")
 
 
-def check_layer(layer: ChannelLayer) -> None:
+def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> None:
     """Raise ValueError unless every site channel keeps diagonal states
-    diagonal, so that it has a transition matrix."""
+    diagonal, so that it has a transition matrix, on any model."""
     for c in layer.channels:
         c.transition
 
@@ -130,8 +130,8 @@ def _transition(t: np.ndarray, p: np.ndarray, left: int, out: np.ndarray) -> Non
 
 def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
     """Each site channel is one ``_transition`` of the flat vector, written
-    into one of two fresh buffers in turn, so ``d.probs`` is never written."""
-    check_layer(layer)
+    into one of two fresh buffers in turn, so ``d.probs`` is never written;
+    a channel with no transition matrix raises before anything is returned."""
     q = d.graph.q
     p = d.probs
     bufs = []
@@ -221,7 +221,7 @@ def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> Distributi
     overflow and ``_sweep`` computes the state; otherwise, and at
     beta = inf, ``gibbs_distribution`` does from the energy table."""
     check(h)
-    check_layer(layer)
+    check_layer(h, layer)
     spread = sum(float(a.max() - a.min()) for a in (t.coefficient * t.operator for t in h.terms))
     if math.isfinite(beta) and abs(beta) * spread <= _SWEEP_LOG_RANGE:
         return Distribution(_sweep(h, beta, layer), h.site_graph)

@@ -3,7 +3,8 @@
     hmnlab run config.json [--override key=value ...] [--output-dir DIR]
     hmnlab validate config.json
 
-Exit codes: 0 success, 2 a certificate/bound check failed, 1 tooling error.
+Exit codes: 0 success, 2 a certificate/bound check failed, 1 tooling error;
+``validate`` exits 0 with no finding and 1 with any.
 
 Config schema (JSON object):
     experiment: "decay" | "cmi" | "certificates" | "cluster_equivalence"
@@ -173,9 +174,10 @@ def resolve(cfg: dict) -> SimpleNamespace:
     """Everything ``run`` takes from a config whose experiment and engine are
     known: betas, the engine that runs, model, channel layer and partition.
     The model passes that engine's ``check`` before the channel is read, and
-    the channel layer its ``check_layer``; a decay experiment is resolved at
-    its largest distance, and its chain at the smallest distance is built and
-    checked too.  ``validate`` reports whatever this raises."""
+    the channel layer its ``check_layer`` on the model (on pauli, the rank of
+    the state the layer keeps); a decay experiment is resolved at its largest
+    distance, and its chain at the smallest distance is built and checked
+    too.  ``validate`` reports whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
     betas = require_list(cfg.get("beta", [0.1]), "beta")
@@ -188,7 +190,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
         raise ValueError(f"output {output!r} is not a file name (non-empty, no path separator or NUL, not . or ..)")
     if exp == "certificates" or (exp == "cluster_equivalence" and engine == "classical"):
         r.engine = "dense"  # the series are dense; the equivalence has no classical path
-    check = experiments.ENGINES[r.engine].check
+    check, check_layer = experiments.ENGINES[r.engine].check, experiments.ENGINES[r.engine].check_layer
     if exp == "cluster_equivalence":  # always the cluster chain of n sites
         r.n = require_int(cfg.get("n", 6), "n", 1)
         if "model" in cfg and cfg["model"] != f"cluster_chain_n{r.n}":
@@ -196,7 +198,9 @@ def resolve(cfg: dict) -> SimpleNamespace:
                 f"cluster_equivalence runs the cluster chain of n = {r.n} sites; "
                 f"model {cfg['model']!r} is not 'cluster_chain_n{r.n}'"
             )
-        check(zoo.cluster_chain(r.n))
+        h = zoo.cluster_chain(r.n)
+        check(h)
+        check_layer(h, ChannelLayer())  # the thermal state, under no channel
         return r
     model = cfg.get("model", "")
     if not isinstance(model, str):
@@ -243,7 +247,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
         r.partition = experiments.boundary_partition(n)
         if exp == "decay" and r.distances:  # and the smallest chain it builds
             check(zoo.build_model(r.family, r.distances[0] + 1, engine))
-    experiments.ENGINES[r.engine].check_layer(r.layer)
+    check_layer(r.h, r.layer)
     if exp == "certificates":
         r.max_weight = cfg.get("max_weight", 4)
         series.check_weight(r.max_weight)
@@ -401,7 +405,7 @@ def main(argv=None) -> int:
             for f in findings:
                 print(f"finding: {f}")
             print(f"{len(findings)} finding(s)")
-            return 0
+            return 1 if findings else 0
         return run_experiment(apply_overrides(cfg, args.override), args.output_dir)
     except Exception as e:  # tooling failure, distinct from bound violations
         print(f"error: {e}", file=sys.stderr)

@@ -25,9 +25,9 @@ def check(h: LocalHamiltonian) -> None:
         raise ValueError(f"dimension {dim} exceeds dense cap {DENSE_DIM_CAP}")
 
 
-def check_layer(layer: ChannelLayer) -> None:
+def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> None:
     """The dense engine contracts every site channel's superoperator as it
-    is, so it takes any layer."""
+    is, so it takes any layer on any model it takes."""
 
 
 def term_matrix(graph: SiteGraph, term: HamiltonianTerm) -> np.ndarray:

@@ -16,7 +16,7 @@ from .model import LocalHamiltonian, Partition
 
 CMI_FLOOR = 1e-12
 
-# Each engine module has check(h), check_layer(layer), prepare(h, beta,
+# Each engine module has check(h), check_layer(h, layer), prepare(h, beta,
 # layer) -> state and region_entropy(state, region) in bits.  The seam reads
 # them as module attributes at call time, so a patched engine function is the
 # one called.
@@ -146,8 +146,9 @@ def cluster_gibbs_equivalence(n: int, beta: float, engine: str) -> dict:
     if engine == "dense":
         diff = np.linalg.eigvalsh(thermal.entries - dephased.entries)
         dist = 0.5 * float(np.abs(diff).sum())
-    else:  # both expansions come from h, so they share generators and index
-        dist = float(np.max(np.abs(thermal.coeffs - dephased.coeffs)))
+    else:  # the thermal state keeps h's whole term group, the dephased one a
+        # subgroup of it (at p = 1/2 only the Z-only products): one index
+        dist = float(np.max(np.abs(thermal.coeffs - pauli.lift(dephased, thermal.generators))))
     return {
         "n": n,
         "beta": beta,

@@ -95,18 +95,16 @@ class PauliString:
         return cls(n, 0, 0, 1)
 
     def commutes_with(self, other: "PauliString") -> bool:
-        a = bin(self.x & other.z).count("1")
-        b = bin(self.z & other.x).count("1")
-        return (a + b) % 2 == 0
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         x3, z3 = self.x ^ other.x, self.z ^ other.z
-        y1 = bin(self.x & self.z).count("1")
-        y2 = bin(other.x & other.z).count("1")
-        y3 = bin(x3 & z3).count("1")
-        swaps = bin(self.z & other.x).count("1")
+        y1 = (self.x & self.z).bit_count()
+        y2 = (other.x & other.z).bit_count()
+        y3 = (x3 & z3).bit_count()
+        swaps = (self.z & other.x).bit_count()
         phase = (y1 + y2 - y3 + 2 * swaps) % 4
         if phase % 2:
             raise ValueError("product of anticommuting Paulis is not Hermitian")
@@ -226,19 +224,23 @@ _ENTROPY_BLOCK = 1 << 13
 
 def entropy_bits(values, degeneracy: int = 1) -> float:
     """Entropy in bits of a probability vector or spectrum whose every value
-    occurs ``degeneracy`` times.  A value below -1e-10 raises, on every
-    engine; values <= 1e-18 (and NaN) count as zero, and none is raised to a
+    occurs ``degeneracy`` times.  The rules go by the mass a value carries,
+    value times degeneracy, on every engine: a mass below -1e-10 raises, and
+    values of mass <= 1e-18 (and NaN) count as zero; none is raised to a
     floor.  Summed in chunks of ``_ENTROPY_BLOCK`` values, whose sums are
     added exactly (no rounding from the chunking)."""
     v = np.ravel(values)
+    # a pauli marginal on nq qubits has values near 2^-nq, each 2^(nq - rank)
+    # times: an absolute floor would drop all of them from nq = 60 on
+    floor, low_mass = 1e-18 / degeneracy, -1e-10 / degeneracy
     parts = []
     for i in range(0, v.size, _ENTROPY_BLOCK):
         c = v[i : i + _ENTROPY_BLOCK]
-        if not c.min() > 1e-18:  # a value to drop, or a NaN
+        if not c.min() > floor:  # a value to drop, or a NaN
             low = np.fmin.reduce(c)  # skips NaN, which min returns over any value
-            if low < -1e-10:
-                raise ValueError(f"entropy input has a value {low} < -1e-10")
-            c = c[c > 1e-18]
+            if low < low_mass:
+                raise ValueError(f"entropy input has a value {low} < {low_mass:g}")
+            c = c[c > floor]
         parts.append(float(np.dot(c, np.log(c))))
     return float(-degeneracy * math.fsum(parts) / math.log(2.0))
 

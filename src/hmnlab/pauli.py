@@ -4,17 +4,27 @@ Pauli-diagonal channels.
 F2 elimination of the terms' symplectic vectors (Aaronson-Gottesman form)
 picks r independent generators G_i among them.  With g_v = prod_{i in v} G_i
 in index order, commutation and G_i^2 = I give g_v g_w = g_{v xor w}
-exactly, and each term is h_a = sigma_a g_{b_a}.  The state is one vector
+exactly, and each term is h_a = sigma_a g_{b_a}.  A channel multiplies g_v
+by a factor read off its damping table at the local bits of g_v, which are
+linear in v.  Where a table has exact zeros, the g_v whose local bits lie
+outside the span of its nonzero entries are zeroed, so the layer keeps a
+subspace K of F2^r (all of it where no table has a zero).  The state is one
+vector over a basis of K,
 
-    rho = 2^{-n} sum_v c_v g_v,      c_0 = 1,
+    rho = 2^{-n} sum_{v in K} c_v g_v,      c_0 = 1,
 
-a (2,)*r tensor with generator i on axis r-1-i, built from
-exp(-b l h) = cosh(b l) (I - tanh(b l) h) term by term.  A term that
-introduces generator i doubles c to [c, -t_a sigma_a c]; a term inside the
-group (b_a among the existing generators) updates c <- c - t_a sigma_a
-c[v xor b_a]; a constant term (b_a = 0) cancels in the normalization.  A
-channel multiplies c by a damping table over the generators that touch its
-site, broadcast along their axes: g_v's local bits are linear in v.  A
+a (2,)*k tensor with kept generator i on axis k-1-i.  From exp(-b l h) =
+cosh(b l) (I - tanh(b l) h), c_v is the sum of prod_{a in S} (-t_a sigma_a)
+over the term subsets S with XOR of b_a equal to v, normalized by c_0.
+Where K is the whole group, c is built term by term: a term that introduces
+generator i doubles c to [c, -t_a sigma_a c]; a term inside the group
+(b_a among the existing generators) updates c <- c - t_a sigma_a
+c[v xor b_a]; a constant term (b_a = 0) cancels in the normalization.  Where
+K is smaller, the subsets S that land in K form a subspace of dimension
+dim K plus the number of dependent terms, and c is summed over it; the
+vector the expansion builds has the smaller of that rank and r, and
+TERM_CAP bounds it.  A channel multiplies c by a damping table over the
+kept generators that touch its site, broadcast along their axes.  A
 region's marginal lives on the subgroup supported there (the kernel of the
 generators' outside bits) and diagonalizes over its characters, so an
 entropy costs one in-place Walsh-Hadamard transform of 2^rank values.
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,20 +65,49 @@ def _reduce(pivots: dict, word: int, mask: int) -> tuple[int, int]:
     return word, mask
 
 
+def _kernel(words) -> list:
+    """A basis, as masks v, of {v : XOR of words[i] over the set bits i of v
+    is 0}.  Each mask's highest bit is its own: the other bits are pivots,
+    which no mask owns."""
+    pivots: dict = {}
+    out = []
+    for i, w in enumerate(words):
+        word, mask = _reduce(pivots, w, 1 << i)
+        if not word:
+            out.append(mask)
+    return out
+
+
+def _combine(words, v: int) -> int:
+    """XOR of words[i] over the set bits i of v."""
+    out = 0
+    while v:
+        i = v.bit_length() - 1
+        out, v = out ^ words[i], v ^ (1 << i)
+    return out
+
+
+def _local_rows(generators, site: int, k: int) -> list:
+    """Each generator's (x, z) bits on the site's k qubits, as a table index."""
+    mask = (1 << k) - 1
+    return [(((g.x >> site * k) & mask) << k) | ((g.z >> site * k) & mask) for g in generators]
+
+
 def group_element(gens, v: int, n: int) -> PauliString:
     """g_v: the generators in v multiplied in index order."""
-    out = PauliString.identity(n)
-    for i, g in enumerate(gens):
-        if v >> i & 1:
-            out = out * g
-    return out
+    out = None
+    while v:
+        g = gens[(v & -v).bit_length() - 1]
+        out = g if out is None else out * g
+        v &= v - 1
+    return PauliString.identity(n) if out is None else out
 
 
 @dataclass
 class PauliExpansion:
     graph: SiteGraph
-    generators: tuple  # independent commuting PauliStrings G_i, each of sign +1
-    coeffs: np.ndarray  # c_v, the coefficient of g_v, for v in [0, 2^r)
+    generators: tuple  # independent commuting PauliStrings G_i, each of sign +-1
+    coeffs: np.ndarray  # c_v, the coefficient of g_v, for v in [0, 2^len(generators))
 
     @property
     def n(self) -> int:
@@ -75,19 +115,19 @@ class PauliExpansion:
 
 
 def check(h: LocalHamiltonian) -> None:
-    """Raise ValueError unless ``h`` is at most TERM_CAP commuting Pauli terms."""
+    """Raise ValueError unless ``h`` is commuting Pauli terms; the size of its
+    expansion depends on the layer too, and ``check_layer`` bounds it."""
     if not h.all_pauli:
         raise ValueError("Pauli engine needs Pauli terms")
     if not h.commuting:
         raise ValueError("Hamiltonian terms do not commute")
-    if len(h.terms) > TERM_CAP:
-        raise ValueError(f"{len(h.terms)} terms exceed cap {TERM_CAP}")
 
 
-def check_layer(layer: ChannelLayer) -> None:
-    """Raise ValueError unless every site channel has a Pauli damping profile."""
-    for ch in layer.channels:
-        ch.pauli_table
+def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> None:
+    """Raise ValueError unless every site channel has a Pauli damping profile
+    and the expansion of ``h`` on the subspace the layer keeps is within
+    TERM_CAP."""
+    _kept_group(h, layer.channels)
 
 
 def term_group(h: LocalHamiltonian) -> tuple[tuple, list, list]:
@@ -108,44 +148,146 @@ def term_group(h: LocalHamiltonian) -> tuple[tuple, list, list]:
     return tuple(gens), coords, signs
 
 
-def expand_gibbs(h: LocalHamiltonian, beta: float) -> PauliExpansion:
-    """Expansion of exp(-beta H)/Z; beta=inf uses tanh(+-inf) = +-1 factors."""
-    check(h)
+@lru_cache(maxsize=1024)
+def _check_words(table: bytes) -> tuple[tuple, int]:
+    """For a damping table (as bytes) with a zero: a basis of its parity
+    checks, the w with w.u even on every nonzero entry u, whose common kernel
+    is the span of those entries; returned as the check word of every local
+    row (bit j is the parity of w_j & row) and the number of checks."""
+    t = np.frombuffer(table)
+    nonzero = np.flatnonzero(t).tolist()
+    pivots: dict = {}
+    checks = [
+        w
+        for w in range(1, t.size)
+        if not any((w & u).bit_count() % 2 for u in nonzero) and _reduce(pivots, w, 0)[0]
+    ]
+    return tuple(sum(((w & row).bit_count() % 2) << j for j, w in enumerate(checks)) for row in range(t.size)), len(checks)
+
+
+def _checks(graph: SiteGraph, generators, channels) -> list:
+    """Per generator, the check bits that the channels' zero factors put on
+    its local bits; g_v is kept where the XOR of the generators' words over v
+    is 0.  A table with no zero adds no check."""
+    k = graph.qubits_per_site
+    words = [0] * len(generators)
+    shift = 0
+    for ch in channels:
+        table = ch.pauli_table
+        if table.all():
+            continue
+        word_of, width = _check_words(table.tobytes())
+        for i, row in enumerate(_local_rows(generators, ch.site, k)):
+            words[i] |= word_of[row] << shift
+        shift += width
+    return words
+
+
+def _kept_group(h: LocalHamiltonian, channels) -> tuple:
+    """``term_group(h)``, the generators' check words, a basis of the kept
+    subspace K as masks, and the rank of the vector the expansion builds:
+    r where K is the whole group, else the smaller of r and dim K plus the
+    number of dependent terms.  Raises past TERM_CAP."""
     gens, coords, signs = term_group(h)
+    words = _checks(h.site_graph, gens, channels)
+    kept = _kernel(words)
+    r = len(gens)
+    dependent = sum(1 for b in coords if b) - r
+    rank = r if len(kept) == r else min(r, len(kept) + dependent)
+    if rank > TERM_CAP:
+        raise ValueError(f"pauli expansion of rank {rank} exceeds cap {TERM_CAP}")
+    return gens, coords, signs, words, kept, rank
+
+
+def _kept_sum(live, words, kept) -> np.ndarray:
+    """c on K, unnormalized: the sum over the term subsets S whose b_S (the
+    XOR of their b_a) lies in K of prod_{a in S} (-t_a sigma_a), for the
+    non-constant terms ``live`` = [(b_a, t_a sigma_a)].  Those S are the
+    kernel of S -> the check bits of b_S; the subset of basis members u holds
+    term a where col_a . u is odd (col_a: the members holding a), and lands
+    at the K coordinates of b_S, its bits at the kept masks' own bits."""
+    bs = [b for b, _ in live]
+    subsets = _kernel([_combine(words, b) for b in bs])
+    own = [v.bit_length() - 1 for v in kept]
+    at = [_combine(bs, m) for m in subsets]
+    index = _xor_span([sum(((b >> o) & 1) << j for j, o in enumerate(own)) for b in at])
+    factors: dict = {}
+    for a, (_, s) in enumerate(live):
+        col = sum(((m >> a) & 1) << j for j, m in enumerate(subsets))
+        if col:
+            factors[col] = factors.get(col, 1.0) * -s
+    z = np.ones(index.size)
+    for col, f in factors.items():
+        z[_xor_span([(col >> j) & 1 for j in range(len(subsets))], np.uint8) == 1] *= f
+    return np.bincount(index, weights=z, minlength=2 ** len(kept))
+
+
+def expand_gibbs(h: LocalHamiltonian, beta: float, *channels) -> PauliExpansion:
+    """Expansion of exp(-beta H)/Z on the subspace K the given site channels
+    keep, the whole group where no table has a zero; beta=inf uses
+    tanh(+-inf) = +-1 factors."""
+    check(h)
+    gens, coords, signs, words, kept, rank = _kept_group(h, channels)
     # work with factors I - t_a h_a, t_a = tanh(beta lambda_a); the dropped
     # cosh prefactors cancel in the final normalization, and so does a
     # constant term (b_a = 0), which is skipped: its factor
     # (1 - t_a sigma_a) I is exactly 0 once t_a sigma_a rounds to 1
-    c = np.ones(1)
-    for t, b, sigma in zip(h.terms, coords, signs):
+    ts = []
+    for t, sigma in zip(h.terms, signs):
         lam = t.coefficient
         ta = math.tanh(beta * lam) if not math.isinf(beta) else float(np.sign(lam))
-        if b == c.size:
-            # b_a introduces the next generator, and c is 0 on the new half;
-            # 0.0 - x, not -x, keeps -0.0 out as the gather update does
-            c = np.concatenate((c, 0.0 - ta * sigma * c))
-        elif b:
-            c = c - ta * sigma * c[np.arange(c.size) ^ b]
+        ts.append(ta * sigma)
+    whole = len(kept) == len(gens)
+    if rank < len(gens):
+        c = _kept_sum([(b, s) for b, s in zip(coords, ts) if b], words, kept)
+    else:
+        c = np.ones(1)
+        for b, s in zip(coords, ts):
+            if b == c.size:
+                # b_a introduces the next generator, and c is 0 on the new half;
+                # 0.0 - x, not -x, keeps -0.0 out as the gather update does
+                c = np.concatenate((c, 0.0 - s * c))
+            elif b:
+                c = c - s * c[np.arange(c.size) ^ b]
+        if not whole:
+            c = c[_xor_span(kept)]
     if abs(c[0]) < 1e-14:
         raise ValueError("expansion has zero trace (frustrated zero-temperature state)")
+    if not whole:  # the kept basis, each g_v with its sign
+        gens = tuple(group_element(gens, v, h.site_graph.n_qubits) for v in kept)
     return PauliExpansion(h.site_graph, gens, c / c[0])
+
+
+def lift(e: PauliExpansion, generators) -> np.ndarray:
+    """The coefficients of ``e`` over the group of ``generators``, which holds
+    e's own generators (each a product g_v of them, sign included); 0 off
+    e's subgroup."""
+    n = e.n
+    pivots: dict = {}
+    for i, g in enumerate(generators):
+        _reduce(pivots, (g.x << n) | g.z, 1 << i)
+    masks = []
+    for g in e.generators:
+        word, mask = _reduce(pivots, (g.x << n) | g.z, 0)
+        if word or group_element(generators, mask, n) != g:
+            raise ValueError("the expansion's generators are not products of the given ones")
+        masks.append(mask)
+    out = np.zeros(2 ** len(generators))
+    out[_xor_span(masks)] = e.coeffs
+    return out
 
 
 def damp(c: np.ndarray, graph: SiteGraph, generators, layer: ChannelLayer) -> np.ndarray:
     """c_v f_v, with E[g_v] = f_v g_v: c times the per-site damping tables
     read at the local bits of g_v, broadcast over the generators' axes."""
     k = graph.qubits_per_site
-    mask = (1 << k) - 1
     for ch in layer.channels:
-        # local (x, z) bits of each generator at this site, as a table index
-        rows = [
-            (((g.x >> ch.site * k) & mask) << k) | ((g.z >> ch.site * k) & mask)
-            for g in generators
-        ]
+        rows = _local_rows(generators, ch.site, k)
         if any(rows):
             # the factor varies only along the axes (r-1-i) of the generators
             # that touch the site: a table over their span, broadcast; an
-            # admitted model has r <= TERM_CAP axes, inside numpy 1.x's 32
+            # admitted expansion has at most TERM_CAP axes, inside numpy
+            # 1.x's 32
             f = ch.pauli_table[_xor_span([row for row in rows if row], np.min_scalar_type(4**k - 1))]
             shape = [2 if row else 1 for row in reversed(rows)]
             c = (c.reshape((2,) * len(rows)) * f.reshape(shape)).reshape(-1)
@@ -158,7 +300,8 @@ def apply_pauli_layer(e: PauliExpansion, layer: ChannelLayer) -> PauliExpansion:
 
 
 def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> PauliExpansion:
-    return apply_pauli_layer(expand_gibbs(h, beta), layer)
+    """The expansion on the subspace the layer keeps, damped by the layer."""
+    return apply_pauli_layer(expand_gibbs(h, beta, *layer.channels), layer)
 
 
 @dataclass
@@ -177,12 +320,7 @@ def restricted_group(e: PauliExpansion, region) -> RestrictedGroup:
     outside = ((1 << n) - 1) ^ sum(1 << q for q in qs)
     # F2 kernel of the generators' outside-region bits: the exponent masks v
     # whose g_v is supported inside the region
-    pivots: dict = {}
-    kernel = []
-    for i, g in enumerate(e.generators):
-        word, mask = _reduce(pivots, ((g.x & outside) << n) | (g.z & outside), 1 << i)
-        if not word:
-            kernel.append(mask)
+    kernel = _kernel([((g.x & outside) << n) | (g.z & outside) for g in e.generators])
     members = _xor_span(kernel)
     d = e.coeffs[members]
     if np.all(np.abs(d) >= PRUNE):
@@ -234,7 +372,7 @@ def marginal_spectrum(e: PauliExpansion, region) -> tuple[np.ndarray, int]:
     group character) and the degeneracy they each carry."""
     grp = restricted_group(e, region)
     nq = len(grp.qubits)
-    return walsh_hadamard(grp.elements) / 2**nq, 2 ** (nq - len(grp.generators))
+    return walsh_hadamard(grp.elements) / 2.0**nq, 2 ** (nq - len(grp.generators))
 
 
 def marginal_entropy(e: PauliExpansion, region) -> float:
@@ -242,7 +380,7 @@ def marginal_entropy(e: PauliExpansion, region) -> float:
     if not set(region):
         return 0.0
     lam, deg = marginal_spectrum(e, region)
-    total = lam.sum() * deg
+    total = float(lam.sum()) * deg
     if abs(total - 1) > 1e-10:
         raise ValueError(f"marginal trace {total} != 1")
     return entropy_bits(lam, deg)

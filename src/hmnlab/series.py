@@ -238,10 +238,15 @@ def _character_series(
 
 def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
     """``_character_series`` where the pauli engine admits the model and the
-    layer, else ``series_of_channelled_gibbs``."""
+    layer and the model has at most TERM_CAP terms, else
+    ``series_of_channelled_gibbs``.  The characters span the whole term
+    group whatever the layer keeps, and its rank r is at most the number of
+    terms."""
+    if len(h.terms) > pauli.TERM_CAP:
+        return series_of_channelled_gibbs
     try:
         pauli.check(h)
-        pauli.check_layer(layer)
+        pauli.check_layer(h, layer)
     except ValueError:
         return series_of_channelled_gibbs
     return _character_series

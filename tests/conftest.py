@@ -134,10 +134,11 @@ def brute_entropy_bits(probs, g, region):
 
 
 def entropy_bits_reference(values, degeneracy=1):
-    """Reference: p log p over the values above 1e-18 in one expression, with
-    full-size temporaries and numpy's pairwise sum."""
+    """Reference: p log p over the values of mass (value times degeneracy)
+    above 1e-18 in one expression, with full-size temporaries and numpy's
+    pairwise sum."""
     v = np.ravel(values)
-    v = v[v > 1e-18]
+    v = v[v * degeneracy > 1e-18]
     return float(-degeneracy * (v * np.log(v)).sum() / math.log(2.0))
 
 

@@ -150,12 +150,78 @@ def test_cluster_equivalence_cli(tmp_path):
     assert all(r["pass"] for r in res["equivalence"])
 
 
+@pytest.mark.parametrize("engine", ["pauli", "dense"])
+def test_cluster_equivalence_cli_at_beta_zero(tmp_path, engine):
+    """At beta = 0 the dephasing p = 1/2 zeroes every X-carrying stabilizer,
+    so the dephased pauli state keeps the identity alone; both states are
+    compared on one index and the check passes."""
+    cfg = {"experiment": "cluster_equivalence", "engine": engine, "beta": [0.0, 0.5], "n": 5, "output": "eq"}
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "eq.json").read_text())["equivalence"]
+    assert [r["p"] for r in res][0] == "0.5" and all(r["pass"] for r in res)
+
+
+@pytest.mark.parametrize("n, distances", [(13, list(range(2, 13))), (41, list(range(2, 41, 2)))])
+def test_bell_chain_decay_past_the_old_term_cap(tmp_path, capsys, n, distances):
+    """bell_chain_n13 (24 terms) and bell_chain_n41 (80 terms) validate and
+    run on pauli: Bell measurement keeps two generators, the beta = inf rows
+    read 2 bits (exactly up to d = 28, where the entropies are below 60
+    bits), the beta = 1 rows decay, and a rerun writes the same bytes."""
+    cfg = {
+        "experiment": "decay",
+        "model": f"bell_chain_n{n}",
+        "engine": "pauli",
+        "beta": ["inf", 1.0],
+        "distances": distances,
+        "output": "bell",
+    }
+    path = write_cfg(tmp_path / "c.json", cfg)
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == "0 finding(s)\n"
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 0
+    rows = [r.split(",") for r in (tmp_path / "out" / "bell.csv").read_text().split()[1:]]
+    cold = [(int(d), float(v)) for b, d, v in rows if b == "inf"]
+    warm = [float(v) for b, _, v in rows if b == "1"]
+    assert [d for d, _ in cold] == distances and len(warm) == len(distances)
+    assert all(v == 2.0 for d, v in cold if d <= 28)
+    assert all(abs(v - 2.0) <= 1e-12 for _, v in cold)
+    assert all(a > b > 0 for a, b in zip(warm, warm[1:]))
+    assert main(["run", str(tmp_path / "out" / "bell.manifest.json"), "--output-dir", str(tmp_path / "rerun")]) == 0
+    for name in ("bell.csv", "bell.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "rerun" / name).read_bytes()
+
+
+def test_validate_reports_the_kept_rank(tmp_path, capsys):
+    """Bit-flip p = 1/2 on a bulk site keeps the products with even Z parity
+    there, one generator fewer per site: on the 40-site Ising chain 10 such
+    sites keep rank 29, a finding whose text run fails with, and 20 keep
+    rank 19, which runs."""
+    cfg = {
+        "experiment": "cmi",
+        "model": "ising_chain_n40",
+        "engine": "pauli",
+        "beta": [0.5],
+        "output": "cmi",
+    }
+    too_big = dict(cfg, channel=[{"site": s, "kind": "bitflip", "p": 0.5} for s in range(1, 11)])
+    assert validate_config(too_big) == ["pauli expansion of rank 29 exceeds cap 22"]
+    path = write_cfg(tmp_path / "big.json", too_big)
+    assert main(["validate", path]) == 1
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert "error: pauli expansion of rank 29 exceeds cap 22" in capsys.readouterr().err
+    fits = dict(cfg, channel=[{"site": s, "kind": "bitflip", "p": 0.5} for s in range(1, 21)])
+    assert validate_config(fits) == []
+    assert main(["run", write_cfg(tmp_path / "fits.json", fits), "--output-dir", str(tmp_path / "out")]) == 0
+
+
 def test_validate_subcommand(tmp_path, capsys):
+    """validate exits 0 with no finding and 1 with any, so a script can
+    branch on the exit code."""
     cfg = write_cfg(tmp_path / "c.json", DECAY_CFG)
     assert main(["validate", cfg]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
     bad = write_cfg(tmp_path / "bad.json", dict(DECAY_CFG, engine="magic"))
-    assert main(["validate", bad]) == 0
+    assert main(["validate", bad]) == 1
     assert "1 finding(s)" in capsys.readouterr().out
 
 
@@ -221,7 +287,7 @@ HADAMARD_PAIRS = [[[[H, 0], [H, 0]], [[H, 0], [-H, 0]]]]
 @pytest.mark.parametrize(
     "cfg, message",
     [
-        (dict(CMI_CFG, model="ising_chain_n30", engine="pauli"), "29 terms exceed cap 22"),
+        (dict(CMI_CFG, model="ising_chain_n30", engine="pauli"), "pauli expansion of rank 29 exceeds cap 22"),
         (dict(CMI_CFG, model="ising_chain_n24"), "exceed memory cap"),
         (dict(DECAY_CFG, channel=[{"site": 1, "kind": "bitflip", "p": 0.2}]), "not a per-site list"),
         (dict(DECAY_CFG, channel={"kind": "bitflip", "p": 1.5}), "p 1.5 is not a probability"),

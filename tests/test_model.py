@@ -238,6 +238,15 @@ def test_entropy_bits_floor():
     assert entropy_bits([1.0, 1e-16]) == pytest.approx(-1e-16 * math.log2(1e-16), rel=1e-12)
 
 
+def test_entropy_bits_rules_go_by_mass():
+    """A value's mass is value times degeneracy: four values of 2^-62, each
+    2^60 times, carry mass 1/4 each and 62 bits in all, not 0; a value of
+    -1e-20 that many times is a mass of -0.01 and raises."""
+    assert entropy_bits([2.0**-62] * 4, degeneracy=2**60) == pytest.approx(62.0, abs=1e-12)
+    with pytest.raises(ValueError, match="< -8.67362e-29"):
+        entropy_bits([2.0**-61, 2.0**-61, -1e-20], degeneracy=2**60)
+
+
 B = _ENTROPY_BLOCK
 
 

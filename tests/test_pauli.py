@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmnlab import dense, pauli, zoo
-from hmnlab.channels import ChannelLayer, bitflip, dephasing, depolarizing
+from hmnlab.channels import ChannelLayer, bitflip, complete_depolarization, dephasing, depolarizing, pauli_mixture
 from hmnlab.cli import main
 from hmnlab.experiments import cmi
 from hmnlab.model import (
@@ -194,9 +194,18 @@ def test_pauli_scales_past_dense():
 
 
 def test_term_cap():
+    """29 independent terms under a layer with no zero factor keep all 2^29
+    coefficients: refused by the expansion, by prepare and by check_layer
+    with one text."""
     h = ising_pauli_chain(30)
-    with pytest.raises(ValueError, match="cap"):
+    layer = zoo.bulk_layer("ising_chain", 30, 0.1)
+    message = "pauli expansion of rank 29 exceeds cap 22"
+    with pytest.raises(ValueError, match=message):
         pauli.expand_gibbs(h, 0.3)
+    with pytest.raises(ValueError, match=message):
+        pauli.prepare(h, 0.3, layer)
+    with pytest.raises(ValueError, match=message):
+        pauli.check_layer(h, layer)
 
 
 def assert_entropies_match_dense(h, beta, layer):
@@ -399,3 +408,158 @@ def test_cli_runs_a_constant_term_on_pauli(tmp_path, capsys):
         cmi_bits[engine] = [float(row.split(",")[2]) for row in rows]
     assert cmi_bits["pauli"][0] > 0.4
     assert cmi_bits["pauli"] == pytest.approx(cmi_bits["dense"], abs=1e-12)
+
+
+def kept_members(e, gens):
+    """The indices over the term group ``gens`` of e's kept subgroup."""
+    ones = pauli.PauliExpansion(e.graph, e.generators, np.ones(2 ** len(e.generators)))
+    return np.flatnonzero(pauli.lift(ones, gens))
+
+
+def everywhere(channel, sites):
+    return ChannelLayer(tuple(channel(s) for s in sites))
+
+
+# (model, layer with zero damping factors, dim K); the rings carry a dependent
+# term, and the 4-ring keeps enough that the full vector is built and gathered
+KEPT_CASES = {
+    "bell_chain_n5": (zoo.bell_chain(5), zoo.bulk_layer("bell_chain", 5, 0.0), 2),
+    "bell_chain_n7": (zoo.bell_chain(7), zoo.bulk_layer("bell_chain", 7, 0.0), 2),
+    "bell_chain_n9": (zoo.bell_chain(9), zoo.bulk_layer("bell_chain", 9, 0.0), 2),
+    "ising_chain_n6_bitflip_half": (ising_pauli_chain(6), zoo.bulk_layer("ising_chain", 6, 0.5), 1),
+    "cluster_chain_n6_complete_dephasing": (zoo.cluster_chain(6), everywhere(lambda s: dephasing(s, 0.5), range(6)), 0),
+    "zz_ring_n6_bitflip_half": (zz_ring(6), everywhere(lambda s: bitflip(s, 0.5), (1, 3)), 3),
+    "zz_ring_n4_bitflip_half": (zz_ring(4), everywhere(lambda s: bitflip(s, 0.5), (1,)), 2),
+}
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, math.inf])
+@pytest.mark.parametrize("case", sorted(KEPT_CASES))
+def test_kept_coefficients_match_full_length_references(case, beta):
+    """On the subgroup K the layer keeps, the expansion equals the one-gather
+    reference at the kept indices; damped and lifted onto the term group, it
+    equals the damped reference everywhere, which the layer zeroes off K."""
+    h, layer, dim = KEPT_CASES[case]
+    gens = pauli.term_group(h)[0]
+    e = pauli.expand_gibbs(h, beta, *layer.channels)
+    assert len(e.generators) == dim < len(gens)
+    ref = gather_expansion(h, beta)
+    members = kept_members(e, gens)
+    assert members.size == 2**dim
+    assert np.max(np.abs(pauli.lift(e, gens)[members] - ref[members])) <= 1e-15
+    damped = pauli.lift(pauli.prepare(h, beta, layer), gens)
+    assert np.max(np.abs(damped - gather_damp(ref, h.site_graph, gens, layer))) <= 1e-15
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4, math.inf])
+@pytest.mark.parametrize("case", sorted(set(ORACLE_CASES) - {"bell_chain_n5"}))
+def test_layer_with_no_zero_factor_keeps_the_whole_group(case, beta):
+    """Channels with no zero factor constrain nothing: the same generators
+    and the same coefficient bits as the expansion with no channel."""
+    h, layer = ORACLE_CASES[case]
+    assert all(ch.pauli_table.all() for ch in layer.channels)
+    whole, kept = pauli.expand_gibbs(h, beta), pauli.expand_gibbs(h, beta, *layer.channels)
+    assert kept.generators == whole.generators
+    assert_same_bits(kept.coeffs, whole.coeffs)
+
+
+def assert_prepared_matches_dense(h, beta, layer, regions=None):
+    e = pauli.prepare(h, beta, layer)
+    rho = dense.prepare(h, beta, layer)
+    assert np.max(np.abs(expansion_matrix(e) - rho.entries)) < 1e-12
+    n = h.site_graph.n_sites
+    for region in regions or [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]:
+        assert pauli.region_entropy(e, set(region)) == pytest.approx(dense.region_entropy(rho, set(region)), abs=1e-10)
+    return e
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.1, math.inf])
+def test_mixture_whose_nonzero_set_is_not_a_subgroup(beta):
+    """I 0.5, X 0.25, Y 0.25 zeroes Z only: {I, X, Y} is not a subgroup and
+    spans every Pauli, so K is the whole group and the layer zeroes the
+    Z-carrying coefficients itself."""
+    h = ising_pauli_chain(4)
+    layer = everywhere(lambda s: pauli_mixture(s, (0.5, 0.0, 0.25, 0.25)), (1, 2))
+    assert [ch.pauli_table.tolist() for ch in layer.channels] == [[1.0, 0.0, 0.5, 0.5]] * 2
+    e = assert_prepared_matches_dense(h, beta, layer)
+    assert len(e.generators) == 3
+
+
+def half_bell_measurement(site):
+    """Weights (1 + chi(XX, P)/2 + chi(ZZ, P)/2)/16: damping factors 1 on
+    II, 1/2 on XX and ZZ, 0 on YY and off the group they generate, so the
+    nonzero set {II, XX, ZZ} is not a subgroup and spans {II, XX, ZZ, YY}."""
+    xx, zz = PauliString.from_label("XX"), PauliString.from_label("ZZ")
+    w = []
+    for v in range(16):
+        p = PauliString(2, v >> 2, v & 3)
+        w.append((1 + (0.5 if p.commutes_with(xx) else -0.5) + (0.5 if p.commutes_with(zz) else -0.5)) / 16)
+    return pauli_mixture(site, w)
+
+
+@pytest.mark.parametrize("beta", [0.7, math.inf])
+def test_two_qubit_nonzero_set_contributes_its_span(beta):
+    """On the Bell chain the span of {II, XX, ZZ} keeps Bell measurement's K;
+    the YY-carrying coefficients in it are damped to 0, and every region
+    still agrees with dense."""
+    layer = everywhere(half_bell_measurement, (1, 2))
+    table = layer.channels[0].pauli_table
+    assert np.flatnonzero(table).tolist() == [0b0000, 0b0011, 0b1100]
+    e = assert_prepared_matches_dense(zoo.bell_chain(4), beta, layer)
+    assert len(e.generators) == 2 and np.count_nonzero(e.coeffs) == 3
+
+
+@pytest.mark.parametrize("n, beta", [(3, 0.3), (3, 1.0), (3, math.inf), (4, 0.3), (4, 1.0), (4, math.inf), (5, 0.3)])
+def test_bell_chain_on_the_kept_subgroup_matches_dense(n, beta):
+    """Bell measurement on the bulk keeps two generators whatever n; every
+    region (the boundary partition's on n = 5) agrees with dense."""
+    layer = zoo.bulk_layer("bell_chain", n, 0.0)
+    p = Partition(frozenset({0}), frozenset(range(1, n - 1)), frozenset({n - 1}))
+    regions = [p.a | p.b, p.b | p.c, p.b, p.abc] if n == 5 else None
+    e = assert_prepared_matches_dense(zoo.bell_chain(n), beta, layer, regions)
+    assert len(e.generators) == 2
+
+
+def test_kept_path_random_models(rng):
+    """Random commuting models (dependent terms too) under layers that zero
+    coefficients: complete dephasing, bit-flip 1/2, complete depolarization
+    and channels with no zero factor; the expansion is summed on K, or built
+    whole and gathered where the dependent terms make that the smaller
+    vector, and every subset entropy agrees with dense."""
+    zeroing = (
+        lambda s, p: dephasing(s, 0.5),
+        lambda s, p: bitflip(s, 0.5),
+        lambda s, p: complete_depolarization(s, 2),
+        lambda s, p: bitflip(s, p),
+    )
+    for _ in range(20):
+        n = 5
+        h = random_commuting_pauli_model(rng, n, max_terms=int(rng.choice([5, 7])))
+        beta = float(rng.choice([0.4, 1.3, math.inf]))
+        sites = rng.choice(n, size=2, replace=False)
+        layer = ChannelLayer(tuple(zeroing[rng.integers(4)](int(s), float(rng.uniform(0, 1))) for s in sites))
+        try:
+            pauli.expand_gibbs(h, beta)
+        except ValueError as err:  # a frustrated ground state has no expansion
+            assert "frustrated" in str(err)
+            continue
+        assert_prepared_matches_dense(h, beta, layer)
+
+
+def test_bell_chain_past_the_old_term_cap():
+    """bell_chain_n13 has 24 terms and bell_chain_n41 80; Bell measurement
+    keeps 2 generators, and the chain keeps 2 bits at beta = inf."""
+    for n in (13, 41):
+        h, layer = zoo.bell_chain(n), zoo.bulk_layer("bell_chain", n, 0.0)
+        pauli.check_layer(h, layer)
+        e = pauli.prepare(h, math.inf, layer)
+        assert len(h.terms) == 2 * (n - 1) and e.coeffs.tolist() == [1.0] * 4
+        p = Partition(frozenset({0}), frozenset(range(1, n - 1)), frozenset({n - 1}))
+        assert cmi(pauli, e, p) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_lift_refuses_generators_outside_the_group():
+    h = ising_pauli_chain(3)
+    e = pauli.expand_gibbs(h, 0.5)
+    with pytest.raises(ValueError, match="not products"):
+        pauli.lift(e, (PauliString.from_label("ZZI"),))

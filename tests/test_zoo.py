@@ -120,5 +120,5 @@ def test_ising_bulk_layer_serves_every_engine():
         assert np.array_equal(c.superop, bitflip(c.site, 0.2).superop)
         assert np.array_equal(c.transition, [[1 - 0.2, 0.2], [0.2, 1 - 0.2]])
         assert c.pauli_table.tolist() == [1 - 0.2 + 0.2, 1 - 0.2 - 0.2, 1 - 0.2 + 0.2, 1 - 0.2 - 0.2]
-    classical.check_layer(layer)
-    pauli.check_layer(layer)
+    classical.check_layer(zoo.build_model("ising_chain", 4, "classical"), layer)
+    pauli.check_layer(zoo.build_model("ising_chain", 4, "pauli"), layer)
