@@ -363,7 +363,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         "caps": {
             "dense_dim": dense.DENSE_DIM_CAP,
             "classical_memory": classical.MEMORY_CAP,
-            "pauli_terms": pauli.TERM_CAP,
+            "pauli_rank": pauli.TERM_CAP,
             "series_weight": series.MAX_WEIGHT_CAP,
         },
         "wall_clock_s": {k: round(v, 6) for k, v in timings.items()},

@@ -95,16 +95,18 @@ class PauliString:
         return cls(n, 0, 0, 1)
 
     def commutes_with(self, other: "PauliString") -> bool:
-        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
+        a = bin(self.x & other.z).count("1")
+        b = bin(self.z & other.x).count("1")
+        return (a + b) % 2 == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         x3, z3 = self.x ^ other.x, self.z ^ other.z
-        y1 = (self.x & self.z).bit_count()
-        y2 = (other.x & other.z).bit_count()
-        y3 = (x3 & z3).bit_count()
-        swaps = (self.z & other.x).bit_count()
+        y1 = bin(self.x & self.z).count("1")
+        y2 = bin(other.x & other.z).count("1")
+        y3 = bin(x3 & z3).count("1")
+        swaps = bin(self.z & other.x).count("1")
         phase = (y1 + y2 - y3 + 2 * swaps) % 4
         if phase % 2:
             raise ValueError("product of anticommuting Paulis is not Hermitian")

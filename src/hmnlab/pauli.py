@@ -21,20 +21,20 @@ generator i doubles c to [c, -t_a sigma_a c]; a term inside the group
 (b_a among the existing generators) updates c <- c - t_a sigma_a
 c[v xor b_a]; a constant term (b_a = 0) cancels in the normalization.  Where
 K is smaller, the subsets S that land in K form a subspace of dimension
-dim K plus the number of dependent terms, and c is summed over it; the
-vector the expansion builds has the smaller of that rank and r, and
-TERM_CAP bounds it.  A channel multiplies c by a damping table over the
-kept generators that touch its site, broadcast along their axes.  A
-region's marginal lives on the subgroup supported there (the kernel of the
-generators' outside bits) and diagonalizes over its characters, so an
-entropy costs one in-place Walsh-Hadamard transform of 2^rank values.
+dim K plus the number of dependent terms, and c is summed over it.
+TERM_CAP bounds the rank of the vector the expansion builds: r where K is
+the whole group, else that dimension.  A channel multiplies c by a damping
+table over the kept generators that touch its site, broadcast along their
+axes.  A region's marginal lives on the subgroup supported there (the
+kernel of the generators' outside bits) and diagonalizes over its
+characters, so an entropy costs one in-place Walsh-Hadamard transform of
+2^rank values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,12 +95,11 @@ def _local_rows(generators, site: int, k: int) -> list:
 
 def group_element(gens, v: int, n: int) -> PauliString:
     """g_v: the generators in v multiplied in index order."""
-    out = None
-    while v:
-        g = gens[(v & -v).bit_length() - 1]
-        out = g if out is None else out * g
-        v &= v - 1
-    return PauliString.identity(n) if out is None else out
+    out = PauliString.identity(n)
+    for i, g in enumerate(gens):
+        if v >> i & 1:
+            out = out * g
+    return out
 
 
 @dataclass
@@ -148,27 +147,12 @@ def term_group(h: LocalHamiltonian) -> tuple[tuple, list, list]:
     return tuple(gens), coords, signs
 
 
-@lru_cache(maxsize=1024)
-def _check_words(table: bytes) -> tuple[tuple, int]:
-    """For a damping table (as bytes) with a zero: a basis of its parity
-    checks, the w with w.u even on every nonzero entry u, whose common kernel
-    is the span of those entries; returned as the check word of every local
-    row (bit j is the parity of w_j & row) and the number of checks."""
-    t = np.frombuffer(table)
-    nonzero = np.flatnonzero(t).tolist()
-    pivots: dict = {}
-    checks = [
-        w
-        for w in range(1, t.size)
-        if not any((w & u).bit_count() % 2 for u in nonzero) and _reduce(pivots, w, 0)[0]
-    ]
-    return tuple(sum(((w & row).bit_count() % 2) << j for j, w in enumerate(checks)) for row in range(t.size)), len(checks)
-
-
 def _checks(graph: SiteGraph, generators, channels) -> list:
     """Per generator, the check bits that the channels' zero factors put on
-    its local bits; g_v is kept where the XOR of the generators' words over v
-    is 0.  A table with no zero adds no check."""
+    its local bits: each local row reduced modulo the span of the table's
+    nonzero entries, one 2k-bit field per table with a zero.  The remainder
+    (no pivot bit set) is unique, so linear in the row, and 0 exactly on the
+    span; g_v is kept where the XOR of the generators' words over v is 0."""
     k = graph.qubits_per_site
     words = [0] * len(generators)
     shift = 0
@@ -176,27 +160,33 @@ def _checks(graph: SiteGraph, generators, channels) -> list:
         table = ch.pauli_table
         if table.all():
             continue
-        word_of, width = _check_words(table.tobytes())
+        pivots: dict = {}
+        for u in np.flatnonzero(table).tolist():
+            _reduce(pivots, u, 0)
+        order = sorted(pivots, reverse=True)
         for i, row in enumerate(_local_rows(generators, ch.site, k)):
-            words[i] |= word_of[row] << shift
-        shift += width
+            for bit in order:
+                if row >> bit & 1:
+                    row ^= pivots[bit][0]
+            words[i] |= row << shift
+        shift += 2 * k
     return words
 
 
 def _kept_group(h: LocalHamiltonian, channels) -> tuple:
-    """``term_group(h)``, the generators' check words, a basis of the kept
-    subspace K as masks, and the rank of the vector the expansion builds:
-    r where K is the whole group, else the smaller of r and dim K plus the
-    number of dependent terms.  Raises past TERM_CAP."""
+    """``term_group(h)``, the generators' check words and a basis of the kept
+    subspace K as masks.  Raises where the rank of the vector the expansion
+    builds (r where K is the whole group, else dim K plus the number of
+    dependent terms) exceeds TERM_CAP."""
     gens, coords, signs = term_group(h)
     words = _checks(h.site_graph, gens, channels)
     kept = _kernel(words)
     r = len(gens)
     dependent = sum(1 for b in coords if b) - r
-    rank = r if len(kept) == r else min(r, len(kept) + dependent)
+    rank = r if len(kept) == r else len(kept) + dependent
     if rank > TERM_CAP:
         raise ValueError(f"pauli expansion of rank {rank} exceeds cap {TERM_CAP}")
-    return gens, coords, signs, words, kept, rank
+    return gens, coords, signs, words, kept
 
 
 def _kept_sum(live, words, kept) -> np.ndarray:
@@ -227,7 +217,7 @@ def expand_gibbs(h: LocalHamiltonian, beta: float, *channels) -> PauliExpansion:
     keep, the whole group where no table has a zero; beta=inf uses
     tanh(+-inf) = +-1 factors."""
     check(h)
-    gens, coords, signs, words, kept, rank = _kept_group(h, channels)
+    gens, coords, signs, words, kept = _kept_group(h, channels)
     # work with factors I - t_a h_a, t_a = tanh(beta lambda_a); the dropped
     # cosh prefactors cancel in the final normalization, and so does a
     # constant term (b_a = 0), which is skipped: its factor
@@ -238,9 +228,7 @@ def expand_gibbs(h: LocalHamiltonian, beta: float, *channels) -> PauliExpansion:
         ta = math.tanh(beta * lam) if not math.isinf(beta) else float(np.sign(lam))
         ts.append(ta * sigma)
     whole = len(kept) == len(gens)
-    if rank < len(gens):
-        c = _kept_sum([(b, s) for b, s in zip(coords, ts) if b], words, kept)
-    else:
+    if whole:
         c = np.ones(1)
         for b, s in zip(coords, ts):
             if b == c.size:
@@ -249,8 +237,8 @@ def expand_gibbs(h: LocalHamiltonian, beta: float, *channels) -> PauliExpansion:
                 c = np.concatenate((c, 0.0 - s * c))
             elif b:
                 c = c - s * c[np.arange(c.size) ^ b]
-        if not whole:
-            c = c[_xor_span(kept)]
+    else:
+        c = _kept_sum([(b, s) for b, s in zip(coords, ts) if b], words, kept)
     if abs(c[0]) < 1e-14:
         raise ValueError("expansion has zero trace (frustrated zero-temperature state)")
     if not whole:  # the kept basis, each g_v with its sign
@@ -383,6 +371,12 @@ def marginal_entropy(e: PauliExpansion, region) -> float:
     total = float(lam.sum()) * deg
     if abs(total - 1) > 1e-10:
         raise ValueError(f"marginal trace {total} != 1")
+    support = lam[lam != 0.0]
+    if support.min() == support.max():
+        # a multiple of a projector (a stabilizer marginal, as at beta = inf)
+        # has entropy log2 of its rank, here exact; -sum l log l would round
+        # by an ulp of the entropy, and a CMI of 80-bit marginals shows it
+        return math.log2(support.size * deg)
     return entropy_bits(lam, deg)
 
 

@@ -17,6 +17,7 @@ from hmnlab.model import (
     Partition,
     PauliString,
     SiteGraph,
+    entropy_bits,
 )
 from tests.conftest import (
     concatenated_xor_span,
@@ -421,7 +422,7 @@ def everywhere(channel, sites):
 
 
 # (model, layer with zero damping factors, dim K); the rings carry a dependent
-# term, and the 4-ring keeps enough that the full vector is built and gathered
+# term, which the sum over term subsets on K takes along
 KEPT_CASES = {
     "bell_chain_n5": (zoo.bell_chain(5), zoo.bulk_layer("bell_chain", 5, 0.0), 2),
     "bell_chain_n7": (zoo.bell_chain(7), zoo.bulk_layer("bell_chain", 7, 0.0), 2),
@@ -523,9 +524,8 @@ def test_bell_chain_on_the_kept_subgroup_matches_dense(n, beta):
 def test_kept_path_random_models(rng):
     """Random commuting models (dependent terms too) under layers that zero
     coefficients: complete dephasing, bit-flip 1/2, complete depolarization
-    and channels with no zero factor; the expansion is summed on K, or built
-    whole and gathered where the dependent terms make that the smaller
-    vector, and every subset entropy agrees with dense."""
+    and channels with no zero factor; the expansion is summed on K, and
+    every subset entropy agrees with dense."""
     zeroing = (
         lambda s, p: dephasing(s, 0.5),
         lambda s, p: bitflip(s, 0.5),
@@ -548,14 +548,19 @@ def test_kept_path_random_models(rng):
 
 def test_bell_chain_past_the_old_term_cap():
     """bell_chain_n13 has 24 terms and bell_chain_n41 80; Bell measurement
-    keeps 2 generators, and the chain keeps 2 bits at beta = inf."""
+    keeps 2 generators, and the chain keeps exactly 2 bits at beta = inf:
+    its marginals are flat, with integer entropies that the sum over the
+    spectrum matches to rounding."""
     for n in (13, 41):
         h, layer = zoo.bell_chain(n), zoo.bulk_layer("bell_chain", n, 0.0)
         pauli.check_layer(h, layer)
         e = pauli.prepare(h, math.inf, layer)
         assert len(h.terms) == 2 * (n - 1) and e.coeffs.tolist() == [1.0] * 4
         p = Partition(frozenset({0}), frozenset(range(1, n - 1)), frozenset({n - 1}))
-        assert cmi(pauli, e, p) == pytest.approx(2.0, abs=1e-12)
+        assert cmi(pauli, e, p) == 2.0
+        for region in (p.a | p.b, p.b | p.c, p.b, p.abc):
+            s = pauli.marginal_entropy(e, region)
+            assert s == round(s) and s == pytest.approx(entropy_bits(*pauli.marginal_spectrum(e, region)), abs=1e-12)
 
 
 def test_lift_refuses_generators_outside_the_group():
