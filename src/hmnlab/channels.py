@@ -35,10 +35,16 @@ class SiteChannel:
     l]`` sends the site's ket-bra entry (k, l) to (i, j).  The dense engine
     contracts it as it is; the classical and pauli engines read their forms
     off it, once per channel, and take the channel exactly when that form
-    exists."""
+    exists.  A superoperator whose imaginary part is exactly 0 is stored as
+    float64, so that it maps real matrices to real ones in real arithmetic."""
 
     site: int
     superop: np.ndarray
+
+    def __post_init__(self):
+        s = np.asarray(self.superop)
+        if np.iscomplexobj(s) and not s.imag.any():
+            object.__setattr__(self, "superop", np.ascontiguousarray(s.real))
 
     @property
     def dim(self) -> int:
@@ -91,7 +97,7 @@ def bitflip(site: int, p: float) -> SiteChannel:
 
 def depolarizing(site: int, p: float, q: int) -> SiteChannel:
     """rho -> (1-p) rho + p Tr(rho) I/q on a site of any dimension q."""
-    eye = np.eye(q, dtype=complex)
+    eye = np.eye(q)
     keep, replace = np.einsum("ik,jl->ijkl", eye, eye), np.einsum("ij,kl->ijkl", eye, eye)
     return SiteChannel(site, (1 - p) * keep + (p / q) * replace)
 
@@ -120,7 +126,7 @@ def transition_channel(site: int, matrix) -> SiteChannel:
     if np.any(t < -_TOL) or np.max(np.abs(t.sum(axis=0) - 1)) > 1e-10:
         raise ValueError("transition matrix must be column-stochastic")
     r = np.arange(t.shape[0])
-    s = np.zeros(t.shape * 2, dtype=complex)
+    s = np.zeros(t.shape * 2)
     s[r[:, None], r[:, None], r, r] = t
     return SiteChannel(site, s)
 

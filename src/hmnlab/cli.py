@@ -355,8 +355,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             for beta, d, v in rows:
                 f.write(f"{fmt(beta)},{fmt(d)},{fmt(v)}\n")
     with open(stem + ".json", "w") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(results, indent=2, sort_keys=True) + "\n")
     manifest = {
         "artifact_version": __version__,
         "config": cfg,
@@ -369,8 +368,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         "wall_clock_s": {k: round(v, 6) for k, v in timings.items()},
     }
     with open(stem + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return status
 
 

@@ -1,8 +1,11 @@
 """Exact dense-matrix engine for small quantum systems.
 
-Everything is a plain q^n x q^n complex ndarray; site 0 is the most
-significant tensor factor.  Intended for n up to ~12 qubits; used both
-directly and as the cross-validation oracle for the faster engines.
+Every state and operator is a plain q^n x q^n ndarray, site 0 the most
+significant tensor factor.  It is float64 unless an entry is complex: a
+Pauli term with an odd number of Y, or a channel whose superoperator has a
+nonzero imaginary part, makes numpy's type promotion carry complex128 from
+there on.  Intended for n up to ~12 qubits; used both directly and as the
+cross-validation oracle for the faster engines.
 """
 
 from __future__ import annotations
@@ -30,30 +33,45 @@ def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> None:
     is, so it takes any layer on any model it takes."""
 
 
+def _entries(graph: SiteGraph, term: HamiltonianTerm) -> tuple[np.ndarray, np.ndarray]:
+    """The bare term h_a as one entry per column: (row, value) of each
+    column, integer or real values but for a Pauli string with an odd
+    number of Y."""
+    if term.is_pauli:
+        return term.operator.monomial()
+    diag = np.broadcast_to(term.site_table(graph.q, range(graph.n_sites)), (graph.q,) * graph.n_sites)
+    return np.arange(graph.dim), diag.ravel()
+
+
 def term_matrix(graph: SiteGraph, term: HamiltonianTerm) -> np.ndarray:
     """Full-space matrix of the bare term h_a (without lambda_a)."""
-    if term.is_pauli:
-        return term.operator.to_matrix()
-    diag = np.broadcast_to(term.site_table(graph.q, range(graph.n_sites)), (graph.q,) * graph.n_sites)
-    return np.diag(diag.ravel()).astype(complex)
+    rows, values = _entries(graph, term)
+    m = np.zeros((graph.dim, graph.dim), np.result_type(float, values))
+    m[rows, np.arange(graph.dim)] = values
+    return m
 
 
 def hamiltonian_matrix(h: LocalHamiltonian) -> np.ndarray:
-    m = np.zeros((h.site_graph.dim, h.site_graph.dim), dtype=complex)
-    for t in h.terms:
-        m += t.coefficient * term_matrix(h.site_graph, t)
+    g = h.site_graph
+    entries = [_entries(g, t) for t in h.terms]
+    m = np.zeros((g.dim, g.dim), np.result_type(float, *(v for _, v in entries)))
+    cols = np.arange(g.dim)
+    for t, (rows, values) in zip(h.terms, entries):
+        m[rows, cols] += t.coefficient * values
     return m
 
 
 @dataclass
 class DensityMatrix:
-    """Hermitian, unit-trace matrix plus its site graph."""
+    """Hermitian, unit-trace matrix plus its site graph; real entries stay
+    float64."""
 
     entries: np.ndarray
     graph: SiteGraph
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
+        e = np.asarray(self.entries)
+        e = e if np.iscomplexobj(e) else e.astype(float, copy=False)
         if np.max(np.abs(e - e.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(e).real - 1) > 1e-10:
@@ -61,17 +79,77 @@ class DensityMatrix:
         self.entries = e
 
 
+def _term_product(h: LocalHamiltonian, beta: float) -> np.ndarray | None:
+    """exp(-beta H)/Z of commuting terms as the product of one factor per
+    term, exp(-beta lambda_a h_a) over its largest eigenvalue, or None where
+    ``gibbs_state`` takes eigh.  A string's factor is ((1 + w)/2) I -
+    sign(beta lambda_a) ((1 - w)/2) h_a, w = exp(-2 |beta lambda_a|) (0 at
+    beta = inf).  Z strings and tables (as exp(-(e - min e)), e = beta
+    lambda_a h_a) multiply into one weight vector, each other string
+    multiplies diag(weights) as one signed row gather, and a constant term
+    only shifts the energy."""
+    g = h.site_graph
+    inf = math.isinf(beta)
+    weights = np.ones((g.q,) * g.n_sites)
+    flips = []
+    for t in h.terms:
+        lam = t.coefficient
+        if t.is_diagonal:
+            if inf:  # the ground set of real tables needs eigh's 1e-10 tolerance
+                return None
+            e = beta * lam * t.site_table(g.q, range(g.n_sites))
+            weights *= np.exp(e.min() - e)
+            continue
+        p = t.operator
+        if lam == 0 or beta == 0 or not (p.x or p.z):
+            continue
+        if inf and 2 * abs(lam) <= 1e-10:  # an excitation inside eigh's ground tolerance
+            return None
+        s = beta * lam
+        w = math.exp(-2 * abs(s))
+        rows, values = p.monomial()
+        if p.x:
+            flips.append((rows, values, (1 + w) / 2, math.copysign((1 - w) / 2, s)))
+        else:  # h_a = diag(values), -sign(s) on its lower eigenvalue
+            weights *= np.where(s * values < 0, 1.0, w).reshape(weights.shape)
+    m = np.zeros((g.dim, g.dim), np.result_type(float, *(v for _, v, _, _ in flips)))
+    np.fill_diagonal(m, weights.ravel())
+    scratch = np.empty_like(m)
+    for rows, values, a, b in flips:
+        # (h_a m)[r] = values[r ^ x] m[r ^ x], and rows[r] = r ^ x
+        np.take(m, rows, axis=0, out=scratch)
+        scratch *= (b * values[rows])[:, None]
+        m *= a
+        m -= scratch
+    # some state minimizes every term of a frustration-free model, so the
+    # product's largest eigenvalue is 1 and its trace at least 1.  A trace
+    # below 1/2 is a frustrated model: 0 where its weights underflow (beta
+    # = inf among them), and elsewhere small next to the gathers' absolute
+    # rounding, about eps per entry and step
+    tr = np.trace(m).real
+    if not tr >= 0.5:
+        return None
+    m /= tr
+    return m
+
+
 def gibbs_state(h: LocalHamiltonian, beta: float) -> DensityMatrix:
-    """exp(-beta H)/Z from one eigendecomposition of H; beta=inf gives the
-    maximally mixed state on the ground space."""
+    """exp(-beta H)/Z; beta=inf gives the maximally mixed state on the
+    ground space.  A commuting model takes the product of its terms'
+    factors, in real arithmetic unless a term has an odd number of Y.  A
+    model that does not commute, or whose product ``_term_product``
+    declines, takes one eigendecomposition of H."""
     check(h)
-    vals, vecs = np.linalg.eigh(hamiltonian_matrix(h))
-    if math.isinf(beta):
-        w = np.where(vals <= vals[0] + 1e-10, 1.0, 0.0)
-    else:
-        w = np.exp(-beta * (vals - vals.min()))
-    w /= w.sum()
-    return DensityMatrix((vecs * w) @ vecs.conj().T, h.site_graph)
+    m = _term_product(h, beta) if h.commuting else None
+    if m is None:
+        vals, vecs = np.linalg.eigh(hamiltonian_matrix(h))
+        if math.isinf(beta):
+            w = np.where(vals <= vals[0] + 1e-10, 1.0, 0.0)
+        else:
+            w = np.exp(-beta * (vals - vals.min()))
+        w /= w.sum()
+        m = (vecs * w) @ vecs.conj().T
+    return DensityMatrix(m, h.site_graph)
 
 
 def apply_layer_to_matrix(m: np.ndarray, layer: ChannelLayer, graph: SiteGraph) -> np.ndarray:

@@ -95,38 +95,42 @@ class PauliString:
         return cls(n, 0, 0, 1)
 
     def commutes_with(self, other: "PauliString") -> bool:
-        a = bin(self.x & other.z).count("1")
-        b = bin(self.z & other.x).count("1")
-        return (a + b) % 2 == 0
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         x3, z3 = self.x ^ other.x, self.z ^ other.z
-        y1 = bin(self.x & self.z).count("1")
-        y2 = bin(other.x & other.z).count("1")
-        y3 = bin(x3 & z3).count("1")
-        swaps = bin(self.z & other.x).count("1")
+        y1 = (self.x & self.z).bit_count()
+        y2 = (other.x & other.z).bit_count()
+        y3 = (x3 & z3).bit_count()
+        swaps = (self.z & other.x).bit_count()
         phase = (y1 + y2 - y3 + 2 * swaps) % 4
         if phase % 2:
             raise ValueError("product of anticommuting Paulis is not Hermitian")
         sign = self.sign * other.sign * (1 if phase == 0 else -1)
         return PauliString(self.n, x3, z3, sign)
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix with qubit 0 as the most significant tensor factor:
-        sign * i^popcount(x & z) * X^x Z^z, one entry per column.  Column c
-        (qubit j at bit n-1-j) goes to row c ^ X and carries the sign
-        (-1)^popcount(c & Z), X and Z being the masks in that bit order."""
-        dim = 1 << self.n
+    def monomial(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix sign * i^popcount(x & z) * X^x Z^z, qubit 0 the most
+        significant tensor factor, as one entry per column: (rows, values),
+        column c holding values[c] at row rows[c].  Column c (qubit j at bit
+        n-1-j) goes to row c ^ X and carries the sign (-1)^popcount(c & Z), X
+        and Z being the masks in that bit order, times the phase.  The values
+        are ints +-1 when popcount(x & z) is even, else complex +-1j."""
         xm, zm = (int(f"{m:0{self.n}b}"[::-1], 2) for m in (self.x, self.z))
-        c = np.arange(dim)
+        c = np.arange(1 << self.n)
         parity = c & zm  # xor-folded to its popcount parity (no np.bitwise_count before numpy 2)
         for shift in (32, 16, 8, 4, 2, 1):
             parity ^= parity >> shift
-        phase = self.sign * (1, 1j, -1, -1j)[bin(self.x & self.z).count("1") % 4]
-        out = np.zeros((dim, dim), dtype=complex)
-        out[c ^ xm, c] = phase * (1 - 2 * (parity & 1))
+        phase = self.sign * (1, 1j, -1, -1j)[(self.x & self.z).bit_count() % 4]
+        return c ^ xm, phase * (1 - 2 * (parity & 1))
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense complex matrix of the string: its ``monomial`` entries."""
+        rows, values = self.monomial()
+        out = np.zeros((rows.size, rows.size), dtype=complex)
+        out[rows, np.arange(rows.size)] = values
         return out
 
 
@@ -316,8 +320,6 @@ def _flip_invariant(term: HamiltonianTerm, p: PauliString, graph: SiteGraph) -> 
     |a> to a unit-modulus phase times |a xor m>, m its X bits, so the
     commutator's entries are those phases times D(a xor m) - D(a), and only
     m on D's support matters."""
-    if p.n != graph.n_qubits:
-        raise ValueError(f"Pauli string on {p.n} qubits in a model of {graph.n_qubits}")
     k = graph.qubits_per_site
     flipped = term.operator
     for axis, s in enumerate(term.support):
@@ -327,23 +329,40 @@ def _flip_invariant(term: HamiltonianTerm, p: PauliString, graph: SiteGraph) -> 
     return bool(np.max(np.abs(flipped - term.operator)) <= 1e-12)
 
 
+def _term_sites(term: HamiltonianTerm, graph: SiteGraph) -> frozenset:
+    """The sites a term acts on: a table's support, a Pauli string's sites
+    with a set x or z bit.  A string must span the model's qubits."""
+    if term.is_diagonal:
+        return frozenset(term.support)
+    p = term.operator
+    if p.n != graph.n_qubits:
+        raise ValueError(f"Pauli string on {p.n} qubits in a model of {graph.n_qubits}")
+    bits, k = p.x | p.z, graph.qubits_per_site
+    return frozenset(j // k for j in range(bits.bit_length()) if bits >> j & 1)
+
+
+def _terms_commute(ti: HamiltonianTerm, tj: HamiltonianTerm, graph: SiteGraph) -> bool:
+    """Whether two bare terms commute: symplectic check for a Pauli pair, the
+    diagonal table against the Pauli string's flips for a mixed pair;
+    diagonal pairs always commute."""
+    if ti.is_diagonal and tj.is_diagonal:
+        return True
+    if ti.is_pauli and tj.is_pauli:
+        return ti.operator.commutes_with(tj.operator)
+    diag, p = (ti, tj.operator) if ti.is_diagonal else (tj, ti.operator)
+    return _flip_invariant(diag, p, graph)
+
+
 def verify_commuting(h: LocalHamiltonian) -> bool:
-    """True iff every pair of bare terms h_a commutes: symplectic check for
-    Pauli pairs, the diagonal table against the Pauli string's flips for
-    mixed pairs; diagonal pairs always commute."""
-    for i in range(len(h.terms)):
-        for j in range(i + 1, len(h.terms)):
-            ti, tj = h.terms[i], h.terms[j]
-            if ti.is_diagonal and tj.is_diagonal:
-                continue
-            if ti.is_pauli and tj.is_pauli:
-                if not ti.operator.commutes_with(tj.operator):
-                    return False
-                continue
-            diag, p = (ti, tj.operator) if ti.is_diagonal else (tj, ti.operator)
-            if not _flip_invariant(diag, p, h.site_graph):
-                return False
-    return True
+    """True iff every pair of bare terms h_a commutes.  Terms on disjoint
+    sites commute, so only the pairs that share a site are checked."""
+    g = h.site_graph
+    on_site: list[list[int]] = [[] for _ in range(g.n_sites)]
+    for a, t in enumerate(h.terms):
+        for s in _term_sites(t, g):
+            on_site[s].append(a)
+    pairs = {pair for terms in on_site for pair in itertools.combinations(terms, 2)}
+    return all(_terms_commute(h.terms[i], h.terms[j], g) for i, j in sorted(pairs))
 
 
 _MODEL_KEYS = {"q", "n_sites", "terms"}

@@ -32,7 +32,7 @@ from hmnlab.combinatorics import (
     spanning_tree_count,
 )
 from hmnlab.dense import apply_layer_to_matrix, hamiltonian_matrix, partial_trace_matrix, term_matrix
-from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, build_dual_graph
+from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, _terms_commute, build_dual_graph
 from hmnlab.pauli import group_element, term_group, walsh_hadamard
 from hmnlab.series import (
     TruncatedSeries,
@@ -361,6 +361,28 @@ def commuting_product_gibbs(h, beta):
         tv, tw = np.linalg.eigh(t.coefficient * term_matrix(g, t))
         prod = prod @ ((tw * np.exp(-beta * (tv - tv.min()))) @ tw.conj().T)
     return prod / np.trace(prod).real
+
+
+def eigh_gibbs(h, beta) -> np.ndarray:
+    """Oracle: exp(-beta H)/Z from one eigendecomposition of the
+    Hamiltonian matrix; beta=inf gives the maximally mixed state on the
+    eigenvalues within 1e-10 of the lowest."""
+    vals, vecs = np.linalg.eigh(hamiltonian_matrix(h))
+    if math.isinf(beta):
+        w = np.where(vals <= vals[0] + 1e-10, 1.0, 0.0)
+    else:
+        w = np.exp(-beta * (vals - vals.min()))
+    w /= w.sum()
+    return (vecs * w) @ vecs.conj().T
+
+
+def all_pairs_commuting(h) -> bool:
+    """Oracle: the commutation verdict over every pair of terms, whether or
+    not they share a site."""
+    return all(
+        _terms_commute(h.terms[i], h.terms[j], h.site_graph)
+        for i, j in itertools.combinations(range(len(h.terms)), 2)
+    )
 
 
 def factor_product_series(h, beta, layer, max_degree, prefactor=None):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hmnlab import classical, dense
+from hmnlab import classical, dense, zoo
 from hmnlab.channels import (
     ChannelLayer,
+    bell_measurement,
     bitflip,
     dephasing,
     depolarizing,
@@ -16,8 +17,8 @@ from hmnlab.channels import (
     transition_channel,
 )
 from hmnlab.experiments import cmi
-from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph
-from hmnlab.pauli import expand_gibbs
+from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, PauliString, SiteGraph
+from hmnlab.pauli import expand_gibbs, term_group
 from hmnlab.series import spectral_norm
 from tests.conftest import (
     brute_apply_layer,
@@ -25,6 +26,7 @@ from tests.conftest import (
     brute_partial_trace,
     commuting_product_gibbs,
     dependent_commuting_models,
+    eigh_gibbs,
     embed_operator,
     exact_cmi_operator,
     expansion_matrix,
@@ -330,3 +332,114 @@ def test_gibbs_state_matches_product_on_diagonal_tables(model):
     h, beta, _, _ = model
     rho = dense.gibbs_state(h, beta).entries
     assert np.max(np.abs(rho - commuting_product_gibbs(h, beta))) < 1e-10
+
+
+BETAS = (0.0, 0.3, 1.0, 40.0, 400.0, math.inf)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_gibbs_state_matches_eigh_on_random_commuting_models(beta):
+    """Random commuting Pauli strings, with Y's and with dependent terms
+    (frustrated where their signs disagree): the product of the terms'
+    factors, or eigh where the product declines, is one eigh of H."""
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        h = random_commuting_pauli_model(rng, int(rng.integers(2, 6)))
+        assert np.max(np.abs(dense.gibbs_state(h, beta).entries - eigh_gibbs(h, beta))) < 1e-10
+
+
+def frustration_free_tables(rng, q, n):
+    """Diagonal tables on one or two sites, lambda > 0, whose entries at one
+    shared configuration are all -1, the least value: that configuration
+    minimizes every term."""
+    ground = rng.integers(0, q, n)
+    terms = []
+    for _ in range(int(rng.integers(2, 6))):
+        support = tuple(int(s) for s in rng.choice(n, size=int(rng.integers(1, 3)), replace=False))
+        table = rng.uniform(-0.9, 1, (q,) * len(support))
+        table[tuple(ground[list(support)])] = -1.0
+        terms.append(HamiltonianTerm(support, table, float(rng.uniform(0.1, 1))))
+    return LocalHamiltonian(SiteGraph(n, q), tuple(terms))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_product_route_on_frustration_free_models(beta, monkeypatch):
+    """The built-in chains, random independent commuting strings and tables
+    with a common minimizing configuration take the product, with no eigh
+    (tables at beta = inf excepted), and match one eigh of H to 1e-10."""
+    rng = np.random.default_rng(7)
+    models = [ising_pauli_chain(5), zoo.bell_chain(4), zoo.cluster_chain(5)]
+    while len(models) < 15:
+        h = random_commuting_pauli_model(rng, 4, max_terms=4)
+        if len(term_group(h)[0]) == len(h.terms):  # independent: every sign pattern is an eigenspace
+            models.append(h)
+    if not math.isinf(beta):
+        models += [frustration_free_tables(rng, q, n) for q, n in ((2, 5), (3, 4), (4, 3)) for _ in range(3)]
+    expect = [eigh_gibbs(h, beta) for h in models]
+
+    def refuse(m):
+        raise AssertionError("eigh on a frustration-free commuting model")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for h, want in zip(models, expect):
+        assert np.max(np.abs(dense.gibbs_state(h, beta).entries - want)) < 1e-10
+
+
+def test_frustrated_models_take_eigh():
+    """No state minimizes every bond of the antiferromagnetic ZZ triangle,
+    so at beta = inf the product of ground projectors is 0 and eigh gives
+    its state: the six configurations with one broken bond.  XX, ZZ and YY
+    with lambda = -1 (YY = -XX ZZ) are frustrated too; past beta ~ 10 their
+    product's trace is far below its gathers' rounding, which would leave
+    a third of the state's weight on the wrong block, and eigh takes it."""
+    bonds = ((0, 1), (1, 2), (0, 2))
+    tri = LocalHamiltonian(
+        SiteGraph(3), tuple(HamiltonianTerm((a, b), PauliString(3, 0, (1 << a) | (1 << b)), 1.0) for a, b in bonds)
+    )
+    rho = dense.gibbs_state(tri, math.inf).entries
+    assert rho.tobytes() == eigh_gibbs(tri, math.inf).tobytes()
+    assert np.max(np.abs(rho - np.diag([0, 1, 1, 1, 1, 1, 1, 0]) / 6)) < 1e-12
+    pair = LocalHamiltonian(
+        SiteGraph(2), tuple(HamiltonianTerm((0, 1), PauliString.from_label(s), -1.0) for s in ("XX", "ZZ", "YY"))
+    )
+    for beta in (1.0, 10.0, 20.0, 40.0, math.inf):
+        assert np.max(np.abs(dense.gibbs_state(pair, beta).entries - eigh_gibbs(pair, beta))) < 1e-10
+
+
+def test_real_arithmetic_unless_an_entry_is_complex():
+    """Real Pauli mixtures, transitions, depolarizing and real Kraus sets
+    store float64 superoperators, and the Ising decay state is float64 from
+    Gibbs state to layer.  A term with an odd number of Y, or a Kraus
+    channel with a complex operator, keeps complex128, and its values."""
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    real = [
+        bitflip(1, 0.1),
+        dephasing(1, 0.2),
+        depolarizing(1, 0.3, 2),
+        transition_channel(1, [[0.9, 0.2], [0.1, 0.8]]),
+        kraus_channel(1, [math.sqrt(0.5) * np.eye(2), math.sqrt(0.5) * had]),
+        bell_measurement(1),
+    ]
+    assert all(c.superop.dtype == np.float64 for c in real)
+    h = ising_pauli_chain(4)
+    layer = zoo.bulk_layer("ising_chain", 4, 0.1)
+    assert dense.hamiltonian_matrix(h).dtype == np.float64
+    assert dense.prepare(h, 0.5, layer).entries.dtype == np.float64
+    s_gate = kraus_channel(1, [np.diag([1, 1j])])
+    assert s_gate.superop.dtype == complex
+    rho = dense.prepare(h, 0.5, ChannelLayer((s_gate,)))
+    assert rho.entries.dtype == complex
+    assert np.max(np.abs(rho.entries - brute_apply_layer(eigh_gibbs(h, 0.5), ChannelLayer((s_gate,)), h.site_graph))) < 1e-12
+    odd = LocalHamiltonian(
+        SiteGraph(3),
+        (
+            HamiltonianTerm((0, 1), PauliString.from_label("XYI"), -0.7),
+            HamiltonianTerm((1, 2), PauliString.from_label("IYY"), 0.4),
+        ),
+    )
+    assert dense.term_matrix(odd.site_graph, odd.terms[1]).dtype == np.float64
+    assert dense.hamiltonian_matrix(odd).dtype == complex
+    for beta in (0.5, math.inf):
+        rho = dense.gibbs_state(odd, beta).entries
+        assert rho.dtype == complex
+        assert np.max(np.abs(rho - eigh_gibbs(odd, beta))) < 1e-12

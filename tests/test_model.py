@@ -26,7 +26,13 @@ from hmnlab.model import (
     parse_model,
     verify_commuting,
 )
-from tests.conftest import entropy_bits_reference, ising_pauli_chain, kron_pauli_matrix, pauli_label
+from tests.conftest import (
+    all_pairs_commuting,
+    entropy_bits_reference,
+    ising_pauli_chain,
+    kron_pauli_matrix,
+    pauli_label,
+)
 
 
 def test_pauli_label_roundtrip():
@@ -174,6 +180,37 @@ def test_verify_commuting_matches_dense_commutator(h):
     two full-space matrices is within 1e-12 of zero."""
     a, b = (term_matrix(h.site_graph, t) for t in h.terms)
     assert verify_commuting(h) == bool(np.max(np.abs(a @ b - b @ a)) <= 1e-12)
+
+
+@st.composite
+def local_models(draw):
+    """Up to six terms on q = 2 or q = 4 sites, each a Pauli string or a
+    table on one or two listed sites; a string's letters may be I on a
+    listed site, so its sites are not always its support."""
+    q = draw(st.sampled_from((2, 4)))
+    g = SiteGraph(draw(st.integers(2, 5)), q)
+    k = g.qubits_per_site
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        support = tuple(draw(st.lists(st.integers(0, g.n_sites - 1), min_size=1, max_size=2, unique=True)))
+        if draw(st.booleans()):
+            letters = ["I"] * g.n_qubits
+            for s in support:
+                for j in range(k):
+                    letters[s * k + j] = draw(st.sampled_from("IXYZZ"))
+            terms.append(HamiltonianTerm(support, PauliString.from_label("".join(letters)), 0.5))
+        else:
+            values = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=q ** len(support), max_size=q ** len(support)))
+            terms.append(HamiltonianTerm(support, np.reshape(values, (q,) * len(support)), -0.5))
+    return LocalHamiltonian(g, tuple(terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(local_models())
+def test_verify_commuting_checks_the_pairs_that_matter(h):
+    """Checking only the pairs that share a site gives the verdict of every
+    pair."""
+    assert verify_commuting(h) == all_pairs_commuting(h)
 
 
 def test_verify_commuting_without_full_space_matrices():
