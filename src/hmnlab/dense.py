@@ -72,8 +72,9 @@ class DensityMatrix:
     def __post_init__(self):
         e = np.asarray(self.entries)
         e = e if np.iscomplexobj(e) else e.astype(float, copy=False)
-        if np.max(np.abs(e - e.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
+        for i in range(0, len(e), 128):  # row blocks: no full-size temporary
+            if np.max(np.abs(e[i : i + 128] - e[:, i : i + 128].conj().T)) > 1e-10:
+                raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(e).real - 1) > 1e-10:
             raise ValueError("density matrix is not normalized")
         self.entries = e

@@ -27,8 +27,8 @@ the whole group, else that dimension.  A channel multiplies c by a damping
 table over the kept generators that touch its site, broadcast along their
 axes.  A region's marginal lives on the subgroup supported there (the
 kernel of the generators' outside bits) and diagonalizes over its
-characters, so an entropy costs one in-place Walsh-Hadamard transform of
-2^rank values.
+characters, so an entropy costs one Walsh-Hadamard transform of 2^rank
+values.
 """
 
 from __future__ import annotations
@@ -122,11 +122,11 @@ def check(h: LocalHamiltonian) -> None:
         raise ValueError("Hamiltonian terms do not commute")
 
 
-def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> None:
+def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> tuple:
     """Raise ValueError unless every site channel has a Pauli damping profile
     and the expansion of ``h`` on the subspace the layer keeps is within
-    TERM_CAP."""
-    _kept_group(h, layer.channels)
+    TERM_CAP; returns ``term_group(h)``."""
+    return _kept_group(h, layer.channels)[:3]
 
 
 def term_group(h: LocalHamiltonian) -> tuple[tuple, list, list]:
@@ -273,12 +273,17 @@ def damp(c: np.ndarray, graph: SiteGraph, generators, layer: ChannelLayer) -> np
         rows = _local_rows(generators, ch.site, k)
         if any(rows):
             # the factor varies only along the axes (r-1-i) of the generators
-            # that touch the site: a table over their span, broadcast; an
-            # admitted expansion has at most TERM_CAP axes, inside numpy
-            # 1.x's 32
+            # that touch the site: a table over their span, broadcast; each
+            # run of axes alike (touched or not) is merged into one axis
             f = ch.pauli_table[_xor_span([row for row in rows if row], np.min_scalar_type(4**k - 1))]
-            shape = [2 if row else 1 for row in reversed(rows)]
-            c = (c.reshape((2,) * len(rows)) * f.reshape(shape)).reshape(-1)
+            cs, fs = [1], [1]  # the sizes of c and f along each merged axis
+            for row in reversed(rows):
+                if bool(row) != (fs[-1] > 1):  # a new run
+                    cs.append(1)
+                    fs.append(1)
+                cs[-1] *= 2
+                fs[-1] *= 2 if row else 1
+            c = (c.reshape(cs) * f.reshape(fs)).reshape(-1)
     return c
 
 
@@ -339,19 +344,17 @@ def _nonzero_span(members: np.ndarray, d: np.ndarray) -> tuple[list, np.ndarray]
 
 def walsh_hadamard(x: np.ndarray) -> np.ndarray:
     """y_s = sum_v x_v (-1)^{s.v} along the last axis (length 2^r): the
-    character values of the group element with coefficients x; each
-    butterfly pairs index i with i + h, in place on one float copy of x."""
-    lead, size = x.shape[:-1], x.shape[-1]
+    character values of the group element with coefficients x.  Each level
+    writes the sums and differences of the even and odd entries to the first
+    and second half of the other of two float buffers (a perfect shuffle):
+    level j pairs index bit j as the butterfly does, and after r levels the
+    index is back in order."""
     y = np.array(x, dtype=float)
-    scratch = np.empty(y.size // 2)
-    h = 1
-    while h < size:
-        pairs = y.reshape(lead + (size // (2 * h), 2, h))
-        a, b = pairs[..., 0, :], pairs[..., 1, :]
-        t = np.subtract(a, b, out=scratch.reshape(a.shape))
-        a += b
-        b[...] = t
-        h *= 2
+    z, half = np.empty_like(y), y.shape[-1] // 2
+    for _ in range(half.bit_length()):
+        np.add(y[..., 0::2], y[..., 1::2], out=z[..., :half])
+        np.subtract(y[..., 0::2], y[..., 1::2], out=z[..., half:])
+        y, z = z, y
     return y
 
 

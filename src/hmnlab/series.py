@@ -34,7 +34,7 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def _monomials(m: int, max_degree: int) -> list:
     return [tuple((a, len(list(run))) for a, run in itertools.groupby(c)) for c in combos]
 
 
-_KeyIndex = namedtuple("_KeyIndex", "keys row lens prod")
+_KeyIndex = namedtuple("_KeyIndex", "keys row lens prod runs")
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +102,12 @@ def _key_index(m: int, max_degree: int) -> _KeyIndex:
     key i's lens[i] partners, the rows j of degree <= D - degree(i) (rows go
     by degree, so they are a prefix).  A key's code is its exponent vector in
     base D + 1 (exact while (D + 1)^m < ``_CODE_PRIME``, and checked
-    distinct), so a product's code is its factors' sum, with no carry."""
+    distinct), so a product's code is its factors' sum, with no carry.
+    runs[p, i] is a * (D + 1) + mu for the p-th run (a, mu) of key i, 0 past
+    its last run."""
     keys = _monomials(m, max_degree)
+    pad = [0] * min(m, max_degree)
+    runs = np.array([[a * (max_degree + 1) + mu for a, mu in k] + pad[len(k) :] for k in keys], np.int64).T.copy()
     base = [pow(max_degree + 1, a, _CODE_PRIME) for a in range(m)]
     codes = np.array([sum(mu * base[a] for a, mu in k) % _CODE_PRIME for k in keys], dtype=np.int64)
     order = np.argsort(codes)
@@ -115,7 +119,7 @@ def _key_index(m: int, max_degree: int) -> _KeyIndex:
     starts = np.cumsum(lens) - lens  # the (i, j) pairs, i-major
     j = np.arange(lens.sum()) - np.repeat(starts, lens)
     rows = order[np.searchsorted(ranked, (np.repeat(codes, lens) + codes[j]) % _CODE_PRIME)]
-    return _KeyIndex(keys, {k: i for i, k in enumerate(keys)}, lens, np.split(rows, starts[1:]))
+    return _KeyIndex(keys, {k: i for i, k in enumerate(keys)}, lens, np.split(rows, starts[1:]), runs)
 
 
 def _nonzero_rows(stack: np.ndarray) -> np.ndarray:
@@ -211,45 +215,45 @@ def series_of_channelled_gibbs(
 
 
 def _character_series(
-    h: LocalHamiltonian, beta: float, layer: ChannelLayer, max_degree: int
+    h: LocalHamiltonian, beta: float, layer: ChannelLayer, max_degree: int, group: tuple
 ) -> TruncatedSeries:
     """``series_of_channelled_gibbs`` in the character basis of the term
-    group.  With h_a = sigma_a g_{b_a}, the coefficient of lambda^k is
-    prod_a (-beta sigma_a)^{k_a} / k_a! times g_v, v the XOR of the b_a with
-    k_a odd; the layer damps it by f_v, and one Walsh-Hadamard transform of
-    the stack gives the character values."""
-    gens, coords, signs = pauli.term_group(h)
+    group ``group = pauli.term_group(h)``.  With h_a = sigma_a g_{b_a}, the
+    coefficient of lambda^k is prod_a (-beta sigma_a)^{k_a} / k_a! times g_v,
+    v the XOR of the b_a with k_a odd; the layer damps it by f_v, and one
+    Walsh-Hadamard transform of the stack gives the character values."""
+    gens, coords, signs = group
     f = pauli.damp(np.ones(2 ** len(gens)), h.site_graph, gens, layer)
-    keys = _key_index(len(h.terms), max_degree).keys
-    elements, scales = [], []
-    for key in keys:
-        c, v = 1.0, 0
-        for a, k in key:
-            c *= (-beta * signs[a]) ** k / math.factorial(k)
-            v ^= coords[a] if k % 2 else 0
-        elements.append(v)
-        scales.append(c * f[v])
-    stack = np.zeros((len(keys), f.size))
-    stack[np.arange(len(keys)), elements] = scales
+    idx = _key_index(len(h.terms), max_degree)
+    # per run code a * (D + 1) + mu: its factor, and b_a where mu is odd; code
+    # 0 (past a key's last run) reads 1.0 and 0
+    factor = np.array([(-beta * s) ** mu / math.factorial(mu) for s in signs for mu in range(max_degree + 1)])
+    coord = np.array([b if mu % 2 else 0 for b in coords for mu in range(max_degree + 1)], np.int64)
+    c, v = np.ones(len(idx.keys)), np.zeros(len(idx.keys), np.int64)
+    for run in idx.runs:  # the factors multiplied in run order
+        c *= factor[run]
+        v ^= coord[run]
+    stack = np.zeros((len(idx.keys), f.size))
+    stack[np.arange(len(idx.keys)), v] = c * f[v]
     chars = pauli.walsh_hadamard(stack)
     chars[0] = 1.0  # the empty key: an admitted layer is unital, f_0 = 1
     return TruncatedSeries(len(h.terms), max_degree, np.ones(f.size), chars).prune(SERIES_FLOOR)
 
 
 def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
-    """``_character_series`` where the pauli engine admits the model and the
-    layer and the model has at most TERM_CAP terms, else
-    ``series_of_channelled_gibbs``.  The characters span the whole term
-    group whatever the layer keeps, and its rank r is at most the number of
-    terms."""
+    """``_character_series`` on the model's term group, computed here once,
+    where the pauli engine admits the model and the layer and the model has
+    at most TERM_CAP terms, else ``series_of_channelled_gibbs``.  The
+    characters span the whole term group whatever the layer keeps, and its
+    rank r is at most the number of terms."""
     if len(h.terms) > pauli.TERM_CAP:
         return series_of_channelled_gibbs
     try:
         pauli.check(h)
-        pauli.check_layer(h, layer)
+        group = pauli.check_layer(h, layer)
     except ValueError:
         return series_of_channelled_gibbs
-    return _character_series
+    return partial(_character_series, group=group)
 
 
 def log_series(s: TruncatedSeries) -> TruncatedSeries:
@@ -299,6 +303,11 @@ def enumerate_connected_clusters(g: DualInteractionGraph, max_weight: int) -> li
     """All connected clusters (multisets of terms) of weight <= max_weight.
     A multiset is connected iff its set of distinct terms induces a connected
     subgraph of the dual graph."""
+    return [Cluster(k) for k in _cluster_keys(g, max_weight)]
+
+
+def _cluster_keys(g: DualInteractionGraph, max_weight: int) -> list:
+    """The series keys (multiplicities) of ``enumerate_connected_clusters``."""
     check_weight(max_weight)
     out = []
     for subset in connected_term_sets(g, max_weight):
@@ -306,7 +315,7 @@ def enumerate_connected_clusters(g: DualInteractionGraph, max_weight: int) -> li
         # distribute total weight w >= size over the subset, each term >= 1
         for w in range(size, max_weight + 1):
             for extra in _compositions(w - size, size):
-                out.append(Cluster(tuple((a, 1 + e) for a, e in zip(subset, extra))))
+                out.append(tuple((a, 1 + e) for a, e in zip(subset, extra)))
                 if len(out) > CLUSTER_COUNT_CAP:
                     raise ValueError("cluster enumeration budget exceeded")
     return out
@@ -361,26 +370,31 @@ def derivative_norm_certificate(
     check_commuting(h)
     g = build_dual_graph(h)
     # the weight cap raises before any coefficient is built
-    clusters = enumerate_connected_clusters(g, max_weight)
+    keys = _cluster_keys(g, max_weight)
     s = log_series(_series_builder(h, layer)(h, beta, layer, max_weight))
-    entries = []
-    violations = 0
-    for w in clusters:
-        norm = spectral_norm(cluster_derivative(s, w)) / w.factorial
-        bound = (2 * math.e * (g.degree + 1) * beta) ** (w.weight + 1)
-        ok = norm <= bound + 1e-12
-        if not ok:
-            violations += 1
-        entries.append(
-            {
-                "terms": [a for a, _ in w.multiplicities],
-                "multiplicities": [m for _, m in w.multiplicities],
-                "weight": w.weight,
-                "norm": norm,
-                "bound": bound,
-                "pass": ok,
-            }
-        )
+    idx = _key_index(len(h.terms), max_weight)
+    rows = [idx.row[k] for k in keys]
+    mu = idx.runs[:, rows] % (max_weight + 1)  # each cluster's multiplicities, 0 past its runs
+    weights = mu.sum(axis=0).tolist()
+    facts = np.array([math.factorial(k) for k in range(max_weight + 1)])[mu].prod(axis=0)  # W!
+    if s.unit.ndim == 1:  # spectral_norm of W! row, every cluster at once
+        norms = (np.abs(facts[:, None] * s.stack[rows]).max(axis=1) / facts).tolist()
+    else:
+        norms = [spectral_norm(f * s.stack[i]) / f for f, i in zip(facts.tolist(), rows)]
+    base = 2 * math.e * (g.degree + 1) * beta
+    bounds = {wt: base ** (wt + 1) for wt in set(weights)}
+    entries = [
+        {
+            "terms": [a for a, _ in k],
+            "multiplicities": [m for _, m in k],
+            "weight": wt,
+            "norm": norm,
+            "bound": bounds[wt],
+            "pass": norm <= bounds[wt] + 1e-12,
+        }
+        for k, wt, norm in zip(keys, weights, norms)
+    ]
+    violations = sum(not e["pass"] for e in entries)
     return {
         "beta": beta,
         "degree": g.degree,

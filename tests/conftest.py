@@ -10,7 +10,9 @@ from the package's primitives, one step at a time, and only the tests call
 them; so does the closed-form noisy-interface bound ``theorem3_bound``, which
 no run computes.  The pauli kernels' full-length forms (one gather update per
 term, one damping gather per channel, a stacked transform, a concatenating
-span) are kept here as bit-exact references for the in-place kernels.
+span) are kept here as bit-exact references for the in-place kernels, and
+so are the certificate path's per-key character series and per-cluster
+report for the array forms.
 """
 
 import itertools
@@ -35,8 +37,10 @@ from hmnlab.dense import apply_layer_to_matrix, hamiltonian_matrix, partial_trac
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, _terms_commute, build_dual_graph
 from hmnlab.pauli import group_element, term_group, walsh_hadamard
 from hmnlab.series import (
+    SERIES_FLOOR,
     TruncatedSeries,
     _key_index,
+    _series_builder,
     cluster_derivative,
     enumerate_connected_clusters,
     log_series,
@@ -306,6 +310,62 @@ def stacked_walsh_hadamard(x) -> np.ndarray:
         x = np.stack((x[..., 0, :] + x[..., 1, :], x[..., 0, :] - x[..., 1, :]), axis=-2)
         h *= 2
     return x.reshape(lead + (size,))
+
+
+def per_key_character_series(h, beta, layer, max_degree):
+    """Reference: the character-basis series by one Python step per key, the
+    key's factors multiplied in run order and its group element XORed up,
+    damped by ``gather_damp`` and transformed by ``stacked_walsh_hadamard``."""
+    gens, coords, signs = term_group(h)
+    f = gather_damp(np.ones(2 ** len(gens)), h.site_graph, gens, layer)
+    keys = _key_index(len(h.terms), max_degree).keys
+    elements, scales = [], []
+    for key in keys:
+        c, v = 1.0, 0
+        for a, k in key:
+            c *= (-beta * signs[a]) ** k / math.factorial(k)
+            v ^= coords[a] if k % 2 else 0
+        elements.append(v)
+        scales.append(c * f[v])
+    stack = np.zeros((len(keys), f.size))
+    stack[np.arange(len(keys)), elements] = scales
+    chars = stacked_walsh_hadamard(stack)
+    chars[0] = 1.0
+    return TruncatedSeries(len(h.terms), max_degree, np.ones(f.size), chars).prune(SERIES_FLOOR)
+
+
+def per_cluster_certificate(h, beta, layer, max_weight):
+    """Reference: the derivative-norm report by one Python step per cluster,
+    on the log of the series of the route the library takes (the per-key
+    character series in place of the library's)."""
+    g = build_dual_graph(h)
+    build = _series_builder(h, layer)
+    build = build if build is series_of_channelled_gibbs else per_key_character_series
+    s = log_series(build(h, beta, layer, max_weight))
+    entries, violations = [], 0
+    for w in enumerate_connected_clusters(g, max_weight):
+        norm = spectral_norm(cluster_derivative(s, w)) / w.factorial
+        bound = (2 * math.e * (g.degree + 1) * beta) ** (w.weight + 1)
+        ok = norm <= bound + 1e-12
+        violations += not ok
+        entries.append(
+            {
+                "terms": [a for a, _ in w.multiplicities],
+                "multiplicities": [m for _, m in w.multiplicities],
+                "weight": w.weight,
+                "norm": norm,
+                "bound": bound,
+                "pass": ok,
+            }
+        )
+    return {
+        "beta": beta,
+        "degree": g.degree,
+        "max_weight": max_weight,
+        "clusters": entries,
+        "violations": violations,
+        "pass": violations == 0,
+    }
 
 
 def series_from_dict(n_terms, max_degree, unit, coeffs: dict) -> TruncatedSeries:

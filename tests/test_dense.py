@@ -443,3 +443,33 @@ def test_real_arithmetic_unless_an_entry_is_complex():
         rho = dense.gibbs_state(odd, beta).entries
         assert rho.dtype == complex
         assert np.max(np.abs(rho - eigh_gibbs(odd, beta))) < 1e-12
+
+
+def test_hermitian_check_reads_every_row_block():
+    """Dim 256 is two row blocks: an asymmetric entry in either or across
+    them, and an imaginary pair that is symmetric but not conjugate, are
+    refused; a Hermitian complex state is not."""
+    g = SiteGraph(8)
+    for i, j, upper, lower in ((0, 255, 1e-9, 0.0), (200, 3, 1e-9, 0.0), (130, 131, 1e-9, 0.0), (5, 250, 1e-9j, 1e-9j)):
+        e = np.eye(256, dtype=type(upper)) / 256
+        e[i, j], e[j, i] = upper, lower
+        with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+            dense.DensityMatrix(e, g)
+    e = np.eye(256, dtype=complex) / 256
+    e[5, 250], e[250, 5] = 1e-3j, -1e-3j
+    assert dense.DensityMatrix(e, g).entries is e
+
+
+def test_hermitian_check_holds_no_full_size_temporary():
+    """At dim 2048 the check compares row blocks with column blocks, so its
+    peak allocation is a small share of one 32 MB matrix."""
+    import tracemalloc
+
+    e = np.eye(2048) / 2048
+    tracemalloc.start()
+    try:
+        dense.DensityMatrix(e, SiteGraph(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < e.nbytes / 4

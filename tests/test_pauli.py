@@ -355,6 +355,27 @@ def test_walsh_hadamard_in_place_matches_stacked_reference(r, rng):
         assert_same_bits(x, before)
 
 
+@pytest.mark.parametrize("r", range(17))
+def test_walsh_hadamard_by_shuffle_matches_stacked_reference(r, rng):
+    """Vectors up to 2^16 and stacks of up to 330 rows (at most 2^17
+    values), strided, Fortran-ordered and integer input: the bits of the
+    stacked reference, and the input left as it was."""
+    k = max(1, min(330, (1 << 17) >> r))
+    wide = rng.standard_normal((k, 2 ** (r + 1)))
+    cases = (
+        rng.standard_normal(2**r),
+        rng.standard_normal((k, 2**r)),
+        rng.standard_normal((2, 3, 2**r)),
+        wide[:, ::2],
+        np.asfortranarray(wide[:, 2**r :]),
+        rng.integers(-9, 10, (k, 2**r)),
+    )
+    for x in cases:
+        before = x.copy()
+        assert_same_bits(pauli.walsh_hadamard(x), stacked_walsh_hadamard(x.astype(float)))
+        assert_same_bits(x, before)
+
+
 def test_xor_span_matches_concatenation(rng):
     for k in range(17):
         rows = [int(v) for v in rng.integers(1, 1 << 40, k)]

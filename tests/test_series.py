@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmnlab import dense, series
-from hmnlab.channels import ChannelLayer, bitflip, compose_with_trace, transition_channel
+from hmnlab import dense, pauli, series, zoo
+from hmnlab.channels import ChannelLayer, bitflip, compose_with_trace, dephasing, depolarizing, transition_channel
 from hmnlab.classical import pinned_hamiltonian
 from hmnlab.combinatorics import (
     Cluster,
@@ -45,6 +46,8 @@ from tests.conftest import (
     ising_pauli_chain,
     lattice_2x3,
     naive_series_product,
+    per_cluster_certificate,
+    per_key_character_series,
     series_from_dict,
 )
 
@@ -385,7 +388,7 @@ def test_character_basis_matches_dense(case):
     term group agree with the dense series: norms and coefficients to 1e-12
     (a missing key reads zero), and the same clusters pass."""
     h, beta, layer, p, weight = case
-    assert series._series_builder(h, layer) is series._character_series
+    assert series._series_builder(h, layer).func is series._character_series
     rep = derivative_norm_certificate(h, beta, layer, weight)
     want = dense_certificate_norms(h, beta, layer, weight)
     assert [tuple(zip(e["terms"], e["multiplicities"])) for e in rep["clusters"]] == list(want)
@@ -516,3 +519,56 @@ def test_series_matches_factor_product():
         assert set(got) <= set(want) == set(_monomials(len(h.terms), degree))
         for k in want:
             assert np.max(np.abs(got.get(k, 0) - want[k])) < 1e-14, k
+
+
+def zz_model(n, edges, lam=-0.9):
+    terms = [HamiltonianTerm(e, PauliString(n, 0, (1 << e[0]) | (1 << e[1])), lam) for e in edges]
+    return LocalHamiltonian(SiteGraph(n), tuple(terms))
+
+
+def signed_model():
+    """XX, ZZ and YY on qubits 0-1 (YY = -XX ZZ enters with sigma = -1),
+    then Z0Z1Z2Z3 and Z2Z3 (a product of two earlier terms)."""
+    labelled = (("XXII", -0.7), ("ZZII", 0.4), ("YYII", -0.5), ("ZZZZ", -0.9), ("IIZZ", 0.6))
+    n = 4
+    terms = []
+    for label, lam in labelled:
+        p = PauliString.from_label(label)
+        terms.append(HamiltonianTerm(tuple(i for i in range(n) if label[i] != "I"), p, lam))
+    return LocalHamiltonian(SiteGraph(n), tuple(terms))
+
+
+GRID_3X3 = [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)] + [(i, i + 3) for i in range(6)]
+CERTIFICATE_CASES = {
+    "ising_chain_n6": lambda: (zoo.build_model("ising_chain", 6, "pauli"), zoo.bulk_layer("ising_chain", 6, 0.2)),
+    "lattice_2x3": lambda: (lattice_2x3(), ChannelLayer(tuple(bitflip(s, 0.2) for s in (1, 2, 3, 4)))),
+    "lattice_3x3": lambda: (zz_model(9, GRID_3X3), ChannelLayer(tuple(bitflip(s, 0.2) for s in range(1, 8)))),
+    "zz_ring_n5": lambda: (zz_model(5, [(i, i + 1) for i in range(4)] + [(0, 4)]), ChannelLayer((bitflip(2, 0.3),))),
+    "signed": lambda: (signed_model(), ChannelLayer((dephasing(1, 0.2), depolarizing(2, 0.3, 2)))),
+    "matrix_route": lambda: (zoo.build_model("ising_chain", 6, "classical"), zoo.bulk_layer("ising_chain", 6, 0.2)),
+}
+
+
+@pytest.mark.parametrize("beta", [1e-4, 0.01, 0.03])
+@pytest.mark.parametrize("weight", range(1, 6))
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_certificate_path_matches_per_key_references_bit_for_bit(case, weight, beta):
+    """The character series built from key-run arrays has the bytes of the
+    per-key loop, and the report taken over cluster rows is the per-cluster
+    loop's, on both routes; at beta 1e-4 the floor prunes rows.  The ring's
+    closing bond is a dependent term, and the signed model has sigma = -1."""
+    h, layer = CERTIFICATE_CASES[case]()
+    build = series._series_builder(h, layer)
+    if case == "matrix_route":
+        assert build is series_of_channelled_gibbs
+    else:
+        gens, coords, signs = build.keywords["group"]
+        assert (gens, coords, signs) == pauli.term_group(h)
+        assert (-1 in signs) == (case == "signed")
+        if case in ("zz_ring_n5", "signed"):  # a term that is a product of earlier ones
+            assert sum(1 for b in coords if b) > len(gens)
+        got, want = build(h, beta, layer, weight).stack, per_key_character_series(h, beta, layer, weight).stack
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    rep = derivative_norm_certificate(h, beta, layer, weight)
+    ref = per_cluster_certificate(h, beta, layer, weight)
+    assert rep == ref and json.dumps(rep) == json.dumps(ref)
