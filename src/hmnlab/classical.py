@@ -1,8 +1,7 @@
 """Exact classical engine: Gibbs distributions of diagonal Hamiltonians
 under channels that keep diagonal states diagonal (their transition
 matrices), built site by site as the forward algorithm of a hidden Markov
-model does, Shannon entropies, post-selection, and the pinned-Hamiltonian
-construction for conditioning on channel outcomes.
+model does, and Shannon entropies of their marginals.
 
 Distributions are stored as flat probability vectors of length q^n in
 lexicographic order with site 0 most significant.
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelLayer
-from .model import LocalHamiltonian, Partition, SiteGraph, entropy_bits
+from .model import LocalHamiltonian, SiteGraph, entropy_bits
 
 MEMORY_CAP = 2**22
 _SLICE_RUN = 8  # runs of at most this many configurations are summed by slice adds
@@ -50,9 +49,6 @@ class Distribution:
         if not (p.min() >= -1e-12 and abs(p.sum() - 1) <= 1e-12):  # NaN fails too
             raise ValueError("not a probability distribution")
         self.probs = p
-
-    def tensor(self) -> np.ndarray:
-        return self.probs.reshape((self.graph.q,) * self.graph.n_sites)
 
 
 def check(h: LocalHamiltonian) -> None:
@@ -89,25 +85,18 @@ def energy_table(h: LocalHamiltonian) -> np.ndarray:
     return e
 
 
-def _boltzmann(e: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-scale (e - min e)) normalized to sum 1, computed in place in the
-    flat energy vector ``e``, which is returned."""
-    e -= e.min()
-    e *= -scale
-    np.exp(e, out=e)
-    e /= e.sum()
-    return e
-
-
 def gibbs_distribution(h: LocalHamiltonian, beta: float) -> Distribution:
-    """Gibbs weights from the full energy table: the Boltzmann weights, or at
-    beta = inf the uniform distribution on the ground states."""
+    """Gibbs weights from the full energy table: the Boltzmann weights
+    exp(-beta (e - min e)), normalized in place in the flat energy vector,
+    or at beta = inf the uniform distribution on the ground states."""
     e = energy_table(h).ravel()
     if math.isinf(beta):
         p = (e <= e.min() + 1e-12).astype(float)
-        p /= p.sum()
     else:
-        p = _boltzmann(e, beta)
+        e -= e.min()
+        e *= -beta
+        p = np.exp(e, out=e)
+    p /= p.sum()
     return Distribution(p, h.site_graph)
 
 
@@ -265,83 +254,3 @@ def shannon_entropy(d: Distribution, region) -> float:
 
 
 region_entropy = shannon_entropy
-
-
-def post_select_decompose(d: Distribution, p: Partition) -> list[tuple[float, float]]:
-    """Per outcome y on B: (P(B=y), I(A:C | B=y)).  The weighted sum of the
-    mutual informations equals experiments.cmi(classical, d, p)."""
-    if not p.b:
-        raise ValueError("B must be nonempty to post-select")
-    g = d.graph
-    b = sorted(p.b)
-    rest = [s for s in range(g.n_sites) if s not in p.b]
-    t = np.moveaxis(d.tensor(), b + rest, range(g.n_sites))
-    t = t.reshape(g.q ** len(b), -1)
-    out = []
-    for row in t:
-        w = row.sum()
-        if w < 1e-15:
-            continue
-        cond = Distribution(row / w, SiteGraph(len(rest), g.q))
-        relabel = {s: i for i, s in enumerate(rest)}
-        sub = Partition(
-            frozenset(relabel[s] for s in p.a),
-            frozenset(),
-            frozenset(relabel[s] for s in p.c),
-        )
-        mi = (
-            shannon_entropy(cond, sub.a)
-            + shannon_entropy(cond, sub.c)
-            - shannon_entropy(cond, sub.a | sub.c)
-        )
-        out.append((float(w), float(mi)))
-    return out
-
-
-@dataclass
-class PinnedHamiltonian:
-    """beta*H plus per-site pinning fields d^{(i)}(y') = -log T_i(y_i, y'),
-    one for each channelled site i with observed outcome y_i."""
-
-    h: LocalHamiltonian
-    beta: float
-    pinning: dict  # site -> length-q array of pinning energies
-    outcome: dict  # site -> observed value y_i
-
-    def gibbs(self) -> Distribution:
-        """exp(-(beta H + sum_i d^{(i)})), normalized over all configurations."""
-        e = self.beta * energy_table(self.h)
-        g = self.h.site_graph
-        for s, d in self.pinning.items():
-            shape = [1] * g.n_sites
-            shape[s] = g.q
-            e = e + d.reshape(shape)
-        return Distribution(_boltzmann(e.ravel(), 1.0), g)
-
-
-def pinned_hamiltonian(
-    h: LocalHamiltonian, beta: float, layer: ChannelLayer, y: dict
-) -> PinnedHamiltonian:
-    """Pinning construction for conditioning a channelled Gibbs distribution
-    on outcome y over the channelled sites: marginalizing the pinned Gibbs
-    over the channelled sites reproduces the post-selected conditional."""
-    pinning = {}
-    for c in layer.channels:
-        if c.site not in y:
-            raise ValueError(f"no outcome given for site {c.site}")
-        col = c.transition[y[c.site], :]
-        if np.any(col <= 0):
-            raise ValueError(
-                "zero transition entry; mix the channel with a small "
-                "depolarization before pinning"
-            )
-        pinning[c.site] = -np.log(col)
-    return PinnedHamiltonian(h, beta, pinning, dict(y))
-
-
-def pinned_conditional(pin: PinnedHamiltonian) -> np.ndarray:
-    """Marginal of the pinned Gibbs over the unchannelled sites (the
-    prediction for the channel-conditioned distribution there)."""
-    g = pin.h.site_graph
-    keep = [s for s in range(g.n_sites) if s not in pin.pinning]
-    return marginal(pin.gibbs(), keep).ravel()

@@ -245,15 +245,16 @@ def estimate_chain(w: Cluster, g: DualInteractionGraph) -> dict:
     graph by ``_graph_chain``; the final comparison is float and depends on
     the cluster's W! and the dual graph's degree d.
     """
-    if w.weight > ESTIMATE_WEIGHT_CAP:
-        raise ValueError(f"weight {w.weight} exceeds cap {ESTIMATE_WEIGHT_CAP}")
+    weight = w.weight
+    if weight > ESTIMATE_WEIGHT_CAP:
+        raise ValueError(f"weight {weight} exceeds cap {ESTIMATE_WEIGHT_CAP}")
     graph = interaction_graph_of_cluster(w, g)
     left, tau, degprod = _graph_chain(graph.n, graph.edges)
-    mid1 = 2 ** (w.weight - 1) * tau
-    mid2 = 2 ** (w.weight - 1) * degprod
-    right = w.factorial * (2 * math.e * (1 + g.degree)) ** (w.weight + 1)
+    mid1 = 2 ** (weight - 1) * tau
+    mid2 = 2 ** (weight - 1) * degprod
+    right = w.factorial * (2 * math.e * (1 + g.degree)) ** (weight + 1)
     return {
-        "weight": w.weight,
+        "weight": weight,
         "left": left,
         "tree_bound": mid1,
         "degree_bound": mid2,

@@ -1,5 +1,5 @@
 """Truncated multivariate series of channelled Gibbs states and their
-logarithms, cluster derivatives, and the derivative-norm certificates.
+logarithms, connected clusters, and the derivative-norm certificates.
 
 A series in m term variables truncated at total degree D is one stack with a
 row per key of ``_monomials(m, D)``, exponent multisets over term indices (a
@@ -11,10 +11,9 @@ Coefficients live in one of two algebras, and one product, log and norm
 serve both:
 
 * (dim, dim) matrices, multiplied by matmul: the general case, and the only
-  one for diagonal tables, channels that are not Pauli-diagonal, and
-  pinned prefactors.  This is what
-  ``series_of_channelled_gibbs`` builds, for non-commuting terms too; the
-  certificates and the CMI-operator series refuse those.
+  one for diagonal tables and channels that are not Pauli-diagonal.  This
+  is what ``series_of_channelled_gibbs`` builds, for non-commuting terms
+  too; the certificates and the CMI-operator series refuse those.
 * Character vectors over the abelian group g_v that commuting Pauli terms
   generate (``pauli.term_group``), when the pauli engine admits the model
   and the layer: a Pauli-diagonal channel damps each g_v, so every
@@ -40,8 +39,7 @@ import numpy as np
 
 from . import dense, pauli
 from .channels import ChannelLayer, compose_with_trace
-from .classical import PinnedHamiltonian
-from .combinatorics import Cluster, key_factorial, key_weight
+from .combinatorics import Cluster, key_weight
 from .dense import apply_layer_to_matrix, term_matrix
 from .model import DualInteractionGraph, LocalHamiltonian, Partition, build_dual_graph, require_int
 
@@ -177,20 +175,14 @@ class TruncatedSeries:
 
 
 def series_of_channelled_gibbs(
-    h: LocalHamiltonian,
-    beta: float,
-    layer: ChannelLayer,
-    max_degree: int,
-    prefactor: np.ndarray | None = None,
+    h: LocalHamiltonian, beta: float, layer: ChannelLayer, max_degree: int
 ) -> TruncatedSeries:
-    """Series of E[P0 * Pi_a e^{-beta lam_a h_a}] in the term variables
-    lam_a, with the channel applied to every coefficient.
+    """Series of E[Pi_a e^{-beta lam_a h_a}] in the term variables lam_a,
+    with the channel applied to every coefficient.
 
-    ``P0 = prefactor`` (default I) is a fixed matrix commuting with all
-    terms, e.g. the pinning factors; it is NOT expanded.  Unitality of the
-    layer (degree-0 coefficient = I after the channel) is enforced.  The
-    coefficients are dense matrices, so the dense engine's cap applies.
-    A key's coefficient is its prefix key's (the key without its last run
+    Unitality of the layer (degree-0 coefficient = I after the channel) is
+    enforced.  The coefficients are dense matrices, so the dense engine's
+    cap applies.  A key's coefficient is its prefix key's (the key without its last run
     (a, mu)) times (-beta)^mu/mu! h_a^mu: the factors multiplied in order."""
     dense.check(h)
     g, dim = h.site_graph, h.site_graph.dim
@@ -202,7 +194,7 @@ def series_of_channelled_gibbs(
         factors.append([((-beta) ** mu / math.factorial(mu)) * m for mu, m in enumerate(powers)])
     idx = _key_index(len(h.terms), max_degree)
     stack = np.empty((len(idx.keys), dim, dim), dtype=complex)
-    stack[0] = np.eye(dim) if prefactor is None else prefactor
+    stack[0] = np.eye(dim)
     for i, k in enumerate(idx.keys[1:], 1):
         stack[i] = stack[idx.row[k[:-1]]] @ factors[k[-1][0]][k[-1][1]]
     step = _block_len(stack[0].nbytes)
@@ -268,14 +260,6 @@ def log_series(s: TruncatedSeries) -> TruncatedSeries:
         for i in range(0, len(out), step):  # blocks that stay in cache
             out[i : i + step] += (-1.0) ** (n - 1) / n * power.stack[i : i + step]
     return replace(s, stack=out).prune(SERIES_FLOOR)
-
-
-def cluster_derivative(s: TruncatedSeries, w: Cluster) -> np.ndarray:
-    """D_W applied to the function the series represents: W! times the
-    coefficient of lambda^W."""
-    if w.weight > s.max_degree:
-        raise ValueError("cluster weight exceeds truncation degree")
-    return w.factorial * s.get(w.multiplicities)
 
 
 def connected_term_sets(g: DualInteractionGraph, max_size: int) -> list:
@@ -402,51 +386,4 @@ def derivative_norm_certificate(
         "clusters": entries,
         "violations": violations,
         "pass": violations == 0,
-    }
-
-
-def pinned_traced_series(pin: PinnedHamiltonian, max_degree: int) -> TruncatedSeries:
-    """Series of E_Gamma^Tr[rho_pinned] where rho_pinned = exp(-(beta H + sum d_i))
-    normalized by q^{|Y|}/Z_0, traced over the pinned sites Gamma.  The
-    pinning factors enter as a fixed (unexpanded) prefactor."""
-    h = pin.h
-    g = h.site_graph
-    pre = np.ones(g.dim)
-    for site, d in pin.pinning.items():
-        shape = [1] * g.n_sites
-        shape[site] = g.q
-        factor = (g.q / np.exp(-d).sum()) * np.exp(-d)
-        pre = pre * np.broadcast_to(factor.reshape(shape), (g.q,) * g.n_sites).ravel()
-    return series_of_channelled_gibbs(
-        h, pin.beta, compose_with_trace(ChannelLayer(), pin.pinning, g.q), max_degree, prefactor=np.diag(pre)
-    )
-
-
-def pinned_series_check(pin: PinnedHamiltonian, max_degree: int) -> dict:
-    """Verifies for the pinned traced series: (i) degree-0 coefficient = I,
-    (ii) disconnected-cluster log-derivatives vanish, (iii) connected-cluster
-    derivatives of the state series obey ||D_V E[rho]|| <= beta^{|V|}."""
-    h = pin.h
-    g = build_dual_graph(h)
-    s = pinned_traced_series(pin, max_degree)
-    d0_ok = bool(np.max(np.abs(s.get(()) - s.unit)) <= 1e-10)
-    ls = log_series(s)
-    connected = set(connected_term_sets(g, max_degree))
-    max_disc = 0.0
-    for key, m in ls.coeffs.items():
-        if key and tuple(a for a, _ in key) not in connected:
-            max_disc = max(max_disc, spectral_norm(m) * key_factorial(key))
-    bound_viol = []
-    for w in enumerate_connected_clusters(g, max_degree):
-        norm = spectral_norm(cluster_derivative(s, w))
-        if norm > pin.beta ** w.weight + 1e-12:
-            bound_viol.append(
-                {"terms": [a for a, _ in w.multiplicities], "norm": norm}
-            )
-    return {
-        "degree0_identity": d0_ok,
-        "max_disconnected_log_norm": max_disc,
-        "disconnected_ok": max_disc <= 1e-9,
-        "beta_power_violations": bound_viol,
-        "pass": d0_ok and max_disc <= 1e-9 and not bound_viol,
     }

@@ -8,7 +8,10 @@ dense state of a pauli expansion, a series evaluated at numbers, channel
 composition, exact-n colorings, the estimate chain with no memo) are built
 from the package's primitives, one step at a time, and only the tests call
 them; so does the closed-form noisy-interface bound ``theorem3_bound``, which
-no run computes.  The pauli kernels' full-length forms (one gather update per
+no run computes, and so does the pinning construction of the paper's
+classical case (post-selection on channel outcomes, pinned Hamiltonians and
+their traced series with its checks), since no run computes certificates
+under a non-unital layer.  The pauli kernels' full-length forms (one gather update per
 term, one damping gather per channel, a stacked transform, a concatenating
 span) are kept here as bit-exact references for the in-place kernels, and
 so are the certificate path's per-key character series and per-cluster
@@ -17,6 +20,7 @@ report for the array forms.
 
 import itertools
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -24,12 +28,14 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from hmnlab.channels import ChannelLayer, SiteChannel, bitflip, compose_with_trace, dephasing, depolarizing
+from hmnlab.classical import Distribution, energy_table, marginal, shannon_entropy
 from hmnlab.combinatorics import (
     Cluster,
     _chromatic_poly,
     coloring_weight,
     enumerate_connected_partitions,
     interaction_graph_of_cluster,
+    key_factorial,
     quotient_graph,
     spanning_tree_count,
 )
@@ -41,7 +47,7 @@ from hmnlab.series import (
     TruncatedSeries,
     _key_index,
     _series_builder,
-    cluster_derivative,
+    connected_term_sets,
     enumerate_connected_clusters,
     log_series,
     series_of_channelled_gibbs,
@@ -604,6 +610,134 @@ def theorem3_bound(k: int, q: float) -> float:
         raise ValueError("q must lie in [0, 1]")
     val = 2 * k - 4 * k * math.sqrt(q) - 3 * (1.5) ** (2 / 3) * q ** (1 / 6)
     return max(val, 0.0)
+
+
+def prob_tensor(d) -> np.ndarray:
+    """A distribution's probabilities as a (q,)*n tensor, site 0 first."""
+    return d.probs.reshape((d.graph.q,) * d.graph.n_sites)
+
+
+def cluster_derivative(s, w) -> np.ndarray:
+    """D_W applied to the function the series represents: W! times the
+    coefficient of lambda^W."""
+    if w.weight > s.max_degree:
+        raise ValueError("cluster weight exceeds truncation degree")
+    return w.factorial * s.get(w.multiplicities)
+
+
+def post_select_decompose(d, p) -> list:
+    """Per outcome y on B: (P(B=y), I(A:C | B=y)).  The weighted sum of the
+    mutual informations equals experiments.cmi(classical, d, p)."""
+    if not p.b:
+        raise ValueError("B must be nonempty to post-select")
+    g = d.graph
+    b = sorted(p.b)
+    rest = [s for s in range(g.n_sites) if s not in p.b]
+    t = np.moveaxis(prob_tensor(d), b + rest, range(g.n_sites))
+    t = t.reshape(g.q ** len(b), -1)
+    relabel = {s: i for i, s in enumerate(rest)}
+    a, c = frozenset(relabel[s] for s in p.a), frozenset(relabel[s] for s in p.c)
+    out = []
+    for row in t:
+        w = row.sum()
+        if w < 1e-15:
+            continue
+        cond = Distribution(row / w, SiteGraph(len(rest), g.q))
+        mi = shannon_entropy(cond, a) + shannon_entropy(cond, c) - shannon_entropy(cond, a | c)
+        out.append((float(w), float(mi)))
+    return out
+
+
+@dataclass
+class PinnedHamiltonian:
+    """beta*H plus per-site pinning fields d^{(i)}(y') = -log T_i(y_i, y'),
+    one for each channelled site i with observed outcome y_i."""
+
+    h: LocalHamiltonian
+    beta: float
+    pinning: dict  # site -> length-q array of pinning energies
+
+    def gibbs(self) -> Distribution:
+        """exp(-(beta H + sum_i d^{(i)})), normalized over all configurations."""
+        e = self.beta * energy_table(self.h)
+        g = self.h.site_graph
+        for s, d in self.pinning.items():
+            shape = [1] * g.n_sites
+            shape[s] = g.q
+            e = e + d.reshape(shape)
+        w = np.exp(-(e.ravel() - e.min()))
+        return Distribution(w / w.sum(), g)
+
+
+def pinned_hamiltonian(h, beta, layer, y: dict) -> PinnedHamiltonian:
+    """Pinning construction for conditioning a channelled Gibbs distribution
+    on outcome y over the channelled sites: marginalizing the pinned Gibbs
+    over the channelled sites reproduces the post-selected conditional."""
+    pinning = {}
+    for c in layer.channels:
+        if c.site not in y:
+            raise ValueError(f"no outcome given for site {c.site}")
+        col = c.transition[y[c.site], :]
+        if np.any(col <= 0):
+            raise ValueError("zero transition entry; mix the channel with a small depolarization before pinning")
+        pinning[c.site] = -np.log(col)
+    return PinnedHamiltonian(h, beta, pinning)
+
+
+def pinned_conditional(pin: PinnedHamiltonian) -> np.ndarray:
+    """Marginal of the pinned Gibbs over the unchannelled sites (the
+    prediction for the channel-conditioned distribution there)."""
+    g = pin.h.site_graph
+    keep = [s for s in range(g.n_sites) if s not in pin.pinning]
+    return marginal(pin.gibbs(), keep).ravel()
+
+
+def pinned_traced_series(pin: PinnedHamiltonian, max_degree: int) -> TruncatedSeries:
+    """Series of E_Gamma^Tr[rho_pinned] where rho_pinned = exp(-(beta H + sum d_i))
+    normalized by q^{|Y|}/Z_0, traced over the pinned sites Gamma: the
+    library's series under no channel, each coefficient multiplied by the
+    pinning factors (a fixed, unexpanded diagonal prefactor of mean 1 on each
+    pinned site), then the trace applied to every coefficient."""
+    h = pin.h
+    g = h.site_graph
+    pre = np.ones(g.dim)
+    for site, d in pin.pinning.items():
+        shape = [1] * g.n_sites
+        shape[site] = g.q
+        factor = (g.q / np.exp(-d).sum()) * np.exp(-d)
+        pre = pre * np.broadcast_to(factor.reshape(shape), (g.q,) * g.n_sites).ravel()
+    s = series_of_channelled_gibbs(h, pin.beta, ChannelLayer(), max_degree)
+    stack = apply_layer_to_matrix(pre[:, None] * s.stack, compose_with_trace(ChannelLayer(), pin.pinning, g.q), g)
+    if np.max(np.abs(stack[0] - s.unit)) > 1e-10:
+        raise ValueError("degree-0 coefficient is not identity")
+    stack[0] = s.unit
+    return replace(s, stack=stack).prune(SERIES_FLOOR)
+
+
+def pinned_series_check(pin: PinnedHamiltonian, max_degree: int) -> dict:
+    """Verifies for the pinned traced series: (i) degree-0 coefficient = I,
+    (ii) disconnected-cluster log-derivatives vanish, (iii) connected-cluster
+    derivatives of the state series obey ||D_V E[rho]|| <= beta^{|V|}."""
+    g = build_dual_graph(pin.h)
+    s = pinned_traced_series(pin, max_degree)
+    d0_ok = bool(np.max(np.abs(s.get(()) - s.unit)) <= 1e-10)
+    connected = set(connected_term_sets(g, max_degree))
+    max_disc = 0.0
+    for key, m in log_series(s).coeffs.items():
+        if key and tuple(a for a, _ in key) not in connected:
+            max_disc = max(max_disc, spectral_norm(m) * key_factorial(key))
+    bound_viol = []
+    for w in enumerate_connected_clusters(g, max_degree):
+        norm = spectral_norm(cluster_derivative(s, w))
+        if norm > pin.beta**w.weight + 1e-12:
+            bound_viol.append({"terms": [a for a, _ in w.multiplicities], "norm": norm})
+    return {
+        "degree0_identity": d0_ok,
+        "max_disconnected_log_norm": max_disc,
+        "disconnected_ok": max_disc <= 1e-9,
+        "beta_power_violations": bound_viol,
+        "pass": d0_ok and max_disc <= 1e-9 and not bound_viol,
+    }
 
 
 def random_commuting_pauli_model(rng, n, max_terms=6):

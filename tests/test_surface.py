@@ -35,10 +35,6 @@ SRC = ROOT / "src" / "hmnlab"
 # studies of the paper's statements that only tests run today; each stays in
 # the library as the computation the statement describes
 PAPER_STUDIES = {
-    "post_select_decompose": "the post-selection decomposition of a channelled distribution",
-    "pinned_hamiltonian": "the pinning construction: pinned Hamiltonians",
-    "pinned_conditional": "the pinning construction: conditionals of the pinned state",
-    "pinned_series_check": "the pinning construction: the pinned series' vanishing and beta-power checks",
     "is_commutation_preserving": "the commutation-preservation property the decay theorems assume",
 }
 
@@ -46,7 +42,7 @@ PAPER_STUDIES = {
 # every parameter default and dataclass field default in the library, with
 # the reason callers leave it unset; a new default fails until it is listed
 SETTABLE = {
-    "channels.ChannelLayer.channels": "the empty layer of the thermal state and of the pinned traced series",
+    "channels.ChannelLayer.channels": "the empty layer of the thermal state",
     "cli.main.argv": "None reads sys.argv, as the console entry point does",
     "experiments.DecayCurve.points": "a curve starts empty and add fills it",
     "experiments.decay_curve.channel_p": "the parity and Bell chains' read-out takes no p; the CLI passes the bulk p",
@@ -54,7 +50,6 @@ SETTABLE = {
     "model.PauliString.sign": "+1 from a label; products and the Bell measurement's -YY carry -1",
     "model.entropy_bits.degeneracy": "1 for classical and dense spectra, each value's multiplicity on pauli",
     "pauli._xor_span.dtype": "int64 group indices, the smallest type for the damping tables' indices",
-    "series.series_of_channelled_gibbs.prefactor": "None (the identity) but for the pinned series' pinning factors",
 }
 
 
