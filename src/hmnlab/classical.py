@@ -52,13 +52,15 @@ class Distribution:
 
 
 def check(h: LocalHamiltonian) -> None:
-    """Raise ValueError unless the engine can take ``h``: diagonal terms and
-    at most MEMORY_CAP configurations."""
+    """Raise ValueError unless the engine can take ``h``: at most MEMORY_CAP
+    configurations, and diagonal terms whose tables it can read."""
     dim = h.site_graph.dim
     if dim > MEMORY_CAP:
         raise ValueError(f"{dim} configurations exceed memory cap {MEMORY_CAP}")
-    if not h.all_diagonal:
-        raise ValueError("classical engine requires diagonal terms; got non-diagonal terms")
+    for t in h.terms:
+        if not t.is_diagonal:
+            raise ValueError("classical engine requires diagonal terms; got a non-diagonal string (X or Y)")
+        t.table(h.site_graph.q)
 
 
 def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> None:
@@ -211,7 +213,7 @@ def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> Distributi
     beta = inf, ``gibbs_distribution`` does from the energy table."""
     check(h)
     check_layer(h, layer)
-    spread = sum(float(a.max() - a.min()) for a in (t.coefficient * t.operator for t in h.terms))
+    spread = sum(float(a.max() - a.min()) for a in (t.coefficient * t.table(h.site_graph.q) for t in h.terms))
     if math.isfinite(beta) and abs(beta) * spread <= _SWEEP_LOG_RANGE:
         return Distribution(_sweep(h, beta, layer), h.site_graph)
     return apply_transitions(gibbs_distribution(h, beta), layer)

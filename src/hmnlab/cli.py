@@ -42,7 +42,7 @@ Config schema (JSON object):
                 model file do not read it, but check one they are given.
                 Refused on a builtin model id, which uses the boundary
                 partition (A the first site, C the last)
-    engine:     "classical" | "dense" | "pauli"
+    engine:     "classical" (diagonal terms: tables, Z-only strings) | "dense" | "pauli"
     output:     file name stem for the CSV/JSON artifacts: a non-empty
                 string with no path separator or NUL, and not "." or ".."
 
@@ -235,7 +235,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
                 raise ValueError(f"distances {list(r.distances)} are not strictly increasing")
             if r.distances:
                 n = r.distances[-1] + 1  # the largest chain the curve builds
-        r.h = zoo.build_model(r.family, n, engine)
+        r.h = zoo.build_model(r.family, n)
         check(r.h)
         if isinstance(ch, list):
             if exp == "decay":
@@ -246,7 +246,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
             r.layer = zoo.bulk_layer(r.family, n, r.p_noise)
         r.partition = experiments.boundary_partition(n)
         if exp == "decay" and r.distances:  # and the smallest chain it builds
-            check(zoo.build_model(r.family, r.distances[0] + 1, engine))
+            check(zoo.build_model(r.family, r.distances[0] + 1))
     check_layer(r.h, r.layer)
     if exp == "certificates":
         r.max_weight = cfg.get("max_weight", 4)

@@ -95,7 +95,7 @@ def _term_product(h: LocalHamiltonian, beta: float) -> np.ndarray | None:
     flips = []
     for t in h.terms:
         lam = t.coefficient
-        if t.is_diagonal:
+        if not t.is_pauli:
             if inf:  # the ground set of real tables needs eigh's 1e-10 tolerance
                 return None
             e = beta * lam * t.site_table(g.q, range(g.n_sites))

@@ -126,7 +126,7 @@ def decay_curve(
     bulk = zoo.bulk_layer(family, int(max(distances, default=0)) + 1, channel_p)
     for d in distances:
         n = int(d) + 1
-        h = zoo.build_model(family, n, engine)
+        h = zoo.build_model(family, n)
         layer = ChannelLayer(bulk.channels[: n - 2])
         curve.add(float(d), evaluate_cmi(h, beta, layer, boundary_partition(n), engine))
     return curve

@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,8 +139,8 @@ class HamiltonianTerm:
     """One bounded term lambda_a * h_a.
 
     ``operator`` is a PauliString over the full qubit register, or a real
-    table of shape (q,)*len(support) for diagonal classical terms (axes in
-    the order ``support`` is listed).
+    table of shape (q,)*len(support) (axes in the order ``support`` is
+    listed).  A table and a string with no X bit are diagonal terms.
     """
 
     support: tuple[int, ...]
@@ -152,7 +152,7 @@ class HamiltonianTerm:
             raise ValueError(f"term support {self.support} lists a site twice")
         if not abs(self.coefficient) <= 1 + 1e-12:  # NaN fails too
             raise ValueError(f"|lambda|={abs(self.coefficient)} exceeds 1")
-        if self.is_diagonal:
+        if not self.is_pauli:
             table = np.asarray(self.operator, dtype=float)
             if not np.max(np.abs(table)) <= 1 + 1e-12:
                 raise ValueError("diagonal term exceeds unit operator norm")
@@ -160,18 +160,36 @@ class HamiltonianTerm:
 
     @property
     def is_diagonal(self) -> bool:
-        return not isinstance(self.operator, PauliString)
+        return not self.is_pauli or not self.operator.x
 
     @property
     def is_pauli(self) -> bool:
         return isinstance(self.operator, PauliString)
+
+    def table(self, q: int) -> np.ndarray:
+        """A diagonal term's table, axes in ``support`` order; a Z-only string's
+        is read off its bits on the support, and one with a bit elsewhere refused."""
+        if not self.is_pauli:
+            return self.operator
+        p, k = self.operator, q.bit_length() - 1
+        z = sum((p.z >> (s * k) & (q - 1)) << (i * k) for i, s in enumerate(self.support))
+        if p.x or z.bit_count() != p.z.bit_count():
+            raise ValueError(f"Pauli string {p} is not a Z-only string on its support {self.support}")
+        return _z_table(z, p.sign, len(self.support), q)
 
     def site_table(self, q: int, sites: range) -> np.ndarray:
         """A diagonal term's table with its axes in increasing site order,
         shaped to broadcast against the (q,)*len(sites) configuration tensor
         of the consecutive ``sites``, which hold the support."""
         order = sorted(range(len(self.support)), key=self.support.__getitem__)
-        return self.operator.transpose(order).reshape([q if s in self.support else 1 for s in sites])
+        return self.table(q).transpose(order).reshape([q if s in self.support else 1 for s in sites])
+
+
+@lru_cache(maxsize=None)
+def _z_table(z: int, sign: int, n_sites: int, q: int) -> np.ndarray:
+    """The +-1 table of sign * Z^z on n_sites whole sites, site 0 the first axis."""
+    _, values = PauliString(n_sites * (q.bit_length() - 1), 0, z, sign).monomial()
+    return values.astype(float).reshape((q,) * n_sites)
 
 
 @dataclass(frozen=True)
@@ -195,10 +213,6 @@ class LocalHamiltonian:
     @property
     def all_pauli(self) -> bool:
         return all(t.is_pauli for t in self.terms)
-
-    @property
-    def all_diagonal(self) -> bool:
-        return all(t.is_diagonal for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -332,7 +346,7 @@ def _flip_invariant(term: HamiltonianTerm, p: PauliString, graph: SiteGraph) -> 
 def _term_sites(term: HamiltonianTerm, graph: SiteGraph) -> frozenset:
     """The sites a term acts on: a table's support, a Pauli string's sites
     with a set x or z bit.  A string must span the model's qubits."""
-    if term.is_diagonal:
+    if not term.is_pauli:
         return frozenset(term.support)
     p = term.operator
     if p.n != graph.n_qubits:
@@ -343,13 +357,13 @@ def _term_sites(term: HamiltonianTerm, graph: SiteGraph) -> frozenset:
 
 def _terms_commute(ti: HamiltonianTerm, tj: HamiltonianTerm, graph: SiteGraph) -> bool:
     """Whether two bare terms commute: symplectic check for a Pauli pair, the
-    diagonal table against the Pauli string's flips for a mixed pair;
-    diagonal pairs always commute."""
-    if ti.is_diagonal and tj.is_diagonal:
+    table against the Pauli string's flips for a mixed pair; table pairs
+    always commute."""
+    if not ti.is_pauli and not tj.is_pauli:
         return True
     if ti.is_pauli and tj.is_pauli:
         return ti.operator.commutes_with(tj.operator)
-    diag, p = (ti, tj.operator) if ti.is_diagonal else (tj, ti.operator)
+    diag, p = (ti, tj.operator) if tj.is_pauli else (tj, ti.operator)
     return _flip_invariant(diag, p, graph)
 
 

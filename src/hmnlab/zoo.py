@@ -24,22 +24,10 @@ from .channels import (
 )
 from .model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph
 
-FAMILIES = ("ising_chain", "parity_chain", "bell_chain", "cluster_chain")
-
-
-def ising_chain(n: int, kind: str) -> LocalHamiltonian:
-    """Ferromagnetic ZZ chain, lambda = -1 per bond."""
-    g = SiteGraph(n)
-    terms = []
-    for i in range(n - 1):
-        if kind == "pauli":
-            op = PauliString.from_label("I" * i + "ZZ" + "I" * (n - i - 2))
-        elif kind == "diag":
-            op = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        terms.append(HamiltonianTerm((i, i + 1), op, -1.0))
-    return LocalHamiltonian(g, tuple(terms))
+def ising_chain(n: int) -> LocalHamiltonian:
+    """Ferromagnetic ZZ chain, lambda = -1 per bond, as Z-only strings."""
+    terms = (HamiltonianTerm((i, i + 1), PauliString(n, 0, 3 << i), -1.0) for i in range(n - 1))
+    return LocalHamiltonian(SiteGraph(n), tuple(terms))
 
 
 def parity_chain(n: int) -> LocalHamiltonian:
@@ -70,14 +58,11 @@ def bell_chain(n: int) -> LocalHamiltonian:
     stabilizers on (v-qubit of i, u-qubit of i+1), lambda = -1."""
     if n < 3:
         raise ValueError("bell chain needs at least 3 sites")
-    g = SiteGraph(n, q=4)
     terms = []
     for i in range(n - 1):
-        for letter in ("X", "Z"):
-            label = ["I"] * g.n_qubits
-            label[2 * i + 1] = label[2 * i + 2] = letter
-            terms.append(HamiltonianTerm((i, i + 1), PauliString.from_label("".join(label)), -1.0))
-    return LocalHamiltonian(g, tuple(terms))
+        link = 3 << (2 * i + 1)  # the v qubit of site i and the u qubit of site i + 1
+        terms += [HamiltonianTerm((i, i + 1), PauliString(2 * n, x, z), -1.0) for x, z in ((link, 0), (0, link))]
+    return LocalHamiltonian(SiteGraph(n, q=4), tuple(terms))
 
 
 def cluster_chain(n: int) -> LocalHamiltonian:
@@ -86,21 +71,20 @@ def cluster_chain(n: int) -> LocalHamiltonian:
     terms = []
     for i in range(n):
         sup = tuple(range(max(i - 1, 0), min(i + 2, n)))
-        label = "".join("X" if s == i else "Z" if s in sup else "I" for s in range(n))
-        terms.append(HamiltonianTerm(sup, PauliString.from_label(label), -1.0))
+        z = sum(1 << s for s in sup if s != i)
+        terms.append(HamiltonianTerm(sup, PauliString(n, 1 << i, z), -1.0))
     return LocalHamiltonian(SiteGraph(n), tuple(terms))
 
 
-def build_model(family: str, n: int, engine: str) -> LocalHamiltonian:
-    if family == "ising_chain":
-        return ising_chain(n, "diag" if engine == "classical" else "pauli")
-    if family == "parity_chain":
-        return parity_chain(n)
-    if family == "bell_chain":
-        return bell_chain(n)
-    if family == "cluster_chain":
-        return cluster_chain(n)
-    raise ValueError(f"unknown model family {family!r}")
+# a family's id is its builder's name, and every builder takes n alone
+_BUILDERS = {f.__name__: f for f in (ising_chain, parity_chain, bell_chain, cluster_chain)}
+FAMILIES = tuple(_BUILDERS)
+
+
+def build_model(family: str, n: int) -> LocalHamiltonian:
+    if family not in _BUILDERS:
+        raise ValueError(f"unknown model family {family!r}")
+    return _BUILDERS[family](n)
 
 
 # the config ``kind`` of each family's bulk channel; the parity and Bell

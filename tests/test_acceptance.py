@@ -99,7 +99,7 @@ def test_classical_chain_markov_length():
         curve = experiments.decay_curve("ising_chain", "classical", beta, range(1, 7), 0.2)
         for d, v in curve.points:
             n = int(d) + 1
-            h = zoo.build_model("ising_chain", n, "classical")
+            h = zoo.build_model("ising_chain", n)
             layer = zoo.bulk_layer("ising_chain", n, 0.2)
             dist = classical.apply_transitions(classical.gibbs_distribution(h, beta), layer)
             oracle = brute_cmi_bits(dist.probs, h.site_graph, experiments.boundary_partition(n))
@@ -123,7 +123,7 @@ def test_quantum_chain_decay_with_self_check():
     # reversed chain: relabel sites n-1-i; the spectrum of the problem is
     # unchanged, so the CMI must agree to numerical precision
     n = 5
-    h = zoo.build_model("ising_chain", n, "dense")
+    h = zoo.build_model("ising_chain", n)
     layer = zoo.bulk_layer("ising_chain", n, p_noise)
     fwd = experiments.evaluate_cmi(h, beta, layer, experiments.boundary_partition(n), "dense")
     rev_p = Partition(frozenset({n - 1}), frozenset(range(1, n - 1)), frozenset({0}))
@@ -137,7 +137,7 @@ def test_vanishing_lemmas_chain_and_lattice():
     clusters drop out of the log series, and clusters that do not join A to
     C drop out of the CMI-operator series."""
     cases = []
-    h_chain = zoo.build_model("ising_chain", 5, "pauli")
+    h_chain = zoo.build_model("ising_chain", 5)
     p_chain = experiments.boundary_partition(5)
     chain_layer = ChannelLayer(tuple(bitflip(s, 0.2) for s in range(1, 4)))
     cases.append((h_chain, chain_layer, p_chain))
@@ -169,7 +169,7 @@ def test_derivative_norm_certificates():
     connected cluster of weight <= 4, for unital quantum layers and for the
     pinned classical traced series."""
     betas = (0.01, 0.05, 0.1)
-    h = zoo.build_model("ising_chain", 5, "pauli")
+    h = zoo.build_model("ising_chain", 5)
     layer = ChannelLayer(tuple(bitflip(s, 0.3) for s in range(1, 4)))
     for beta in betas:
         rep = derivative_norm_certificate(h, beta, layer, 4)
@@ -192,7 +192,7 @@ def test_derivative_norm_certificates():
 def test_anchored_cluster_counts():
     """Exhaustive anchored connected-cluster counts against the analytic
     e d (1 + e(d-1))^{w-1} budget, weight <= 6, chain and 2x3 lattice."""
-    for h in (zoo.build_model("ising_chain", 7, "pauli"), lattice_2x3()):
+    for h in (zoo.build_model("ising_chain", 7), lattice_2x3()):
         g = build_dual_graph(h)
         d = g.degree
         for site in range(h.site_graph.n_sites):
@@ -208,7 +208,7 @@ def test_combinatorial_estimate_chain():
     """Left sum <= tree bound <= degree bound <= factorial budget for every
     connected cluster of weight <= 5 on the chain dual graph; exact-color
     counts validated against exhaustive enumeration up to 6 vertices."""
-    h = zoo.build_model("ising_chain", 6, "pauli")
+    h = zoo.build_model("ising_chain", 6)
     g = build_dual_graph(h)
     for w in enumerate_connected_clusters(g, 5):
         rep = verify_combinatorial_estimate(w, g)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hmnlab import classical, zoo
 from hmnlab.channels import ChannelLayer, transition_channel
 from hmnlab.experiments import cmi
-from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, SiteGraph
+from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, PauliString, SiteGraph
 from tests.conftest import (
     brute_apply_transitions,
     brute_cmi_bits,
@@ -18,7 +18,6 @@ from tests.conftest import (
     brute_gibbs_probs,
     brute_marginal,
     ising_diag_chain,
-    ising_pauli_chain,
     pinned_conditional,
     pinned_hamiltonian,
     post_select_decompose,
@@ -298,8 +297,25 @@ def test_memory_cap():
 
 
 def test_prepare_refuses_pauli_terms():
-    with pytest.raises(ValueError, match="requires diagonal terms"):
-        classical.prepare(ising_pauli_chain(3), 0.5, ChannelLayer())
+    """A string with an X bit is not diagonal: an XX chain and the Bell
+    chain's XX stabilizers are refused, with a message true of them."""
+    xx = tuple(HamiltonianTerm((i, i + 1), PauliString(3, 3 << i, 0), -1.0) for i in range(2))
+    for h in (LocalHamiltonian(SiteGraph(3), xx), zoo.bell_chain(3)):
+        with pytest.raises(ValueError, match=r"requires diagonal terms; got a non-diagonal string \(X or Y\)"):
+            classical.prepare(h, 0.5, ChannelLayer())
+
+
+def test_check_refuses_z_bits_off_the_support():
+    """A Z string whose bits leave its support is refused, not cut to the
+    support: Z0 Z1 Z2 listed on sites (0, 1), and on q = 4 sites a Z on
+    qubit 2 (site 1) of a term listed on site 0."""
+    for q, z, support in ((2, 0b111, (0, 1)), (4, 0b101, (0,))):
+        k = q.bit_length() - 1
+        h = LocalHamiltonian(SiteGraph(3, q), (HamiltonianTerm(support, PauliString(3 * k, 0, z), -1.0),))
+        with pytest.raises(ValueError, match="not a Z-only string on its support"):
+            classical.check(h)
+        with pytest.raises(ValueError, match="not a Z-only string on its support"):
+            classical.prepare(h, 0.5, ChannelLayer())
 
 
 @pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, math.nan], [math.inf, 0.0], [1.5, -0.5]])

@@ -842,6 +842,45 @@ def test_certificates_on_3x3_lattice(tmp_path):
     assert rep["pass"] and all(c["pass"] for c in rep["clusters"])
 
 
+def test_zz_model_file_runs_on_classical_as_its_tables(tmp_path):
+    """A model file of "pauli": "ZZ" terms runs on classical and writes the
+    bytes of its "diag" twin, and its CMI agrees with pauli's to 1e-12."""
+    artifacts = {}
+    for form, op in (("zz", {"pauli": "ZZ"}), ("diag", {"diag": [1, -1, -1, 1]})):
+        terms = [{**op, "support": [i, i + 1], "lambda": -1.0} for i in range(4)]
+        model = write_cfg(tmp_path / f"{form}.json", {"n_sites": 5, "terms": terms})
+        for engine in ("classical", "pauli") if form == "zz" else ("classical",):
+            cfg = {
+                "experiment": "cmi",
+                "model": model,
+                "engine": engine,
+                "beta": [0.3, 1.0, "inf"],
+                "partition": {"a": [0], "b": [1, 2, 3], "c": [4]},
+                "channel": [{"site": s, "kind": "bitflip", "p": 0.1} for s in (1, 2, 3)],
+                "output": "cmi",
+            }
+            out = tmp_path / f"{form}_{engine}"
+            assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(out)]) == 0
+            artifacts[form, engine] = [(out / f"cmi{ext}").read_text() for ext in (".csv", ".json")]
+    assert artifacts["zz", "classical"] == artifacts["diag", "classical"]
+    cmi = {e: [float(r.split(",")[2]) for r in artifacts["zz", e][0].split()[1:]] for e in ("classical", "pauli")}
+    assert len(cmi["classical"]) == 3
+    assert np.allclose(cmi["classical"], cmi["pauli"], rtol=0, atol=1e-12)
+
+
+def test_classical_certificate_on_a_builtin_chain_takes_characters(tmp_path):
+    """The builtin Ising chain is ZZ strings on every engine, so a classical
+    certificate on ising_chain_n10 at weight 4 takes the character route.
+    On (1024, 1024) matrices its 715 keys would need an 11.2 GiB stack."""
+    cfg = dict(CERT_CFG, model="ising_chain_n10", engine="classical", max_weight=4, output="cert")
+    assert validate_config(cfg) == []
+    build = series._series_builder(zoo.build_model("ising_chain", 10), zoo.bulk_layer("ising_chain", 10, 0.2))
+    assert build is not series.series_of_channelled_gibbs
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "cert.json").read_text())["certificates"][0]
+    assert rep["pass"] and len(rep["clusters"]) == 118
+
+
 BULK_CHANNEL = {"ising_chain": {"kind": "bitflip", "p": 0.2}, "cluster_chain": {"kind": "dephasing", "p": 0.2}}
 
 

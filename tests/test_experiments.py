@@ -138,7 +138,7 @@ def test_decay_curve_layers_are_bulk_layer_prefixes(monkeypatch, family, engine,
     for d, layer in zip(distances, layers):
         own = zoo.bulk_layer(family, d + 1, p)
         assert [_channel_fields(c) for c in layer.channels] == [_channel_fields(c) for c in own.channels]
-        h = zoo.build_model(family, d + 1, engine)
+        h = zoo.build_model(family, d + 1)
         expect.append((float(d), evaluate(h, beta, own, boundary_partition(d + 1), engine)))
     assert curve.points == expect
     assert decay_curve(family, engine, beta, [], p).points == []
@@ -229,7 +229,8 @@ def test_chain_distance_is_the_dual_graph_distance(family, engine):
     """A decay point at distance d is a chain of d+1 sites; for families whose
     terms cover two sites, d is the dual-graph distance between its ends."""
     for d in range(1 if family == "ising_chain" else 2, 9):
-        h = build_model(family, d + 1, engine)
+        h = build_model(family, d + 1)
+        experiments.ENGINES[engine].check(h)
         assert graph_distance(h, boundary_partition(d + 1)) == d
 
 

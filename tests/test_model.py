@@ -448,3 +448,22 @@ def test_parse_model_places_letters_by_site():
 def test_parse_model_takes_no_coerced_numbers(obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_model(obj)
+
+
+@pytest.mark.parametrize(
+    "q, support, z, sign",
+    [
+        (2, (1, 2), 0b0110, 1),  # ZZ on sites 1 and 2
+        (2, (3, 0, 2), 0b1101, -1),  # support listed out of order
+        (4, (2, 0), 0b010010, 1),  # one qubit of each two-qubit site
+        (4, (3, 1), 0b11001100, -1),  # both qubits of each site, out of order
+    ],
+)
+def test_z_string_table_is_the_diagonal_of_its_matrix(q, support, z, sign):
+    """The table a Z-only string reads as, broadcast over the sites, is the
+    diagonal of the string's dense matrix, on one- and two-qubit sites."""
+    g = SiteGraph(4, q)
+    t = HamiltonianTerm(support, PauliString(g.n_qubits, 0, z, sign), 0.5)
+    assert t.is_diagonal and t.table(q).shape == (q,) * len(support)
+    table = np.broadcast_to(t.site_table(q, range(g.n_sites)), (q,) * g.n_sites)
+    assert np.array_equal(table.ravel(), np.diag(term_matrix(g, t)))

@@ -551,12 +551,12 @@ def signed_model():
 
 GRID_3X3 = [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)] + [(i, i + 3) for i in range(6)]
 CERTIFICATE_CASES = {
-    "ising_chain_n6": lambda: (zoo.build_model("ising_chain", 6, "pauli"), zoo.bulk_layer("ising_chain", 6, 0.2)),
+    "ising_chain_n6": lambda: (zoo.build_model("ising_chain", 6), zoo.bulk_layer("ising_chain", 6, 0.2)),
     "lattice_2x3": lambda: (lattice_2x3(), ChannelLayer(tuple(bitflip(s, 0.2) for s in (1, 2, 3, 4)))),
     "lattice_3x3": lambda: (zz_model(9, GRID_3X3), ChannelLayer(tuple(bitflip(s, 0.2) for s in range(1, 8)))),
     "zz_ring_n5": lambda: (zz_model(5, [(i, i + 1) for i in range(4)] + [(0, 4)]), ChannelLayer((bitflip(2, 0.3),))),
     "signed": lambda: (signed_model(), ChannelLayer((dephasing(1, 0.2), depolarizing(2, 0.3, 2)))),
-    "matrix_route": lambda: (zoo.build_model("ising_chain", 6, "classical"), zoo.bulk_layer("ising_chain", 6, 0.2)),
+    "matrix_route": lambda: (ising_diag_chain(6), zoo.bulk_layer("ising_chain", 6, 0.2)),
 }
 
 

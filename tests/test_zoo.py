@@ -6,7 +6,7 @@ import pytest
 from hmnlab import classical, dense, pauli, zoo
 from hmnlab.channels import bitflip
 from hmnlab.experiments import boundary_partition, evaluate_cmi
-from hmnlab.model import verify_commuting
+from hmnlab.model import PauliString, verify_commuting
 from tests.conftest import pauli_label
 
 
@@ -21,7 +21,7 @@ def test_parse_model_id():
 
 def test_families_commute():
     for fam in zoo.FAMILIES:
-        assert verify_commuting(zoo.build_model(fam, 4, "dense"))
+        assert verify_commuting(zoo.build_model(fam, 4))
 
 
 def test_parity_chain_ground_states():
@@ -106,9 +106,13 @@ def test_cluster_chain_terms():
 
 
 def test_ising_kind_dispatch():
-    hc = zoo.build_model("ising_chain", 4, "classical")
-    hq = zoo.build_model("ising_chain", 4, "pauli")
-    assert hc.all_diagonal and hq.all_pauli
+    """One builtin Ising chain for every engine: ZZ strings, which are
+    diagonal, so both the classical and the pauli engine take them."""
+    h = zoo.build_model("ising_chain", 4)
+    assert [t.operator for t in h.terms] == [PauliString.from_label(s) for s in ("ZZII", "IZZI", "IIZZ")]
+    assert h.all_pauli and all(t.is_diagonal for t in h.terms)
+    classical.check(h)
+    pauli.check(h)
 
 
 def test_ising_bulk_layer_serves_every_engine():
@@ -120,5 +124,6 @@ def test_ising_bulk_layer_serves_every_engine():
         assert np.array_equal(c.superop, bitflip(c.site, 0.2).superop)
         assert np.array_equal(c.transition, [[1 - 0.2, 0.2], [0.2, 1 - 0.2]])
         assert c.pauli_table.tolist() == [1 - 0.2 + 0.2, 1 - 0.2 - 0.2, 1 - 0.2 + 0.2, 1 - 0.2 - 0.2]
-    classical.check_layer(zoo.build_model("ising_chain", 4, "classical"), layer)
-    pauli.check_layer(zoo.build_model("ising_chain", 4, "pauli"), layer)
+    h = zoo.build_model("ising_chain", 4)
+    classical.check_layer(h, layer)
+    pauli.check_layer(h, layer)
