@@ -49,9 +49,11 @@ Config schema (JSON object):
 Another experiment's distances, max_weight or n is a finding, not ignored,
 and so is a channel or a partition on cluster_equivalence.
 
-Numbers in outputs are printed with 17 significant digits so re-runs are
-byte-identical.  A run manifest (resolved config + caps + timings) is written
-next to every output; `run manifest.json` reproduces the outputs exactly.
+A run builds each chain and channel layer once, for all betas.  Numbers in
+outputs are printed with 17 significant digits so re-runs are byte-identical.
+A run manifest (resolved config + caps + timings of that one-off "resolve"
+and of each beta) is written next to every output; `run manifest.json`
+reproduces the outputs exactly.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def _bulk_p(family: str, ch) -> float:
     unknown = set(ch) - {"kind", "p"}
     if unknown:
         raise ValueError(f"unknown bulk channel keys: {sorted(unknown)}")
-    bulk = zoo.BULK_KIND.get(family)
+    bulk = zoo.BULK[family][0]
     if "kind" in ch and ch["kind"] != bulk:
         raise ValueError(
             f"channel kind {ch['kind']!r} is not the {family} bulk channel "
@@ -172,12 +174,15 @@ def _partition(praw, n_sites: int) -> Partition:
 
 def resolve(cfg: dict) -> SimpleNamespace:
     """Everything ``run`` takes from a config whose experiment and engine are
-    known: betas, the engine that runs, model, channel layer and partition.
-    The model passes that engine's ``check`` before the channel is read, and
-    the channel layer its ``check_layer`` on the model (on pauli, the rank of
-    the state the layer keeps); a decay experiment is resolved at its largest
-    distance, and its chain at the smallest distance is built and checked
-    too.  ``validate`` reports whatever this raises."""
+    known: betas, the engine that runs, model, channel layer and partition,
+    and on decay and cmi the run's plan ``points``, one (distance, model,
+    layer, partition) per CMI a beta takes, so that each chain and layer is
+    built and checked once for all betas.  The model passes that engine's
+    ``check`` before the channel is read, and the channel layer its
+    ``check_layer`` on the model (on pauli, the rank of the state the layer
+    keeps); a decay experiment is resolved at its largest distance, and each
+    shorter chain of its plan passes ``check`` too.  ``validate`` reports
+    whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
     betas = require_list(cfg.get("beta", [0.1]), "beta")
@@ -242,12 +247,16 @@ def resolve(cfg: dict) -> SimpleNamespace:
                 raise ValueError("decay takes one bulk channel {kind, p}, not a per-site list")
             r.layer = _site_layer(ch, r.h.site_graph)
         else:
-            r.p_noise = _bulk_p(r.family, ch)
-            r.layer = zoo.bulk_layer(r.family, n, r.p_noise)
+            r.layer = zoo.bulk_layer(r.family, n, _bulk_p(r.family, ch))
         r.partition = experiments.boundary_partition(n)
-        if exp == "decay" and r.distances:  # and the smallest chain it builds
-            check(zoo.build_model(r.family, r.distances[0] + 1))
+        if exp == "decay":  # the shorter chains, each checked, then r.h, the longest, checked above
+            r.points = experiments.decay_points(r.family, r.distances[:-1], r.layer)
+            for _, h, _, _ in r.points:
+                check(h)
+            r.points += [(float(d), r.h, r.layer, r.partition) for d in r.distances[-1:]]
     check_layer(r.h, r.layer)
+    if exp == "cmi":
+        r.points = [(graph_distance(r.h, r.partition), r.h, r.layer, r.partition)]
     if exp == "certificates":
         r.max_weight = cfg.get("max_weight", 4)
         series.check_weight(r.max_weight)
@@ -290,30 +299,33 @@ def validate_config(cfg: dict) -> list:
 
 
 def run_experiment(cfg: dict, out_dir: str) -> int:
+    t0 = time.perf_counter()
     findings, r = _admit(cfg)
+    timings = {"resolve": time.perf_counter() - t0}  # the plan: every model, layer and check
     if findings:
         raise ValueError("; ".join(findings))
     exp = cfg["experiment"]
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, cfg.get("output", exp))
-    timings = {}
     status = 0
     results: dict = {"experiment": exp}
     rows = []  # (beta, distance, cmi bits) for the CSV of decay and cmi runs
 
-    if exp == "decay":
-        # the regime the decay proof covers, at the degree of the largest chain
-        degree = build_dual_graph(r.h).degree
-        beta_c = fmt(experiments.beta_critical(degree))
-        fits = []
+    if exp in ("decay", "cmi"):  # one CMI per beta and point of the plan
+        if exp == "decay":  # the regime the decay proof covers, at the degree of the largest chain
+            degree = build_dual_graph(r.h).degree
+            beta_c = fmt(experiments.beta_critical(degree))
+            results["fits"] = []
         for beta in r.betas:
             t0 = time.perf_counter()
-            curve = experiments.decay_curve(r.family, r.engine, beta, r.distances, r.p_noise)
+            points = [(d, experiments.evaluate_cmi(h, beta, layer, p, r.engine)) for d, h, layer, p in r.points]
             timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
-            rows += [(beta, d, v) for d, v in curve.points]
+            rows += [(beta, d, v) for d, v in points]
+            if exp == "cmi":
+                continue
             fit = {"beta": fmt(beta), "beta_c": beta_c, "xi_analytic": fmt(experiments.xi_analytic(beta, degree))}
             try:
-                f = experiments.fit_markov_length(curve)
+                f = experiments.fit_markov_length(experiments.DecayCurve(beta, r.family, r.engine, points))
                 fit.update(
                     xi=fmt(f.xi),
                     intercept=fmt(f.intercept),
@@ -324,15 +336,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
                 )
             except ValueError as e:
                 fit["error"] = str(e)
-            fits.append(fit)
-        results["fits"] = fits
-    elif exp == "cmi":
-        d_ac = graph_distance(r.h, r.partition)
-        for beta in r.betas:
-            t0 = time.perf_counter()
-            v = experiments.evaluate_cmi(r.h, beta, r.layer, r.partition, r.engine)
-            timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
-            rows.append((beta, d_ac, v))
+            results["fits"].append(fit)
     else:  # certificates and cluster_equivalence: one pass/fail report per beta
         reports = []
         for beta in r.betas:

@@ -109,6 +109,19 @@ def fit_markov_length(curve: DecayCurve) -> MarkovLengthFit:
     return MarkovLengthFit(xi, float(intercept), r2, stderr, len(usable), censored, diverged)
 
 
+def decay_points(family: str, distances, bulk: ChannelLayer) -> list:
+    """One (distance, model, layer, partition) per chain distance d: a chain
+    of d+1 sites, A and C its end sites, the family's bulk channel on B.  d is
+    the dual-graph distance on every family but ``cluster_chain``, whose
+    terms cover three sites.  ``bulk`` is the longest chain's bulk layer:
+    each bulk channel depends on its site alone, so the (d+1)-site chain's
+    layer on sites 1..d-1 is its first d-1 channels."""
+    return [
+        (float(d), zoo.build_model(family, d + 1), ChannelLayer(bulk.channels[: d - 1]), boundary_partition(d + 1))
+        for d in map(int, distances)
+    ]
+
+
 def decay_curve(
     family: str,
     engine: str,
@@ -116,19 +129,12 @@ def decay_curve(
     distances,
     channel_p: float = 1.0,
 ) -> DecayCurve:
-    """CMI against the chain distance d: a chain of d+1 sites, A and C its end
-    sites, the family's bulk channel on B.  d is the dual-graph distance on
-    every family but ``cluster_chain``, whose terms cover three sites."""
+    """CMI against the chain distance d at ``decay_points``."""
     distances = list(distances)
     curve = DecayCurve(beta, family, engine)
-    # each bulk channel depends on its site alone, so the (d+1)-site chain's
-    # layer on sites 1..d-1 is the first d-1 channels of the longest chain's
     bulk = zoo.bulk_layer(family, int(max(distances, default=0)) + 1, channel_p)
-    for d in distances:
-        n = int(d) + 1
-        h = zoo.build_model(family, n)
-        layer = ChannelLayer(bulk.channels[: n - 2])
-        curve.add(float(d), evaluate_cmi(h, beta, layer, boundary_partition(n), engine))
+    for d, h, layer, p in decay_points(family, distances, bulk):
+        curve.add(d, evaluate_cmi(h, beta, layer, p, engine))
     return curve
 
 

@@ -200,11 +200,21 @@ class LocalHamiltonian:
     terms: tuple[HamiltonianTerm, ...]
 
     def __post_init__(self):
+        """Every term lies on the site graph: its support, and a Pauli
+        string's qubits, which are the model's and have no X or Z bit off
+        the support's sites."""
         object.__setattr__(self, "terms", tuple(self.terms))
+        g = self.site_graph
         for t in self.terms:
             for s in t.support:
-                if not 0 <= s < self.site_graph.n_sites:
+                if not 0 <= s < g.n_sites:
                     raise ValueError(f"term support {t.support} outside site graph")
+            if t.is_pauli:
+                p, k = t.operator, g.qubits_per_site
+                if p.n != g.n_qubits:
+                    raise ValueError(f"Pauli string on {p.n} qubits in a model of {g.n_qubits}")
+                if (p.x | p.z) & ~sum(((1 << k) - 1) << (s * k) for s in t.support):
+                    raise ValueError(f"Pauli string {p} has a bit off its support {t.support}")
 
     @cached_property
     def commuting(self) -> bool:
@@ -343,18 +353,6 @@ def _flip_invariant(term: HamiltonianTerm, p: PauliString, graph: SiteGraph) -> 
     return bool(np.max(np.abs(flipped - term.operator)) <= 1e-12)
 
 
-def _term_sites(term: HamiltonianTerm, graph: SiteGraph) -> frozenset:
-    """The sites a term acts on: a table's support, a Pauli string's sites
-    with a set x or z bit.  A string must span the model's qubits."""
-    if not term.is_pauli:
-        return frozenset(term.support)
-    p = term.operator
-    if p.n != graph.n_qubits:
-        raise ValueError(f"Pauli string on {p.n} qubits in a model of {graph.n_qubits}")
-    bits, k = p.x | p.z, graph.qubits_per_site
-    return frozenset(j // k for j in range(bits.bit_length()) if bits >> j & 1)
-
-
 def _terms_commute(ti: HamiltonianTerm, tj: HamiltonianTerm, graph: SiteGraph) -> bool:
     """Whether two bare terms commute: symplectic check for a Pauli pair, the
     table against the Pauli string's flips for a mixed pair; table pairs
@@ -369,14 +367,8 @@ def _terms_commute(ti: HamiltonianTerm, tj: HamiltonianTerm, graph: SiteGraph) -
 
 def verify_commuting(h: LocalHamiltonian) -> bool:
     """True iff every pair of bare terms h_a commutes.  Terms on disjoint
-    sites commute, so only the pairs that share a site are checked."""
-    g = h.site_graph
-    on_site: list[list[int]] = [[] for _ in range(g.n_sites)]
-    for a, t in enumerate(h.terms):
-        for s in _term_sites(t, g):
-            on_site[s].append(a)
-    pairs = {pair for terms in on_site for pair in itertools.combinations(terms, 2)}
-    return all(_terms_commute(h.terms[i], h.terms[j], g) for i, j in sorted(pairs))
+    supports commute, so only the pairs the dual graph joins are checked."""
+    return all(_terms_commute(h.terms[i], h.terms[j], h.site_graph) for i, j in sorted(build_dual_graph(h).edges))
 
 
 _MODEL_KEYS = {"q", "n_sites", "terms"}

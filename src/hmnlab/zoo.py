@@ -87,27 +87,21 @@ def build_model(family: str, n: int) -> LocalHamiltonian:
     return _BUILDERS[family](n)
 
 
-# the config ``kind`` of each family's bulk channel; the parity and Bell
-# chains have a fixed read-out channel and take no kind
-BULK_KIND = {"ising_chain": "bitflip", "cluster_chain": "dephasing"}
-
-
-def default_bulk_channel(family: str, site: int, p: float) -> SiteChannel:
-    """The noise each family is studied under: parity read-out, Bell
-    measurement, bit-flip, or dephasing."""
-    if family == "parity_chain":
-        return parity_channel(site)
-    if family == "bell_chain":
-        return bell_measurement(site)
-    if family == "ising_chain":
-        return bitflip(site, p)
-    if family == "cluster_chain":
-        return dephasing(site, p)
-    raise ValueError(f"unknown model family {family!r}")
+# each family's bulk channel, the noise it is studied under: its config
+# ``kind`` and its constructor (site, p).  The parity and Bell chains have a
+# fixed read-out channel (parity read-out, Bell measurement) and take no kind
+BULK = {
+    "ising_chain": ("bitflip", bitflip),
+    "cluster_chain": ("dephasing", dephasing),
+    "parity_chain": (None, lambda site, p: parity_channel(site)),
+    "bell_chain": (None, lambda site, p: bell_measurement(site)),
+}
 
 
 def bulk_layer(family: str, n: int, p: float) -> ChannelLayer:
-    return ChannelLayer(tuple(default_bulk_channel(family, s, p) for s in range(1, n - 1)))
+    if family not in BULK:
+        raise ValueError(f"unknown model family {family!r}")
+    return ChannelLayer(tuple(BULK[family][1](s, p) for s in range(1, n - 1)))
 
 
 _ID_RE = re.compile(r"^([a-z_]+)_n(\d+)$")

@@ -83,6 +83,40 @@ def test_manifest_rerun_reproduces(tmp_path):
     assert (a / "decay.csv").read_bytes() == (b / "decay.csv").read_bytes()
 
 
+@pytest.mark.parametrize("engine", ["classical", "dense", "pauli"])
+def test_many_betas_write_the_rows_and_fits_of_one_beta_runs(tmp_path, monkeypatch, engine):
+    """A 3-beta decay and a 3-beta cmi write the CSV rows and the JSON of
+    three 1-beta runs, byte for byte, and a decay builds each chain and its
+    bulk layer once whatever the number of betas; the manifest times the
+    one-off plan (``resolve``) and each beta."""
+    built, layers = [], []
+    build, bulk_layer = zoo.build_model, zoo.bulk_layer
+    monkeypatch.setattr(zoo, "build_model", lambda family, n: built.append(n) or build(family, n))
+    monkeypatch.setattr(zoo, "bulk_layer", lambda *args: layers.append(args) or bulk_layer(*args))
+    betas = [0.3, 1.0, "inf"]
+    for exp in ("decay", "cmi"):
+        cfg = dict(DECAY_CFG, experiment=exp, engine=engine)
+        if exp == "cmi":
+            del cfg["distances"]
+        texts = []
+        for run in [betas] + [[b] for b in betas]:
+            built.clear()
+            layers.clear()
+            out = tmp_path / f"{exp}{len(texts)}"
+            assert main(["run", write_cfg(tmp_path / "c.json", dict(cfg, beta=run)), "--output-dir", str(out)]) == 0
+            assert sorted(built) == ([2, 3, 4, 5] if exp == "decay" else [6]) and len(layers) == 1
+            texts.append([(out / f"decay.{ext}").read_text() for ext in ("csv", "json")])
+            wall = json.loads((out / "decay.manifest.json").read_text())["wall_clock_s"]
+            assert set(wall) == {"resolve", *(f"beta={fmt(float(b))}" for b in run)}
+        (csv, res), *ones = texts
+        assert csv == "beta,distance,cmi_bits\n" + "".join(c.split("\n", 1)[1] for c, _ in ones)
+        merged = {"experiment": exp}
+        if exp == "decay":
+            merged["fits"] = [f for _, r in ones for f in json.loads(r)["fits"]]
+        assert res == json.dumps(merged, indent=2, sort_keys=True) + "\n"
+        assert all(r == json.dumps(json.loads(r), indent=2, sort_keys=True) + "\n" for _, r in ones)
+
+
 def test_override_changes_output(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", DECAY_CFG)
     assert main(["run", cfg, "--output-dir", str(tmp_path), "--override", "beta=[0.0]"]) == 0

@@ -133,6 +133,19 @@ def test_graph_distance_disconnected():
     assert graph_distance(h, p) == math.inf
 
 
+def test_model_refuses_a_pauli_term_off_its_support_or_register():
+    """A Pauli term acts on its declared support alone, so the dual graph,
+    read off supports, sees every site a term touches: Z0 Z1 Z2 listed on
+    sites (0, 1), an X bit off a one-site support and a string on another
+    register's qubits are refused when the model is built."""
+    g = SiteGraph(3)
+    for support, p in (((0, 1), PauliString(3, 0, 0b111)), ((0,), PauliString(3, 0b100, 0b001))):
+        with pytest.raises(ValueError, match=rf"has a bit off its support \({support[0]},"):
+            LocalHamiltonian(g, (HamiltonianTerm(support, p, -1.0),))
+    with pytest.raises(ValueError, match="Pauli string on 2 qubits in a model of 3"):
+        LocalHamiltonian(g, (HamiltonianTerm((0, 1), PauliString(2, 0, 0b11), -1.0),))
+
+
 def test_verify_commuting():
     assert verify_commuting(ising_pauli_chain(4))
     g = SiteGraph(2)

@@ -45,7 +45,7 @@ SETTABLE = {
     "channels.ChannelLayer.channels": "the empty layer of the thermal state",
     "cli.main.argv": "None reads sys.argv, as the console entry point does",
     "experiments.DecayCurve.points": "a curve starts empty and add fills it",
-    "experiments.decay_curve.channel_p": "the parity and Bell chains' read-out takes no p; the CLI passes the bulk p",
+    "experiments.decay_curve.channel_p": "the parity and Bell chains' read-out takes no p, and perfbench's Bell curves pass none",
     "model.SiteGraph.q": "qubit sites on the Ising and cluster chains, q = 4 on the parity and Bell chains",
     "model.PauliString.sign": "+1 from a label; products and the Bell measurement's -YY carry -1",
     "model.entropy_bits.degeneracy": "1 for classical and dense spectra, each value's multiplicity on pauli",
