@@ -62,13 +62,6 @@ def check(h: LocalHamiltonian) -> None:
         raise ValueError("classical engine requires diagonal terms; got a non-diagonal string (X or Y)")
 
 
-def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> None:
-    """Raise ValueError unless every site channel keeps diagonal states
-    diagonal, so that it has a transition matrix, on any model."""
-    for c in layer.channels:
-        c.transition
-
-
 def energy_table(h: LocalHamiltonian) -> np.ndarray:
     """Per-configuration energies as a (q,)*n tensor, grown one site at a
     time: each term is added, over the sites that exist so far, once its
@@ -137,21 +130,20 @@ def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
     return Distribution(p, d.graph)
 
 
-def _sweep(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> np.ndarray:
-    """The normalized channelled Gibbs vector, grown from the last site down
-    to site 0, each new site the leading axis.  Step k takes the terms whose
-    smallest site is k, over the span of sites k..(their largest site), and
-    the channels of the sites that no term with a smaller site touches.  It
-    is one linear map from the span's last span-1 axes to all span axes: the
-    diagonal embedding of w = exp(-beta sum_a (lambda_a h_a - min lambda_a
-    h_a)) with each channel multiplied on from the left, a (q^span,
-    q^(span-1)) step matrix.  A step whose matrix has at most
-    _STEP_MATRIX_MAX entries is one matmul of it; a wider one multiplies w
-    in by broadcasting and then applies each channel.  Every step writes a
-    prefix of one of two buffers in turn, each sized to the last (largest)
-    write that lands in it: on a chain q^n and q^(n-1) floats."""
+def plan(h: LocalHamiltonian, layer: ChannelLayer) -> tuple:
+    """(h, layer, spread, steps): what every beta shares, once ``h`` passes
+    ``check`` and every site channel keeps diagonal states diagonal, so that
+    it has a transition matrix, on any model.  ``spread`` is sum_a
+    ptp(lambda_a h_a), which picks ``prepare``'s route.  ``steps`` are the
+    site-grown sweep's, from the last site down to site 0: step k takes the
+    terms whose smallest site is k, over the span of sites k..(their largest
+    site), and the channels of the sites that no term with a smaller site
+    touches, as (k, e, channels) with e = sum_a (lambda_a h_a - min lambda_a
+    h_a) on the span, a (q, q^(span-1)) array that no beta writes."""
+    check(h)
     g = h.site_graph
     n, q = g.n_sites, g.q
+    spread = sum(float(a.max() - a.min()) for a in (t.coefficient * t.table(q) for t in h.terms))
     by_first = [[] for _ in range(n)]
     reach = list(range(n))  # the smallest site of a term on each site, or the site
     for t in h.terms:
@@ -163,38 +155,52 @@ def _sweep(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> np.ndarray:
             reach[s] = min(reach[s], lo)
     channels_at = [[] for _ in range(n)]
     for c in layer.channels:
+        c.transition  # raises for a channel that has none
         channels_at[reach[c.site]].append(c)
-    steps = []  # (k, step matrix or w, the channels a wide step applies after w)
+    steps = []
     for k in range(n - 1, -1, -1):
         span = max((max(t.support) for t in by_first[k]), default=k) - k + 1
         e = np.zeros((q,) * span)
         for t in by_first[k]:
             a = t.coefficient * t.site_table(q, range(k, k + span))
             e += a - a.min()
-        e *= -beta
-        inner = q ** (span - 1)
-        w = np.exp(e).reshape(q, inner)
-        if q * inner * inner > _STEP_MATRIX_MAX:
-            steps.append((k, w, channels_at[k]))
-            continue
-        m = np.zeros((q * inner, inner))
-        m.reshape(q, -1)[:, :: inner + 1] = w  # the diagonal of each (inner, inner) block
-        for c in channels_at[k]:
-            m = np.matmul(c.transition, m.reshape(q ** (c.site - k), q, -1)).reshape(q * inner, inner)
-        steps.append((k, m, None))
-    sizes = [q ** (n - k) for k, _, chs in steps for _ in range(1 + len(chs or ()))]
+        steps.append((k, e.reshape(q, -1), channels_at[k]))
+    return h, layer, spread, steps
+
+
+def _sweep(plan: tuple, beta: float) -> np.ndarray:
+    """The normalized channelled Gibbs vector, grown from the last site down
+    to site 0, each new site the leading axis.  Each of the plan's steps is
+    one linear map from the span's last span-1 axes to all span axes: the
+    diagonal embedding of w = exp(-beta e) with each channel multiplied on
+    from the left, a (q^span, q^(span-1)) step matrix.  A step whose matrix
+    has at most _STEP_MATRIX_MAX entries is one matmul of it; a wider one
+    multiplies w in by broadcasting and then applies each channel.  Every
+    step writes a prefix of one of two buffers in turn, each sized to the
+    last (largest) write that lands in it: on a chain q^n and q^(n-1)
+    floats."""
+    h, _, _, steps = plan
+    n, q = h.site_graph.n_sites, h.site_graph.q
+    wide = [e.size * e.shape[1] > _STEP_MATRIX_MAX for _, e, _ in steps]
+    sizes = [q ** (n - k) for (k, _, chs), wd in zip(steps, wide) for _ in range(1 + wd * len(chs))]
     bufs = [np.empty(max(sizes[j::2], default=0)) for j in (0, 1)]
     x = np.ones(1)
     i = 0
-    for k, m, chs in steps:
+    for (k, e, chs), wd in zip(steps, wide):
+        w = np.exp(e * -beta)  # not e *= -beta: every beta reads the plan's e
+        inner = w.shape[1]
         out = bufs[i % 2][: q * x.size]
         i += 1
-        if chs is None:
-            np.matmul(m, x.reshape(m.shape[1], -1), out=out.reshape(m.shape[0], -1))
+        if wd:
+            np.multiply(w[:, :, None], x.reshape(1, inner, -1), out=out.reshape(q, inner, -1))
         else:
-            np.multiply(m[:, :, None], x.reshape(1, m.shape[1], -1), out=out.reshape(q, m.shape[1], -1))
+            m = np.zeros((q * inner, inner))
+            m.reshape(q, -1)[:, :: inner + 1] = w  # the diagonal of each (inner, inner) block
+            for c in chs:
+                m = np.matmul(c.transition, m.reshape(q ** (c.site - k), q, -1)).reshape(q * inner, inner)
+            np.matmul(m, x.reshape(inner, -1), out=out.reshape(q * inner, -1))
         x = out
-        for c in chs or ():
+        for c in chs if wd else ():
             out = bufs[i % 2][: x.size]
             i += 1
             _transition(c.transition, x, q ** (c.site - k), out)
@@ -203,18 +209,16 @@ def _sweep(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> np.ndarray:
     return x
 
 
-def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> Distribution:
-    """The Gibbs distribution at ``beta`` under the transition ``layer``.
+def prepare(plan: tuple, beta: float) -> Distribution:
+    """The Gibbs distribution at ``beta`` under the plan's transition layer.
     Every term's factor exp(-beta (lambda_a h_a - min lambda_a h_a)) lies
-    between 1 and exp(-beta ptp(lambda_a h_a)), so while |beta| times the sum
-    of the ptp stays within _SWEEP_LOG_RANGE no weight can underflow or
+    between 1 and exp(-beta ptp(lambda_a h_a)), so while |beta| times the
+    plan's spread stays within _SWEEP_LOG_RANGE no weight can underflow or
     overflow and ``_sweep`` computes the state; otherwise, and at
     beta = inf, ``gibbs_distribution`` does from the energy table."""
-    check(h)
-    check_layer(h, layer)
-    spread = sum(float(a.max() - a.min()) for a in (t.coefficient * t.table(h.site_graph.q) for t in h.terms))
+    h, layer, spread, _ = plan
     if math.isfinite(beta) and abs(beta) * spread <= _SWEEP_LOG_RANGE:
-        return Distribution(_sweep(h, beta, layer), h.site_graph)
+        return Distribution(_sweep(plan, beta), h.site_graph)
     return apply_transitions(gibbs_distribution(h, beta), layer)
 
 

@@ -175,14 +175,14 @@ def _partition(praw, n_sites: int) -> Partition:
 def resolve(cfg: dict) -> SimpleNamespace:
     """Everything ``run`` takes from a config whose experiment and engine are
     known: betas, the engine that runs, model, channel layer and partition,
-    and on decay and cmi the run's plan ``points``, one (distance, model,
-    layer, partition) per CMI a beta takes, so that each chain and layer is
-    built and checked once for all betas.  The model passes that engine's
-    ``check`` before the channel is read, and the channel layer its
-    ``check_layer`` on the model (on pauli, the rank of the state the layer
-    keeps); a decay experiment is resolved at its largest distance, and each
-    shorter chain of its plan passes ``check`` too.  ``validate`` reports
-    whatever this raises."""
+    and on decay and cmi the run's ``points``, one (distance, plan,
+    partition) per CMI a beta takes, so that each chain and layer is built
+    and planned once for all betas.  The model passes that engine's
+    ``check`` before the channel is read; then the engine's ``plan`` checks
+    the layer on it (on pauli, the rank of the state the layer keeps).  A
+    decay experiment is resolved at its largest distance, whose chain is
+    planned first, then each shorter chain of its points.  ``validate``
+    reports whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
     betas = require_list(cfg.get("beta", [0.1]), "beta")
@@ -195,7 +195,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
         raise ValueError(f"output {output!r} is not a file name (non-empty, no path separator or NUL, not . or ..)")
     if exp == "certificates" or (exp == "cluster_equivalence" and engine == "classical"):
         r.engine = "dense"  # the series are dense; the equivalence has no classical path
-    check, check_layer = experiments.ENGINES[r.engine].check, experiments.ENGINES[r.engine].check_layer
+    check, plan = experiments.ENGINES[r.engine].check, experiments.ENGINES[r.engine].plan
     if exp == "cluster_equivalence":  # always the cluster chain of n sites
         r.n = require_int(cfg.get("n", 6), "n", 1)
         if "model" in cfg and cfg["model"] != f"cluster_chain_n{r.n}":
@@ -203,9 +203,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
                 f"cluster_equivalence runs the cluster chain of n = {r.n} sites; "
                 f"model {cfg['model']!r} is not 'cluster_chain_n{r.n}'"
             )
-        h = zoo.cluster_chain(r.n)
-        check(h)
-        check_layer(h, ChannelLayer())  # the thermal state, under no channel
+        plan(zoo.cluster_chain(r.n), ChannelLayer())  # the thermal state, under no channel
         return r
     model = cfg.get("model", "")
     if not isinstance(model, str):
@@ -249,14 +247,13 @@ def resolve(cfg: dict) -> SimpleNamespace:
         else:
             r.layer = zoo.bulk_layer(r.family, n, _bulk_p(r.family, ch))
         r.partition = experiments.boundary_partition(n)
-        if exp == "decay":  # the shorter chains, each checked, then r.h, the longest, checked above
-            r.points = experiments.decay_points(r.family, r.distances[:-1], r.layer)
-            for _, h, _, _ in r.points:
-                check(h)
-            r.points += [(float(d), r.h, r.layer, r.partition) for d in r.distances[-1:]]
-    check_layer(r.h, r.layer)
+    top = plan(r.h, r.layer)  # on decay the longest chain, planned first: a refusal names its rank
+    if exp == "decay":
+        shorter = experiments.decay_points(r.family, r.distances[:-1], r.layer)
+        r.points = [(d, plan(h, layer), p) for d, h, layer, p in shorter]
+        r.points += [(float(d), top, r.partition) for d in r.distances[-1:]]
     if exp == "cmi":
-        r.points = [(graph_distance(r.h, r.partition), r.h, r.layer, r.partition)]
+        r.points = [(graph_distance(r.h, r.partition), top, r.partition)]
     if exp == "certificates":
         r.max_weight = cfg.get("max_weight", 4)
         series.check_weight(r.max_weight)
@@ -301,7 +298,7 @@ def validate_config(cfg: dict) -> list:
 def run_experiment(cfg: dict, out_dir: str) -> int:
     t0 = time.perf_counter()
     findings, r = _admit(cfg)
-    timings = {"resolve": time.perf_counter() - t0}  # the plan: every model, layer and check
+    timings = {"resolve": time.perf_counter() - t0}  # every model, layer, check and plan
     if findings:
         raise ValueError("; ".join(findings))
     exp = cfg["experiment"]
@@ -318,7 +315,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             results["fits"] = []
         for beta in r.betas:
             t0 = time.perf_counter()
-            points = [(d, experiments.evaluate_cmi(h, beta, layer, p, r.engine)) for d, h, layer, p in r.points]
+            points = [(d, experiments.evaluate_cmi(plan, beta, p, r.engine)) for d, plan, p in r.points]
             timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
             rows += [(beta, d, v) for d, v in points]
             if exp == "cmi":

@@ -28,9 +28,11 @@ def check(h: LocalHamiltonian) -> None:
         raise ValueError(f"dimension {dim} exceeds dense cap {DENSE_DIM_CAP}")
 
 
-def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> None:
-    """The dense engine contracts every site channel's superoperator as it
-    is, so it takes any layer on any model it takes."""
+def plan(h: LocalHamiltonian, layer: ChannelLayer) -> tuple:
+    """The checked (h, layer): the engine contracts every site channel's
+    superoperator as it is, so it takes any layer on any model it takes."""
+    check(h)
+    return h, layer
 
 
 def _entries(graph: SiteGraph, term: HamiltonianTerm) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +173,8 @@ def apply_layer(rho: DensityMatrix, layer: ChannelLayer) -> DensityMatrix:
     return DensityMatrix(apply_layer_to_matrix(rho.entries, layer, rho.graph), rho.graph)
 
 
-def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> DensityMatrix:
+def prepare(plan: tuple, beta: float) -> DensityMatrix:
+    h, layer = plan
     return apply_layer(gibbs_state(h, beta), layer)
 
 

@@ -12,14 +12,14 @@ import numpy as np
 
 from . import classical, dense, pauli, zoo
 from .channels import ChannelLayer, dephasing
-from .model import LocalHamiltonian, Partition
+from .model import Partition
 
 CMI_FLOOR = 1e-12
 
-# Each engine module has check(h), check_layer(h, layer), prepare(h, beta,
-# layer) -> state and region_entropy(state, region) in bits.  The seam reads
-# them as module attributes at call time, so a patched engine function is the
-# one called.
+# Each engine module has check(h), plan(h, layer) -> plan (check and the
+# layer's checks, and what every beta shares), prepare(plan, beta) -> state
+# and region_entropy(state, region) in bits.  The seam reads them as module
+# attributes at call time, so a patched engine function is the one called.
 ENGINES = {"classical": classical, "dense": dense, "pauli": pauli}
 
 
@@ -54,14 +54,12 @@ def cmi(engine, state, p: Partition) -> float:
     return max(raw, 0.0)
 
 
-def evaluate_cmi(
-    h: LocalHamiltonian, beta: float, layer: ChannelLayer, p: Partition, engine: str
-) -> float:
-    """One CMI evaluation (bits) on the named engine."""
+def evaluate_cmi(plan: tuple, beta: float, p: Partition, engine: str) -> float:
+    """One CMI evaluation (bits) of a plan that the named engine made."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     eng = ENGINES[engine]
-    return cmi(eng, eng.prepare(h, beta, layer), p)
+    return cmi(eng, eng.prepare(plan, beta), p)
 
 
 @dataclass
@@ -129,12 +127,12 @@ def decay_curve(
     distances,
     channel_p: float = 1.0,
 ) -> DecayCurve:
-    """CMI against the chain distance d at ``decay_points``."""
+    """CMI against the chain distance d at ``decay_points``, each planned."""
     distances = list(distances)
     curve = DecayCurve(beta, family, engine)
     bulk = zoo.bulk_layer(family, int(max(distances, default=0)) + 1, channel_p)
     for d, h, layer, p in decay_points(family, distances, bulk):
-        curve.add(d, evaluate_cmi(h, beta, layer, p, engine))
+        curve.add(d, evaluate_cmi(ENGINES[engine].plan(h, layer), beta, p, engine))
     return curve
 
 
@@ -147,8 +145,9 @@ def cluster_gibbs_equivalence(n: int, beta: float, engine: str) -> dict:
     layer = ChannelLayer(tuple(dephasing(s, p) for s in range(n)))
     if engine not in ("dense", "pauli"):
         raise ValueError(f"unknown engine {engine!r}")
-    thermal = ENGINES[engine].prepare(h, beta, ChannelLayer())
-    dephased = ENGINES[engine].prepare(h, math.inf, layer)
+    eng = ENGINES[engine]
+    thermal = eng.prepare(eng.plan(h, ChannelLayer()), beta)
+    dephased = eng.prepare(eng.plan(h, layer), math.inf)
     if engine == "dense":
         diff = np.linalg.eigvalsh(thermal.entries - dephased.entries)
         dist = 0.5 * float(np.abs(diff).sum())

@@ -227,7 +227,7 @@ class LocalHamiltonian:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint regions A, B, C (aliases X, Y, Z in the classical engine)."""
+    """Disjoint regions A, B, C of I(A:C|B), A and C nonempty."""
 
     a: frozenset[int]
     b: frozenset[int]
@@ -415,6 +415,8 @@ def parse_model(obj: dict) -> LocalHamiltonian:
     """Parse the JSON model format; unknown keys are rejected, ``n_sites``,
     ``q`` and every support entry must be ints, and every lambda an int or a
     float (not a bool or a string)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"model {obj!r} is not a JSON object")
     unknown = set(obj) - _MODEL_KEYS
     if unknown:
         raise ValueError(f"unknown model keys: {sorted(unknown)}")

@@ -115,18 +115,11 @@ class PauliExpansion:
 
 def check(h: LocalHamiltonian) -> None:
     """Raise ValueError unless ``h`` is commuting Pauli terms; the size of its
-    expansion depends on the layer too, and ``check_layer`` bounds it."""
+    expansion depends on the layer too, and ``plan`` bounds it."""
     if not h.all_pauli:
         raise ValueError("Pauli engine needs Pauli terms")
     if not h.commuting:
         raise ValueError("Hamiltonian terms do not commute")
-
-
-def check_layer(h: LocalHamiltonian, layer: ChannelLayer) -> tuple:
-    """Raise ValueError unless every site channel has a Pauli damping profile
-    and the expansion of ``h`` on the subspace the layer keeps is within
-    TERM_CAP; returns ``term_group(h)``."""
-    return _kept_group(h, layer.channels)[:3]
 
 
 def term_group(h: LocalHamiltonian) -> tuple[tuple, list, list]:
@@ -173,20 +166,25 @@ def _checks(graph: SiteGraph, generators, channels) -> list:
     return words
 
 
-def _kept_group(h: LocalHamiltonian, channels) -> tuple:
-    """``term_group(h)``, the generators' check words and a basis of the kept
-    subspace K as masks.  Raises where the rank of the vector the expansion
-    builds (r where K is the whole group, else dim K plus the number of
-    dependent terms) exceeds TERM_CAP."""
-    gens, coords, signs = term_group(h)
-    words = _checks(h.site_graph, gens, channels)
+def plan(h: LocalHamiltonian, layer: ChannelLayer) -> tuple:
+    """(h, layer, term_group(h), the generators' check words, a basis of the
+    kept subspace K as masks, the expansion's generators: the group's where
+    K is all of it, else K's basis, each g_v with its sign): what every beta
+    shares.  Raises ValueError unless ``h`` passes ``check``, every site
+    channel has a Pauli damping profile, and the rank of the vector the
+    expansion builds (r where K is the whole group, else dim K plus the
+    number of dependent terms) is within TERM_CAP."""
+    check(h)
+    group = gens, coords, _ = term_group(h)
+    words = _checks(h.site_graph, gens, layer.channels)
     kept = _kernel(words)
     r = len(gens)
     dependent = sum(1 for b in coords if b) - r
     rank = r if len(kept) == r else len(kept) + dependent
     if rank > TERM_CAP:
         raise ValueError(f"pauli expansion of rank {rank} exceeds cap {TERM_CAP}")
-    return gens, coords, signs, words, kept
+    basis = gens if len(kept) == r else tuple(group_element(gens, v, h.site_graph.n_qubits) for v in kept)
+    return h, layer, group, words, kept, basis
 
 
 def _kept_sum(live, words, kept) -> np.ndarray:
@@ -212,12 +210,11 @@ def _kept_sum(live, words, kept) -> np.ndarray:
     return np.bincount(index, weights=z, minlength=2 ** len(kept))
 
 
-def expand_gibbs(h: LocalHamiltonian, beta: float, *channels) -> PauliExpansion:
-    """Expansion of exp(-beta H)/Z on the subspace K the given site channels
-    keep, the whole group where no table has a zero; beta=inf uses
-    tanh(+-inf) = +-1 factors."""
-    check(h)
-    gens, coords, signs, words, kept = _kept_group(h, channels)
+def expand_gibbs(plan: tuple, beta: float) -> PauliExpansion:
+    """Expansion of exp(-beta H)/Z on the subspace K the plan's layer keeps,
+    the whole group where no table has a zero; beta=inf uses tanh(+-inf) =
+    +-1 factors."""
+    h, _, (gens, coords, signs), words, kept, basis = plan
     # work with factors I - t_a h_a, t_a = tanh(beta lambda_a); the dropped
     # cosh prefactors cancel in the final normalization, and so does a
     # constant term (b_a = 0), which is skipped: its factor
@@ -227,8 +224,7 @@ def expand_gibbs(h: LocalHamiltonian, beta: float, *channels) -> PauliExpansion:
         lam = t.coefficient
         ta = math.tanh(beta * lam) if not math.isinf(beta) else float(np.sign(lam))
         ts.append(ta * sigma)
-    whole = len(kept) == len(gens)
-    if whole:
+    if len(kept) == len(gens):
         c = np.ones(1)
         for b, s in zip(coords, ts):
             if b == c.size:
@@ -241,9 +237,7 @@ def expand_gibbs(h: LocalHamiltonian, beta: float, *channels) -> PauliExpansion:
         c = _kept_sum([(b, s) for b, s in zip(coords, ts) if b], words, kept)
     if abs(c[0]) < 1e-14:
         raise ValueError("expansion has zero trace (frustrated zero-temperature state)")
-    if not whole:  # the kept basis, each g_v with its sign
-        gens = tuple(group_element(gens, v, h.site_graph.n_qubits) for v in kept)
-    return PauliExpansion(h.site_graph, gens, c / c[0])
+    return PauliExpansion(h.site_graph, basis, c / c[0])
 
 
 def lift(e: PauliExpansion, generators) -> np.ndarray:
@@ -292,9 +286,9 @@ def apply_pauli_layer(e: PauliExpansion, layer: ChannelLayer) -> PauliExpansion:
     return PauliExpansion(e.graph, e.generators, damp(e.coeffs, e.graph, e.generators, layer))
 
 
-def prepare(h: LocalHamiltonian, beta: float, layer: ChannelLayer) -> PauliExpansion:
-    """The expansion on the subspace the layer keeps, damped by the layer."""
-    return apply_pauli_layer(expand_gibbs(h, beta, *layer.channels), layer)
+def prepare(plan: tuple, beta: float) -> PauliExpansion:
+    """The expansion on the subspace the plan's layer keeps, damped by it."""
+    return apply_pauli_layer(expand_gibbs(plan, beta), plan[1])
 
 
 @dataclass

@@ -241,8 +241,7 @@ def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
     if len(h.terms) > pauli.TERM_CAP:
         return series_of_channelled_gibbs
     try:
-        pauli.check(h)
-        group = pauli.check_layer(h, layer)
+        group = pauli.plan(h, layer)[2]  # term_group(h)
     except ValueError:
         return series_of_channelled_gibbs
     return partial(_character_series, group=group)

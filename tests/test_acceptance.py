@@ -63,7 +63,7 @@ def test_parity_chain_one_bit_all_lengths():
         h = zoo.parity_chain(n)
         layer = zoo.bulk_layer("parity_chain", n, 1.0)
         val = experiments.evaluate_cmi(
-            h, math.inf, layer, experiments.boundary_partition(n), "classical"
+            classical.plan(h, layer), math.inf, experiments.boundary_partition(n), "classical"
         )
         assert val == pytest.approx(1.0, abs=1e-9), (bulk, val)
 
@@ -76,7 +76,7 @@ def test_bell_chain_two_bits_both_engines():
         h = zoo.bell_chain(n)
         layer = zoo.bulk_layer("bell_chain", n, 1.0)
         vals[(n, engine)] = experiments.evaluate_cmi(
-            h, math.inf, layer, experiments.boundary_partition(n), engine
+            experiments.ENGINES[engine].plan(h, layer), math.inf, experiments.boundary_partition(n), engine
         )
     for key, v in vals.items():
         assert v == pytest.approx(2.0, abs=1e-8), (key, v)
@@ -125,9 +125,9 @@ def test_quantum_chain_decay_with_self_check():
     n = 5
     h = zoo.build_model("ising_chain", n)
     layer = zoo.bulk_layer("ising_chain", n, p_noise)
-    fwd = experiments.evaluate_cmi(h, beta, layer, experiments.boundary_partition(n), "dense")
+    fwd = experiments.evaluate_cmi(dense.plan(h, layer), beta, experiments.boundary_partition(n), "dense")
     rev_p = Partition(frozenset({n - 1}), frozenset(range(1, n - 1)), frozenset({0}))
-    rev = experiments.evaluate_cmi(h, beta, layer, rev_p, "dense")
+    rev = experiments.evaluate_cmi(dense.plan(h, layer), beta, rev_p, "dense")
     assert fwd == pytest.approx(rev, abs=1e-12)
     assert fwd == pytest.approx(by_d[4.0], abs=1e-12)
 
@@ -295,7 +295,7 @@ def test_engine_cross_validation(rng):
         h = random_commuting_pauli_model(rng, n, max_terms=min(n, 6))
         beta = float(rng.uniform(0.1, 1.0))
         layer = random_pauli_diagonal_layer(rng, n, max_sites=2)
-        e = pauli.apply_pauli_layer(pauli.expand_gibbs(h, beta), layer)
+        e = pauli.apply_pauli_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), beta), layer)
         rho = dense.apply_layer(dense.gibbs_state(h, beta), layer)
         for r in range(1, n + 1):
             for region in itertools.combinations(range(n), r):

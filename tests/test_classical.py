@@ -293,7 +293,7 @@ def test_memory_cap():
     with pytest.raises(ValueError, match="memory cap"):
         classical.gibbs_distribution(h, 0.1)
     with pytest.raises(ValueError, match="memory cap"):
-        classical.prepare(h, 0.1, ChannelLayer())
+        classical.prepare(classical.plan(h, ChannelLayer()), 0.1)
 
 
 def test_prepare_refuses_pauli_terms():
@@ -302,7 +302,7 @@ def test_prepare_refuses_pauli_terms():
     xx = tuple(HamiltonianTerm((i, i + 1), PauliString(3, 3 << i, 0), -1.0) for i in range(2))
     for h in (LocalHamiltonian(SiteGraph(3), xx), zoo.bell_chain(3)):
         with pytest.raises(ValueError, match=r"requires diagonal terms; got a non-diagonal string \(X or Y\)"):
-            classical.prepare(h, 0.5, ChannelLayer())
+            classical.prepare(classical.plan(h, ChannelLayer()), 0.5)
 
 
 def test_check_refuses_z_bits_off_the_support():
@@ -352,7 +352,7 @@ def test_sweep_matches_brute_force(model):
     through the brute-force transition sum."""
     h, beta, mats = model
     layer = ChannelLayer(tuple(transition_channel(s, t) for s, t in mats.items()))
-    got = classical.prepare(h, beta, layer)
+    got = classical.prepare(classical.plan(h, layer), beta)
     want = brute_apply_transitions(brute_gibbs_probs(h, beta), h.site_graph, mats)
     assert np.max(np.abs(got.probs - want)) < 1e-14
 
@@ -394,7 +394,7 @@ def test_sweep_step_rule_matches_brute_force(monkeypatch, name):
     # the default rule, every step wide, every step fused
     for limit, transitions in ((classical._STEP_MATRIX_MAX, wide_transitions), (0, len(mats)), (2**20, 0)):
         monkeypatch.setattr(classical, "_STEP_MATRIX_MAX", limit)
-        got = classical.prepare(h, beta, layer).probs
+        got = classical.prepare(classical.plan(h, layer), beta).probs
         assert np.max(np.abs(got - want)) < 1e-14
         assert len(calls) == transitions
         calls.clear()
@@ -406,10 +406,10 @@ def test_sweep_buffers_on_a_chain():
     n = 16
     h = ising_diag_chain(n)
     layer = ChannelLayer(tuple(transition_channel(s, _FLIP) for s in range(1, n - 1)))
-    classical.prepare(h, 0.3, layer)
+    classical.prepare(classical.plan(h, layer), 0.3)
     tracemalloc.start()
     try:
-        classical.prepare(h, 0.3, layer)
+        classical.prepare(classical.plan(h, layer), 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -444,14 +444,14 @@ def test_underflow_guard(monkeypatch, beta, swept):
 
     monkeypatch.setattr(classical, "_sweep", counted)
     for lay in (ChannelLayer(), layer):
-        got = classical.prepare(h, beta, lay).probs
+        got = classical.prepare(classical.plan(h, lay), beta).probs
         want = _energy_route(h, beta, lay).probs
         if swept:
             assert np.max(np.abs(got - want)) < 1e-14
         else:
             assert np.array_equal(got, want)
     assert len(calls) == (2 if swept else 0)
-    ground = classical.prepare(h, beta, ChannelLayer()).probs
+    ground = classical.prepare(classical.plan(h, ChannelLayer()), beta).probs
     assert np.max(np.abs(ground - np.array([0, 1, 1, 1, 1, 1, 1, 0]) / 6)) < 1e-14
 
 
@@ -473,7 +473,7 @@ def test_route_is_chosen_by_each_terms_ptp_summed_in_order(model):
         mp.setattr(classical, "Distribution", lambda x, graph: x)
         for beta in (float(np.nextafter(limit, 0)), limit, float(np.nextafter(limit, math.inf))):
             want = "sweep" if beta * spread <= classical._SWEEP_LOG_RANGE else "energy"
-            assert classical.prepare(h, beta, ChannelLayer()) == want
+            assert classical.prepare(classical.plan(h, ChannelLayer()), beta) == want
 
 
 def test_negative_beta_and_constant_term():
@@ -482,7 +482,7 @@ def test_negative_beta_and_constant_term():
     h = _frustrated_triangle()
     h = LocalHamiltonian(h.site_graph, h.terms + (HamiltonianTerm((), np.array(0.7), -1.0),))
     for beta in (-0.8, 0.0, 0.8):
-        got = classical.prepare(h, beta, ChannelLayer()).probs
+        got = classical.prepare(classical.plan(h, ChannelLayer()), beta).probs
         assert np.max(np.abs(got - brute_gibbs_probs(h, beta))) < 1e-14
 
 
@@ -491,9 +491,9 @@ def test_prepare_leaves_its_input_unwritten():
     prepare calls share no buffer."""
     h = ising_diag_chain(6)
     t = [[0.7, 0.4], [0.3, 0.6]]
-    d = classical.prepare(h, 0.4, ChannelLayer((transition_channel(5, t),)))
+    d = classical.prepare(classical.plan(h, ChannelLayer((transition_channel(5, t),))), 0.4)
     before = d.probs.copy()
     out = classical.apply_transitions(d, ChannelLayer((transition_channel(0, t), transition_channel(5, t))))
     assert np.array_equal(d.probs, before) and not np.shares_memory(out.probs, d.probs)
-    again = classical.prepare(h, 0.4, ChannelLayer((transition_channel(5, t),)))
+    again = classical.prepare(classical.plan(h, ChannelLayer((transition_channel(5, t),))), 0.4)
     assert not np.shares_memory(again.probs, d.probs) and np.array_equal(again.probs, before)

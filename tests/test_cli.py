@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmnlab import series, zoo
+from hmnlab import experiments, pauli, series, zoo
 from hmnlab.cli import apply_overrides, fmt, main, validate_config
 
 
@@ -87,12 +87,17 @@ def test_manifest_rerun_reproduces(tmp_path):
 def test_many_betas_write_the_rows_and_fits_of_one_beta_runs(tmp_path, monkeypatch, engine):
     """A 3-beta decay and a 3-beta cmi write the CSV rows and the JSON of
     three 1-beta runs, byte for byte, and a decay builds each chain and its
-    bulk layer once whatever the number of betas; the manifest times the
-    one-off plan (``resolve``) and each beta."""
-    built, layers = [], []
+    bulk layer once whatever the number of betas; the engine plans each
+    point once, and on pauli finds each chain's term group once; the
+    manifest times the one-off ``resolve`` and each beta."""
+    built, layers, planned, grouped = [], [], [], []
     build, bulk_layer = zoo.build_model, zoo.bulk_layer
     monkeypatch.setattr(zoo, "build_model", lambda family, n: built.append(n) or build(family, n))
     monkeypatch.setattr(zoo, "bulk_layer", lambda *args: layers.append(args) or bulk_layer(*args))
+    eng, term_group = experiments.ENGINES[engine], pauli.term_group
+    plan = eng.plan
+    monkeypatch.setattr(eng, "plan", lambda h, layer: planned.append(h.site_graph.n_sites) or plan(h, layer))
+    monkeypatch.setattr(pauli, "term_group", lambda h: grouped.append(h.site_graph.n_sites) or term_group(h))
     betas = [0.3, 1.0, "inf"]
     for exp in ("decay", "cmi"):
         cfg = dict(DECAY_CFG, experiment=exp, engine=engine)
@@ -100,11 +105,13 @@ def test_many_betas_write_the_rows_and_fits_of_one_beta_runs(tmp_path, monkeypat
             del cfg["distances"]
         texts = []
         for run in [betas] + [[b] for b in betas]:
-            built.clear()
-            layers.clear()
+            for calls in (built, layers, planned, grouped):
+                calls.clear()
             out = tmp_path / f"{exp}{len(texts)}"
             assert main(["run", write_cfg(tmp_path / "c.json", dict(cfg, beta=run)), "--output-dir", str(out)]) == 0
             assert sorted(built) == ([2, 3, 4, 5] if exp == "decay" else [6]) and len(layers) == 1
+            assert sorted(planned) == sorted(built)
+            assert sorted(grouped) == (sorted(built) if engine == "pauli" else [])
             texts.append([(out / f"decay.{ext}").read_text() for ext in ("csv", "json")])
             wall = json.loads((out / "decay.manifest.json").read_text())["wall_clock_s"]
             assert set(wall) == {"resolve", *(f"beta={fmt(float(b))}" for b in run)}
@@ -1010,6 +1017,10 @@ PARTITION3 = {"a": [0], "b": [1], "c": [2]}
             PARTITION3,
             "model file invalid: diag table [1, True, 0, 1] is not a table of numbers",
         ),
+        ([1, 2], PARTITION3, "model file invalid: model [1, 2] is not a JSON object"),
+        ("abc", PARTITION3, "model file invalid: model 'abc' is not a JSON object"),
+        (5, PARTITION3, "model file invalid: model 5 is not a JSON object"),
+        (["n_sites", "terms"], PARTITION3, "model file invalid: model ['n_sites', 'terms'] is not a JSON object"),
     ],
     ids=[
         "n_sites_float",
@@ -1024,11 +1035,15 @@ PARTITION3 = {"a": [0], "b": [1], "c": [2]}
         "lambda_a_string",
         "lambda_bool",
         "diag_bool_entry",
+        "model_a_list",
+        "model_a_string",
+        "model_a_number",
+        "model_a_list_of_keys",
     ],
 )
 def test_validate_reports_model_file_numbers(tmp_path, capsys, model, partition, message):
-    """Model files and their partitions take ints only, and a missing model
-    key is named."""
+    """Model files and their partitions take ints only, a missing model key
+    is named, and a model file that is not a JSON object says so."""
     cfg = {
         "experiment": "cmi",
         "model": write_cfg(tmp_path / "model.json", model),

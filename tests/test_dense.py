@@ -18,7 +18,7 @@ from hmnlab.channels import (
 )
 from hmnlab.experiments import cmi
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, PauliString, SiteGraph
-from hmnlab.pauli import expand_gibbs, term_group
+from hmnlab.pauli import expand_gibbs, plan, term_group
 from hmnlab.series import spectral_norm
 from tests.conftest import (
     brute_apply_layer,
@@ -290,8 +290,8 @@ def test_classical_cmi_matches_dense(model):
     """The one CMI agrees between the classical and dense engines on random
     diagonal models under random transition layers."""
     h, beta, layer, p = model
-    c = cmi(classical, classical.prepare(h, beta, layer), p)
-    d = cmi(dense, dense.prepare(h, beta, layer), p)
+    c = cmi(classical, classical.prepare(classical.plan(h, layer), beta), p)
+    d = cmi(dense, dense.prepare(dense.plan(h, layer), beta), p)
     assert c == pytest.approx(d, abs=1e-10)
 
 
@@ -323,7 +323,7 @@ def test_gibbs_state_matches_product_and_pauli(model):
     h, beta, _ = model
     rho = dense.gibbs_state(h, beta).entries
     assert np.max(np.abs(rho - commuting_product_gibbs(h, beta))) < 1e-10
-    assert np.max(np.abs(rho - expansion_matrix(expand_gibbs(h, beta)))) < 1e-10
+    assert np.max(np.abs(rho - expansion_matrix(expand_gibbs(plan(h, ChannelLayer()), beta)))) < 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -424,10 +424,10 @@ def test_real_arithmetic_unless_an_entry_is_complex():
     h = ising_pauli_chain(4)
     layer = zoo.bulk_layer("ising_chain", 4, 0.1)
     assert dense.hamiltonian_matrix(h).dtype == np.float64
-    assert dense.prepare(h, 0.5, layer).entries.dtype == np.float64
+    assert dense.prepare(dense.plan(h, layer), 0.5).entries.dtype == np.float64
     s_gate = kraus_channel(1, [np.diag([1, 1j])])
     assert s_gate.superop.dtype == complex
-    rho = dense.prepare(h, 0.5, ChannelLayer((s_gate,)))
+    rho = dense.prepare(dense.plan(h, ChannelLayer((s_gate,))), 0.5)
     assert rho.entries.dtype == complex
     assert np.max(np.abs(rho.entries - brute_apply_layer(eigh_gibbs(h, 0.5), ChannelLayer((s_gate,)), h.site_graph))) < 1e-12
     odd = LocalHamiltonian(

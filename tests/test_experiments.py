@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hmnlab import experiments, zoo
+from hmnlab.channels import ChannelLayer, transition_channel
 from hmnlab.experiments import (
     DecayCurve,
     beta_critical,
@@ -16,7 +17,7 @@ from hmnlab.experiments import (
     fit_markov_length,
     xi_analytic,
 )
-from hmnlab.model import graph_distance
+from hmnlab.model import HamiltonianTerm, LocalHamiltonian, SiteGraph, graph_distance
 from hmnlab.zoo import build_model, cluster_chain
 from tests.conftest import ising_diag_chain, theorem3_bound
 
@@ -44,11 +45,11 @@ def test_engines_agree_on_shared_model():
     t = [[0.8, 0.2], [0.2, 0.8]]
     layer = ChannelLayer((transition_channel(1, t), transition_channel(2, t)))
     p = boundary_partition(4)
-    c = evaluate_cmi(h, 0.7, layer, p, "classical")
-    d = evaluate_cmi(h, 0.7, layer, p, "dense")
+    c = evaluate_cmi(experiments.ENGINES["classical"].plan(h, layer), 0.7, p, "classical")
+    d = evaluate_cmi(experiments.ENGINES["dense"].plan(h, layer), 0.7, p, "dense")
     assert c == pytest.approx(d, abs=1e-10)
     with pytest.raises(ValueError):
-        evaluate_cmi(h, 0.7, layer, p, "magic")
+        evaluate_cmi(experiments.ENGINES["dense"].plan(h, layer), 0.7, p, "magic")
 
 
 def test_fit_markov_length_exact_exponential():
@@ -127,9 +128,9 @@ def test_decay_curve_layers_are_bulk_layer_prefixes(monkeypatch, family, engine,
     layers = []
     evaluate = experiments.evaluate_cmi
 
-    def spy(h, beta, layer, part, engine):
-        layers.append(layer)
-        return evaluate(h, beta, layer, part, engine)
+    def spy(plan, beta, part, engine):
+        layers.append(plan[1])
+        return evaluate(plan, beta, part, engine)
 
     monkeypatch.setattr(experiments, "evaluate_cmi", spy)
     curve = decay_curve(family, engine, beta, distances, p)
@@ -139,7 +140,7 @@ def test_decay_curve_layers_are_bulk_layer_prefixes(monkeypatch, family, engine,
         own = zoo.bulk_layer(family, d + 1, p)
         assert [_channel_fields(c) for c in layer.channels] == [_channel_fields(c) for c in own.channels]
         h = zoo.build_model(family, d + 1)
-        expect.append((float(d), evaluate(h, beta, own, boundary_partition(d + 1), engine)))
+        expect.append((float(d), evaluate(experiments.ENGINES[engine].plan(h, own), beta, boundary_partition(d + 1), engine)))
     assert curve.points == expect
     assert decay_curve(family, engine, beta, [], p).points == []
 
@@ -240,3 +241,42 @@ def test_cluster_chain_distance_is_the_chain_distance():
     assert graph_distance(cluster_chain(6), boundary_partition(6)) == 3
     curve = decay_curve("cluster_chain", "pauli", 0.5, [2, 3, 4, 5], 0.2)
     assert [d for d, _ in curve.points] == [2.0, 3.0, 4.0, 5.0]
+
+
+def _zz_ring(n):
+    """ZZ bonds around a ring, lambda = -0.9: the closing bond makes the
+    classical sweep's step 0 span every site, a wide step."""
+    tbl = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return LocalHamiltonian(SiteGraph(n), tuple(HamiltonianTerm((i, (i + 1) % n), tbl, -0.9) for i in range(n)))
+
+
+_FLIP = [[0.9, 0.2], [0.1, 0.8]]
+STATE_ARRAY = {"classical": "probs", "dense": "entries", "pauli": "coeffs"}
+READ_ONLY_CASES = {
+    **{
+        f"ising_{engine}": (engine, build_model("ising_chain", 6), zoo.bulk_layer("ising_chain", 6, 0.1))
+        for engine in experiments.ENGINES
+    },
+    # Bell measurement keeps a subspace of the term group
+    "bell_pauli": ("pauli", zoo.bell_chain(5), zoo.bulk_layer("bell_chain", 5, 1.0)),
+    "zz_ring_classical": ("classical", _zz_ring(12), ChannelLayer(tuple(transition_channel(s, _FLIP) for s in (0, 3, 11)))),
+}
+
+
+@pytest.mark.parametrize("betas", [(0.3, 1.0), (math.inf, 100.0), (1.0, math.inf)])
+@pytest.mark.parametrize("case", sorted(READ_ONLY_CASES))
+def test_a_plan_is_read_only(case, betas):
+    """One plan prepared at beta1, then beta2, then beta1 again: both beta1
+    states are byte-equal to each other and to a fresh plan's, so no
+    prepare writes the plan.  beta = inf and beta = 100 (past the classical
+    sweep bound on both models) take the classical energy route; the 12-site
+    ring's closing bond takes the sweep's wide step."""
+    engine, h, layer = READ_ONLY_CASES[case]
+    eng = experiments.ENGINES[engine]
+    b1, b2 = betas
+    plan = eng.plan(h, layer)
+    states = [eng.prepare(plan, b) for b in (b1, b2, b1)] + [eng.prepare(eng.plan(h, layer), b1)]
+    first, _, again, fresh = (getattr(s, STATE_ARRAY[engine]).tobytes() for s in states)
+    assert first == again == fresh
+    if engine == "pauli":
+        assert states[0].generators == states[2].generators == states[3].generators
