@@ -49,7 +49,7 @@ Config schema (JSON object):
 Another experiment's distances, max_weight or n is a finding, not ignored,
 and so is a channel or a partition on cluster_equivalence.
 
-A run builds each chain and channel layer once, for all betas.  Numbers in
+A run plans each chain, layer and certificate once, for all betas.  Numbers in
 outputs are printed with 17 significant digits so re-runs are byte-identical.
 A run manifest (resolved config + caps + timings of that one-off "resolve"
 and of each beta) is written next to every output; `run manifest.json`
@@ -174,15 +174,13 @@ def _partition(praw, n_sites: int) -> Partition:
 
 def resolve(cfg: dict) -> SimpleNamespace:
     """Everything ``run`` takes from a config whose experiment and engine are
-    known: betas, the engine that runs, model, channel layer and partition,
-    and on decay and cmi the run's ``points``, one (distance, plan,
-    partition) per CMI a beta takes, so that each chain and layer is built
-    and planned once for all betas.  The model passes that engine's
-    ``check`` before the channel is read; then the engine's ``plan`` checks
-    the layer on it (on pauli, the rank of the state the layer keeps).  A
-    decay experiment is resolved at its largest distance, whose chain is
-    planned first, then each shorter chain of its points.  ``validate``
-    reports whatever this raises."""
+    known: betas, the engine that runs, model, channel layer, partition, and
+    the plan every beta shares, built and checked once: decay and cmi
+    ``points``, one (distance, engine plan, partition) per CMI a beta takes,
+    or a certificate's ``series.plan``.  The model passes that engine's
+    ``check`` (dense's on certificates) before the channel is read.  A decay
+    is resolved at its largest distance, whose chain is planned first, then
+    each shorter chain.  ``validate`` reports whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
     betas = require_list(cfg.get("beta", [0.1]), "beta")
@@ -194,7 +192,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
     if not named or output != os.path.basename(output):
         raise ValueError(f"output {output!r} is not a file name (non-empty, no path separator or NUL, not . or ..)")
     if exp == "certificates" or (exp == "cluster_equivalence" and engine == "classical"):
-        r.engine = "dense"  # the series are dense; the equivalence has no classical path
+        r.engine = "dense"  # certificates take the dense cap; the equivalence has no classical path
     check, plan = experiments.ENGINES[r.engine].check, experiments.ENGINES[r.engine].plan
     if exp == "cluster_equivalence":  # always the cluster chain of n sites
         r.n = require_int(cfg.get("n", 6), "n", 1)
@@ -247,6 +245,9 @@ def resolve(cfg: dict) -> SimpleNamespace:
         else:
             r.layer = zoo.bulk_layer(r.family, n, _bulk_p(r.family, ch))
         r.partition = experiments.boundary_partition(n)
+    if exp == "certificates":  # series.plan admits it: weight, unitality, commutation, clusters
+        r.plan = series.plan(r.h, r.layer, cfg.get("max_weight", 4))
+        return r
     top = plan(r.h, r.layer)  # on decay the longest chain, planned first: a refusal names its rank
     if exp == "decay":
         shorter = experiments.decay_points(r.family, r.distances[:-1], r.layer)
@@ -254,12 +255,6 @@ def resolve(cfg: dict) -> SimpleNamespace:
         r.points += [(float(d), top, r.partition) for d in r.distances[-1:]]
     if exp == "cmi":
         r.points = [(graph_distance(r.h, r.partition), top, r.partition)]
-    if exp == "certificates":
-        r.max_weight = cfg.get("max_weight", 4)
-        series.check_weight(r.max_weight)
-        if not r.layer.is_unital():
-            raise ValueError("certificates need a unital channel layer (E[I] = I), which this one is not")
-        series.check_commuting(r.h)
     return r
 
 
@@ -339,7 +334,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         for beta in r.betas:
             t0 = time.perf_counter()
             if exp == "certificates":
-                rep = series.derivative_norm_certificate(r.h, beta, r.layer, r.max_weight)
+                rep = series.derivative_norm_certificate(r.plan, beta)
             else:
                 rep = experiments.cluster_gibbs_equivalence(r.n, beta, r.engine)
             timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0

@@ -141,7 +141,10 @@ def cluster_gibbs_equivalence(n: int, beta: float, engine: str) -> dict:
     the zero-temperature cluster state pushed through per-site dephasing of
     strength p = 1/(e^{2 beta}+1)."""
     h = zoo.cluster_chain(n)
-    p = 1.0 / (math.exp(2 * beta) + 1.0)
+    try:
+        p = 1.0 / (math.exp(2 * beta) + 1.0)
+    except OverflowError:  # then 1 + e^{-2 beta} rounds to 1
+        p = math.exp(-2 * beta)
     layer = ChannelLayer(tuple(dephasing(s, p) for s in range(n)))
     if engine not in ("dense", "pauli"):
         raise ValueError(f"unknown engine {engine!r}")

@@ -66,13 +66,6 @@ def check_commuting(h: LocalHamiltonian) -> None:
         raise ValueError("certificates need commuting terms, and this model's terms do not all commute")
 
 
-def check_weight(max_weight) -> None:
-    """A truncation weight is an int (not a bool) from 1 to MAX_WEIGHT_CAP."""
-    require_int(max_weight, "max weight", 1)
-    if max_weight > MAX_WEIGHT_CAP:
-        raise ValueError(f"max weight {max_weight} exceeds cap {MAX_WEIGHT_CAP}")
-
-
 def spectral_norm(m: np.ndarray) -> float:
     """Operator norm of a matrix coefficient, or of the group-algebra element
     whose character values ``m`` holds."""
@@ -291,7 +284,9 @@ def enumerate_connected_clusters(g: DualInteractionGraph, max_weight: int) -> li
 
 def _cluster_keys(g: DualInteractionGraph, max_weight: int) -> list:
     """The series keys (multiplicities) of ``enumerate_connected_clusters``."""
-    check_weight(max_weight)
+    require_int(max_weight, "max weight", 1)
+    if max_weight > MAX_WEIGHT_CAP:
+        raise ValueError(f"max weight {max_weight} exceeds cap {MAX_WEIGHT_CAP}")
     out = []
     for subset in connected_term_sets(g, max_weight):
         size = len(subset)
@@ -344,27 +339,34 @@ def cmi_operator_series(
     return replace(ab, stack=ab.stack + bc.stack - b.stack - abc.stack).prune(SERIES_FLOOR)
 
 
-def derivative_norm_certificate(
-    h: LocalHamiltonian, beta: float, layer: ChannelLayer, max_weight: int
-) -> dict:
-    """Per-cluster check of (1/W!) ||D_W log E[rho]|| <= (2e(d+1) beta)^{|W|+1}
-    over all connected clusters up to max_weight, in the character basis
-    where the pauli engine admits the model and the layer."""
-    check_commuting(h)
+def plan(h: LocalHamiltonian, layer: ChannelLayer, max_weight) -> tuple:
+    """(h, layer, max_weight, the series builder, the dual graph's degree,
+    the clusters' keys, rows in ``_key_index``, weights and W!): what every
+    beta of a certificate shares.  Raises ValueError for a bad weight, more
+    than CLUSTER_COUNT_CAP clusters, a non-unital layer or non-commuting terms."""
     g = build_dual_graph(h)
-    # the weight cap raises before any coefficient is built
     keys = _cluster_keys(g, max_weight)
-    s = log_series(_series_builder(h, layer)(h, beta, layer, max_weight))
+    if not layer.is_unital():
+        raise ValueError("certificates need a unital channel layer (E[I] = I), which this one is not")
+    check_commuting(h)
     idx = _key_index(len(h.terms), max_weight)
     rows = [idx.row[k] for k in keys]
     mu = idx.runs[:, rows] % (max_weight + 1)  # each cluster's multiplicities, 0 past its runs
-    weights = mu.sum(axis=0).tolist()
     facts = np.array([math.factorial(k) for k in range(max_weight + 1)])[mu].prod(axis=0)  # W!
+    return h, layer, max_weight, _series_builder(h, layer), g.degree, keys, rows, mu.sum(axis=0).tolist(), facts
+
+
+def derivative_norm_certificate(plan: tuple, beta: float) -> dict:
+    """Per-cluster check of (1/W!) ||D_W log E[rho]|| <= (2e(d+1) beta)^{|W|+1}
+    over the connected clusters of a certificate ``plan``, in the character
+    basis where the pauli engine admits the model and the layer."""
+    h, layer, max_weight, build, degree, keys, rows, weights, facts = plan
+    s = log_series(build(h, beta, layer, max_weight))
     if s.unit.ndim == 1:  # spectral_norm of W! row, every cluster at once
         norms = (np.abs(facts[:, None] * s.stack[rows]).max(axis=1) / facts).tolist()
     else:
         norms = [spectral_norm(f * s.stack[i]) / f for f, i in zip(facts.tolist(), rows)]
-    base = 2 * math.e * (g.degree + 1) * beta
+    base = 2 * math.e * (degree + 1) * beta
     bounds = {wt: base ** (wt + 1) for wt in set(weights)}
     entries = [
         {
@@ -380,7 +382,7 @@ def derivative_norm_certificate(
     violations = sum(not e["pass"] for e in entries)
     return {
         "beta": beta,
-        "degree": g.degree,
+        "degree": degree,
         "max_weight": max_weight,
         "clusters": entries,
         "violations": violations,

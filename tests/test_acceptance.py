@@ -172,7 +172,7 @@ def test_derivative_norm_certificates():
     h = zoo.build_model("ising_chain", 5)
     layer = ChannelLayer(tuple(bitflip(s, 0.3) for s in range(1, 4)))
     for beta in betas:
-        rep = derivative_norm_certificate(h, beta, layer, 4)
+        rep = derivative_norm_certificate(series.plan(h, layer, 4), beta)
         assert rep["pass"], rep["violations"]
     # pinned classical branch: same bound on the log of the traced series
     hd = ising_diag_chain(4)

@@ -202,6 +202,17 @@ def test_cluster_equivalence_cli_at_beta_zero(tmp_path, engine):
     assert [r["p"] for r in res][0] == "0.5" and all(r["pass"] for r in res)
 
 
+@pytest.mark.parametrize("engine", ["pauli", "dense"])
+def test_cluster_equivalence_past_the_range_of_exp(tmp_path, engine):
+    """e^{2 beta} overflows a float above beta ~354.9, where the dephasing
+    p = 1/(e^{2 beta}+1) is e^{-2 beta} (0 here): the run passes, as at inf."""
+    cfg = {"experiment": "cluster_equivalence", "engine": engine, "beta": [400, 1e6], "n": 4, "output": "eq"}
+    assert validate_config(cfg) == []
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "eq.json").read_text())["equivalence"]
+    assert [r["p"] for r in res] == ["0", "0"] and all(r["pass"] is True for r in res)
+
+
 @pytest.mark.parametrize("n, distances", [(13, list(range(2, 13))), (41, list(range(2, 41, 2)))])
 def test_bell_chain_decay_past_the_old_term_cap(tmp_path, capsys, n, distances):
     """bell_chain_n13 (24 terms) and bell_chain_n41 (80 terms) validate and
@@ -830,6 +841,50 @@ def test_failing_certificate_exits_2_and_writes_its_report(tmp_path, monkeypatch
     (rep,) = json.loads((tmp_path / "out" / "cert.json").read_text())["certificates"]
     assert rep["pass"] is False and rep["violations"] == 1 and rep["clusters"][0]["pass"] is False
     assert (tmp_path / "out" / "cert.manifest.json").exists()
+
+
+def test_many_betas_write_the_certificates_of_one_beta_runs(tmp_path, monkeypatch):
+    """The README certificate example at three betas writes the
+    ``certificates`` lists of three 1-beta runs, byte for byte, and plans the
+    certificate once: one cluster enumeration and one term group per run."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    (cfg,) = [b for b in blocks if isinstance(b, dict) and b.get("output") == "cert"]
+    calls = []
+    cluster_keys, term_group = series._cluster_keys, pauli.term_group
+    monkeypatch.setattr(series, "_cluster_keys", lambda *args: calls.append("keys") or cluster_keys(*args))
+    monkeypatch.setattr(pauli, "term_group", lambda h: calls.append("group") or term_group(h))
+    betas = [0.01, 0.02, 0.03]
+    texts = []
+    for run in [betas] + [[b] for b in betas]:
+        calls.clear()
+        out = tmp_path / f"run{len(texts)}"
+        assert main(["run", write_cfg(tmp_path / "c.json", dict(cfg, beta=run)), "--output-dir", str(out)]) == 0
+        assert sorted(calls) == ["group", "keys"]
+        texts.append((out / "cert.json").read_text())
+    merged = [rep for text in texts[1:] for rep in json.loads(text)["certificates"]]
+    assert texts[0] == json.dumps({"certificates": merged, "experiment": "certificates"}, indent=2, sort_keys=True) + "\n"
+
+
+def test_validate_reports_the_cluster_cap(tmp_path, monkeypatch, capsys):
+    """The 2x3 ZZ lattice has 172 connected clusters of weight <= 4: under a
+    cap of 100 validate reports it, and run refuses it and writes nothing."""
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+    model = {"n_sites": 6, "terms": [{"support": list(e), "pauli": "ZZ", "lambda": -0.9} for e in edges]}
+    cfg = {
+        "experiment": "certificates",
+        "model": write_cfg(tmp_path / "lattice.json", model),
+        "engine": "dense",
+        "beta": [0.03],
+        "channel": [{"site": s, "kind": "bitflip", "p": 0.2} for s in (1, 2, 3, 4)],
+        "max_weight": 4,
+    }
+    assert validate_config(cfg) == []
+    monkeypatch.setattr(series, "CLUSTER_COUNT_CAP", 100)
+    assert validate_config(cfg) == ["cluster enumeration budget exceeded"]
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: cluster enumeration budget exceeded\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _kraus_pairs(ops):

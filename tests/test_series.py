@@ -274,14 +274,14 @@ def test_graph_partition_reconstruction():
 def test_certificate_passes_high_temperature():
     h = ising_pauli_chain(4)
     layer = ChannelLayer((bitflip(1, 0.2), bitflip(2, 0.2)))
-    rep = derivative_norm_certificate(h, 0.05, layer, 4)
+    rep = derivative_norm_certificate(series.plan(h, layer, 4), 0.05)
     assert rep["pass"] and rep["violations"] == 0
     assert len(rep["clusters"]) > 0
 
 
 def test_certificate_reports_norms_below_bounds():
     h = ising_pauli_chain(4)
-    rep = derivative_norm_certificate(h, 0.1, ChannelLayer(()), 3)
+    rep = derivative_norm_certificate(series.plan(h, ChannelLayer(()), 3), 0.1)
     for e in rep["clusters"]:
         assert e["norm"] <= e["bound"] + 1e-12
 
@@ -390,7 +390,7 @@ def test_character_basis_matches_dense(case):
     (a missing key reads zero), and the same clusters pass."""
     h, beta, layer, p, weight = case
     assert series._series_builder(h, layer).func is series._character_series
-    rep = derivative_norm_certificate(h, beta, layer, weight)
+    rep = derivative_norm_certificate(series.plan(h, layer, weight), beta)
     want = dense_certificate_norms(h, beta, layer, weight)
     assert [tuple(zip(e["terms"], e["multiplicities"])) for e in rep["clusters"]] == list(want)
     for e, norm in zip(rep["clusters"], want.values()):
@@ -408,7 +408,7 @@ def test_series_refuse_non_commuting_terms():
     ops = (("XI", (0,)), ("ZZ", (0, 1)), ("IX", (1,)))
     h = LocalHamiltonian(SiteGraph(2), tuple(HamiltonianTerm(s, PauliString.from_label(lab), -0.9) for lab, s in ops))
     with pytest.raises(ValueError, match="certificates need commuting terms"):
-        derivative_norm_certificate(h, 0.05, ChannelLayer(), 3)
+        series.plan(h, ChannelLayer(), 3)
     p = Partition(frozenset({0}), frozenset(), frozenset({1}))
     with pytest.raises(ValueError, match="certificates need commuting terms"):
         cmi_operator_series(h, 0.05, ChannelLayer(), p, 3)
@@ -442,13 +442,13 @@ def test_dense_route_cases_keep_their_values():
     ln = ChannelLayer((bitflip(1, 0.2),))
     for h, layer in ((hd, ld), (hn, ln)):
         assert series._series_builder(h, layer) is series_of_channelled_gibbs
-    rep = derivative_norm_certificate(hd, 0.3, ld, 3)
+    rep = derivative_norm_certificate(series.plan(hd, ld, 3), 0.3)
     assert rep["pass"]
     assert np.max(np.abs(np.array([e["norm"] for e in rep["clusters"]]) - DIAG_NORMS)) < 1e-12
     got = list(dense_certificate_norms(hn, 0.3, ln, 3).values())
     assert np.max(np.abs(np.array(got) - NONCOMMUTING_NORMS)) < 1e-12
     with pytest.raises(ValueError, match="certificates need commuting terms"):
-        derivative_norm_certificate(hn, 0.3, ln, 3)
+        series.plan(hn, ln, 3)
     cs = cmi_operator_series(hd, 0.3, ld, boundary(4), 4)
     big = {k: spectral_norm(m) for k, m in cs.coeffs.items() if spectral_norm(m) > 1e-12}
     want = {
@@ -580,6 +580,6 @@ def test_certificate_path_matches_per_key_references_bit_for_bit(case, weight, b
             assert sum(1 for b in coords if b) > len(gens)
         got, want = build(h, beta, layer, weight).stack, per_key_character_series(h, beta, layer, weight).stack
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-    rep = derivative_norm_certificate(h, beta, layer, weight)
+    rep = derivative_norm_certificate(series.plan(h, layer, weight), beta)
     ref = per_cluster_certificate(h, beta, layer, weight)
     assert rep == ref and json.dumps(rep) == json.dumps(ref)
