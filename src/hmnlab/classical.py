@@ -10,6 +10,7 @@ lexicographic order with site 0 most significant.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ _SWEEP_LOG_RANGE = -math.log(np.finfo(float).tiny / np.finfo(float).eps)
 # wider step (a ring's closing term, say) broadcasts its factor in and then
 # applies each channel, one pass apiece
 _STEP_MATRIX_MAX = 2**11
+Plan = namedtuple("Plan", "h layer spread steps regions")
 
 
 @dataclass
@@ -130,16 +132,17 @@ def apply_transitions(d: Distribution, layer: ChannelLayer) -> Distribution:
     return Distribution(p, d.graph)
 
 
-def plan(h: LocalHamiltonian, layer: ChannelLayer) -> tuple:
-    """(h, layer, spread, steps): what every beta shares, once ``h`` passes
-    ``check`` and every site channel keeps diagonal states diagonal, so that
-    it has a transition matrix, on any model.  ``spread`` is sum_a
-    ptp(lambda_a h_a), which picks ``prepare``'s route.  ``steps`` are the
-    site-grown sweep's, from the last site down to site 0: step k takes the
-    terms whose smallest site is k, over the span of sites k..(their largest
-    site), and the channels of the sites that no term with a smaller site
-    touches, as (k, e, channels) with e = sum_a (lambda_a h_a - min lambda_a
-    h_a) on the span, a (q, q^(span-1)) array that no beta writes."""
+def plan(h: LocalHamiltonian, layer: ChannelLayer, regions) -> Plan:
+    """What every beta shares, once ``h`` passes ``check`` and every site
+    channel keeps diagonal states diagonal, so that it has a transition
+    matrix, on any model: h, the layer, ``spread``, ``steps`` and, as given,
+    the site sets ``regions`` whose entropies a run takes.  ``spread`` is
+    sum_a ptp(lambda_a h_a), which picks ``prepare``'s route.  ``steps`` are
+    the site-grown sweep's, from the last site down to site 0: step k takes
+    the terms whose smallest site is k, over the span of sites k..(their
+    largest site), and the channels of the sites that no term with a smaller
+    site touches, as (k, e, channels) with e = sum_a (lambda_a h_a - min
+    lambda_a h_a) on the span, a (q, q^(span-1)) array that no beta writes."""
     check(h)
     g = h.site_graph
     n, q = g.n_sites, g.q
@@ -165,10 +168,10 @@ def plan(h: LocalHamiltonian, layer: ChannelLayer) -> tuple:
             a = t.coefficient * t.site_table(q, range(k, k + span))
             e += a - a.min()
         steps.append((k, e.reshape(q, -1), channels_at[k]))
-    return h, layer, spread, steps
+    return Plan(h, layer, spread, steps, regions)
 
 
-def _sweep(plan: tuple, beta: float) -> np.ndarray:
+def _sweep(plan: Plan, beta: float) -> np.ndarray:
     """The normalized channelled Gibbs vector, grown from the last site down
     to site 0, each new site the leading axis.  Each of the plan's steps is
     one linear map from the span's last span-1 axes to all span axes: the
@@ -179,14 +182,13 @@ def _sweep(plan: tuple, beta: float) -> np.ndarray:
     step writes a prefix of one of two buffers in turn, each sized to the
     last (largest) write that lands in it: on a chain q^n and q^(n-1)
     floats."""
-    h, _, _, steps = plan
-    n, q = h.site_graph.n_sites, h.site_graph.q
-    wide = [e.size * e.shape[1] > _STEP_MATRIX_MAX for _, e, _ in steps]
-    sizes = [q ** (n - k) for (k, _, chs), wd in zip(steps, wide) for _ in range(1 + wd * len(chs))]
+    n, q = plan.h.site_graph.n_sites, plan.h.site_graph.q
+    wide = [e.size * e.shape[1] > _STEP_MATRIX_MAX for _, e, _ in plan.steps]
+    sizes = [q ** (n - k) for (k, _, chs), wd in zip(plan.steps, wide) for _ in range(1 + wd * len(chs))]
     bufs = [np.empty(max(sizes[j::2], default=0)) for j in (0, 1)]
     x = np.ones(1)
     i = 0
-    for (k, e, chs), wd in zip(steps, wide):
+    for (k, e, chs), wd in zip(plan.steps, wide):
         w = np.exp(e * -beta)  # not e *= -beta: every beta reads the plan's e
         inner = w.shape[1]
         out = bufs[i % 2][: q * x.size]
@@ -209,17 +211,16 @@ def _sweep(plan: tuple, beta: float) -> np.ndarray:
     return x
 
 
-def prepare(plan: tuple, beta: float) -> Distribution:
+def prepare(plan: Plan, beta: float) -> Distribution:
     """The Gibbs distribution at ``beta`` under the plan's transition layer.
     Every term's factor exp(-beta (lambda_a h_a - min lambda_a h_a)) lies
     between 1 and exp(-beta ptp(lambda_a h_a)), so while |beta| times the
     plan's spread stays within _SWEEP_LOG_RANGE no weight can underflow or
     overflow and ``_sweep`` computes the state; otherwise, and at
     beta = inf, ``gibbs_distribution`` does from the energy table."""
-    h, layer, spread, _ = plan
-    if math.isfinite(beta) and abs(beta) * spread <= _SWEEP_LOG_RANGE:
-        return Distribution(_sweep(plan, beta), h.site_graph)
-    return apply_transitions(gibbs_distribution(h, beta), layer)
+    if math.isfinite(beta) and abs(beta) * plan.spread <= _SWEEP_LOG_RANGE:
+        return Distribution(_sweep(plan, beta), plan.h.site_graph)
+    return apply_transitions(gibbs_distribution(plan.h, beta), plan.layer)
 
 
 def marginal(d: Distribution, region) -> np.ndarray:

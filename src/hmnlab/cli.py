@@ -176,11 +176,11 @@ def resolve(cfg: dict) -> SimpleNamespace:
     """Everything ``run`` takes from a config whose experiment and engine are
     known: betas, the engine that runs, model, channel layer, partition, and
     the plan every beta shares, built and checked once: decay and cmi
-    ``points``, one (distance, engine plan, partition) per CMI a beta takes,
-    or a certificate's ``series.plan``.  The model passes that engine's
-    ``check`` (dense's on certificates) before the channel is read.  A decay
-    is resolved at its largest distance, whose chain is planned first, then
-    each shorter chain.  ``validate`` reports whatever this raises."""
+    ``points``, one (distance, engine plan of its regions) per CMI a beta
+    takes, or a certificate's ``series.plan``.  The model passes that
+    engine's ``check`` (dense's on certificates) before the channel is read.
+    A decay is resolved at its largest distance, whose chain is planned
+    first, then each shorter chain.  ``validate`` reports whatever this raises."""
     exp = cfg["experiment"]
     engine = cfg.get("engine", "classical")
     betas = require_list(cfg.get("beta", [0.1]), "beta")
@@ -201,7 +201,7 @@ def resolve(cfg: dict) -> SimpleNamespace:
                 f"cluster_equivalence runs the cluster chain of n = {r.n} sites; "
                 f"model {cfg['model']!r} is not 'cluster_chain_n{r.n}'"
             )
-        plan(zoo.cluster_chain(r.n), ChannelLayer())  # the thermal state, under no channel
+        plan(zoo.cluster_chain(r.n), ChannelLayer(), ())  # the thermal state, under no channel
         return r
     model = cfg.get("model", "")
     if not isinstance(model, str):
@@ -248,13 +248,13 @@ def resolve(cfg: dict) -> SimpleNamespace:
     if exp == "certificates":  # series.plan admits it: weight, unitality, commutation, clusters
         r.plan = series.plan(r.h, r.layer, cfg.get("max_weight", 4))
         return r
-    top = plan(r.h, r.layer)  # on decay the longest chain, planned first: a refusal names its rank
+    top = plan(r.h, r.layer, r.partition.regions)  # decay's longest chain first: a refusal names its rank
     if exp == "decay":
         shorter = experiments.decay_points(r.family, r.distances[:-1], r.layer)
-        r.points = [(d, plan(h, layer), p) for d, h, layer, p in shorter]
-        r.points += [(float(d), top, r.partition) for d in r.distances[-1:]]
+        r.points = [(d, plan(h, layer, p.regions)) for d, h, layer, p in shorter]
+        r.points += [(float(d), top) for d in r.distances[-1:]]
     if exp == "cmi":
-        r.points = [(graph_distance(r.h, r.partition), top, r.partition)]
+        r.points = [(graph_distance(r.h, r.partition), top)]
     return r
 
 
@@ -310,7 +310,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             results["fits"] = []
         for beta in r.betas:
             t0 = time.perf_counter()
-            points = [(d, experiments.evaluate_cmi(plan, beta, p, r.engine)) for d, plan, p in r.points]
+            points = [(d, experiments.evaluate_cmi(plan, beta, r.engine)) for d, plan in r.points]
             timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
             rows += [(beta, d, v) for d, v in points]
             if exp == "cmi":

@@ -11,6 +11,7 @@ cross-validation oracle for the faster engines.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .channels import ChannelLayer
 from .model import HamiltonianTerm, LocalHamiltonian, SiteGraph, entropy_bits
 
 DENSE_DIM_CAP = 4096
+Plan = namedtuple("Plan", "h layer regions")
 
 
 def check(h: LocalHamiltonian) -> None:
@@ -28,11 +30,11 @@ def check(h: LocalHamiltonian) -> None:
         raise ValueError(f"dimension {dim} exceeds dense cap {DENSE_DIM_CAP}")
 
 
-def plan(h: LocalHamiltonian, layer: ChannelLayer) -> tuple:
-    """The checked (h, layer): the engine contracts every site channel's
-    superoperator as it is, so it takes any layer on any model it takes."""
+def plan(h: LocalHamiltonian, layer: ChannelLayer, regions) -> Plan:
+    """The checked h and layer, and ``regions`` as given: the engine contracts
+    every channel's superoperator as it is, so any layer on any model it takes."""
     check(h)
-    return h, layer
+    return Plan(h, layer, regions)
 
 
 def _entries(graph: SiteGraph, term: HamiltonianTerm) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +175,8 @@ def apply_layer(rho: DensityMatrix, layer: ChannelLayer) -> DensityMatrix:
     return DensityMatrix(apply_layer_to_matrix(rho.entries, layer, rho.graph), rho.graph)
 
 
-def prepare(plan: tuple, beta: float) -> DensityMatrix:
-    h, layer = plan
-    return apply_layer(gibbs_state(h, beta), layer)
+def prepare(plan: Plan, beta: float) -> DensityMatrix:
+    return apply_layer(gibbs_state(plan.h, beta), plan.layer)
 
 
 def partial_trace_matrix(m: np.ndarray, keep, graph: SiteGraph) -> np.ndarray:

@@ -16,11 +16,17 @@ from .model import Partition
 
 CMI_FLOOR = 1e-12
 
-# Each engine module has check(h), plan(h, layer) -> plan (check and the
-# layer's checks, and what every beta shares), prepare(plan, beta) -> state
-# and region_entropy(state, region) in bits.  The seam reads them as module
-# attributes at call time, so a patched engine function is the one called.
-ENGINES = {"classical": classical, "dense": dense, "pauli": pauli}
+class _Engines(dict):  # ENGINES[name] raises ValueError for a name it lacks
+    def __missing__(self, name):
+        raise ValueError(f"unknown engine {name!r}")
+
+
+# Each engine module has check(h), plan(h, layer, regions) -> a named plan
+# (check, the layer's checks, every index a beta leaves unchanged, and the
+# site sets ``regions`` in the engine's form), prepare(plan, beta) -> state
+# and region_entropy(state, one of plan.regions) in bits.  The seam reads them
+# as module attributes at call time, so a patched engine function is the one called.
+ENGINES = _Engines(classical=classical, dense=dense, pauli=pauli)
 
 
 def beta_critical(degree: int) -> float:
@@ -43,23 +49,21 @@ def boundary_partition(n: int) -> Partition:
     return Partition(frozenset({0}), frozenset(range(1, n - 1)), frozenset({n - 1}))
 
 
-def cmi(engine, state, p: Partition) -> float:
+def cmi(engine, state, regions) -> float:
     """I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC) in bits for a state of the
-    engine module ``engine``.  A raw value below -1e-10 raises; smaller
-    negatives are rounding and read 0."""
-    s = engine.region_entropy
-    raw = s(state, p.a | p.b) + s(state, p.b | p.c) - s(state, p.b) - s(state, p.abc)
+    engine module ``engine`` and its ``regions`` (AB, BC, B, ABC).  A raw
+    value below -1e-10 raises; smaller negatives are rounding and read 0."""
+    ab, bc, b, abc = (engine.region_entropy(state, r) for r in regions)
+    raw = ab + bc - b - abc
     if raw < -1e-10:
         raise AssertionError(f"CMI came out {raw} < -1e-10")
     return max(raw, 0.0)
 
 
-def evaluate_cmi(plan: tuple, beta: float, p: Partition, engine: str) -> float:
-    """One CMI evaluation (bits) of a plan that the named engine made."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
+def evaluate_cmi(plan, beta: float, engine: str) -> float:
+    """One CMI evaluation (bits) on the regions of a plan the named engine made."""
     eng = ENGINES[engine]
-    return cmi(eng, eng.prepare(plan, beta), p)
+    return cmi(eng, eng.prepare(plan, beta), plan.regions)
 
 
 @dataclass
@@ -132,7 +136,7 @@ def decay_curve(
     curve = DecayCurve(beta, family, engine)
     bulk = zoo.bulk_layer(family, int(max(distances, default=0)) + 1, channel_p)
     for d, h, layer, p in decay_points(family, distances, bulk):
-        curve.add(d, evaluate_cmi(ENGINES[engine].plan(h, layer), beta, p, engine))
+        curve.add(d, evaluate_cmi(ENGINES[engine].plan(h, layer, p.regions), beta, engine))
     return curve
 
 
@@ -146,17 +150,16 @@ def cluster_gibbs_equivalence(n: int, beta: float, engine: str) -> dict:
     except OverflowError:  # then 1 + e^{-2 beta} rounds to 1
         p = math.exp(-2 * beta)
     layer = ChannelLayer(tuple(dephasing(s, p) for s in range(n)))
-    if engine not in ("dense", "pauli"):
-        raise ValueError(f"unknown engine {engine!r}")
-    eng = ENGINES[engine]
-    thermal = eng.prepare(eng.plan(h, ChannelLayer()), beta)
-    dephased = eng.prepare(eng.plan(h, layer), math.inf)
+    eng = ENGINES[engine]  # classical's plan refuses the X terms
+    plan = eng.plan(h, ChannelLayer(), ())
+    thermal = eng.prepare(plan, beta)
     if engine == "dense":
+        dephased = dense.apply_layer(dense.gibbs_state(h, math.inf), layer)
         diff = np.linalg.eigvalsh(thermal.entries - dephased.entries)
         dist = 0.5 * float(np.abs(diff).sum())
-    else:  # the thermal state keeps h's whole term group, the dephased one a
-        # subgroup of it (at p = 1/2 only the Z-only products): one index
-        dist = float(np.max(np.abs(thermal.coeffs - pauli.lift(dephased, thermal.generators))))
+    else:  # both on h's whole term group, where the layer zeroes what it drops
+        tables = pauli.damping(h.site_graph, plan.basis, layer)
+        dist = float(np.max(np.abs(thermal.coeffs - pauli.damp(pauli.expand_gibbs(plan, math.inf).coeffs, tables))))
     return {
         "n": n,
         "beta": beta,

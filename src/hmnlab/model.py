@@ -246,6 +246,11 @@ class Partition:
     def abc(self) -> frozenset[int]:
         return self.a | self.b | self.c
 
+    @property
+    def regions(self) -> tuple:
+        """(AB, BC, B, ABC): the site sets whose entropies make I(A:C|B)."""
+        return self.a | self.b, self.b | self.c, self.b, self.abc
+
 
 # values per chunk of entropy_bits: a 64 KB temporary is reused from the heap,
 # where one the size of a 2^19-value input is a fresh, page-faulting mmap

@@ -28,12 +28,13 @@ table over the kept generators that touch its site, broadcast along their
 axes.  A region's marginal lives on the subgroup supported there (the
 kernel of the generators' outside bits) and diagonalizes over its
 characters, so an entropy costs one Walsh-Hadamard transform of 2^rank
-values.
+values.  The plan holds the layer's damping tables and each region's kernel.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,12 @@ from .model import LocalHamiltonian, PauliString, SiteGraph, entropy_bits
 
 TERM_CAP = 22
 PRUNE = 1e-18
+
+Plan = namedtuple("Plan", "h layer group words kept basis damping regions")
+Region = namedtuple("Region", "qubits kernel")
+# a region's group elements with nonzero coefficient: its qubit count, their
+# span's generators as exponent masks over e's, coefficients by mask over those
+RestrictedGroup = namedtuple("RestrictedGroup", "qubits generators elements")
 
 
 def _xor_span(rows, dtype=np.int64) -> np.ndarray:
@@ -166,25 +173,28 @@ def _checks(graph: SiteGraph, generators, channels) -> list:
     return words
 
 
-def plan(h: LocalHamiltonian, layer: ChannelLayer) -> tuple:
-    """(h, layer, term_group(h), the generators' check words, a basis of the
-    kept subspace K as masks, the expansion's generators: the group's where
-    K is all of it, else K's basis, each g_v with its sign): what every beta
-    shares.  Raises ValueError unless ``h`` passes ``check``, every site
-    channel has a Pauli damping profile, and the rank of the vector the
-    expansion builds (r where K is the whole group, else dim K plus the
-    number of dependent terms) is within TERM_CAP."""
+def plan(h: LocalHamiltonian, layer: ChannelLayer, regions) -> Plan:
+    """What every beta shares: h, layer, term_group(h), the generators' check
+    words, a basis of the kept subspace K as masks, the expansion's
+    ``basis`` (the group's generators where K is all of it, else K's
+    basis, each g_v with its sign), the layer's ``damping`` and a ``region``
+    per site set in ``regions``, both over the basis.  Raises ValueError
+    unless ``h`` passes ``check``, every site channel has a Pauli damping
+    profile, and the rank of the vector the expansion builds (r where K is
+    the whole group, else dim K plus the number of dependent terms) is
+    within TERM_CAP."""
     check(h)
     group = gens, coords, _ = term_group(h)
-    words = _checks(h.site_graph, gens, layer.channels)
+    g = h.site_graph
+    words = _checks(g, gens, layer.channels)
     kept = _kernel(words)
     r = len(gens)
-    dependent = sum(1 for b in coords if b) - r
-    rank = r if len(kept) == r else len(kept) + dependent
+    rank = r if len(kept) == r else len(kept) + sum(1 for b in coords if b) - r
     if rank > TERM_CAP:
         raise ValueError(f"pauli expansion of rank {rank} exceeds cap {TERM_CAP}")
-    basis = gens if len(kept) == r else tuple(group_element(gens, v, h.site_graph.n_qubits) for v in kept)
-    return h, layer, group, words, kept, basis
+    basis = gens if len(kept) == r else tuple(group_element(gens, v, g.n_qubits) for v in kept)
+    regions = tuple(region(g, basis, s) for s in regions)
+    return Plan(h, layer, group, words, kept, basis, damping(g, basis, layer), regions)
 
 
 def _kept_sum(live, words, kept) -> np.ndarray:
@@ -210,11 +220,11 @@ def _kept_sum(live, words, kept) -> np.ndarray:
     return np.bincount(index, weights=z, minlength=2 ** len(kept))
 
 
-def expand_gibbs(plan: tuple, beta: float) -> PauliExpansion:
+def expand_gibbs(plan: Plan, beta: float) -> PauliExpansion:
     """Expansion of exp(-beta H)/Z on the subspace K the plan's layer keeps,
     the whole group where no table has a zero; beta=inf uses tanh(+-inf) =
     +-1 factors."""
-    h, _, (gens, coords, signs), words, kept, basis = plan
+    (gens, coords, signs), h, kept = plan.group, plan.h, plan.kept
     # work with factors I - t_a h_a, t_a = tanh(beta lambda_a); the dropped
     # cosh prefactors cancel in the final normalization, and so does a
     # constant term (b_a = 0), which is skipped: its factor
@@ -234,35 +244,18 @@ def expand_gibbs(plan: tuple, beta: float) -> PauliExpansion:
             elif b:
                 c = c - s * c[np.arange(c.size) ^ b]
     else:
-        c = _kept_sum([(b, s) for b, s in zip(coords, ts) if b], words, kept)
+        c = _kept_sum([(b, s) for b, s in zip(coords, ts) if b], plan.words, kept)
     if abs(c[0]) < 1e-14:
         raise ValueError("expansion has zero trace (frustrated zero-temperature state)")
-    return PauliExpansion(h.site_graph, basis, c / c[0])
+    return PauliExpansion(h.site_graph, plan.basis, c / c[0])
 
 
-def lift(e: PauliExpansion, generators) -> np.ndarray:
-    """The coefficients of ``e`` over the group of ``generators``, which holds
-    e's own generators (each a product g_v of them, sign included); 0 off
-    e's subgroup."""
-    n = e.n
-    pivots: dict = {}
-    for i, g in enumerate(generators):
-        _reduce(pivots, (g.x << n) | g.z, 1 << i)
-    masks = []
-    for g in e.generators:
-        word, mask = _reduce(pivots, (g.x << n) | g.z, 0)
-        if word or group_element(generators, mask, n) != g:
-            raise ValueError("the expansion's generators are not products of the given ones")
-        masks.append(mask)
-    out = np.zeros(2 ** len(generators))
-    out[_xor_span(masks)] = e.coeffs
-    return out
-
-
-def damp(c: np.ndarray, graph: SiteGraph, generators, layer: ChannelLayer) -> np.ndarray:
-    """c_v f_v, with E[g_v] = f_v g_v: c times the per-site damping tables
-    read at the local bits of g_v, broadcast over the generators' axes."""
+def damping(graph: SiteGraph, generators, layer: ChannelLayer) -> tuple:
+    """E[g_v] = f_v g_v: per channel on a site that a generator touches, its
+    table read at the local bits of g_v, as (the merged-axis shape of c, the
+    table shaped to broadcast against it)."""
     k = graph.qubits_per_site
+    out = []
     for ch in layer.channels:
         rows = _local_rows(generators, ch.site, k)
         if any(rows):
@@ -277,44 +270,48 @@ def damp(c: np.ndarray, graph: SiteGraph, generators, layer: ChannelLayer) -> np
                     fs.append(1)
                 cs[-1] *= 2
                 fs[-1] *= 2 if row else 1
-            c = (c.reshape(cs) * f.reshape(fs)).reshape(-1)
+            out.append((tuple(cs), f.reshape(fs)))
+    return tuple(out)
+
+
+def damp(c: np.ndarray, tables: tuple) -> np.ndarray:
+    """c_v f_v: c times each of a layer's ``damping`` tables, broadcast."""
+    for cs, f in tables:
+        c = (c.reshape(cs) * f).reshape(-1)
     return c
 
 
-def apply_pauli_layer(e: PauliExpansion, layer: ChannelLayer) -> PauliExpansion:
-    """Damp each group coefficient by the per-site channel factors."""
-    return PauliExpansion(e.graph, e.generators, damp(e.coeffs, e.graph, e.generators, layer))
+def apply_pauli_layer(e: PauliExpansion, tables: tuple) -> PauliExpansion:
+    """Damp each coefficient of e by a layer's ``damping`` of its generators."""
+    return PauliExpansion(e.graph, e.generators, damp(e.coeffs, tables))
 
 
-def prepare(plan: tuple, beta: float) -> PauliExpansion:
+def prepare(plan: Plan, beta: float) -> PauliExpansion:
     """The expansion on the subspace the plan's layer keeps, damped by it."""
-    return apply_pauli_layer(expand_gibbs(plan, beta), plan[1])
+    return apply_pauli_layer(expand_gibbs(plan, beta), plan.damping)
 
 
-@dataclass
-class RestrictedGroup:
-    """Span of the region's group elements with nonzero coefficient: generators
-    as exponent masks over the expansion's, and coefficients by exponent mask."""
-
-    qubits: tuple[int, ...]
-    generators: list  # of int
-    elements: np.ndarray
-
-
-def restricted_group(e: PauliExpansion, region) -> RestrictedGroup:
-    qs = tuple(q for s in sorted(region) for q in e.graph.site_qubits(s))
-    n = e.n
+def region(graph: SiteGraph, generators, sites) -> Region:
+    """A site region's qubit count and the F2 kernel of the generators'
+    outside-region bits: a basis of the exponent masks v whose g_v is
+    supported inside the region."""
+    qs = [q for s in sites for q in graph.site_qubits(s)]
+    n = graph.n_qubits
     outside = ((1 << n) - 1) ^ sum(1 << q for q in qs)
-    # F2 kernel of the generators' outside-region bits: the exponent masks v
-    # whose g_v is supported inside the region
-    kernel = _kernel([((g.x & outside) << n) | (g.z & outside) for g in e.generators])
-    members = _xor_span(kernel)
+    return Region(len(qs), tuple(_kernel([((g.x & outside) << n) | (g.z & outside) for g in generators])))
+
+
+def restricted_group(e: PauliExpansion, region: Region) -> RestrictedGroup:
+    """The group elements of ``e`` on a ``region`` of its generators: the
+    members of the region's kernel, cut to the span of those with nonzero
+    coefficient."""
+    members = _xor_span(region.kernel)
     d = e.coeffs[members]
     if np.all(np.abs(d) >= PRUNE):
-        gens, elements = kernel, d  # every coefficient is nonzero: the whole kernel
+        gens, elements = region.kernel, d  # every coefficient is nonzero: the whole kernel
     else:
         gens, elements = _nonzero_span(members, d)
-    return RestrictedGroup(qs, gens, elements)
+    return RestrictedGroup(region.qubits, gens, elements)
 
 
 def _nonzero_span(members: np.ndarray, d: np.ndarray) -> tuple[list, np.ndarray]:
@@ -352,17 +349,16 @@ def walsh_hadamard(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def marginal_spectrum(e: PauliExpansion, region) -> tuple[np.ndarray, int]:
-    """Eigenvalues of the normalized marginal on ``region`` (one value per
+def marginal_spectrum(e: PauliExpansion, region: Region) -> tuple[np.ndarray, int]:
+    """Eigenvalues of the normalized marginal on a ``region`` (one value per
     group character) and the degeneracy they each carry."""
     grp = restricted_group(e, region)
-    nq = len(grp.qubits)
-    return walsh_hadamard(grp.elements) / 2.0**nq, 2 ** (nq - len(grp.generators))
+    return walsh_hadamard(grp.elements) / 2.0**grp.qubits, 2 ** (grp.qubits - len(grp.generators))
 
 
-def marginal_entropy(e: PauliExpansion, region) -> float:
-    """Entropy (bits) of the reduced state on a site region."""
-    if not set(region):
+def marginal_entropy(e: PauliExpansion, region: Region) -> float:
+    """Entropy (bits) of the reduced state on a ``region``."""
+    if not region.qubits:
         return 0.0
     lam, deg = marginal_spectrum(e, region)
     total = float(lam.sum()) * deg

@@ -84,6 +84,7 @@ def _monomials(m: int, max_degree: int) -> list:
 
 
 _KeyIndex = namedtuple("_KeyIndex", "keys row lens prod runs")
+Plan = namedtuple("Plan", "h layer max_weight build degree keys rows weights facts")
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +209,7 @@ def _character_series(
     v the XOR of the b_a with k_a odd; the layer damps it by f_v, and one
     Walsh-Hadamard transform of the stack gives the character values."""
     gens, coords, signs = group
-    f = pauli.damp(np.ones(2 ** len(gens)), h.site_graph, gens, layer)
+    f = pauli.damp(np.ones(2 ** len(gens)), pauli.damping(h.site_graph, gens, layer))
     idx = _key_index(len(h.terms), max_degree)
     # per run code a * (D + 1) + mu: its factor, and b_a where mu is odd; code
     # 0 (past a key's last run) reads 1.0 and 0
@@ -234,7 +235,7 @@ def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
     if len(h.terms) > pauli.TERM_CAP:
         return series_of_channelled_gibbs
     try:
-        group = pauli.plan(h, layer)[2]  # term_group(h)
+        group = pauli.plan(h, layer, ()).group
     except ValueError:
         return series_of_channelled_gibbs
     return partial(_character_series, group=group)
@@ -334,15 +335,15 @@ def cmi_operator_series(
     build = _series_builder(h, layer)
     ab, bc, b, abc = (
         log_series(build(h, beta, compose_with_trace(layer, all_sites - region, g.q), max_degree))
-        for region in (p.a | p.b, p.b | p.c, p.b, p.abc)
+        for region in p.regions
     )
     return replace(ab, stack=ab.stack + bc.stack - b.stack - abc.stack).prune(SERIES_FLOOR)
 
 
-def plan(h: LocalHamiltonian, layer: ChannelLayer, max_weight) -> tuple:
-    """(h, layer, max_weight, the series builder, the dual graph's degree,
-    the clusters' keys, rows in ``_key_index``, weights and W!): what every
-    beta of a certificate shares.  Raises ValueError for a bad weight, more
+def plan(h: LocalHamiltonian, layer: ChannelLayer, max_weight) -> Plan:
+    """What every beta of a certificate shares: h, layer, max_weight, the
+    series builder, the dual graph's degree, the clusters' keys, their rows
+    in ``_key_index``, weights and W! (``facts``).  Raises ValueError for a bad weight, more
     than CLUSTER_COUNT_CAP clusters, a non-unital layer or non-commuting terms."""
     g = build_dual_graph(h)
     keys = _cluster_keys(g, max_weight)
@@ -353,21 +354,20 @@ def plan(h: LocalHamiltonian, layer: ChannelLayer, max_weight) -> tuple:
     rows = [idx.row[k] for k in keys]
     mu = idx.runs[:, rows] % (max_weight + 1)  # each cluster's multiplicities, 0 past its runs
     facts = np.array([math.factorial(k) for k in range(max_weight + 1)])[mu].prod(axis=0)  # W!
-    return h, layer, max_weight, _series_builder(h, layer), g.degree, keys, rows, mu.sum(axis=0).tolist(), facts
+    return Plan(h, layer, max_weight, _series_builder(h, layer), g.degree, keys, rows, mu.sum(axis=0).tolist(), facts)
 
 
-def derivative_norm_certificate(plan: tuple, beta: float) -> dict:
+def derivative_norm_certificate(plan: Plan, beta: float) -> dict:
     """Per-cluster check of (1/W!) ||D_W log E[rho]|| <= (2e(d+1) beta)^{|W|+1}
     over the connected clusters of a certificate ``plan``, in the character
     basis where the pauli engine admits the model and the layer."""
-    h, layer, max_weight, build, degree, keys, rows, weights, facts = plan
-    s = log_series(build(h, beta, layer, max_weight))
+    s = log_series(plan.build(plan.h, beta, plan.layer, plan.max_weight))
     if s.unit.ndim == 1:  # spectral_norm of W! row, every cluster at once
-        norms = (np.abs(facts[:, None] * s.stack[rows]).max(axis=1) / facts).tolist()
+        norms = (np.abs(plan.facts[:, None] * s.stack[plan.rows]).max(axis=1) / plan.facts).tolist()
     else:
-        norms = [spectral_norm(f * s.stack[i]) / f for f, i in zip(facts.tolist(), rows)]
-    base = 2 * math.e * (degree + 1) * beta
-    bounds = {wt: base ** (wt + 1) for wt in set(weights)}
+        norms = [spectral_norm(f * s.stack[i]) / f for f, i in zip(plan.facts.tolist(), plan.rows)]
+    base = 2 * math.e * (plan.degree + 1) * beta
+    bounds = {wt: base ** (wt + 1) for wt in set(plan.weights)}
     entries = [
         {
             "terms": [a for a, _ in k],
@@ -377,13 +377,13 @@ def derivative_norm_certificate(plan: tuple, beta: float) -> dict:
             "bound": bounds[wt],
             "pass": norm <= bounds[wt] + 1e-12,
         }
-        for k, wt, norm in zip(keys, weights, norms)
+        for k, wt, norm in zip(plan.keys, plan.weights, norms)
     ]
     violations = sum(not e["pass"] for e in entries)
     return {
         "beta": beta,
-        "degree": degree,
-        "max_weight": max_weight,
+        "degree": plan.degree,
+        "max_weight": plan.max_weight,
         "clusters": entries,
         "violations": violations,
         "pass": violations == 0,

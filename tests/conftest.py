@@ -41,7 +41,16 @@ from hmnlab.combinatorics import (
 )
 from hmnlab.dense import apply_layer_to_matrix, hamiltonian_matrix, partial_trace_matrix, term_matrix
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, _terms_commute, build_dual_graph
-from hmnlab.pauli import group_element, term_group, walsh_hadamard
+from hmnlab.pauli import (
+    _reduce,
+    _xor_span,
+    apply_pauli_layer,
+    damping,
+    group_element,
+    region,
+    term_group,
+    walsh_hadamard,
+)
 from hmnlab.series import (
     SERIES_FLOOR,
     TruncatedSeries,
@@ -267,6 +276,35 @@ def expansion_matrix(e) -> np.ndarray:
     for v, c in enumerate(e.coeffs):
         out += c * group_element(e.generators, v, e.n).to_matrix()
     return out / d
+
+
+def pauli_region(e, sites):
+    """The pauli ``region`` of a site set over the generators of expansion e."""
+    return region(e.graph, e.generators, sites)
+
+
+def damp_by_layer(e, layer):
+    """``apply_pauli_layer`` with the ``damping`` of a layer over e's generators."""
+    return apply_pauli_layer(e, damping(e.graph, e.generators, layer))
+
+
+def lift(e, generators) -> np.ndarray:
+    """The coefficients of expansion e over the group of ``generators``, which
+    holds e's own generators (each a product g_v of them, sign included); 0
+    off e's subgroup."""
+    n = e.n
+    pivots: dict = {}
+    for i, g in enumerate(generators):
+        _reduce(pivots, (g.x << n) | g.z, 1 << i)
+    masks = []
+    for g in e.generators:
+        word, mask = _reduce(pivots, (g.x << n) | g.z, 0)
+        if word or group_element(generators, mask, n) != g:
+            raise ValueError("the expansion's generators are not products of the given ones")
+        masks.append(mask)
+    out = np.zeros(2 ** len(generators))
+    out[_xor_span(masks)] = e.coeffs
+    return out
 
 
 def gather_expansion(h, beta) -> np.ndarray:
@@ -627,7 +665,7 @@ def cluster_derivative(s, w) -> np.ndarray:
 
 def post_select_decompose(d, p) -> list:
     """Per outcome y on B: (P(B=y), I(A:C | B=y)).  The weighted sum of the
-    mutual informations equals experiments.cmi(classical, d, p)."""
+    mutual informations equals experiments.cmi(classical, d, p.regions)."""
     if not p.b:
         raise ValueError("B must be nonempty to post-select")
     g = d.graph

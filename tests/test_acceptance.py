@@ -42,8 +42,10 @@ from tests.conftest import (
     brute_force_chi_star,
     chi_star,
     cluster_derivative,
+    damp_by_layer,
     ising_diag_chain,
     lattice_2x3,
+    pauli_region,
     pinned_conditional,
     pinned_hamiltonian,
     pinned_traced_series,
@@ -62,9 +64,8 @@ def test_parity_chain_one_bit_all_lengths():
         n = bulk + 2
         h = zoo.parity_chain(n)
         layer = zoo.bulk_layer("parity_chain", n, 1.0)
-        val = experiments.evaluate_cmi(
-            classical.plan(h, layer), math.inf, experiments.boundary_partition(n), "classical"
-        )
+        plan = classical.plan(h, layer, experiments.boundary_partition(n).regions)
+        val = experiments.evaluate_cmi(plan, math.inf, "classical")
         assert val == pytest.approx(1.0, abs=1e-9), (bulk, val)
 
 
@@ -75,9 +76,8 @@ def test_bell_chain_two_bits_both_engines():
     for n, engine in ((4, "dense"), (5, "dense"), (6, "pauli"), (8, "pauli")):
         h = zoo.bell_chain(n)
         layer = zoo.bulk_layer("bell_chain", n, 1.0)
-        vals[(n, engine)] = experiments.evaluate_cmi(
-            experiments.ENGINES[engine].plan(h, layer), math.inf, experiments.boundary_partition(n), engine
-        )
+        plan = experiments.ENGINES[engine].plan(h, layer, experiments.boundary_partition(n).regions)
+        vals[(n, engine)] = experiments.evaluate_cmi(plan, math.inf, engine)
     for key, v in vals.items():
         assert v == pytest.approx(2.0, abs=1e-8), (key, v)
 
@@ -125,9 +125,9 @@ def test_quantum_chain_decay_with_self_check():
     n = 5
     h = zoo.build_model("ising_chain", n)
     layer = zoo.bulk_layer("ising_chain", n, p_noise)
-    fwd = experiments.evaluate_cmi(dense.plan(h, layer), beta, experiments.boundary_partition(n), "dense")
+    fwd = experiments.evaluate_cmi(dense.plan(h, layer, experiments.boundary_partition(n).regions), beta, "dense")
     rev_p = Partition(frozenset({n - 1}), frozenset(range(1, n - 1)), frozenset({0}))
-    rev = experiments.evaluate_cmi(dense.plan(h, layer), beta, rev_p, "dense")
+    rev = experiments.evaluate_cmi(dense.plan(h, layer, rev_p.regions), beta, "dense")
     assert fwd == pytest.approx(rev, abs=1e-12)
     assert fwd == pytest.approx(by_d[4.0], abs=1e-12)
 
@@ -254,7 +254,7 @@ def test_post_selection_decomposition_identity(rng):
         d = classical.Distribution(raw / raw.sum(), g)
         dec = post_select_decompose(d, p)
         total = sum(w * mi for w, mi in dec)
-        assert abs(total - experiments.cmi(classical, d, p)) <= 1e-10
+        assert abs(total - experiments.cmi(classical, d, p.regions)) <= 1e-10
 
 
 def test_entropy_inequalities_random_sweep(rng):
@@ -266,13 +266,13 @@ def test_entropy_inequalities_random_sweep(rng):
     for _ in range(150):
         raw = rng.random(16)
         d = classical.Distribution(raw / raw.sum(), g4)
-        base = experiments.cmi(classical, d, p4)
+        base = experiments.cmi(classical, d, p4.regions)
         assert base >= -1e-8
         cols = rng.random((2, 2)) + 0.05
         t = cols / cols.sum(axis=0)
         site = int(rng.choice([0, 3]))
         noisy = classical.apply_transitions(d, ChannelLayer((transition_channel(site, t),)))
-        assert experiments.cmi(classical, noisy, p4) <= base + 1e-10
+        assert experiments.cmi(classical, noisy, p4.regions) <= base + 1e-10
     # 150 quantum (random channelled commuting Gibbs states, dense engine)
     for _ in range(150):
         n = int(rng.integers(4, 7))
@@ -280,11 +280,11 @@ def test_entropy_inequalities_random_sweep(rng):
         layer = random_pauli_diagonal_layer(rng, n, max_sites=2)
         rho = dense.apply_layer(dense.gibbs_state(h, float(rng.uniform(0.1, 1.0))), layer)
         p = Partition(frozenset({0}), frozenset(range(1, n - 1)), frozenset({n - 1}))
-        base = experiments.cmi(dense, rho, p)
+        base = experiments.cmi(dense, rho, p.regions)
         assert base >= -1e-8
         end = int(rng.choice([0, n - 1]))
         extra = ChannelLayer((bitflip(end, float(rng.uniform(0, 0.5))),))
-        assert experiments.cmi(dense, dense.apply_layer(rho, extra), p) <= base + 1e-8
+        assert experiments.cmi(dense, dense.apply_layer(rho, extra), p.regions) <= base + 1e-8
 
 
 def test_engine_cross_validation(rng):
@@ -295,11 +295,11 @@ def test_engine_cross_validation(rng):
         h = random_commuting_pauli_model(rng, n, max_terms=min(n, 6))
         beta = float(rng.uniform(0.1, 1.0))
         layer = random_pauli_diagonal_layer(rng, n, max_sites=2)
-        e = pauli.apply_pauli_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), beta), layer)
+        e = damp_by_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), beta), layer)
         rho = dense.apply_layer(dense.gibbs_state(h, beta), layer)
         for r in range(1, n + 1):
             for region in itertools.combinations(range(n), r):
-                a = pauli.marginal_entropy(e, set(region))
+                a = pauli.marginal_entropy(e, pauli_region(e, region))
                 b = dense.region_entropy(rho, set(region))
                 assert abs(a - b) <= 1e-10, (n, region, a, b)
 

@@ -184,7 +184,7 @@ def test_cmi_independent_bits_zero():
     g = SiteGraph(3)
     d = classical.Distribution(np.full(8, 1 / 8), g)
     p = Partition(frozenset({0}), frozenset({1}), frozenset({2}))
-    assert cmi(classical, d, p) == 0.0
+    assert cmi(classical, d, p.regions) == 0.0
 
 
 def test_markov_chain_cmi_vanishes():
@@ -192,7 +192,7 @@ def test_markov_chain_cmi_vanishes():
     h = ising_diag_chain(5)
     d = classical.gibbs_distribution(h, 0.7)
     p = Partition(frozenset({0}), frozenset({1, 2, 3}), frozenset({4}))
-    assert cmi(classical, d, p) <= 1e-10
+    assert cmi(classical, d, p.regions) <= 1e-10
 
 
 def test_post_select_identity_random(rng):
@@ -203,7 +203,7 @@ def test_post_select_identity_random(rng):
         p = Partition(frozenset({0}), frozenset({1, 2}), frozenset({3}))
         dec = post_select_decompose(d, p)
         total = sum(w * mi for w, mi in dec)
-        assert abs(total - cmi(classical, d, p)) < 1e-10
+        assert abs(total - cmi(classical, d, p.regions)) < 1e-10
         assert abs(sum(w for w, _ in dec) - 1) < 1e-12
 
 
@@ -258,7 +258,7 @@ def test_ssa_random_sweep(rng):
     for _ in range(500):
         raw = rng.random(16)
         d = classical.Distribution(raw / raw.sum(), g)
-        assert cmi(classical, d, p) >= 0.0  # raises internally if < -1e-10
+        assert cmi(classical, d, p.regions) >= 0.0  # raises internally if < -1e-10
 
 
 def test_data_processing_on_ac(rng):
@@ -268,12 +268,12 @@ def test_data_processing_on_ac(rng):
     for _ in range(200):
         raw = rng.random(16)
         d = classical.Distribution(raw / raw.sum(), g)
-        base = cmi(classical, d, p)
+        base = cmi(classical, d, p.regions)
         cols = rng.random((2, 2)) + 0.05
         t = cols / cols.sum(axis=0)
         site = int(rng.choice([0, 3]))
         noisy = classical.apply_transitions(d, ChannelLayer((transition_channel(site, t),)))
-        assert cmi(classical, noisy, p) <= base + 1e-10
+        assert cmi(classical, noisy, p.regions) <= base + 1e-10
 
 
 def test_cmi_matches_brute_force():
@@ -282,7 +282,7 @@ def test_cmi_matches_brute_force():
     layer = ChannelLayer((transition_channel(2, [[0.8, 0.2], [0.2, 0.8]]),))
     d = classical.apply_transitions(d, layer)
     p = Partition(frozenset({0}), frozenset({1, 2, 3}), frozenset({4}))
-    assert cmi(classical, d, p) == pytest.approx(
+    assert cmi(classical, d, p.regions) == pytest.approx(
         brute_cmi_bits(d.probs, h.site_graph, p), abs=1e-12
     )
 
@@ -293,7 +293,7 @@ def test_memory_cap():
     with pytest.raises(ValueError, match="memory cap"):
         classical.gibbs_distribution(h, 0.1)
     with pytest.raises(ValueError, match="memory cap"):
-        classical.prepare(classical.plan(h, ChannelLayer()), 0.1)
+        classical.prepare(classical.plan(h, ChannelLayer(), ()), 0.1)
 
 
 def test_prepare_refuses_pauli_terms():
@@ -302,7 +302,7 @@ def test_prepare_refuses_pauli_terms():
     xx = tuple(HamiltonianTerm((i, i + 1), PauliString(3, 3 << i, 0), -1.0) for i in range(2))
     for h in (LocalHamiltonian(SiteGraph(3), xx), zoo.bell_chain(3)):
         with pytest.raises(ValueError, match=r"requires diagonal terms; got a non-diagonal string \(X or Y\)"):
-            classical.prepare(classical.plan(h, ChannelLayer()), 0.5)
+            classical.prepare(classical.plan(h, ChannelLayer(), ()), 0.5)
 
 
 def test_check_refuses_z_bits_off_the_support():
@@ -352,7 +352,7 @@ def test_sweep_matches_brute_force(model):
     through the brute-force transition sum."""
     h, beta, mats = model
     layer = ChannelLayer(tuple(transition_channel(s, t) for s, t in mats.items()))
-    got = classical.prepare(classical.plan(h, layer), beta)
+    got = classical.prepare(classical.plan(h, layer, ()), beta)
     want = brute_apply_transitions(brute_gibbs_probs(h, beta), h.site_graph, mats)
     assert np.max(np.abs(got.probs - want)) < 1e-14
 
@@ -394,7 +394,7 @@ def test_sweep_step_rule_matches_brute_force(monkeypatch, name):
     # the default rule, every step wide, every step fused
     for limit, transitions in ((classical._STEP_MATRIX_MAX, wide_transitions), (0, len(mats)), (2**20, 0)):
         monkeypatch.setattr(classical, "_STEP_MATRIX_MAX", limit)
-        got = classical.prepare(classical.plan(h, layer), beta).probs
+        got = classical.prepare(classical.plan(h, layer, ()), beta).probs
         assert np.max(np.abs(got - want)) < 1e-14
         assert len(calls) == transitions
         calls.clear()
@@ -406,10 +406,10 @@ def test_sweep_buffers_on_a_chain():
     n = 16
     h = ising_diag_chain(n)
     layer = ChannelLayer(tuple(transition_channel(s, _FLIP) for s in range(1, n - 1)))
-    classical.prepare(classical.plan(h, layer), 0.3)
+    classical.prepare(classical.plan(h, layer, ()), 0.3)
     tracemalloc.start()
     try:
-        classical.prepare(classical.plan(h, layer), 0.3)
+        classical.prepare(classical.plan(h, layer, ()), 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -444,14 +444,14 @@ def test_underflow_guard(monkeypatch, beta, swept):
 
     monkeypatch.setattr(classical, "_sweep", counted)
     for lay in (ChannelLayer(), layer):
-        got = classical.prepare(classical.plan(h, lay), beta).probs
+        got = classical.prepare(classical.plan(h, lay, ()), beta).probs
         want = _energy_route(h, beta, lay).probs
         if swept:
             assert np.max(np.abs(got - want)) < 1e-14
         else:
             assert np.array_equal(got, want)
     assert len(calls) == (2 if swept else 0)
-    ground = classical.prepare(classical.plan(h, ChannelLayer()), beta).probs
+    ground = classical.prepare(classical.plan(h, ChannelLayer(), ()), beta).probs
     assert np.max(np.abs(ground - np.array([0, 1, 1, 1, 1, 1, 1, 0]) / 6)) < 1e-14
 
 
@@ -473,7 +473,7 @@ def test_route_is_chosen_by_each_terms_ptp_summed_in_order(model):
         mp.setattr(classical, "Distribution", lambda x, graph: x)
         for beta in (float(np.nextafter(limit, 0)), limit, float(np.nextafter(limit, math.inf))):
             want = "sweep" if beta * spread <= classical._SWEEP_LOG_RANGE else "energy"
-            assert classical.prepare(classical.plan(h, ChannelLayer()), beta) == want
+            assert classical.prepare(classical.plan(h, ChannelLayer(), ()), beta) == want
 
 
 def test_negative_beta_and_constant_term():
@@ -482,7 +482,7 @@ def test_negative_beta_and_constant_term():
     h = _frustrated_triangle()
     h = LocalHamiltonian(h.site_graph, h.terms + (HamiltonianTerm((), np.array(0.7), -1.0),))
     for beta in (-0.8, 0.0, 0.8):
-        got = classical.prepare(classical.plan(h, ChannelLayer()), beta).probs
+        got = classical.prepare(classical.plan(h, ChannelLayer(), ()), beta).probs
         assert np.max(np.abs(got - brute_gibbs_probs(h, beta))) < 1e-14
 
 
@@ -491,9 +491,9 @@ def test_prepare_leaves_its_input_unwritten():
     prepare calls share no buffer."""
     h = ising_diag_chain(6)
     t = [[0.7, 0.4], [0.3, 0.6]]
-    d = classical.prepare(classical.plan(h, ChannelLayer((transition_channel(5, t),))), 0.4)
+    d = classical.prepare(classical.plan(h, ChannelLayer((transition_channel(5, t),)), ()), 0.4)
     before = d.probs.copy()
     out = classical.apply_transitions(d, ChannelLayer((transition_channel(0, t), transition_channel(5, t))))
     assert np.array_equal(d.probs, before) and not np.shares_memory(out.probs, d.probs)
-    again = classical.prepare(classical.plan(h, ChannelLayer((transition_channel(5, t),))), 0.4)
+    again = classical.prepare(classical.plan(h, ChannelLayer((transition_channel(5, t),)), ()), 0.4)
     assert not np.shares_memory(again.probs, d.probs) and np.array_equal(again.probs, before)

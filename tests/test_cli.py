@@ -83,35 +83,51 @@ def test_manifest_rerun_reproduces(tmp_path):
     assert (a / "decay.csv").read_bytes() == (b / "decay.csv").read_bytes()
 
 
-@pytest.mark.parametrize("engine", ["classical", "dense", "pauli"])
-def test_many_betas_write_the_rows_and_fits_of_one_beta_runs(tmp_path, monkeypatch, engine):
+# engine and config; the Bell chain's fixed bulk channel takes no config, and
+# its Bell measurement keeps a subspace of the pauli term group
+BELL_CFG = dict({k: v for k, v in DECAY_CFG.items() if k != "channel"}, model="bell_chain_n6", distances=[2, 3, 4, 5])
+MANY_BETA_CASES = {
+    **{engine: (engine, DECAY_CFG) for engine in ("classical", "dense", "pauli")},
+    "bell_pauli": ("pauli", BELL_CFG),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANY_BETA_CASES))
+def test_many_betas_write_the_rows_and_fits_of_one_beta_runs(tmp_path, monkeypatch, case):
     """A 3-beta decay and a 3-beta cmi write the CSV rows and the JSON of
     three 1-beta runs, byte for byte, and a decay builds each chain and its
     bulk layer once whatever the number of betas; the engine plans each
-    point once, and on pauli finds each chain's term group once; the
+    point once, and on pauli finds each chain's term group, reads the
+    layer's damping tables and finds each region's kernel once; the
     manifest times the one-off ``resolve`` and each beta."""
-    built, layers, planned, grouped = [], [], [], []
+    engine, base = MANY_BETA_CASES[case]
+    built, layers, planned, grouped, damped, kernels = [], [], [], [], [], []
     build, bulk_layer = zoo.build_model, zoo.bulk_layer
     monkeypatch.setattr(zoo, "build_model", lambda family, n: built.append(n) or build(family, n))
     monkeypatch.setattr(zoo, "bulk_layer", lambda *args: layers.append(args) or bulk_layer(*args))
-    eng, term_group = experiments.ENGINES[engine], pauli.term_group
+    eng, term_group, damping, region = experiments.ENGINES[engine], pauli.term_group, pauli.damping, pauli.region
     plan = eng.plan
-    monkeypatch.setattr(eng, "plan", lambda h, layer: planned.append(h.site_graph.n_sites) or plan(h, layer))
+    monkeypatch.setattr(eng, "plan", lambda h, layer, rs: planned.append(h.site_graph.n_sites) or plan(h, layer, rs))
     monkeypatch.setattr(pauli, "term_group", lambda h: grouped.append(h.site_graph.n_sites) or term_group(h))
+    monkeypatch.setattr(pauli, "damping", lambda g, *args: damped.append(g.n_sites) or damping(g, *args))
+    monkeypatch.setattr(pauli, "region", lambda g, *args: kernels.append(g.n_sites) or region(g, *args))
     betas = [0.3, 1.0, "inf"]
     for exp in ("decay", "cmi"):
-        cfg = dict(DECAY_CFG, experiment=exp, engine=engine)
+        cfg = dict(base, experiment=exp, engine=engine)
         if exp == "cmi":
             del cfg["distances"]
         texts = []
         for run in [betas] + [[b] for b in betas]:
-            for calls in (built, layers, planned, grouped):
+            for calls in (built, layers, planned, grouped, damped, kernels):
                 calls.clear()
             out = tmp_path / f"{exp}{len(texts)}"
             assert main(["run", write_cfg(tmp_path / "c.json", dict(cfg, beta=run)), "--output-dir", str(out)]) == 0
-            assert sorted(built) == ([2, 3, 4, 5] if exp == "decay" else [6]) and len(layers) == 1
+            chains = [d + 1 for d in base["distances"]] if exp == "decay" else [6]
+            assert sorted(built) == chains and len(layers) == 1
             assert sorted(planned) == sorted(built)
-            assert sorted(grouped) == (sorted(built) if engine == "pauli" else [])
+            on_pauli = sorted(built) if engine == "pauli" else []
+            assert sorted(grouped) == sorted(damped) == on_pauli
+            assert sorted(kernels) == sorted(on_pauli * 4)  # AB, BC, B and ABC
             texts.append([(out / f"decay.{ext}").read_text() for ext in ("csv", "json")])
             wall = json.loads((out / "decay.manifest.json").read_text())["wall_clock_s"]
             assert set(wall) == {"resolve", *(f"beta={fmt(float(b))}" for b in run)}

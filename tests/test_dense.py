@@ -207,13 +207,13 @@ def test_cmi_matches_classical_engine():
     rho = dense.apply_layer(dense.gibbs_state(h, 0.45), layer)
     d = classical.apply_transitions(classical.gibbs_distribution(h, 0.45), layer)
     p = boundary(5)
-    assert cmi(dense, rho, p) == pytest.approx(cmi(classical, d, p), abs=1e-10)
+    assert cmi(dense, rho, p.regions) == pytest.approx(cmi(classical, d, p.regions), abs=1e-10)
 
 
 def test_unchannelled_gibbs_is_markov():
     for h in (ising_pauli_chain(5), ising_diag_chain(5)):
         rho = dense.gibbs_state(h, 0.8)
-        assert cmi(dense, rho, boundary(5)) <= 1e-9
+        assert cmi(dense, rho, boundary(5).regions) <= 1e-9
 
 
 def test_ssa_random_quantum(rng):
@@ -224,7 +224,7 @@ def test_ssa_random_quantum(rng):
         layer = random_pauli_diagonal_layer(rng, n, max_sites=2)
         rho = dense.apply_layer(dense.gibbs_state(h, float(rng.uniform(0, 1.5))), layer)
         p = boundary(n)
-        assert cmi(dense, rho, p) >= -1e-8
+        assert cmi(dense, rho, p.regions) >= -1e-8
 
 
 def test_dense_dim_cap():
@@ -242,7 +242,7 @@ def test_cmi_operator_trace_identity():
     op = exact_cmi_operator(h, beta, layer, p)
     rho = dense.apply_layer(dense.gibbs_state(h, beta), layer)
     lhs = -np.trace(rho.entries @ op).real
-    cmi_nats = cmi(dense, rho, p) * math.log(2)
+    cmi_nats = cmi(dense, rho, p.regions) * math.log(2)
     assert lhs == pytest.approx(cmi_nats, abs=1e-12)
 
 
@@ -290,8 +290,8 @@ def test_classical_cmi_matches_dense(model):
     """The one CMI agrees between the classical and dense engines on random
     diagonal models under random transition layers."""
     h, beta, layer, p = model
-    c = cmi(classical, classical.prepare(classical.plan(h, layer), beta), p)
-    d = cmi(dense, dense.prepare(dense.plan(h, layer), beta), p)
+    c = cmi(classical, classical.prepare(classical.plan(h, layer, ()), beta), p.regions)
+    d = cmi(dense, dense.prepare(dense.plan(h, layer, ()), beta), p.regions)
     assert c == pytest.approx(d, abs=1e-10)
 
 
@@ -323,7 +323,7 @@ def test_gibbs_state_matches_product_and_pauli(model):
     h, beta, _ = model
     rho = dense.gibbs_state(h, beta).entries
     assert np.max(np.abs(rho - commuting_product_gibbs(h, beta))) < 1e-10
-    assert np.max(np.abs(rho - expansion_matrix(expand_gibbs(plan(h, ChannelLayer()), beta)))) < 1e-10
+    assert np.max(np.abs(rho - expansion_matrix(expand_gibbs(plan(h, ChannelLayer(), ()), beta)))) < 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -424,10 +424,10 @@ def test_real_arithmetic_unless_an_entry_is_complex():
     h = ising_pauli_chain(4)
     layer = zoo.bulk_layer("ising_chain", 4, 0.1)
     assert dense.hamiltonian_matrix(h).dtype == np.float64
-    assert dense.prepare(dense.plan(h, layer), 0.5).entries.dtype == np.float64
+    assert dense.prepare(dense.plan(h, layer, ()), 0.5).entries.dtype == np.float64
     s_gate = kraus_channel(1, [np.diag([1, 1j])])
     assert s_gate.superop.dtype == complex
-    rho = dense.prepare(dense.plan(h, ChannelLayer((s_gate,))), 0.5)
+    rho = dense.prepare(dense.plan(h, ChannelLayer((s_gate,)), ()), 0.5)
     assert rho.entries.dtype == complex
     assert np.max(np.abs(rho.entries - brute_apply_layer(eigh_gibbs(h, 0.5), ChannelLayer((s_gate,)), h.site_graph))) < 1e-12
     odd = LocalHamiltonian(

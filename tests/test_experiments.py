@@ -45,11 +45,11 @@ def test_engines_agree_on_shared_model():
     t = [[0.8, 0.2], [0.2, 0.8]]
     layer = ChannelLayer((transition_channel(1, t), transition_channel(2, t)))
     p = boundary_partition(4)
-    c = evaluate_cmi(experiments.ENGINES["classical"].plan(h, layer), 0.7, p, "classical")
-    d = evaluate_cmi(experiments.ENGINES["dense"].plan(h, layer), 0.7, p, "dense")
+    c = evaluate_cmi(experiments.ENGINES["classical"].plan(h, layer, p.regions), 0.7, "classical")
+    d = evaluate_cmi(experiments.ENGINES["dense"].plan(h, layer, p.regions), 0.7, "dense")
     assert c == pytest.approx(d, abs=1e-10)
     with pytest.raises(ValueError):
-        evaluate_cmi(experiments.ENGINES["dense"].plan(h, layer), 0.7, p, "magic")
+        evaluate_cmi(experiments.ENGINES["dense"].plan(h, layer, p.regions), 0.7, "magic")
 
 
 def test_fit_markov_length_exact_exponential():
@@ -128,9 +128,9 @@ def test_decay_curve_layers_are_bulk_layer_prefixes(monkeypatch, family, engine,
     layers = []
     evaluate = experiments.evaluate_cmi
 
-    def spy(plan, beta, part, engine):
-        layers.append(plan[1])
-        return evaluate(plan, beta, part, engine)
+    def spy(plan, beta, engine):
+        layers.append(plan.layer)
+        return evaluate(plan, beta, engine)
 
     monkeypatch.setattr(experiments, "evaluate_cmi", spy)
     curve = decay_curve(family, engine, beta, distances, p)
@@ -140,7 +140,8 @@ def test_decay_curve_layers_are_bulk_layer_prefixes(monkeypatch, family, engine,
         own = zoo.bulk_layer(family, d + 1, p)
         assert [_channel_fields(c) for c in layer.channels] == [_channel_fields(c) for c in own.channels]
         h = zoo.build_model(family, d + 1)
-        expect.append((float(d), evaluate(experiments.ENGINES[engine].plan(h, own), beta, boundary_partition(d + 1), engine)))
+        plan = experiments.ENGINES[engine].plan(h, own, boundary_partition(d + 1).regions)
+        expect.append((float(d), evaluate(plan, beta, engine)))
     assert curve.points == expect
     assert decay_curve(family, engine, beta, [], p).points == []
 
@@ -165,6 +166,19 @@ def test_bell_curve_flat_then_decaying():
     warm = decay_curve("bell_chain", "pauli", 1.0, range(2, 6))
     fit = fit_markov_length(warm)
     assert not fit.diverged and fit.r_squared > 0.99
+
+
+def test_an_unknown_engine_is_a_value_error():
+    """decay_curve, evaluate_cmi and cluster_gibbs_equivalence look the engine
+    up in one place, which raises ValueError for a name it lacks."""
+    p = boundary_partition(3)
+    plan = experiments.ENGINES["dense"].plan(build_model("ising_chain", 3), ChannelLayer(), p.regions)
+    with pytest.raises(ValueError, match="unknown engine 'magic'"):
+        decay_curve("ising_chain", "magic", 0.5, [1, 2])
+    with pytest.raises(ValueError, match="unknown engine 'magic'"):
+        evaluate_cmi(plan, 0.5, "magic")
+    with pytest.raises(ValueError, match="unknown engine 'magic'"):
+        cluster_gibbs_equivalence(4, 0.5, "magic")
 
 
 def test_cluster_gibbs_equivalence_both_engines():
@@ -216,10 +230,10 @@ def test_cmi_policy_clamps_rounding_and_raises_below_tolerance():
     def engine(s_ab):  # S(AB) = s_ab, every other region entropy 0
         return SimpleNamespace(region_entropy=lambda state, r: s_ab if r == p.a | p.b else 0.0)
 
-    assert cmi(engine(0.25), None, p) == 0.25
-    assert cmi(engine(-1e-11), None, p) == 0.0
+    assert cmi(engine(0.25), None, p.regions) == 0.25
+    assert cmi(engine(-1e-11), None, p.regions) == 0.0
     with pytest.raises(AssertionError):
-        cmi(engine(-1e-9), None, p)
+        cmi(engine(-1e-9), None, p.regions)
 
 
 @pytest.mark.parametrize(
@@ -263,20 +277,33 @@ READ_ONLY_CASES = {
 }
 
 
+def _pauli_indices(plan):
+    """A pauli plan's damping tables, as bytes, and its region kernels."""
+    return [(cs, f.tobytes()) for cs, f in plan.damping] + [list(r.kernel) for r in plan.regions]
+
+
 @pytest.mark.parametrize("betas", [(0.3, 1.0), (math.inf, 100.0), (1.0, math.inf)])
 @pytest.mark.parametrize("case", sorted(READ_ONLY_CASES))
 def test_a_plan_is_read_only(case, betas):
-    """One plan prepared at beta1, then beta2, then beta1 again: both beta1
-    states are byte-equal to each other and to a fresh plan's, so no
-    prepare writes the plan.  beta = inf and beta = 100 (past the classical
-    sweep bound on both models) take the classical energy route; the 12-site
-    ring's closing bond takes the sweep's wide step."""
+    """One plan prepared at beta1, then beta2, then beta1 again, with the
+    four entropies of I(A:C|B) taken of each state: both beta1 states and
+    their entropies are byte-equal to each other and to a fresh plan's, and
+    the pauli plan's damping tables and region kernels are unchanged, so no
+    prepare or entropy writes the plan.  beta = inf and beta = 100 (past the
+    classical sweep bound on both models) take the classical energy route;
+    the 12-site ring's closing bond takes the sweep's wide step."""
     engine, h, layer = READ_ONLY_CASES[case]
     eng = experiments.ENGINES[engine]
     b1, b2 = betas
-    plan = eng.plan(h, layer)
-    states = [eng.prepare(plan, b) for b in (b1, b2, b1)] + [eng.prepare(eng.plan(h, layer), b1)]
+    regions = boundary_partition(h.site_graph.n_sites).regions
+    plan = eng.plan(h, layer, regions)
+    before = _pauli_indices(plan) if engine == "pauli" else None
+    runs = [(plan, b) for b in (b1, b2, b1)] + [(eng.plan(h, layer, regions), b1)]
+    states = [eng.prepare(p, b) for p, b in runs]
+    entropies = [[eng.region_entropy(s, r) for r in p.regions] for s, (p, _) in zip(states, runs)]
     first, _, again, fresh = (getattr(s, STATE_ARRAY[engine]).tobytes() for s in states)
     assert first == again == fresh
+    assert entropies[0] == entropies[2] == entropies[3]
     if engine == "pauli":
         assert states[0].generators == states[2].generators == states[3].generators
+        assert _pauli_indices(plan) == before

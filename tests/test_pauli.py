@@ -21,12 +21,15 @@ from hmnlab.model import (
 )
 from tests.conftest import (
     concatenated_xor_span,
+    damp_by_layer,
     dependent_commuting_models,
     expansion_matrix,
     gather_damp,
     gather_expansion,
     ising_pauli_chain,
+    lift,
     masked_product,
+    pauli_region,
     pauli_support,
     random_commuting_pauli_model,
     random_pauli_diagonal_layer,
@@ -46,7 +49,7 @@ def coeff(e, x, z):
 def test_expand_single_z():
     g = SiteGraph(1)
     h = LocalHamiltonian(g, (HamiltonianTerm((0,), PauliString.from_label("Z"), 1.0),))
-    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.4)
+    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.4)
     assert coeff(e, 0, 0) == 1.0
     assert coeff(e, 0, 1) == pytest.approx(-math.tanh(0.4))
 
@@ -54,7 +57,7 @@ def test_expand_single_z():
 def test_expand_matches_dense():
     h = ising_pauli_chain(4)
     for beta in (0.2, 0.9, math.inf):
-        e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), beta)
+        e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), beta)
         rho = dense.gibbs_state(h, beta)
         assert np.max(np.abs(expansion_matrix(e) - rho.entries)) < 1e-12
 
@@ -72,13 +75,13 @@ def test_expand_frustrated_rejected():
         ),
     )
     with pytest.raises(ValueError, match="frustrat"):
-        pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), math.inf)
+        pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), math.inf)
 
 
 def test_apply_layer_damps_coefficients():
     h = ising_pauli_chain(3)
-    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.5)
-    out = pauli.apply_pauli_layer(e, ChannelLayer((bitflip(1, 0.25),)))
+    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.5)
+    out = damp_by_layer(e, ChannelLayer((bitflip(1, 0.25),)))
     t = math.tanh(0.5)  # lam = -1, so each bond carries +tanh(beta)
     # ZZ on sites (0,1): Z on site 1 damped by 1-2p = 0.5
     assert coeff(out, 0, 0b110) == pytest.approx(t * 0.5)
@@ -89,15 +92,15 @@ def test_apply_layer_damps_coefficients():
 def test_apply_layer_matches_dense():
     h = ising_pauli_chain(4)
     layer = ChannelLayer((bitflip(1, 0.3), depolarizing(2, 0.4, 2)))
-    e = pauli.apply_pauli_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.7), layer)
+    e = damp_by_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.7), layer)
     rho = dense.apply_layer(dense.gibbs_state(h, 0.7), layer)
     assert np.max(np.abs(expansion_matrix(e) - rho.entries)) < 1e-12
 
 
 def test_restricted_group_rank():
     h = ising_pauli_chain(4)
-    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.5)
-    grp = pauli.restricted_group(e, {0, 1, 2, 3})
+    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.5)
+    grp = pauli.restricted_group(e, pauli_region(e, {0, 1, 2, 3}))
     assert len(grp.generators) == 3  # the three bonds
     assert len(grp.elements) == 8
 
@@ -115,9 +118,9 @@ def test_full_rank_fast_path_matches_reduction():
     group and the same spectrum."""
     h = ising_pauli_chain(6)
     layer = ChannelLayer((bitflip(2, 0.2), bitflip(3, 0.3)))
-    e = pauli.prepare(pauli.plan(h, layer), 0.7)
+    e = pauli.prepare(pauli.plan(h, layer, ()), 0.7)
     for region, rank in (({1, 2, 3}, 2), ({0, 1, 2, 3, 4}, 4), (set(range(6)), 5)):
-        fast = pauli.restricted_group(e, region)
+        fast = pauli.restricted_group(e, pauli_region(e, region))
         members = pauli._xor_span(fast.generators)
         assert len(fast.generators) == rank
         assert np.array_equal(fast.elements, e.coeffs[members])  # the whole kernel
@@ -131,8 +134,8 @@ def test_full_rank_fast_path_matches_reduction():
 
 def test_marginal_spectrum_uniformity():
     h = ising_pauli_chain(3)
-    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.0)
-    spec, mult = pauli.marginal_spectrum(e, {0, 1, 2})
+    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.0)
+    spec, mult = pauli.marginal_spectrum(e, pauli_region(e, {0, 1, 2}))
     assert mult == 8 and np.allclose(spec, 1 / 8)
 
 
@@ -141,19 +144,19 @@ def test_region_entropy_refuses_a_negative_spectrum():
     -1e-9, below the -1e-10 that entropy_bits allows on every engine."""
     z = PauliString.from_label("Z")
     e = pauli.PauliExpansion(SiteGraph(1), (z,), np.array([1.0, 1 + 2e-9]))
-    assert pauli.marginal_spectrum(e, {0})[0] == pytest.approx([1 + 1e-9, -1e-9], abs=1e-15)
+    assert pauli.marginal_spectrum(e, pauli_region(e, {0}))[0] == pytest.approx([1 + 1e-9, -1e-9], abs=1e-15)
     with pytest.raises(ValueError, match="< -1e-10"):
-        pauli.region_entropy(e, {0})
+        pauli.region_entropy(e, pauli_region(e, {0}))
 
 
 def test_marginal_entropy_matches_dense():
     h = ising_pauli_chain(5)
     layer = ChannelLayer((bitflip(2, 0.2),))
-    e = pauli.apply_pauli_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.6), layer)
+    e = damp_by_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.6), layer)
     rho = dense.apply_layer(dense.gibbs_state(h, 0.6), layer)
     for r in range(1, 5):
         for region in itertools.combinations(range(5), r):
-            assert pauli.marginal_entropy(e, set(region)) == pytest.approx(
+            assert pauli.marginal_entropy(e, pauli_region(e, region)) == pytest.approx(
                 dense.region_entropy(rho, set(region)), abs=1e-10
             )
 
@@ -166,11 +169,11 @@ def test_marginal_entropy_random_models(rng):
         h = random_commuting_pauli_model(rng, n, max_terms=5)
         beta = float(rng.uniform(0.1, 1.2))
         layer = random_pauli_diagonal_layer(rng, n, max_sites=2)
-        e = pauli.apply_pauli_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), beta), layer)
+        e = damp_by_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), beta), layer)
         rho = dense.apply_layer(dense.gibbs_state(h, beta), layer)
         for r in range(1, n + 1):
             for region in itertools.combinations(range(n), r):
-                assert pauli.marginal_entropy(e, set(region)) == pytest.approx(
+                assert pauli.marginal_entropy(e, pauli_region(e, region)) == pytest.approx(
                     dense.region_entropy(rho, set(region)), abs=1e-10
                 )
 
@@ -178,19 +181,20 @@ def test_marginal_entropy_random_models(rng):
 def test_pauli_cmi_matches_dense():
     h = ising_pauli_chain(5)
     layer = ChannelLayer((bitflip(1, 0.3), bitflip(2, 0.3), bitflip(3, 0.3)))
-    e = pauli.apply_pauli_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.8), layer)
+    e = damp_by_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.8), layer)
     rho = dense.apply_layer(dense.gibbs_state(h, 0.8), layer)
     p = Partition(frozenset({0}), frozenset({1, 2, 3}), frozenset({4}))
-    assert cmi(pauli, e, p) == pytest.approx(cmi(dense, rho, p), abs=1e-10)
+    regions = [pauli_region(e, r) for r in p.regions]
+    assert cmi(pauli, e, regions) == pytest.approx(cmi(dense, rho, p.regions), abs=1e-10)
 
 
 def test_pauli_scales_past_dense():
     """A 16-site chain is far beyond the dense cap but cheap here."""
     h = ising_pauli_chain(16)
     layer = ChannelLayer(tuple(bitflip(i, 0.1) for i in range(1, 15)))
-    e = pauli.apply_pauli_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.4), layer)
+    e = damp_by_layer(pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.4), layer)
     p = Partition(frozenset({0}), frozenset(range(1, 15)), frozenset({15}))
-    val = cmi(pauli, e, p)
+    val = cmi(pauli, e, [pauli_region(e, r) for r in p.regions])
     assert -1e-10 <= val < 1e-4
 
 
@@ -202,23 +206,23 @@ def test_term_cap():
     layer = zoo.bulk_layer("ising_chain", 30, 0.1)
     message = "pauli expansion of rank 29 exceeds cap 22"
     with pytest.raises(ValueError, match=message):
-        pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.3)
+        pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.3)
     with pytest.raises(ValueError, match=message):
-        pauli.prepare(pauli.plan(h, layer), 0.3)
+        pauli.prepare(pauli.plan(h, layer, ()), 0.3)
     with pytest.raises(ValueError, match=message):
-        pauli.plan(h, layer)
+        pauli.plan(h, layer, ())
 
 
 def assert_entropies_match_dense(h, beta, layer):
     n = h.site_graph.n_sites
-    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), beta)
+    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), beta)
     rho = dense.gibbs_state(h, beta)
     assert np.max(np.abs(expansion_matrix(e) - rho.entries)) < 1e-12
-    e = pauli.apply_pauli_layer(e, layer)
+    e = damp_by_layer(e, layer)
     rho = dense.apply_layer(rho, layer)
     for r in range(1, n + 1):
         for region in itertools.combinations(range(n), r):
-            assert pauli.marginal_entropy(e, set(region)) == pytest.approx(
+            assert pauli.marginal_entropy(e, pauli_region(e, region)) == pytest.approx(
                 dense.region_entropy(rho, set(region)), abs=1e-10
             )
 
@@ -340,9 +344,9 @@ def test_kernels_match_full_length_references_bit_for_bit(case, beta):
     generators give the bits of one gather per term and one per channel;
     site 4 of the mixed model has no term, so its channel damps nothing."""
     h, layer = ORACLE_CASES[case]
-    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), beta)
+    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), beta)
     assert_same_bits(e.coeffs, gather_expansion(h, beta))
-    damped = pauli.apply_pauli_layer(e, layer).coeffs
+    damped = damp_by_layer(e, layer).coeffs
     assert_same_bits(damped, gather_damp(e.coeffs, h.site_graph, e.generators, layer))
 
 
@@ -399,10 +403,11 @@ def test_constant_term_matches_dense(lam):
     layer = ChannelLayer((bitflip(1, 0.1),))
     p = Partition(frozenset({0}), frozenset({1}), frozenset({2}))
     for beta in (0.0, 1.0, 40.0, math.inf):
-        e = pauli.prepare(pauli.plan(h, layer), beta)
+        plan = pauli.plan(h, layer, p.regions)
+        e = pauli.prepare(plan, beta)
         rho = dense.apply_layer(dense.gibbs_state(h, beta), layer)
         assert np.max(np.abs(expansion_matrix(e) - rho.entries)) < 1e-12
-        assert cmi(pauli, e, p) == pytest.approx(cmi(dense, rho, p), abs=1e-10)
+        assert cmi(pauli, e, plan.regions) == pytest.approx(cmi(dense, rho, p.regions), abs=1e-10)
 
 
 def test_cli_runs_a_constant_term_on_pauli(tmp_path, capsys):
@@ -435,7 +440,7 @@ def test_cli_runs_a_constant_term_on_pauli(tmp_path, capsys):
 def kept_members(e, gens):
     """The indices over the term group ``gens`` of e's kept subgroup."""
     ones = pauli.PauliExpansion(e.graph, e.generators, np.ones(2 ** len(e.generators)))
-    return np.flatnonzero(pauli.lift(ones, gens))
+    return np.flatnonzero(lift(ones, gens))
 
 
 def everywhere(channel, sites):
@@ -463,13 +468,13 @@ def test_kept_coefficients_match_full_length_references(case, beta):
     equals the damped reference everywhere, which the layer zeroes off K."""
     h, layer, dim = KEPT_CASES[case]
     gens = pauli.term_group(h)[0]
-    e = pauli.expand_gibbs(pauli.plan(h, layer), beta)
+    e = pauli.expand_gibbs(pauli.plan(h, layer, ()), beta)
     assert len(e.generators) == dim < len(gens)
     ref = gather_expansion(h, beta)
     members = kept_members(e, gens)
     assert members.size == 2**dim
-    assert np.max(np.abs(pauli.lift(e, gens)[members] - ref[members])) <= 1e-15
-    damped = pauli.lift(pauli.prepare(pauli.plan(h, layer), beta), gens)
+    assert np.max(np.abs(lift(e, gens)[members] - ref[members])) <= 1e-15
+    damped = lift(pauli.prepare(pauli.plan(h, layer, ()), beta), gens)
     assert np.max(np.abs(damped - gather_damp(ref, h.site_graph, gens, layer))) <= 1e-15
 
 
@@ -480,18 +485,18 @@ def test_layer_with_no_zero_factor_keeps_the_whole_group(case, beta):
     and the same coefficient bits as the expansion with no channel."""
     h, layer = ORACLE_CASES[case]
     assert all(ch.pauli_table.all() for ch in layer.channels)
-    whole, kept = pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), beta), pauli.expand_gibbs(pauli.plan(h, layer), beta)
+    whole, kept = pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), beta), pauli.expand_gibbs(pauli.plan(h, layer, ()), beta)
     assert kept.generators == whole.generators
     assert_same_bits(kept.coeffs, whole.coeffs)
 
 
 def assert_prepared_matches_dense(h, beta, layer, regions=None):
-    e = pauli.prepare(pauli.plan(h, layer), beta)
-    rho = dense.prepare(dense.plan(h, layer), beta)
+    e = pauli.prepare(pauli.plan(h, layer, ()), beta)
+    rho = dense.prepare(dense.plan(h, layer, ()), beta)
     assert np.max(np.abs(expansion_matrix(e) - rho.entries)) < 1e-12
     n = h.site_graph.n_sites
     for region in regions or [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]:
-        assert pauli.region_entropy(e, set(region)) == pytest.approx(dense.region_entropy(rho, set(region)), abs=1e-10)
+        assert pauli.region_entropy(e, pauli_region(e, region)) == pytest.approx(dense.region_entropy(rho, set(region)), abs=1e-10)
     return e
 
 
@@ -560,7 +565,7 @@ def test_kept_path_random_models(rng):
         sites = rng.choice(n, size=2, replace=False)
         layer = ChannelLayer(tuple(zeroing[rng.integers(4)](int(s), float(rng.uniform(0, 1))) for s in sites))
         try:
-            pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), beta)
+            pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), beta)
         except ValueError as err:  # a frustrated ground state has no expansion
             assert "frustrated" in str(err)
             continue
@@ -574,18 +579,11 @@ def test_bell_chain_past_the_old_term_cap():
     spectrum matches to rounding."""
     for n in (13, 41):
         h, layer = zoo.bell_chain(n), zoo.bulk_layer("bell_chain", n, 0.0)
-        pauli.plan(h, layer)
-        e = pauli.prepare(pauli.plan(h, layer), math.inf)
-        assert len(h.terms) == 2 * (n - 1) and e.coeffs.tolist() == [1.0] * 4
         p = Partition(frozenset({0}), frozenset(range(1, n - 1)), frozenset({n - 1}))
-        assert cmi(pauli, e, p) == 2.0
-        for region in (p.a | p.b, p.b | p.c, p.b, p.abc):
+        plan = pauli.plan(h, layer, p.regions)
+        e = pauli.prepare(plan, math.inf)
+        assert len(h.terms) == 2 * (n - 1) and e.coeffs.tolist() == [1.0] * 4
+        assert cmi(pauli, e, plan.regions) == 2.0
+        for region in plan.regions:
             s = pauli.marginal_entropy(e, region)
             assert s == round(s) and s == pytest.approx(entropy_bits(*pauli.marginal_spectrum(e, region)), abs=1e-12)
-
-
-def test_lift_refuses_generators_outside_the_group():
-    h = ising_pauli_chain(3)
-    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer()), 0.5)
-    with pytest.raises(ValueError, match="not products"):
-        pauli.lift(e, (PauliString.from_label("ZZI"),))

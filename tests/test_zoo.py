@@ -50,7 +50,7 @@ def test_parity_chain_long_range_cmi():
     for n in (3, 4, 5):
         h = zoo.parity_chain(n)
         layer = zoo.bulk_layer("parity_chain", n, 1.0)
-        val = evaluate_cmi(classical.plan(h, layer), math.inf, boundary_partition(n), "classical")
+        val = evaluate_cmi(classical.plan(h, layer, boundary_partition(n).regions), math.inf, "classical")
         assert val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -79,12 +79,12 @@ def test_parity_value_tracks_bulk_size():
 def test_bell_chain_long_range_cmi():
     h = zoo.bell_chain(4)
     layer = zoo.bulk_layer("bell_chain", 4, 1.0)
-    val = evaluate_cmi(dense.plan(h, layer), math.inf, boundary_partition(4), "dense")
+    val = evaluate_cmi(dense.plan(h, layer, boundary_partition(4).regions), math.inf, "dense")
     assert val == pytest.approx(2.0, abs=1e-9)
     # pauli engine scales further
     h6 = zoo.bell_chain(6)
     layer6 = zoo.bulk_layer("bell_chain", 6, 1.0)
-    val6 = evaluate_cmi(pauli.plan(h6, layer6), math.inf, boundary_partition(6), "pauli")
+    val6 = evaluate_cmi(pauli.plan(h6, layer6, boundary_partition(6).regions), math.inf, "pauli")
     assert val6 == pytest.approx(2.0, abs=1e-9)
 
 
@@ -125,5 +125,5 @@ def test_ising_bulk_layer_serves_every_engine():
         assert np.array_equal(c.transition, [[1 - 0.2, 0.2], [0.2, 1 - 0.2]])
         assert c.pauli_table.tolist() == [1 - 0.2 + 0.2, 1 - 0.2 - 0.2, 1 - 0.2 + 0.2, 1 - 0.2 - 0.2]
     h = zoo.build_model("ising_chain", 4)
-    classical.plan(h, layer)
-    pauli.plan(h, layer)
+    classical.plan(h, layer, ())
+    pauli.plan(h, layer, ())
