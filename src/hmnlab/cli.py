@@ -51,9 +51,9 @@ and so is a channel or a partition on cluster_equivalence.
 
 A run plans each chain, layer and certificate once, for all betas.  Numbers in
 outputs are printed with 17 significant digits so re-runs are byte-identical.
-A run manifest (resolved config + caps + timings of that one-off "resolve"
-and of each beta) is written next to every output; `run manifest.json`
-reproduces the outputs exactly.
+A run manifest (resolved config + caps + timings of the one-off "resolve", of
+a certificate's one "series" at beta = 1 and of each beta) is written next to
+every output; `run manifest.json` reproduces the outputs exactly.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def fmt(x) -> str:
 
 def _parse_beta(b, exp: str) -> float:
     """A beta >= 0, where the paper's statements hold, as a number (not a bool
-    or a string) or as "inf", except on certificates: their bound
-    (2e(d+1) beta)^{|W|+1} is finite only below inf."""
+    or a string) or as "inf", except on certificates: their norm beta^{|W|} N_W
+    and bound beta^{|W|} (2e(d+1))^{|W|+1} are finite only below inf."""
     v = math.inf if b == "inf" else float(b) if is_number(b) else math.nan
     if math.isnan(v):
         raise ValueError(f"beta {b!r} is not a number or 'inf'")
@@ -331,10 +331,14 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             results["fits"].append(fit)
     else:  # certificates and cluster_equivalence: one pass/fail report per beta
         reports = []
+        if exp == "certificates":  # the log series, once at beta = 1; each beta scales its norms
+            t0 = time.perf_counter()
+            norms = series.cluster_norms(r.plan)
+            timings["series"] = time.perf_counter() - t0
         for beta in r.betas:
             t0 = time.perf_counter()
             if exp == "certificates":
-                rep = series.derivative_norm_certificate(r.plan, beta)
+                rep = series.derivative_norm_certificate(r.plan, norms, beta)
             else:
                 rep = experiments.cluster_gibbs_equivalence(r.n, beta, r.engine)
             timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0

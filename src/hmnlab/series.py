@@ -5,7 +5,9 @@ A series in m term variables truncated at total degree D is one stack with a
 row per key of ``_monomials(m, D)``, exponent multisets over term indices (a
 zero row is an absent key), expanded around lambda = 0: the term coefficients
 lambda_a are the variables, beta a fixed prefactor, and a channelled Gibbs
-series has the identity at degree 0 whenever the channels are unital.
+series has the identity at degree 0 whenever the channels are unital.  Since
+beta only scales lambda_a, key k's coefficient, in a series and in its log, is
+beta^{|k|} times its value at beta = 1, where certificates build their log once.
 
 Coefficients live in one of two algebras, and one product, log and norm
 serve both:
@@ -41,6 +43,7 @@ from . import dense, pauli
 from .channels import ChannelLayer, compose_with_trace
 from .combinatorics import Cluster, key_weight
 from .dense import apply_layer_to_matrix, term_matrix
+from .experiments import beta_critical
 from .model import DualInteractionGraph, LocalHamiltonian, Partition, build_dual_graph, require_int
 
 MAX_WEIGHT_CAP = 8
@@ -84,7 +87,7 @@ def _monomials(m: int, max_degree: int) -> list:
 
 
 _KeyIndex = namedtuple("_KeyIndex", "keys row lens prod runs")
-Plan = namedtuple("Plan", "h layer max_weight build degree keys rows weights facts")
+Plan = namedtuple("Plan", "h layer max_weight degree keys rows weights facts")
 
 
 @lru_cache(maxsize=None)
@@ -341,10 +344,10 @@ def cmi_operator_series(
 
 
 def plan(h: LocalHamiltonian, layer: ChannelLayer, max_weight) -> Plan:
-    """What every beta of a certificate shares: h, layer, max_weight, the
-    series builder, the dual graph's degree, the clusters' keys, their rows
-    in ``_key_index``, weights and W! (``facts``).  Raises ValueError for a bad weight, more
-    than CLUSTER_COUNT_CAP clusters, a non-unital layer or non-commuting terms."""
+    """What every beta of a certificate shares: h, layer, max_weight, the dual
+    graph's degree, the clusters' keys, their rows in ``_key_index``, weights and W! (``facts``).
+    It builds no coefficient.  Raises ValueError for a bad weight, more than
+    CLUSTER_COUNT_CAP clusters, a non-unital layer or non-commuting terms."""
     g = build_dual_graph(h)
     keys = _cluster_keys(g, max_weight)
     if not layer.is_unital():
@@ -354,34 +357,34 @@ def plan(h: LocalHamiltonian, layer: ChannelLayer, max_weight) -> Plan:
     rows = [idx.row[k] for k in keys]
     mu = idx.runs[:, rows] % (max_weight + 1)  # each cluster's multiplicities, 0 past its runs
     facts = np.array([math.factorial(k) for k in range(max_weight + 1)])[mu].prod(axis=0)  # W!
-    return Plan(h, layer, max_weight, _series_builder(h, layer), g.degree, keys, rows, mu.sum(axis=0).tolist(), facts)
+    return Plan(h, layer, max_weight, g.degree, keys, rows, mu.sum(axis=0).tolist(), facts)
 
 
-def derivative_norm_certificate(plan: Plan, beta: float) -> dict:
-    """Per-cluster check of (1/W!) ||D_W log E[rho]|| <= (2e(d+1) beta)^{|W|+1}
-    over the connected clusters of a certificate ``plan``, in the character
-    basis where the pauli engine admits the model and the layer."""
-    s = log_series(plan.build(plan.h, beta, plan.layer, plan.max_weight))
+def cluster_norms(plan: Plan) -> np.ndarray:
+    """N_W = (1/W!) ||D_W log E[rho]|| at beta = 1 for each of ``plan.keys``:
+    one series on the route ``_series_builder`` picks and one log, floored
+    at beta = 1, where no coefficient is small by beta alone."""
+    s = log_series(_series_builder(plan.h, plan.layer)(plan.h, 1.0, plan.layer, plan.max_weight))
     if s.unit.ndim == 1:  # spectral_norm of W! row, every cluster at once
-        norms = (np.abs(plan.facts[:, None] * s.stack[plan.rows]).max(axis=1) / plan.facts).tolist()
-    else:
-        norms = [spectral_norm(f * s.stack[i]) / f for f, i in zip(plan.facts.tolist(), plan.rows)]
-    base = 2 * math.e * (plan.degree + 1) * beta
-    bounds = {wt: base ** (wt + 1) for wt in set(plan.weights)}
-    entries = [
-        {
-            "terms": [a for a, _ in k],
-            "multiplicities": [m for _, m in k],
-            "weight": wt,
-            "norm": norm,
-            "bound": bounds[wt],
-            "pass": norm <= bounds[wt] + 1e-12,
-        }
-        for k, wt, norm in zip(plan.keys, plan.weights, norms)
-    ]
+        return np.abs(plan.facts[:, None] * s.stack[plan.rows]).max(axis=1) / plan.facts
+    return np.array([spectral_norm(f * s.stack[i]) / f for f, i in zip(plan.facts.tolist(), plan.rows)])
+
+
+def derivative_norm_certificate(plan: Plan, norms: np.ndarray, beta: float) -> dict:
+    """Per-cluster check of beta^{|W|} N_W <= beta^{|W|} (2e(d+1))^{|W|+1}, N_W
+    the ``cluster_norms(plan)``: beta enters only as lam_a -> beta lam_a, one
+    beta per lam-derivative, and the bound is the estimate chain's final
+    W! (2e(d+1))^{|W|+1} over W!.  Builds no series."""
+    base, entries = 2 * math.e * (plan.degree + 1), []
+    for k, wt, n in zip(plan.keys, plan.weights, norms.tolist()):
+        norm, bound = n * beta**wt, beta**wt * base ** (wt + 1)
+        terms, mults = [a for a, _ in k], [m for _, m in k]
+        entries.append({"terms": terms, "multiplicities": mults, "weight": wt, "norm": norm, "bound": bound,
+                        "pass": norm <= bound + 1e-12})
     violations = sum(not e["pass"] for e in entries)
     return {
         "beta": beta,
+        "beta_c": beta_critical(plan.degree),  # where the expansion converges; decay is certified only below it
         "degree": plan.degree,
         "max_weight": plan.max_weight,
         "clusters": entries,

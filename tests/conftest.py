@@ -40,6 +40,7 @@ from hmnlab.combinatorics import (
     spanning_tree_count,
 )
 from hmnlab.dense import apply_layer_to_matrix, hamiltonian_matrix, partial_trace_matrix, term_matrix
+from hmnlab.experiments import beta_critical
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, _terms_commute, build_dual_graph
 from hmnlab.pauli import (
     _reduce,
@@ -380,16 +381,17 @@ def per_key_character_series(h, beta, layer, max_degree):
 
 def per_cluster_certificate(h, beta, layer, max_weight):
     """Reference: the derivative-norm report by one Python step per cluster,
-    on the log of the series of the route the library takes (the per-key
-    character series in place of the library's)."""
+    on the log of the series at beta = 1 of the route the library takes (the
+    per-key character series in place of the library's), each cluster's norm
+    scaled by beta^{|W|} and checked against beta^{|W|} (2e(d+1))^{|W|+1}."""
     g = build_dual_graph(h)
     build = _series_builder(h, layer)
     build = build if build is series_of_channelled_gibbs else per_key_character_series
-    s = log_series(build(h, beta, layer, max_weight))
+    s = log_series(build(h, 1.0, layer, max_weight))
     entries, violations = [], 0
     for w in enumerate_connected_clusters(g, max_weight):
-        norm = spectral_norm(cluster_derivative(s, w)) / w.factorial
-        bound = (2 * math.e * (g.degree + 1) * beta) ** (w.weight + 1)
+        norm = spectral_norm(cluster_derivative(s, w)) / w.factorial * beta**w.weight
+        bound = beta**w.weight * (2 * math.e * (g.degree + 1)) ** (w.weight + 1)
         ok = norm <= bound + 1e-12
         violations += not ok
         entries.append(
@@ -404,6 +406,7 @@ def per_cluster_certificate(h, beta, layer, max_weight):
         )
     return {
         "beta": beta,
+        "beta_c": beta_critical(g.degree),
         "degree": g.degree,
         "max_weight": max_weight,
         "clusters": entries,

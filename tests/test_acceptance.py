@@ -28,6 +28,7 @@ from hmnlab.model import (
     build_dual_graph,
 )
 from hmnlab.series import (
+    cluster_norms,
     cmi_operator_series,
     connected_term_sets,
     connects,
@@ -165,14 +166,17 @@ def test_vanishing_lemmas_chain_and_lattice():
 
 
 def test_derivative_norm_certificates():
-    """(1/W!) ||D_W log E[rho]|| <= (2e(d+1) beta)^{|W|+1} for every
-    connected cluster of weight <= 4, for unital quantum layers and for the
-    pinned classical traced series."""
+    """(1/W!) ||D_W log E[rho]|| is within its bound for every connected
+    cluster of weight <= 4: the certificate's beta^{|W|} (2e(d+1))^{|W|+1} for
+    unital quantum layers, and the stricter (2e(d+1) beta)^{|W|+1}, one power
+    of beta higher, for the pinned classical traced series."""
     betas = (0.01, 0.05, 0.1)
     h = zoo.build_model("ising_chain", 5)
     layer = ChannelLayer(tuple(bitflip(s, 0.3) for s in range(1, 4)))
+    cert = series.plan(h, layer, 4)
+    norms = cluster_norms(cert)
     for beta in betas:
-        rep = derivative_norm_certificate(series.plan(h, layer, 4), beta)
+        rep = derivative_norm_certificate(cert, norms, beta)
         assert rep["pass"], rep["violations"]
     # pinned classical branch: same bound on the log of the traced series
     hd = ising_diag_chain(4)

@@ -862,21 +862,25 @@ def test_failing_certificate_exits_2_and_writes_its_report(tmp_path, monkeypatch
 def test_many_betas_write_the_certificates_of_one_beta_runs(tmp_path, monkeypatch):
     """The README certificate example at three betas writes the
     ``certificates`` lists of three 1-beta runs, byte for byte, and plans the
-    certificate once: one cluster enumeration and one term group per run."""
+    certificate once: one cluster enumeration, one term group and one log
+    series per run, whatever the number of betas.  Validate builds no series
+    and finds no term group."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
     (cfg,) = [b for b in blocks if isinstance(b, dict) and b.get("output") == "cert"]
     calls = []
-    cluster_keys, term_group = series._cluster_keys, pauli.term_group
+    cluster_keys, term_group, log_series = series._cluster_keys, pauli.term_group, series.log_series
     monkeypatch.setattr(series, "_cluster_keys", lambda *args: calls.append("keys") or cluster_keys(*args))
     monkeypatch.setattr(pauli, "term_group", lambda h: calls.append("group") or term_group(h))
+    monkeypatch.setattr(series, "log_series", lambda s: calls.append("log") or log_series(s))
+    assert validate_config(cfg) == [] and calls == ["keys"]
     betas = [0.01, 0.02, 0.03]
     texts = []
     for run in [betas] + [[b] for b in betas]:
         calls.clear()
         out = tmp_path / f"run{len(texts)}"
         assert main(["run", write_cfg(tmp_path / "c.json", dict(cfg, beta=run)), "--output-dir", str(out)]) == 0
-        assert sorted(calls) == ["group", "keys"]
+        assert sorted(calls) == ["group", "keys", "log"]
         texts.append((out / "cert.json").read_text())
     merged = [rep for text in texts[1:] for rep in json.loads(text)["certificates"]]
     assert texts[0] == json.dumps({"certificates": merged, "experiment": "certificates"}, indent=2, sort_keys=True) + "\n"

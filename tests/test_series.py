@@ -13,12 +13,15 @@ from hmnlab.combinatorics import (
     Cluster,
     coloring_weight,
     enumerate_connected_partitions,
+    estimate_chain,
     interaction_graph_of_cluster,
     quotient_graph,
 )
+from hmnlab.experiments import beta_critical
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, Partition, PauliString, SiteGraph, build_dual_graph
 from hmnlab.series import (
     _monomials,
+    cluster_norms,
     cmi_operator_series,
     connected_term_sets,
     connects,
@@ -274,14 +277,16 @@ def test_graph_partition_reconstruction():
 def test_certificate_passes_high_temperature():
     h = ising_pauli_chain(4)
     layer = ChannelLayer((bitflip(1, 0.2), bitflip(2, 0.2)))
-    rep = derivative_norm_certificate(series.plan(h, layer, 4), 0.05)
+    cert = series.plan(h, layer, 4)
+    rep = derivative_norm_certificate(cert, cluster_norms(cert), 0.05)
     assert rep["pass"] and rep["violations"] == 0
     assert len(rep["clusters"]) > 0
 
 
 def test_certificate_reports_norms_below_bounds():
     h = ising_pauli_chain(4)
-    rep = derivative_norm_certificate(series.plan(h, ChannelLayer(()), 3), 0.1)
+    cert = series.plan(h, ChannelLayer(()), 3)
+    rep = derivative_norm_certificate(cert, cluster_norms(cert), 0.1)
     for e in rep["clusters"]:
         assert e["norm"] <= e["bound"] + 1e-12
 
@@ -390,7 +395,8 @@ def test_character_basis_matches_dense(case):
     (a missing key reads zero), and the same clusters pass."""
     h, beta, layer, p, weight = case
     assert series._series_builder(h, layer).func is series._character_series
-    rep = derivative_norm_certificate(series.plan(h, layer, weight), beta)
+    cert = series.plan(h, layer, weight)
+    rep = derivative_norm_certificate(cert, cluster_norms(cert), beta)
     want = dense_certificate_norms(h, beta, layer, weight)
     assert [tuple(zip(e["terms"], e["multiplicities"])) for e in rep["clusters"]] == list(want)
     for e, norm in zip(rep["clusters"], want.values()):
@@ -442,7 +448,8 @@ def test_dense_route_cases_keep_their_values():
     ln = ChannelLayer((bitflip(1, 0.2),))
     for h, layer in ((hd, ld), (hn, ln)):
         assert series._series_builder(h, layer) is series_of_channelled_gibbs
-    rep = derivative_norm_certificate(series.plan(hd, ld, 3), 0.3)
+    cert = series.plan(hd, ld, 3)
+    rep = derivative_norm_certificate(cert, cluster_norms(cert), 0.3)
     assert rep["pass"]
     assert np.max(np.abs(np.array([e["norm"] for e in rep["clusters"]]) - DIAG_NORMS)) < 1e-12
     got = list(dense_certificate_norms(hn, 0.3, ln, 3).values())
@@ -580,6 +587,61 @@ def test_certificate_path_matches_per_key_references_bit_for_bit(case, weight, b
             assert sum(1 for b in coords if b) > len(gens)
         got, want = build(h, beta, layer, weight).stack, per_key_character_series(h, beta, layer, weight).stack
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-    rep = derivative_norm_certificate(series.plan(h, layer, weight), beta)
+    cert = series.plan(h, layer, weight)
+    rep = derivative_norm_certificate(cert, cluster_norms(cert), beta)
     ref = per_cluster_certificate(h, beta, layer, weight)
     assert rep == ref and json.dumps(rep) == json.dumps(ref)
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_certificates_pass_as_beta_goes_to_zero(case):
+    """The bound beta^{|W|} (2e(d+1))^{|W|+1} has the degree in beta of the
+    norm beta^{|W|} N_W, so a cluster that passes at one small beta passes
+    at every smaller one: no violation at weight 4 from beta 1e-3 down.  A
+    bound of degree |W|+1 fails every cluster with N_W > 0 as beta -> 0."""
+    h, layer = CERTIFICATE_CASES[case]()
+    cert = series.plan(h, layer, 4)
+    norms = cluster_norms(cert)
+    for beta in (1e-6, 1e-4, 1e-3):
+        rep = derivative_norm_certificate(cert, norms, beta)
+        assert rep["violations"] == 0 and rep["pass"], (beta, rep["violations"])
+        assert rep["beta_c"] == beta_critical(rep["degree"])
+
+
+def test_certificate_bound_is_the_estimate_chains_over_w_factorial():
+    """For every cluster of the 2x3 lattice at weight 4, the report's bound
+    over beta^{|W|} is the estimate chain's final bound W! (2e(1+d))^{|W|+1}
+    over W!: each lam-derivative brings one beta into the chain's bound."""
+    h, layer = CERTIFICATE_CASES["lattice_2x3"]()
+    g, beta = build_dual_graph(h), 0.03
+    cert = series.plan(h, layer, 4)
+    rep = derivative_norm_certificate(cert, cluster_norms(cert), beta)
+    clusters = enumerate_connected_clusters(g, 4)
+    assert len(clusters) == len(rep["clusters"]) == 172
+    for w, e in zip(clusters, rep["clusters"]):
+        assert tuple(zip(e["terms"], e["multiplicities"])) == w.multiplicities
+        want = estimate_chain(w, g)["final_bound"] / w.factorial
+        assert e["bound"] / beta ** w.weight == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("weight", range(1, 6))
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_scaled_norms_match_per_beta_logs(case, weight):
+    """beta^{|W|} N_W, from the one log at beta = 1, is the norm read off the
+    log of the series built at beta: to 1e-12 relative where that norm is
+    above 0, and at most 1e-20 of the bound where the floor at beta zeroed
+    it (a rounding residue the floor at beta = 1 keeps)."""
+    h, layer = CERTIFICATE_CASES[case]()
+    cert = series.plan(h, layer, weight)
+    norms = cluster_norms(cert)
+    build = series._series_builder(h, layer)
+    clusters = enumerate_connected_clusters(build_dual_graph(h), weight)
+    for beta in (0.01, 0.03):
+        s = log_series(build(h, beta, layer, weight))
+        rep = derivative_norm_certificate(cert, norms, beta)
+        for w, e in zip(clusters, rep["clusters"]):
+            want = spectral_norm(cluster_derivative(s, w)) / w.factorial
+            if want > 0:
+                assert abs(e["norm"] - want) <= 1e-12 * want, (beta, w, e["norm"], want)
+            else:
+                assert e["norm"] <= 1e-20 * e["bound"], (beta, w, e["norm"], e["bound"])
