@@ -13,7 +13,9 @@ Config schema (JSON object):
                 certificates need a model whose terms commute
     beta:       nonempty list of distinct numbers >= 0 (the string "inf"
                 allowed, no other string, no bool, no NaN); certificates take
-                betas in [0, inf) only
+                betas in [0, inf) only, and only those whose bound
+                beta^W (2e(d+1))^{W+1} at W = max_weight is a finite float
+                (every beta <= 1 is)
     channel:    list of per-site channel objects, each on a site of the model
                 and of its dimension q: {"site", "kind", and the one key the
                 kind reads}, "p" for "dephasing", "bitflip" and
@@ -247,6 +249,14 @@ def resolve(cfg: dict) -> SimpleNamespace:
         r.partition = experiments.boundary_partition(n)
     if exp == "certificates":  # series.plan admits it: weight, unitality, commutation, clusters
         r.plan = series.plan(r.h, r.layer, cfg.get("max_weight", 4))
+        w, base = r.plan.max_weight, 2 * math.e * (r.plan.degree + 1)
+        for b in r.betas:  # from beta = 1 up the bound is largest at W = max_weight
+            try:
+                finite = math.isfinite(b**w * base ** (w + 1))
+            except OverflowError:  # b**w past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"certificate beta {fmt(b)} makes the bound at weight {w} overflow a float")
         return r
     top = plan(r.h, r.layer, r.partition.regions)  # decay's longest chain first: a refusal names its rank
     if exp == "decay":

@@ -231,17 +231,20 @@ def _character_series(
 
 def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
     """``_character_series`` on the model's term group, computed here once,
-    where the pauli engine admits the model and the layer and the model has
-    at most TERM_CAP terms, else ``series_of_channelled_gibbs``.  The
-    characters span the whole term group whatever the layer keeps, and its
-    rank r is at most the number of terms."""
+    where the pauli engine admits the model (``pauli.check``) and every
+    channel (its ``pauli_table``) and the model has at most TERM_CAP terms,
+    else ``series_of_channelled_gibbs``.  The characters span the whole term
+    group whatever the layer keeps, and its rank r is at most the number of
+    terms, as is every rank ``pauli.plan`` bounds."""
     if len(h.terms) > pauli.TERM_CAP:
         return series_of_channelled_gibbs
     try:
-        group = pauli.plan(h, layer, ()).group
+        pauli.check(h)
+        for ch in layer.channels:
+            ch.pauli_table  # raises for a channel that is not Pauli-diagonal
     except ValueError:
         return series_of_channelled_gibbs
-    return partial(_character_series, group=group)
+    return partial(_character_series, group=pauli.term_group(h))
 
 
 def log_series(s: TruncatedSeries) -> TruncatedSeries:

@@ -17,6 +17,19 @@ def write_cfg(path, cfg):
     return str(path)
 
 
+def readme_configs() -> list:
+    """Every fenced json block of README.md that is an experiment config."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    return [b for b in blocks if isinstance(b, dict) and "experiment" in b]
+
+
+def readme_config(output: str) -> dict:
+    """The README's example config whose output is ``output``."""
+    (cfg,) = [c for c in readme_configs() if c.get("output") == output]
+    return cfg
+
+
 DECAY_CFG = {
     "experiment": "decay",
     "model": "ising_chain_n6",
@@ -83,24 +96,30 @@ def test_manifest_rerun_reproduces(tmp_path):
     assert (a / "decay.csv").read_bytes() == (b / "decay.csv").read_bytes()
 
 
-# engine and config; the Bell chain's fixed bulk channel takes no config, and
-# its Bell measurement keeps a subspace of the pauli term group
+# engine, config and betas; the Bell chain's fixed bulk channel takes no
+# config, and its Bell measurement keeps a subspace of the pauli term group
 BELL_CFG = dict({k: v for k, v in DECAY_CFG.items() if k != "channel"}, model="bell_chain_n6", distances=[2, 3, 4, 5])
+BELL9_CFG = dict(BELL_CFG, model="bell_chain_n9", engine="pauli", beta=["inf", 1.0], distances=[2, 3, 4, 5, 6, 7, 8], output="bell")
+THREE_BETAS = [0.3, 1.0, "inf"]
+README_DECAY = readme_config("decay")
 MANY_BETA_CASES = {
-    **{engine: (engine, DECAY_CFG) for engine in ("classical", "dense", "pauli")},
-    "bell_pauli": ("pauli", BELL_CFG),
+    **{engine: (engine, DECAY_CFG, THREE_BETAS) for engine in ("classical", "dense", "pauli")},
+    "bell_pauli": ("pauli", BELL_CFG, THREE_BETAS),
+    "bell_n9_pauli": ("pauli", BELL9_CFG, BELL9_CFG["beta"]),
+    "readme_decay": ("classical", README_DECAY, README_DECAY["beta"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MANY_BETA_CASES))
 def test_many_betas_write_the_rows_and_fits_of_one_beta_runs(tmp_path, monkeypatch, case):
-    """A 3-beta decay and a 3-beta cmi write the CSV rows and the JSON of
-    three 1-beta runs, byte for byte, and a decay builds each chain and its
+    """A decay and a cmi over several betas write the CSV rows and the JSON
+    of the 1-beta runs, byte for byte, and a decay builds each chain and its
     bulk layer once whatever the number of betas; the engine plans each
     point once, and on pauli finds each chain's term group, reads the
     layer's damping tables and finds each region's kernel once; the
     manifest times the one-off ``resolve`` and each beta."""
-    engine, base = MANY_BETA_CASES[case]
+    engine, base, betas = MANY_BETA_CASES[case]
+    stem, size = base["output"], zoo.parse_model_id(base["model"])[1]
     built, layers, planned, grouped, damped, kernels = [], [], [], [], [], []
     build, bulk_layer = zoo.build_model, zoo.bulk_layer
     monkeypatch.setattr(zoo, "build_model", lambda family, n: built.append(n) or build(family, n))
@@ -111,7 +130,6 @@ def test_many_betas_write_the_rows_and_fits_of_one_beta_runs(tmp_path, monkeypat
     monkeypatch.setattr(pauli, "term_group", lambda h: grouped.append(h.site_graph.n_sites) or term_group(h))
     monkeypatch.setattr(pauli, "damping", lambda g, *args: damped.append(g.n_sites) or damping(g, *args))
     monkeypatch.setattr(pauli, "region", lambda g, *args: kernels.append(g.n_sites) or region(g, *args))
-    betas = [0.3, 1.0, "inf"]
     for exp in ("decay", "cmi"):
         cfg = dict(base, experiment=exp, engine=engine)
         if exp == "cmi":
@@ -122,14 +140,14 @@ def test_many_betas_write_the_rows_and_fits_of_one_beta_runs(tmp_path, monkeypat
                 calls.clear()
             out = tmp_path / f"{exp}{len(texts)}"
             assert main(["run", write_cfg(tmp_path / "c.json", dict(cfg, beta=run)), "--output-dir", str(out)]) == 0
-            chains = [d + 1 for d in base["distances"]] if exp == "decay" else [6]
+            chains = [d + 1 for d in base["distances"]] if exp == "decay" else [size]
             assert sorted(built) == chains and len(layers) == 1
             assert sorted(planned) == sorted(built)
             on_pauli = sorted(built) if engine == "pauli" else []
             assert sorted(grouped) == sorted(damped) == on_pauli
             assert sorted(kernels) == sorted(on_pauli * 4)  # AB, BC, B and ABC
-            texts.append([(out / f"decay.{ext}").read_text() for ext in ("csv", "json")])
-            wall = json.loads((out / "decay.manifest.json").read_text())["wall_clock_s"]
+            texts.append([(out / f"{stem}.{ext}").read_text() for ext in ("csv", "json")])
+            wall = json.loads((out / f"{stem}.manifest.json").read_text())["wall_clock_s"]
             assert set(wall) == {"resolve", *(f"beta={fmt(float(b))}" for b in run)}
         (csv, res), *ones = texts
         assert csv == "beta,distance,cmi_bits\n" + "".join(c.split("\n", 1)[1] for c, _ in ones)
@@ -229,13 +247,13 @@ def test_cluster_equivalence_past_the_range_of_exp(tmp_path, engine):
     assert [r["p"] for r in res] == ["0", "0"] and all(r["pass"] is True for r in res)
 
 
-@pytest.mark.parametrize("n, distances", [(13, list(range(2, 13))), (41, list(range(2, 41, 2)))])
+@pytest.mark.parametrize("n, distances", [(13, list(range(2, 13))), (41, list(range(2, 41)))])
 def test_bell_chain_decay_past_the_old_term_cap(tmp_path, capsys, n, distances):
     """bell_chain_n13 (24 terms) and bell_chain_n41 (80 terms) validate and
     run on pauli: Bell measurement keeps two generators, every beta = inf
-    row reads exactly 2 bits (marginals of up to 80 qubits, whose flat
-    spectra give integer entropies), the beta = 1 rows decay, and a rerun
-    writes the same bytes."""
+    row, at every distance up to n - 1, reads exactly 2 bits (marginals of
+    up to 80 qubits, whose flat spectra give integer entropies), the beta = 1
+    rows decay, and a rerun from the manifest writes the same bytes."""
     cfg = {
         "experiment": "decay",
         "model": f"bell_chain_n{n}",
@@ -432,6 +450,14 @@ HADAMARD_PAIRS = [[[[H, 0], [H, 0]], [[H, 0], [-H, 0]]]]
         ),
         (dict(CERT_CFG, beta=["inf"]), "certificate beta inf is not in [0, inf)"),
         (dict(CERT_CFG, beta=[-0.01]), "certificate beta -0.01 is not in [0, inf)"),
+        (
+            dict(CERT_CFG, beta=[0.01, 1e100], max_weight=4),
+            "certificate beta 1e+100 makes the bound at weight 4 overflow a float",
+        ),
+        (
+            dict(CERT_CFG, beta=[1e76], max_weight=4),
+            "certificate beta 1e+76 makes the bound at weight 4 overflow a float",
+        ),
         (dict(DECAY_CFG, channel={"kind": "bitflip", "p": True}), "channel p True is not a probability"),
         (
             dict(CMI_CFG, engine="pauli", channel={"kind": "bitflip", "p": 0.2}, partition={"a": [0], "b": [1], "c": [2]}),
@@ -608,6 +634,8 @@ HADAMARD_PAIRS = [[[[H, 0], [H, 0]], [[H, 0], [-H, 0]]]]
         "certificates_non_unital_layer",
         "certificate_beta_inf",
         "certificate_beta_negative",
+        "certificate_beta_power_overflows",
+        "certificate_bound_overflows",
         "p_bool",
         "partition_on_builtin_cmi",
         "partition_on_decay",
@@ -670,11 +698,15 @@ HADAMARD_PAIRS = [[[[H, 0], [H, 0]], [[H, 0], [-H, 0]]]]
     ],
 )
 def test_validate_reports_what_run_rejects(tmp_path_factory, tmp_path, capsys, cfg, message):
+    """validate prints the one finding and exits 1, and run exits 1 with
+    the same message and writes nothing."""
     if cfg.get("model") == ZZ_CHAIN3_FILE:
         cfg = dict(cfg, model=write_cfg(tmp_path_factory.mktemp("model") / "zz3.json", ZZ_CHAIN3))
     findings = validate_config(cfg)
     assert len(findings) == 1 and message in findings[0], findings
     path = write_cfg(tmp_path / "c.json", cfg)
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out == f"finding: {findings[0]}\n1 finding(s)\n"
     assert main(["run", path, "--output-dir", str(tmp_path)]) == 1
     assert f"error: {findings[0]}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["c.json"]
@@ -779,9 +811,7 @@ def test_cmi_manifest_rerun_reproduces(tmp_path):
 def test_readme_configs_validate():
     """Every fenced json block of README.md that is an experiment config
     passes validate."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
-    configs = [b for b in blocks if isinstance(b, dict) and "experiment" in b]
+    configs = readme_configs()
     assert configs
     for cfg in configs:
         assert validate_config(cfg) == [], cfg
@@ -865,9 +895,7 @@ def test_many_betas_write_the_certificates_of_one_beta_runs(tmp_path, monkeypatc
     certificate once: one cluster enumeration, one term group and one log
     series per run, whatever the number of betas.  Validate builds no series
     and finds no term group."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
-    (cfg,) = [b for b in blocks if isinstance(b, dict) and b.get("output") == "cert"]
+    cfg = readme_config("cert")
     calls = []
     cluster_keys, term_group, log_series = series._cluster_keys, pauli.term_group, series.log_series
     monkeypatch.setattr(series, "_cluster_keys", lambda *args: calls.append("keys") or cluster_keys(*args))
@@ -960,26 +988,35 @@ def test_certificates_on_3x3_lattice(tmp_path):
 
 def test_zz_model_file_runs_on_classical_as_its_tables(tmp_path):
     """A model file of "pauli": "ZZ" terms runs on classical and writes the
-    bytes of its "diag" twin, and its CMI agrees with pauli's to 1e-12."""
+    bytes of its "diag" twin, and so does the twin under the transition
+    matrix that the bit-flip reads as; the CMI agrees with pauli's to 1e-12."""
+    flip = [[0.9, 0.1], [0.1, 0.9]]
+    channels = {
+        "bitflip": [{"site": s, "kind": "bitflip", "p": 0.1} for s in (1, 2, 3)],
+        "transition": [{"site": s, "kind": "transition", "matrix": flip} for s in (1, 2, 3)],
+    }
+    runs = [("zz", "classical", "bitflip"), ("zz", "pauli", "bitflip"), ("diag", "classical", "bitflip"),
+            ("diag", "classical", "transition")]
     artifacts = {}
-    for form, op in (("zz", {"pauli": "ZZ"}), ("diag", {"diag": [1, -1, -1, 1]})):
+    for form, engine, kind in runs:
+        op = {"pauli": "ZZ"} if form == "zz" else {"diag": [1, -1, -1, 1]}
         terms = [{**op, "support": [i, i + 1], "lambda": -1.0} for i in range(4)]
-        model = write_cfg(tmp_path / f"{form}.json", {"n_sites": 5, "terms": terms})
-        for engine in ("classical", "pauli") if form == "zz" else ("classical",):
-            cfg = {
-                "experiment": "cmi",
-                "model": model,
-                "engine": engine,
-                "beta": [0.3, 1.0, "inf"],
-                "partition": {"a": [0], "b": [1, 2, 3], "c": [4]},
-                "channel": [{"site": s, "kind": "bitflip", "p": 0.1} for s in (1, 2, 3)],
-                "output": "cmi",
-            }
-            out = tmp_path / f"{form}_{engine}"
-            assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(out)]) == 0
-            artifacts[form, engine] = [(out / f"cmi{ext}").read_text() for ext in (".csv", ".json")]
-    assert artifacts["zz", "classical"] == artifacts["diag", "classical"]
-    cmi = {e: [float(r.split(",")[2]) for r in artifacts["zz", e][0].split()[1:]] for e in ("classical", "pauli")}
+        cfg = {
+            "experiment": "cmi",
+            "model": write_cfg(tmp_path / f"{form}.json", {"n_sites": 5, "terms": terms}),
+            "engine": engine,
+            "beta": [0.3, 1.0, "inf"],
+            "partition": {"a": [0], "b": [1, 2, 3], "c": [4]},
+            "channel": channels[kind],
+            "output": "cmi",
+        }
+        assert validate_config(cfg) == []
+        out = tmp_path / f"{form}_{engine}_{kind}"
+        assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(out)]) == 0
+        artifacts[form, engine, kind] = [(out / f"cmi{ext}").read_text() for ext in (".csv", ".json")]
+    assert artifacts["zz", "classical", "bitflip"] == artifacts["diag", "classical", "bitflip"]
+    assert artifacts["diag", "classical", "bitflip"] == artifacts["diag", "classical", "transition"]
+    cmi = {e: [float(r.split(",")[2]) for r in artifacts["zz", e, "bitflip"][0].split()[1:]] for e in ("classical", "pauli")}
     assert len(cmi["classical"]) == 3
     assert np.allclose(cmi["classical"], cmi["pauli"], rtol=0, atol=1e-12)
 
@@ -1164,9 +1201,7 @@ def test_readme_converse_example(tmp_path):
     """The README's converse example: at beta = inf the parity chain keeps 1
     bit at every distance and its fit diverges, outside the proved regime;
     at beta = 1 the CMI decays."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
-    (cfg,) = [b for b in blocks if isinstance(b, dict) and b.get("output") == "converse"]
+    cfg = readme_config("converse")
     assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 0
     rows = [line.split(",") for line in (tmp_path / "converse.csv").read_text().split()[1:]]
     assert [v for b, _, v in rows if b == "inf"] == ["1"] * 5
@@ -1175,3 +1210,211 @@ def test_readme_converse_example(tmp_path):
     fits = {f["beta"]: f for f in json.loads((tmp_path / "converse.json").read_text())["fits"]}
     assert fits["inf"]["diverged"] is True and fits["inf"]["xi"] == "inf" and fits["inf"]["xi_analytic"] == "inf"
     assert fits["1"]["diverged"] is False and fits["1"]["xi_analytic"] == "inf"
+
+
+def validate_run_rerun(tmp_path, capsys, cfg, model=None, findings=(), status=0):
+    """Writes the config, with ``model``, a model-file dict, as its model
+    when given (else the config names a builtin id).  validate prints
+    ``findings`` and their count and exits 0 with none, 1 with any, and run
+    exits ``status``.  A refused run writes nothing; one that runs writes
+    its non-empty artifacts, and the rerun from its manifest writes the same
+    bytes.  Returns the config path and the output directory."""
+    if model is not None:
+        cfg = dict(cfg, model=write_cfg(tmp_path / "model.json", model))
+    path = write_cfg(tmp_path / "c.json", cfg)
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
+    assert main(["validate", path]) == (1 if findings else 0)
+    assert capsys.readouterr().out == "".join(f"finding: {f}\n" for f in findings) + f"{len(findings)} finding(s)\n"
+    assert main(["run", path, "--output-dir", str(out)]) == status
+    err = capsys.readouterr().err
+    if findings:
+        assert err == f"error: {'; '.join(findings)}\n" and not out.exists()
+        return path, out
+    stem = cfg["output"]
+    names = [f"{stem}.csv", f"{stem}.json"] if cfg["experiment"] in ("decay", "cmi") else [f"{stem}.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + [f"{stem}.manifest.json"])
+    assert all((out / name).stat().st_size > 0 for name in names)
+    assert main(["run", str(out / f"{stem}.manifest.json"), "--output-dir", str(rerun)]) == status
+    for name in names:
+        assert (out / name).read_bytes() == (rerun / name).read_bytes(), name
+    return path, out
+
+
+def csv_rows(out, stem):
+    return [line.split(",") for line in (out / f"{stem}.csv").read_text().split()[1:]]
+
+
+def bell_keeps_two_bits(tmp_path, path, out):
+    """At beta = inf the Bell chain keeps exactly 2 bits at each of its 7 distances."""
+    assert [v for b, _, v in csv_rows(out, "bell") if b == "inf"] == ["2"] * 7
+
+
+def passes_at_a_tiny_beta(tmp_path, path, out):
+    """The bound has the norm's degree in beta, so the example passes as beta -> 0."""
+    assert main(["run", path, "--override", "beta=[1e-06]", "--output-dir", str(tmp_path / "tiny")]) == 0
+    (rep,) = json.loads((tmp_path / "tiny" / "cert.json").read_text())["certificates"]
+    assert rep["pass"] is True and rep["beta"] == fmt(1e-06)
+
+
+def one_beta_runs_concatenate(tmp_path, path, out):
+    """The config run once per beta writes the CSV rows of the run over every
+    beta, in order: each beta reads the one plan."""
+    cfg = json.loads(Path(path).read_text())
+    body = ""
+    for i, b in enumerate(cfg["beta"]):
+        one = tmp_path / f"one{i}"
+        assert main(["run", path, "--override", f"beta=[{json.dumps(b)}]", "--output-dir", str(one)]) == 0
+        body += (one / f"{cfg['output']}.csv").read_text().split("\n", 1)[1]
+    assert len(cfg["beta"]) > 1 and (out / f"{cfg['output']}.csv").read_text().split("\n", 1)[1] == body
+
+
+def dense_matches_classical(tmp_path, path, out):
+    """The dense engine's CMI matches the classical engine's to 1e-9 at each
+    beta; at beta = 2 it is 1.9e-4, far above the rounding it is at 0.5."""
+    cfg = dict(json.loads(Path(path).read_text()), engine="classical", output="ising11_classical")
+    assert validate_config(cfg) == []
+    assert main(["run", write_cfg(tmp_path / "classical.json", cfg), "--output-dir", str(out)]) == 0
+    dense, classical = csv_rows(out, "ising11_dense"), csv_rows(out, "ising11_classical")
+    assert len(dense) == len(classical) == 2
+    for (b, d, v), (cb, cd, cv) in zip(dense, classical):
+        assert (b, d) == (cb, cd) and abs(float(v) - float(cv)) <= 1e-9
+    assert float(dense[1][2]) > 1e-4
+
+
+ZZ_DIAG = [1, -1, -1, 1]
+RING12_B = [s for s in range(12) if s not in (0, 6)]
+LATTICE_2X3 = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+BULK_FLIP = [{"site": s, "kind": "bitflip", "p": 0.2} for s in (1, 2, 3, 4)]
+# (config, its model file as a dict or None for a builtin id, findings, run's
+# exit code, extra check(tmp_path, config path, output directory) or None)
+CLI_CASES = {
+    "readme_decay": (README_DECAY, None, (), 0, None),
+    "readme_converse": (readme_config("converse"), None, (), 0, None),
+    "readme_cert": (readme_config("cert"), None, (), 0, passes_at_a_tiny_beta),
+    "bell_chain_n9": (BELL9_CFG, None, (), 0, bell_keeps_two_bits),
+    # a constant (identity) term only shifts the energy
+    "constant_term_on_pauli": (
+        {
+            "experiment": "cmi",
+            "engine": "pauli",
+            "beta": ["inf", 40.0, 1.0],
+            "partition": {"a": [0], "b": [1], "c": [2]},
+            "channel": [{"site": 1, "kind": "bitflip", "p": 0.1}],
+            "output": "constant",
+        },
+        {
+            "n_sites": 3,
+            "terms": [{"support": [i, i + 1], "pauli": "ZZ", "lambda": -1.0} for i in range(2)]
+            + [{"support": [1], "pauli": "I", "lambda": 0.5}],
+        },
+        (),
+        0,
+        None,
+    ),
+    # 2^16 configurations: eight chunks of entropy_bits
+    "classical_decay_n16": (
+        {
+            "experiment": "decay",
+            "model": "ising_chain_n16",
+            "engine": "classical",
+            "beta": [0.3, 1.0],
+            "distances": list(range(1, 16)),
+            "channel": {"kind": "bitflip", "p": 0.1},
+            "output": "decay16",
+        },
+        None,
+        (),
+        0,
+        None,
+    ),
+    # the closing bond (11, 0) makes the sweep's step 0 span all 12 sites,
+    # past the step-matrix limit: the wide-step kernel runs there
+    "zz_ring12_wide_step": (
+        {
+            "experiment": "cmi",
+            "engine": "classical",
+            "beta": [0.3, 1.0],
+            "partition": {"a": [0], "b": RING12_B, "c": [6]},
+            "channel": [{"site": s, "kind": "transition", "matrix": [[0.9, 0.1], [0.1, 0.9]]} for s in RING12_B],
+            "output": "ring",
+        },
+        {"n_sites": 12, "terms": [{"support": [i, (i + 1) % 12], "diag": ZZ_DIAG, "lambda": -1.0} for i in range(12)]},
+        (),
+        0,
+        one_beta_runs_concatenate,
+    ),
+    # dimension 2048: dense builds the state as the product of its terms'
+    # factors in real arithmetic, with no eigh
+    "ising_chain_n11_dense": (
+        {
+            "experiment": "cmi",
+            "model": "ising_chain_n11",
+            "engine": "dense",
+            "beta": [0.5, 2.0],
+            "channel": {"kind": "bitflip", "p": 0.1},
+            "output": "ising11_dense",
+        },
+        None,
+        (),
+        0,
+        dense_matches_classical,
+    ),
+    # the paper's case (i), a classical model under a non-unital transition,
+    # is not computed
+    "certificate_non_unital_transition": (
+        {
+            "experiment": "certificates",
+            "engine": "classical",
+            "beta": [0.01],
+            "channel": [{"site": 1, "kind": "transition", "matrix": [[0.9, 0.3], [0.1, 0.7]]}],
+            "max_weight": 3,
+            "output": "nonunital",
+        },
+        {"n_sites": 4, "terms": [{"support": [i, i + 1], "diag": ZZ_DIAG, "lambda": -1.0} for i in range(3)]},
+        ("certificates need a unital channel layer (E[I] = I), which this one is not",),
+        1,
+        None,
+    ),
+    # diagonal tables: the series are (dim, dim) matrices, not characters
+    "certificate_matrix_route": (
+        {
+            "experiment": "certificates",
+            "engine": "classical",
+            "beta": [0.01, 0.03],
+            "channel": BULK_FLIP,
+            "max_weight": 4,
+            "output": "cert_matrix",
+        },
+        {"n_sites": 6, "terms": [{"support": [i, i + 1], "diag": ZZ_DIAG, "lambda": -1.0} for i in range(5)]},
+        (),
+        0,
+        None,
+    ),
+    # ZZ bonds on a 2x3 grid: the character route with the largest key index
+    # the CLI builds here (7 terms up to degree 5)
+    "certificate_lattice_weight_5": (
+        {
+            "experiment": "certificates",
+            "engine": "dense",
+            "beta": [0.03],
+            "channel": BULK_FLIP,
+            "max_weight": 5,
+            "output": "cert_lattice",
+        },
+        {"n_sites": 6, "q": 2, "terms": [{"support": list(e), "pauli": "ZZ", "lambda": -0.9} for e in LATTICE_2X3]},
+        (),
+        0,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_CASES))
+def test_cli_end_to_end(tmp_path, capsys, case):
+    """Each config validates with its findings, runs to its exit code, and a
+    run that succeeds reruns from its manifest byte for byte, then passes
+    the case's own check."""
+    cfg, model, findings, status, check = CLI_CASES[case]
+    path, out = validate_run_rerun(tmp_path, capsys, cfg, model, findings, status)
+    if check is not None:
+        check(tmp_path, path, out)

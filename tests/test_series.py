@@ -608,6 +608,22 @@ def test_certificates_pass_as_beta_goes_to_zero(case):
         assert rep["beta_c"] == beta_critical(rep["degree"])
 
 
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_cluster_norms_read_the_damping_once(monkeypatch, case):
+    """pauli.check, each channel's pauli_table and term_group admit the
+    character route, not a pauli plan: cluster_norms reads the layer's
+    damping once on that route, never on the matrix route, and plans no
+    pauli state."""
+    h, layer = CERTIFICATE_CASES[case]()
+    cert = series.plan(h, layer, 3)
+    calls = []
+    damping, plan = pauli.damping, pauli.plan
+    monkeypatch.setattr(pauli, "damping", lambda *args: calls.append("damping") or damping(*args))
+    monkeypatch.setattr(pauli, "plan", lambda *args: calls.append("plan") or plan(*args))
+    cluster_norms(cert)
+    assert calls == ([] if case == "matrix_route" else ["damping"])
+
+
 def test_certificate_bound_is_the_estimate_chains_over_w_factorial():
     """For every cluster of the 2x3 lattice at weight 4, the report's bound
     over beta^{|W|} is the estimate chain's final bound W! (2e(1+d))^{|W|+1}

@@ -17,9 +17,10 @@ passes because ``PauliString.to_matrix`` is called, and so would a
 Every settable value, a parameter default or a dataclass field default, is
 listed in ``SETTABLE`` with the reason callers leave it unset.
 
-The last test imports every module in a fresh interpreter and checks that
-neither test dependency is loaded, since ``numpy`` is the only runtime
-dependency.
+The last two tests keep ``numpy`` the only runtime dependency: no
+``import`` of a test dependency appears anywhere in the library's code,
+function bodies included, and importing every module in a fresh interpreter
+loads neither.
 """
 
 import ast
@@ -147,6 +148,26 @@ def test_every_settable_value_is_listed():
     assert settable_values() == set(SETTABLE)
 
 
+TEST_DEPENDENCIES = ("pytest", "hypothesis")
+
+
+def test_imports_name_no_test_dependency():
+    """No import statement in ``src/hmnlab``, at any depth, names pytest or
+    hypothesis: an import inside a function runs only when it is called,
+    which a fresh interpreter's import of the modules does not show."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in TEST_DEPENDENCIES]
+    assert found == []
+
+
 def test_runtime_imports_need_only_numpy():
     """Importing every hmnlab module in a fresh interpreter loads neither
     pytest nor hypothesis."""
@@ -155,7 +176,7 @@ def test_runtime_imports_need_only_numpy():
         "import importlib, sys\n"
         f"for m in {modules!r}:\n"
         "    importlib.import_module(m)\n"
-        "print(sorted(m for m in ('pytest', 'hypothesis') if m in sys.modules))\n"
+        f"print(sorted(m for m in {TEST_DEPENDENCIES!r} if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
