@@ -194,7 +194,8 @@ def pauli_damping_profile(c: SiteChannel) -> np.ndarray:
     if 2**nq != d:
         raise ValueError("channel dimension is not a qubit register")
     paulis = _paulis(nq)[0]
-    images = np.tensordot(paulis, c.superop, ([1, 2], [2, 3]))
+    m = d * d  # the reshapes and product np.tensordot(paulis, superop, ([1, 2], [2, 3])) makes: its bits
+    images = np.dot(paulis.reshape(m, m), c.superop.transpose(2, 3, 0, 1).reshape(m, m)).reshape(paulis.shape)
     table = (paulis[:, 0].conj() * images[:, 0]).sum(axis=1).real
     if np.max(np.abs(images - table[:, None, None] * paulis)) > 1e-10:
         raise ValueError("channel is not diagonal in the Pauli basis; use the dense engine")

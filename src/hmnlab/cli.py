@@ -352,8 +352,12 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             else:
                 rep = experiments.cluster_gibbs_equivalence(r.n, beta, r.engine)
             timings[f"beta={fmt(beta)}"] = time.perf_counter() - t0
-            for d in [rep, *rep.get("clusters", ())]:
-                d.update({k: fmt(v) for k, v in d.items() if isinstance(v, float)})
+            rep.update({k: fmt(v) for k, v in rep.items() if isinstance(v, float)})
+            if exp == "certificates":  # a cluster's floats are its norm and its bound, which its weight fixes
+                clusters = rep["clusters"]
+                bounds = {w: fmt(b) for w, b in {c["weight"]: c["bound"] for c in clusters}.items()}
+                for c in clusters:
+                    c["norm"], c["bound"] = fmt(c["norm"]), bounds[c["weight"]]
             reports.append(rep)
             if not rep["pass"]:
                 status = 2
@@ -374,6 +378,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             "classical_memory": classical.MEMORY_CAP,
             "pauli_rank": pauli.TERM_CAP,
             "series_weight": series.MAX_WEIGHT_CAP,
+            "series_stack_bytes": series.STACK_BYTES_CAP,
         },
         "wall_clock_s": {k: round(v, 6) for k, v in timings.items()},
     }

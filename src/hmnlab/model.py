@@ -48,10 +48,6 @@ class SiteGraph:
     def n_qubits(self) -> int:
         return self.n_sites * self.qubits_per_site
 
-    def site_qubits(self, site: int) -> range:
-        k = self.qubits_per_site
-        return range(site * k, (site + 1) * k)
-
     @property
     def dim(self) -> int:
         return self.q**self.n_sites
@@ -89,10 +85,6 @@ class PauliString:
             if ch not in "IXYZ":
                 raise ValueError(f"bad Pauli letter {ch!r}")
         return cls(len(label), x, z)
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0, 1)
 
     def commutes_with(self, other: "PauliString") -> bool:
         return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0

@@ -29,6 +29,9 @@ axes.  A region's marginal lives on the subgroup supported there (the
 kernel of the generators' outside bits) and diagonalizes over its
 characters, so an entropy costs one Walsh-Hadamard transform of 2^rank
 values.  The plan holds the layer's damping tables and each region's kernel.
+It works on the generators' (x, z) words: g_v takes its sign from the words
+alone, each distinct channel table reduces its 4^k local rows once (one
+lookup per generator and channel), and a region's mask is k bits per site.
 """
 
 from __future__ import annotations
@@ -101,12 +104,20 @@ def _local_rows(generators, site: int, k: int) -> list:
 
 
 def group_element(gens, v: int, n: int) -> PauliString:
-    """g_v: the generators in v multiplied in index order."""
-    out = PauliString.identity(n)
+    """g_v: the generators in v multiplied in index order, on their (x, z)
+    words.  Each product adds the phase y1 + y2 - y3 + 2 popcount(z1 & x2),
+    y = popcount(x & z), plus 2 for a factor of sign -1 (Aaronson-Gottesman);
+    an odd phase is an anticommuting pair, and the total mod 4 is the sign."""
+    x = z = y = phase = 0
     for i, g in enumerate(gens):
         if v >> i & 1:
-            out = out * g
-    return out
+            x3, z3 = x ^ g.x, z ^ g.z
+            y3 = (x3 & z3).bit_count()
+            step = y + (g.x & g.z).bit_count() - y3 + 2 * (z & g.x).bit_count() + 1 - g.sign
+            if step % 2:
+                raise ValueError("product of anticommuting Paulis is not Hermitian")
+            x, z, y, phase = x3, z3, y3, phase + step
+    return PauliString(n, x, z, -1 if phase % 4 else 1)
 
 
 @dataclass
@@ -136,14 +147,15 @@ def term_group(h: LocalHamiltonian) -> tuple[tuple, list, list]:
     n = h.site_graph.n_qubits
     gens: list[PauliString] = []
     pivots: dict = {}
-    coords = []
+    coords, signs = [], []
     for t in h.terms:
         p, new = t.operator, 1 << len(gens)
         word, mask = _reduce(pivots, (p.x << n) | p.z, new)
         if word:
             gens.append(PauliString(n, p.x, p.z))
         coords.append(new if word else mask ^ new)
-    signs = [t.operator.sign * group_element(gens, b, n).sign for t, b in zip(h.terms, coords)]
+        # a term that introduces its generator is sigma_a g_{b_a} with g_{b_a} of sign +1
+        signs.append(p.sign if word else p.sign * group_element(gens, coords[-1], n).sign)
     return tuple(gens), coords, signs
 
 
@@ -156,19 +168,22 @@ def _checks(graph: SiteGraph, generators, channels) -> list:
     k = graph.qubits_per_site
     words = [0] * len(generators)
     shift = 0
+    remainders: dict = {}  # per distinct table, the remainder of each of its 4^k rows
     for ch in channels:
         table = ch.pauli_table
         if table.all():
             continue
-        pivots: dict = {}
-        for u in np.flatnonzero(table).tolist():
-            _reduce(pivots, u, 0)
-        order = sorted(pivots, reverse=True)
+        key = table.tobytes()
+        if key not in remainders:
+            pivots: dict = {}
+            for u in np.flatnonzero(table).tolist():
+                _reduce(pivots, u, 0)
+            rows = np.arange(table.size)
+            for bit in sorted(pivots, reverse=True):
+                rows ^= (rows >> bit & 1) * pivots[bit][0]
+            remainders[key] = rows.tolist()
         for i, row in enumerate(_local_rows(generators, ch.site, k)):
-            for bit in order:
-                if row >> bit & 1:
-                    row ^= pivots[bit][0]
-            words[i] |= row << shift
+            words[i] |= remainders[key][row] << shift
         shift += 2 * k
     return words
 
@@ -276,8 +291,12 @@ def damping(graph: SiteGraph, generators, layer: ChannelLayer) -> tuple:
 
 def damp(c: np.ndarray, tables: tuple) -> np.ndarray:
     """c_v f_v: c times each of a layer's ``damping`` tables, broadcast."""
-    for cs, f in tables:
-        c = (c.reshape(cs) * f).reshape(-1)
+    for i, (cs, f) in enumerate(tables):
+        view = c.reshape(cs)
+        if i:
+            view *= f
+        else:  # a new array, so the input is never written
+            c = (view * f).reshape(-1)
     return c
 
 
@@ -295,10 +314,9 @@ def region(graph: SiteGraph, generators, sites) -> Region:
     """A site region's qubit count and the F2 kernel of the generators'
     outside-region bits: a basis of the exponent masks v whose g_v is
     supported inside the region."""
-    qs = [q for s in sites for q in graph.site_qubits(s)]
-    n = graph.n_qubits
-    outside = ((1 << n) - 1) ^ sum(1 << q for q in qs)
-    return Region(len(qs), tuple(_kernel([((g.x & outside) << n) | (g.z & outside) for g in generators])))
+    k, n = graph.qubits_per_site, graph.n_qubits
+    outside = ((1 << n) - 1) ^ sum(((1 << k) - 1) << (s * k) for s in sites)
+    return Region(k * len(sites), tuple(_kernel([((g.x & outside) << n) | (g.z & outside) for g in generators])))
 
 
 def restricted_group(e: PauliExpansion, region: Region) -> RestrictedGroup:

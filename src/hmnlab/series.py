@@ -48,6 +48,9 @@ from .model import DualInteractionGraph, LocalHamiltonian, Partition, build_dual
 
 MAX_WEIGHT_CAP = 8
 CLUSTER_COUNT_CAP = 2_000_000
+# bytes of one certificate series' coefficient stack, a row per key: one
+# (4096, 4096) complex matrix, the size class of a state at the dense cap
+STACK_BYTES_CAP = 1 << 28
 # coefficients no larger than this (largest |entry| or |character value|)
 # are zeroed in built series and logs
 SERIES_FLOOR = 1e-16
@@ -229,20 +232,27 @@ def _character_series(
     return TruncatedSeries(len(h.terms), max_degree, np.ones(f.size), chars).prune(SERIES_FLOOR)
 
 
-def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
-    """``_character_series`` on the model's term group, computed here once,
-    where the pauli engine admits the model (``pauli.check``) and every
-    channel (its ``pauli_table``) and the model has at most TERM_CAP terms,
-    else ``series_of_channelled_gibbs``.  The characters span the whole term
-    group whatever the layer keeps, and its rank r is at most the number of
-    terms, as is every rank ``pauli.plan`` bounds."""
+def _on_characters(h: LocalHamiltonian, layer: ChannelLayer) -> bool:
+    """Whether the pauli engine admits the model (``pauli.check``) and every
+    channel (its ``pauli_table``) and the model has at most TERM_CAP terms."""
     if len(h.terms) > pauli.TERM_CAP:
-        return series_of_channelled_gibbs
+        return False
     try:
         pauli.check(h)
         for ch in layer.channels:
             ch.pauli_table  # raises for a channel that is not Pauli-diagonal
     except ValueError:
+        return False
+    return True
+
+
+def _series_builder(h: LocalHamiltonian, layer: ChannelLayer):
+    """``_character_series`` on the model's term group, computed here once,
+    where ``_on_characters``, else ``series_of_channelled_gibbs``.  The
+    characters span the whole term group whatever the layer keeps, and its
+    rank r is at most the number of terms, as is every rank ``pauli.plan``
+    bounds."""
+    if not _on_characters(h, layer):
         return series_of_channelled_gibbs
     return partial(_character_series, group=pauli.term_group(h))
 
@@ -291,9 +301,7 @@ def enumerate_connected_clusters(g: DualInteractionGraph, max_weight: int) -> li
 
 def _cluster_keys(g: DualInteractionGraph, max_weight: int) -> list:
     """The series keys (multiplicities) of ``enumerate_connected_clusters``."""
-    require_int(max_weight, "max weight", 1)
-    if max_weight > MAX_WEIGHT_CAP:
-        raise ValueError(f"max weight {max_weight} exceeds cap {MAX_WEIGHT_CAP}")
+    _check_weight(max_weight)
     out = []
     for subset in connected_term_sets(g, max_weight):
         size = len(subset)
@@ -304,6 +312,12 @@ def _cluster_keys(g: DualInteractionGraph, max_weight: int) -> list:
                 if len(out) > CLUSTER_COUNT_CAP:
                     raise ValueError("cluster enumeration budget exceeded")
     return out
+
+
+def _check_weight(max_weight) -> None:
+    require_int(max_weight, "max weight", 1)
+    if max_weight > MAX_WEIGHT_CAP:
+        raise ValueError(f"max weight {max_weight} exceeds cap {MAX_WEIGHT_CAP}")
 
 
 def _compositions(total: int, parts: int):
@@ -349,8 +363,21 @@ def cmi_operator_series(
 def plan(h: LocalHamiltonian, layer: ChannelLayer, max_weight) -> Plan:
     """What every beta of a certificate shares: h, layer, max_weight, the dual
     graph's degree, the clusters' keys, their rows in ``_key_index``, weights and W! (``facts``).
-    It builds no coefficient.  Raises ValueError for a bad weight, more than
-    CLUSTER_COUNT_CAP clusters, a non-unital layer or non-commuting terms."""
+    It builds no coefficient.  Raises ValueError for a bad weight, a
+    coefficient stack past STACK_BYTES_CAP, more than CLUSTER_COUNT_CAP
+    clusters, a non-unital layer or non-commuting terms.  The stack is
+    counted before any cluster or key is built: the keys up to max_weight
+    times 16 dim^2 bytes on matrices, or 8 * 2^min(terms, qubits) on
+    characters, which bounds their 8 * 2^r with no term group."""
+    _check_weight(max_weight)
+    m, graph = len(h.terms), h.site_graph
+    coeff = 8 * 2 ** min(m, graph.n_qubits) if _on_characters(h, layer) else 16 * graph.dim**2
+    n_keys = math.comb(m + max_weight, max_weight)
+    if n_keys * coeff > STACK_BYTES_CAP:
+        raise ValueError(
+            f"certificate series of {n_keys} keys at {coeff} bytes each needs "
+            f"{n_keys * coeff} bytes, past the stack cap {STACK_BYTES_CAP}"
+        )
     g = build_dual_graph(h)
     keys = _cluster_keys(g, max_weight)
     if not layer.is_unital():

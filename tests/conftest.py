@@ -15,7 +15,8 @@ under a non-unital layer.  The pauli kernels' full-length forms (one gather upda
 term, one damping gather per channel, a stacked transform, a concatenating
 span) are kept here as bit-exact references for the in-place kernels, and
 so are the certificate path's per-key character series and per-cluster
-report for the array forms.
+report for the array forms, and the pauli plan built from one
+``PauliString`` product per factor for the plan on (x, z) words.
 """
 
 import itertools
@@ -27,7 +28,18 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from hmnlab.channels import ChannelLayer, SiteChannel, bitflip, compose_with_trace, dephasing, depolarizing
+from hmnlab.channels import (
+    ChannelLayer,
+    SiteChannel,
+    _paulis,
+    bell_measurement,
+    bitflip,
+    complete_depolarization,
+    compose_with_trace,
+    dephasing,
+    depolarizing,
+    pauli_mixture,
+)
 from hmnlab.classical import Distribution, energy_table, marginal, shannon_entropy
 from hmnlab.combinatorics import (
     Cluster,
@@ -43,6 +55,9 @@ from hmnlab.dense import apply_layer_to_matrix, hamiltonian_matrix, partial_trac
 from hmnlab.experiments import beta_critical
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph, _terms_commute, build_dual_graph
 from hmnlab.pauli import (
+    Plan,
+    Region,
+    _kernel,
     _reduce,
     _xor_span,
     apply_pauli_layer,
@@ -828,7 +843,9 @@ def pauli_support(p: PauliString) -> frozenset:
 
 
 def masked_product(ops, mask, n):
-    p = PauliString.identity(n)
+    """Reference for ``group_element``: the ops in mask multiplied in index
+    order from the identity, one ``PauliString`` product per factor."""
+    p = PauliString(n, 0, 0, 1)
     for i, g in enumerate(ops):
         if mask >> i & 1:
             p = p * g
@@ -865,6 +882,114 @@ def dependent_commuting_models(draw, max_qubits=4):
     )
     layer = ChannelLayer(tuple(kinds[k](s, p) for s, (k, p) in sorted(noise.items())))
     return h, draw(st.floats(0.05, 2.0)), layer
+
+
+def tensordot_damping_profile(c: SiteChannel) -> np.ndarray:
+    """Reference for ``pauli_damping_profile`` on a Pauli-diagonal channel:
+    the images of the Paulis by ``np.tensordot``, each factor read at P's row 0."""
+    paulis = _paulis(c.dim.bit_length() - 1)[0]
+    images = np.tensordot(paulis, c.superop, ([1, 2], [2, 3]))
+    return (paulis[:, 0].conj() * images[:, 0]).sum(axis=1).real
+
+
+def product_chain_plan(h, layer, regions) -> Plan:
+    """Reference for ``pauli.plan``: each sign and kept basis member by one
+    ``PauliString`` product per factor (``masked_product``), each channel's
+    check rows (its ``tensordot_damping_profile``) reduced one row and one
+    pivot bit at a time, and each region's outside mask read off its qubits
+    one by one."""
+    g = h.site_graph
+    n, k = g.n_qubits, g.qubits_per_site
+    local = (1 << k) - 1
+    gens, pivots, coords = [], {}, []
+    for t in h.terms:
+        p, new = t.operator, 1 << len(gens)
+        word, mask = _reduce(pivots, (p.x << n) | p.z, new)
+        if word:
+            gens.append(PauliString(n, p.x, p.z))
+        coords.append(new if word else mask ^ new)
+    signs = [t.operator.sign * masked_product(gens, b, n).sign for t, b in zip(h.terms, coords)]
+    words, shift = [0] * len(gens), 0
+    for ch in layer.channels:
+        table = tensordot_damping_profile(ch)
+        if table.all():
+            continue
+        pivots = {}
+        for u in np.flatnonzero(table).tolist():
+            _reduce(pivots, u, 0)
+        for i, gen in enumerate(gens):
+            row = (((gen.x >> ch.site * k) & local) << k) | ((gen.z >> ch.site * k) & local)
+            for bit in sorted(pivots, reverse=True):
+                if row >> bit & 1:
+                    row ^= pivots[bit][0]
+            words[i] |= row << shift
+        shift += 2 * k
+    kept = _kernel(words)
+    basis = tuple(gens) if len(kept) == len(gens) else tuple(masked_product(gens, v, n) for v in kept)
+    out = []
+    for sites in regions:
+        qs = [q for s in sites for q in range(s * k, (s + 1) * k)]
+        outside = ((1 << n) - 1) ^ sum(1 << q for q in qs)
+        out.append(Region(len(qs), tuple(_kernel([((b.x & outside) << n) | (b.z & outside) for b in basis]))))
+    return Plan(h, layer, (tuple(gens), coords, signs), words, kept, basis, damping(g, basis, layer), tuple(out))
+
+
+def table_channel(site: int, table) -> SiteChannel:
+    """The Pauli-diagonal map with damping factors ``table`` (indexed
+    (x << nq) | z, entry 0 equal to 1), sum_u f_u P_u (x) conj(P_u) / d: its
+    zeros fall anywhere, as no physical channel's need, so the plan's check
+    rows meet every pivot pattern."""
+    f = np.asarray(table, dtype=float)
+    ps = _paulis((f.size.bit_length() - 1) // 2)[0]
+    return SiteChannel(site, np.einsum("u,uij,ukl->ijkl", f, ps, ps.conj()) / len(ps[0]))
+
+
+@st.composite
+def commuting_pauli_plans(draw):
+    """(h, layer, regions): commuting Pauli strings on sites of q = 2 or 4,
+    with Y letters, signs -1 and terms that are signed products of others,
+    under a layer whose tables may have zeros (dephasing and bit-flip at 1/2,
+    complete depolarization, Bell measurement, sparse Pauli mixtures, any
+    ``table_channel``), and a few site regions."""
+    q = draw(st.sampled_from((2, 4)))
+    g = SiteGraph(draw(st.integers(2, 4 if q == 2 else 3)), q)
+    n, k = g.n_qubits, g.qubits_per_site
+    bits = st.integers(0, 2**n - 1)
+    gens = []
+    for x, z, sign in draw(st.lists(st.tuples(bits, bits, st.sampled_from((1, -1))), min_size=1, max_size=5)):
+        p = PauliString(n, x, z, sign)
+        if (x, z) != (0, 0) and all(p.commutes_with(o) for o in gens):
+            gens.append(p)
+    assume(gens)
+    ops = list(gens)
+    masks = st.integers(1, 2 ** len(gens) - 1)
+    for mask, sign in draw(st.lists(st.tuples(masks, st.sampled_from((1, -1))), max_size=3)):
+        p = masked_product(gens, mask, n)
+        if (p.x, p.z) != (0, 0):
+            ops.append(PauliString(n, p.x, p.z, sign * p.sign))
+    lams = draw(st.lists(st.floats(-1, 1), min_size=len(ops), max_size=len(ops)))
+    terms = []
+    for p, lam in zip(ops, lams):
+        support = tuple(s for s in range(g.n_sites) if ((p.x | p.z) >> (s * k)) & ((1 << k) - 1))
+        terms.append(HamiltonianTerm(support, p, lam))
+    probability = st.sampled_from((0.0, 0.2, 0.5, 1.0))
+    weights = st.lists(st.sampled_from((0.0, 0.0, 1.0, 2.0)), min_size=4**k, max_size=4**k).filter(any)
+    factors = st.lists(st.sampled_from((0.0, 0.0, 0.5, 1.0)), min_size=4**k - 1, max_size=4**k - 1)
+    kinds = {
+        "depolarizing": st.builds(lambda p: lambda s: depolarizing(s, p, q), probability),
+        "complete_depolarization": st.just(lambda s: complete_depolarization(s, q)),
+        "mixture": st.builds(lambda w: lambda s: pauli_mixture(s, np.array(w) / sum(w)), weights),
+        "table": st.builds(lambda f: lambda s: table_channel(s, [1.0] + f), factors),
+    }
+    if q == 2:
+        kinds["dephasing"] = st.builds(lambda p: lambda s: dephasing(s, p), probability)
+        kinds["bitflip"] = st.builds(lambda p: lambda s: bitflip(s, p), probability)
+    else:
+        kinds["bell_measurement"] = st.just(bell_measurement)
+    noise = draw(st.dictionaries(st.integers(0, g.n_sites - 1), st.one_of(*kinds.values())))
+    layer = ChannelLayer(tuple(make(s) for s, make in sorted(noise.items())))
+    regions = draw(st.lists(st.frozensets(st.integers(0, g.n_sites - 1), min_size=1), max_size=3))
+    return LocalHamiltonian(g, tuple(terms)), layer, regions
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from hmnlab.channels import (
 )
 from hmnlab.dense import apply_layer_to_matrix, partial_trace_matrix
 from hmnlab.model import HamiltonianTerm, LocalHamiltonian, PauliString, SiteGraph
-from tests.conftest import choi_kraus, compose_channels, ising_pauli_chain
+from tests.conftest import choi_kraus, compose_channels, ising_pauli_chain, tensordot_damping_profile
 
 
 def test_dephasing_damping_profile():
@@ -66,6 +66,27 @@ def _every_constructor():
         transition_channel(0, t / t.sum(axis=0)),
         kraus_channel(0, [v[:2], v[2:4], v[4:]]),
     ]
+
+
+def test_damping_profile_matches_tensordot_bit_for_bit():
+    """Each Pauli-diagonal constructor's table, on one and two qubits, has
+    the bits of the tensordot reference; the one product is its reshape."""
+    channels = [
+        dephasing(0, 0.3),
+        bitflip(0, 0.1),
+        depolarizing(0, 0.4, 2),
+        depolarizing(0, 0.7, 4),
+        bell_measurement(0),
+        pauli_mixture(0, (0.1, 0.2, 0.3, 0.4)),
+        complete_depolarization(0, 2),
+        complete_depolarization(0, 4),
+        pauli_mixture(0, np.arange(16) / 120),
+        transition_channel(0, [[0.9, 0.1], [0.1, 0.9]]),
+        kraus_channel(0, choi_kraus(dephasing(0, 0.2))),
+    ]
+    for c in channels:
+        table, ref = pauli_damping_profile(c), tensordot_damping_profile(c)
+        assert table.dtype == ref.dtype and table.tobytes() == ref.tobytes(), c
 
 
 def test_superoperators_round_trip_through_choi_kraus():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from hmnlab import experiments, pauli, series, zoo
-from hmnlab.cli import apply_overrides, fmt, main, validate_config
+from hmnlab.cli import apply_overrides, fmt, main, resolve, validate_config
 
 
 def write_cfg(path, cfg):
@@ -914,6 +915,22 @@ def test_many_betas_write_the_certificates_of_one_beta_runs(tmp_path, monkeypatc
     assert texts[0] == json.dumps({"certificates": merged, "experiment": "certificates"}, indent=2, sort_keys=True) + "\n"
 
 
+def test_certificate_report_holds_every_float_as_fmt_writes_it(tmp_path):
+    """cert.json is each beta's report with every float, top level and per
+    cluster, written by ``fmt``, as one pass over every value would write it."""
+    cfg = dict(readme_config("cert"), beta=[0.01, 0.03])
+    assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path)]) == 0
+    plan = resolve(cfg).plan
+    norms = series.cluster_norms(plan)
+    expect = []
+    for beta in cfg["beta"]:
+        rep = series.derivative_norm_certificate(plan, norms, beta)
+        for d in [rep, *rep["clusters"]]:
+            d.update({k: fmt(v) for k, v in d.items() if isinstance(v, float)})
+        expect.append(rep)
+    assert json.loads((tmp_path / "cert.json").read_text())["certificates"] == expect
+
+
 def test_validate_reports_the_cluster_cap(tmp_path, monkeypatch, capsys):
     """The 2x3 ZZ lattice has 172 connected clusters of weight <= 4: under a
     cap of 100 validate reports it, and run refuses it and writes nothing."""
@@ -933,6 +950,50 @@ def test_validate_reports_the_cluster_cap(tmp_path, monkeypatch, capsys):
     assert main(["run", write_cfg(tmp_path / "c.json", cfg), "--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: cluster enumeration budget exceeded\n"
     assert not (tmp_path / "out").exists()
+
+
+# certificate configs whose series would not fit in memory, both on the
+# matrix route: "diag" tables, and more terms than pauli.TERM_CAP
+OVERSIZED_CERTIFICATES = {
+    "diag_chain_n10": (
+        {"n_sites": 10, "terms": [{"support": [i, i + 1], "diag": [1, -1, -1, 1], "lambda": -1.0} for i in range(9)]},
+        {"engine": "classical", "channel": [{"site": s, "kind": "bitflip", "p": 0.2} for s in range(1, 9)]},
+        "certificate series of 715 keys at 16777216 bytes each needs 11995709440 bytes, past the stack cap 268435456",
+    ),
+    "complete_graph_n9": (
+        {"n_sites": 9, "terms": [{"support": list(e), "pauli": "ZZ", "lambda": -1.0} for e in itertools.combinations(range(9), 2)]},
+        {"engine": "pauli"},
+        "certificate series of 91390 keys at 4194304 bytes each needs 383317442560 bytes, past the stack cap 268435456",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_CERTIFICATES))
+def test_certificate_stack_past_the_cap_is_refused_from_counts(tmp_path, monkeypatch, capsys, case):
+    """A 10-site "diag" chain would need 715 (1024, 1024) complex matrices,
+    and the 9-site complete graph 91,390 (512, 512) ones: validate reports
+    the stack's size and the cap, and run refuses it and writes nothing,
+    both from the key count alone, with no cluster or key index built."""
+    model, extra, message = OVERSIZED_CERTIFICATES[case]
+    cfg = {
+        "experiment": "certificates",
+        "model": write_cfg(tmp_path / "model.json", model),
+        "beta": [0.03],
+        "max_weight": 4,
+        "output": "cert",
+        **extra,
+    }
+    calls = []
+    key_index, cluster_keys = series._key_index, series._cluster_keys
+    monkeypatch.setattr(series, "_key_index", lambda *args: calls.append("index") or key_index(*args))
+    monkeypatch.setattr(series, "_cluster_keys", lambda *args: calls.append("keys") or cluster_keys(*args))
+    assert validate_config(cfg) == [message]
+    path = write_cfg(tmp_path / "c.json", cfg)
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out == f"finding: {message}\n1 finding(s)\n"
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists() and calls == []
 
 
 def _kraus_pairs(ops):

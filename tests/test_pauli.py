@@ -20,6 +20,7 @@ from hmnlab.model import (
     entropy_bits,
 )
 from tests.conftest import (
+    commuting_pauli_plans,
     concatenated_xor_span,
     damp_by_layer,
     dependent_commuting_models,
@@ -31,9 +32,12 @@ from tests.conftest import (
     masked_product,
     pauli_region,
     pauli_support,
+    product_chain_plan,
     random_commuting_pauli_model,
     random_pauli_diagonal_layer,
     stacked_walsh_hadamard,
+    table_channel,
+    tensordot_damping_profile,
 )
 
 
@@ -587,3 +591,118 @@ def test_bell_chain_past_the_old_term_cap():
         for region in plan.regions:
             s = pauli.marginal_entropy(e, region)
             assert s == round(s) and s == pytest.approx(entropy_bits(*pauli.marginal_spectrum(e, region)), abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(commuting_pauli_plans())
+def test_plan_on_words_matches_the_product_chain_reference(case):
+    """The plan on (x, z) words holds the reference's term group, check
+    words, kept masks, signed basis, damping bits and regions, and prepares
+    the same bits; each channel's table is the tensordot reference's."""
+    assert_plan_matches_product_chain(*case)
+
+
+def overlapping_pivots():
+    """Two q = 4 sites, the first under a table nonzero on 0, 3, 5, 6 and 7:
+    the pivot of bit 1 (word 3) holds the pivot bit 0, so row 2 (Z on the
+    site's second qubit) reduces to 0 only from the highest pivot bit down."""
+    f = np.zeros(16)
+    f[[0, 3, 5, 6, 7]] = [1.0, 0.5, 0.5, 0.5, 0.5]
+    terms = (
+        HamiltonianTerm((0,), PauliString(4, 0, 0b0010), -0.7),
+        HamiltonianTerm((0, 1), PauliString(4, 0b0101, 0b0101), 0.4),
+        HamiltonianTerm((1,), PauliString(4, 0, 0b1000), 0.3),
+    )
+    return LocalHamiltonian(SiteGraph(2, 4), terms), ChannelLayer((table_channel(0, f),))
+
+
+PLAN_CASES = {
+    **ORACLE_CASES,
+    **{case: (h, layer) for case, (h, layer, _) in KEPT_CASES.items()},
+    "q4_overlapping_pivots": overlapping_pivots(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_named_plans_match_the_product_chain_reference(case):
+    h, layer = PLAN_CASES[case]
+    n = h.site_graph.n_sites
+    p = Partition(frozenset({0}), frozenset(range(1, n - 1)), frozenset({n - 1}))
+    assert_plan_matches_product_chain(h, layer, p.regions)
+
+
+def assert_plan_matches_product_chain(h, layer, regions):
+    plan, ref = pauli.plan(h, layer, regions), product_chain_plan(h, layer, regions)
+    assert (plan.group, plan.words, plan.kept, plan.basis, plan.regions) == (
+        ref.group, ref.words, ref.kept, ref.basis, ref.regions
+    )  # PauliString equality holds the sign
+    assert [cs for cs, _ in plan.damping] == [cs for cs, _ in ref.damping]
+    for (_, f), (_, rf) in zip(plan.damping, ref.damping):
+        assert_same_bits(f, rf)
+    for ch in layer.channels:
+        assert_same_bits(ch.pauli_table, tensordot_damping_profile(ch))
+    for beta in (0.4, math.inf):
+        try:
+            e = pauli.expand_gibbs(ref, beta)
+        except ValueError:  # a frustrated ground state
+            with pytest.raises(ValueError, match="frustrated"):
+                pauli.prepare(plan, beta)
+            continue
+        assert_same_bits(pauli.prepare(plan, beta).coeffs, gather_damp(e.coeffs, h.site_graph, ref.basis, layer))
+
+
+def test_plan_makes_no_pauli_string_product(monkeypatch):
+    """The plan of the Bell chain under Bell measurement (a kept basis of two
+    products) and of the thermal cluster chain (14 terms, each its own
+    generator) multiplies no PauliString."""
+    products = []
+    mul = PauliString.__mul__
+    monkeypatch.setattr(PauliString, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    bell, cluster = zoo.bell_chain(9), zoo.cluster_chain(14)
+    p = Partition(frozenset({0}), frozenset(range(1, 8)), frozenset({8}))
+    assert len(pauli.plan(bell, zoo.bulk_layer("bell_chain", 9, 0.0), p.regions).basis) == 2
+    assert len(pauli.plan(cluster, ChannelLayer(), ()).basis) == 14
+    assert products == []
+
+
+def signed_strings(n):
+    word = st.integers(0, 2**n - 1)
+    return st.lists(st.builds(PauliString, st.just(n), word, word, st.sampled_from((1, -1))), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), signed_strings(n))))
+def test_group_element_matches_the_product_chain(case):
+    """For signed strings, commuting or not, g_v on words is the product
+    chain's string, and raises exactly where a product anticommutes."""
+    n, gens = case
+    for v in range(2 ** len(gens)):
+        try:
+            ref = masked_product(gens, v, n)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                pauli.group_element(gens, v, n)
+            continue
+        assert pauli.group_element(gens, v, n) == ref
+
+
+def test_group_element_raises_on_an_anticommuting_pair():
+    x, z = PauliString.from_label("XI"), PauliString.from_label("ZI")
+    with pytest.raises(ValueError, match="anticommuting"):
+        pauli.group_element([x, z], 0b11, 2)
+    assert pauli.group_element([x, z], 0b01, 2) == x
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_damp_leaves_its_input_unwritten(case):
+    """damp returns a new array whatever the number of tables, and its bits
+    are the one-gather-per-channel reference's."""
+    h, layer = ORACLE_CASES[case]
+    e = pauli.expand_gibbs(pauli.plan(h, ChannelLayer(), ()), 0.4)
+    tables = pauli.damping(e.graph, e.generators, layer)
+    assert len(tables) >= 2  # the first table's product and one in place
+    c = e.coeffs.copy()
+    damped = pauli.damp(c, tables)
+    assert_same_bits(c, e.coeffs)
+    assert damped is not c and not np.shares_memory(damped, c)
+    assert_same_bits(damped, gather_damp(c, h.site_graph, e.generators, layer))
